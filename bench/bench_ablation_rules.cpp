@@ -9,15 +9,17 @@
 #include "energy/machine.hpp"
 #include "jepo/optimizer.hpp"
 #include "jlang/parser.hpp"
-#include "jvm/interpreter.hpp"
+#include "jbc/bcvm.hpp"
+#include "jbc/compiler.hpp"
 
 namespace {
 
 double runPackageJoules(const jepo::jlang::Program& prog) {
+  const jepo::jbc::CompiledProgram compiled = jepo::jbc::compile(prog);
   jepo::energy::SimMachine machine;
-  jepo::jvm::Interpreter interp(prog, machine);
-  interp.setMaxSteps(50'000'000);
-  interp.runMain();
+  jepo::jbc::BytecodeVm vm(compiled, machine);
+  vm.setMaxSteps(50'000'000);
+  vm.runMain();
   return machine.sample().packageJoules;
 }
 

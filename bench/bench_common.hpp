@@ -6,6 +6,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -71,20 +72,42 @@ class Flags {
   }
 
   std::string get(const std::string& name, const std::string& def) const {
-    for (const auto& [k, v] : values_) {
-      if (k == name) return v;
-    }
-    return def;
+    const std::optional<std::string> v = find(name);
+    return v ? *v : def;
   }
 
+  /// Numeric flags parse strictly: a value that is empty, has trailing
+  /// garbage or is out of range prints the offending flag and exits 2, so a
+  /// typo like --clients=abc never runs the bench at some fallback value.
   long getInt(const std::string& name, long def) const {
-    const std::string v = get(name, "");
-    return v.empty() ? def : std::strtol(v.c_str(), nullptr, 10);
+    const std::optional<std::string> v = find(name);
+    return v ? parseInt(name, *v) : def;
   }
 
   double getDouble(const std::string& name, double def) const {
-    const std::string v = get(name, "");
-    return v.empty() ? def : std::strtod(v.c_str(), nullptr);
+    const std::optional<std::string> v = find(name);
+    if (!v) return def;
+    errno = 0;
+    char* end = nullptr;
+    const double d = std::strtod(v->c_str(), &end);
+    if (v->empty() || end != v->c_str() + v->size() || errno == ERANGE) {
+      badValue(name, *v, "a number");
+    }
+    return d;
+  }
+
+  /// A comma-separated list of integers (each parsed like getInt).
+  std::vector<long> getIntList(const std::string& name,
+                               const std::string& def) const {
+    const std::string text = get(name, def);
+    std::vector<long> out;
+    std::size_t pos = 0;
+    for (;;) {
+      const std::size_t comma = text.find(',', pos);
+      out.push_back(parseInt(name, text.substr(pos, comma - pos)));
+      if (comma == std::string::npos) return out;
+      pos = comma + 1;
+    }
   }
 
   bool getBool(const std::string& name, bool def = false) const {
@@ -93,6 +116,30 @@ class Flags {
   }
 
  private:
+  std::optional<std::string> find(const std::string& name) const {
+    for (const auto& [k, v] : values_) {
+      if (k == name) return v;
+    }
+    return std::nullopt;
+  }
+
+  static long parseInt(const std::string& name, const std::string& v) {
+    errno = 0;
+    char* end = nullptr;
+    const long n = std::strtol(v.c_str(), &end, 10);
+    if (v.empty() || end != v.c_str() + v.size() || errno == ERANGE) {
+      badValue(name, v, "an integer");
+    }
+    return n;
+  }
+
+  [[noreturn]] static void badValue(const std::string& name,
+                                    const std::string& v, const char* what) {
+    std::fprintf(stderr, "--%s=%s: expected %s\n", name.c_str(), v.c_str(),
+                 what);
+    std::exit(2);
+  }
+
   std::vector<std::pair<std::string, std::string>> values_;
 };
 

@@ -22,7 +22,8 @@
 
 #include "energy/machine.hpp"
 #include "jlang/parser.hpp"
-#include "jvm/interpreter.hpp"
+#include "jbc/bcvm.hpp"
+#include "jbc/compiler.hpp"
 #include "perf/perf.hpp"
 #include "rapl/rapl.hpp"
 
@@ -97,12 +98,13 @@ int main(int argc, char** argv) {
   // pipeline under PerfRunner::exact, no fault plan attached).
   const jlang::Program prog = jlang::Parser::parseProgram(
       "EdgePipeline.mjava", bench::kDemoProjectSource);
+  const jbc::CompiledProgram compiled = jbc::compile(prog);
   const perf::PerfRunner runner = perf::PerfRunner::exact();
   const energy::CostModel model = energy::CostModel::calibrated();
-  const auto workload = [&prog](energy::SimMachine& machine) {
-    jvm::Interpreter interp(prog, machine);
-    interp.setMaxSteps(500'000'000);
-    interp.runMain();
+  const auto workload = [&compiled](energy::SimMachine& machine) {
+    jbc::BytecodeVm vm(compiled, machine);
+    vm.setMaxSteps(500'000'000);
+    vm.runMain();
   };
   std::vector<double> statTimes;
   for (int r = 0; r < reps; ++r) {

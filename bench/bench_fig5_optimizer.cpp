@@ -11,7 +11,8 @@
 #include "jepo/views.hpp"
 #include "jlang/parser.hpp"
 #include "jlang/printer.hpp"
-#include "jvm/interpreter.hpp"
+#include "jbc/bcvm.hpp"
+#include "jbc/compiler.hpp"
 
 namespace {
 
@@ -21,11 +22,12 @@ struct RunResult {
 };
 
 RunResult run(const jepo::jlang::Program& prog) {
+  const jepo::jbc::CompiledProgram compiled = jepo::jbc::compile(prog);
   jepo::energy::SimMachine machine;
-  jepo::jvm::Interpreter interp(prog, machine);
-  interp.setMaxSteps(50'000'000);
-  interp.runMain();
-  return {interp.output(), machine.sample().packageJoules};
+  jepo::jbc::BytecodeVm vm(compiled, machine);
+  vm.setMaxSteps(50'000'000);
+  vm.runMain();
+  return {vm.output(), machine.sample().packageJoules};
 }
 
 }  // namespace

@@ -68,21 +68,6 @@ std::string makeSource(int k) {
          "}\n";
 }
 
-std::vector<long> parseClientList(const std::string& text) {
-  std::vector<long> out;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    const std::size_t comma = text.find(',', pos);
-    const std::string part =
-        text.substr(pos, comma == std::string::npos ? comma : comma - pos);
-    const long n = std::strtol(part.c_str(), nullptr, 10);
-    if (n > 0) out.push_back(n);
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return out;
-}
-
 std::uint64_t counterValue(const char* name) {
   return obs::Registry::global().counter(name).value();
 }
@@ -220,7 +205,13 @@ int main(int argc, char** argv) {
   bench::BenchReport report("bench_jepod", flags);
 
   const std::vector<long> clientSweep =
-      parseClientList(flags.get("clients", "1,8,64"));
+      flags.getIntList("clients", "1,8,64");
+  for (const long n : clientSweep) {
+    if (n <= 0) {
+      std::fprintf(stderr, "--clients: sweep points must be positive\n");
+      return 2;
+    }
+  }
   const long jobs = flags.getInt("jobs", 50);
   const long sourceCount = flags.getInt("sources", 4);
   const long threads = flags.getInt("threads", 0);

@@ -18,7 +18,8 @@
 
 #include "energy/machine.hpp"
 #include "jlang/parser.hpp"
-#include "jvm/interpreter.hpp"
+#include "jbc/bcvm.hpp"
+#include "jbc/compiler.hpp"
 #include "jvm/instrumenter.hpp"
 #include "obs/span.hpp"
 
@@ -26,14 +27,14 @@ namespace {
 
 using namespace jepo;
 
-double runWorkloadSeconds(const jlang::Program& prog) {
+double runWorkloadSeconds(const jbc::CompiledProgram& prog) {
   const auto t0 = std::chrono::steady_clock::now();
   energy::SimMachine machine;
-  jvm::Interpreter interp(prog, machine);
+  jbc::BytecodeVm vm(prog, machine);
   jvm::Instrumenter inst(machine);
-  interp.setHooks(&inst);  // the method enter/exit seam = the span sites
-  interp.setMaxSteps(500'000'000);
-  interp.runMain();
+  vm.setHooks(&inst);  // the method enter/exit seam = the span sites
+  vm.setMaxSteps(500'000'000);
+  vm.runMain();
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
 }
@@ -71,8 +72,9 @@ int main(int argc, char** argv) {
       "Observability overhead — tracing disabled (gate bound) and enabled "
       "(measured)");
 
-  const jlang::Program prog = jlang::Parser::parseProgram(
+  const jlang::Program source = jlang::Parser::parseProgram(
       "EdgePipeline.mjava", bench::kDemoProjectSource);
+  const jbc::CompiledProgram prog = jbc::compile(source);
 
   // Baseline: tracing off (whatever JEPO_TRACE said, this bench drives the
   // toggle itself; finish() still writes a trace if one was requested).

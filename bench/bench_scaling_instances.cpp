@@ -19,9 +19,8 @@ int main(int argc, char** argv) {
   bench::Flags flags(argc, argv, {"sizes", "threads"});
   bench::BenchReport report("bench_scaling_instances", flags);
   std::vector<std::size_t> sizes;
-  for (const std::string& s : split(flags.get("sizes", "500,1000,2000"), ',')) {
-    sizes.push_back(static_cast<std::size_t>(std::strtoul(s.c_str(), nullptr,
-                                                          10)));
+  for (const long n : flags.getIntList("sizes", "500,1000,2000")) {
+    sizes.push_back(static_cast<std::size_t>(n));
   }
   const auto threads = static_cast<std::size_t>(flags.getInt("threads", 1));
   report.config("sizes", flags.get("sizes", "500,1000,2000"));

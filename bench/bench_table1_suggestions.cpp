@@ -6,7 +6,8 @@
 #include "bench_common.hpp"
 
 #include "jlang/parser.hpp"
-#include "jvm/interpreter.hpp"
+#include "jbc/bcvm.hpp"
+#include "jbc/compiler.hpp"
 #include "perf/perf.hpp"
 
 namespace {
@@ -143,14 +144,16 @@ struct RunOutcome {
 };
 
 RunOutcome runProgram(const std::string& source) {
-  jlang::Program prog = jlang::Parser::parseProgram("bench.mjava", source);
+  const jlang::Program prog =
+      jlang::Parser::parseProgram("bench.mjava", source);
+  const jbc::CompiledProgram compiled = jbc::compile(prog);
   RunOutcome out;
   perf::PerfRunner runner = perf::PerfRunner::exact();
   const perf::PerfStat stat = runner.stat([&](energy::SimMachine& machine) {
-    jvm::Interpreter interp(prog, machine);
-    interp.setMaxSteps(500'000'000);
-    interp.runMain();
-    out.output = interp.output();
+    jbc::BytecodeVm vm(compiled, machine);
+    vm.setMaxSteps(500'000'000);
+    vm.runMain();
+    out.output = vm.output();
   });
   out.packageJoules = stat.packageJoules;
   return out;

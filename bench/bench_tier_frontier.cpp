@@ -39,7 +39,8 @@
 #include "energy/machine.hpp"
 #include "jepo/profiler.hpp"
 #include "jlang/parser.hpp"
-#include "jvm/interpreter.hpp"
+#include "jbc/bcvm.hpp"
+#include "jbc/compiler.hpp"
 #include "jvm/tier.hpp"
 
 namespace {
@@ -94,22 +95,23 @@ double secondsSince(std::chrono::steady_clock::time_point t0) {
 
 /// Plain run, no hooks installed — the engine's fast path the tier work
 /// must not regress. Returns best-of-`runs` wall seconds.
-double timeUninstrumented(const jlang::Program& program, std::uint64_t steps,
-                          int runs) {
+double timeUninstrumented(const jbc::CompiledProgram& program,
+                          std::uint64_t steps, int runs) {
   double best = 0.0;
   for (int i = 0; i < runs; ++i) {
     const auto t0 = std::chrono::steady_clock::now();
     energy::SimMachine machine;
-    jvm::Interpreter interp(program, machine);
-    interp.setMaxSteps(steps);
-    interp.runMain({});
+    jbc::BytecodeVm vm(program, machine);
+    vm.setMaxSteps(steps);
+    vm.runMain({});
     const double s = secondsSince(t0);
     if (i == 0 || s < best) best = s;
   }
   return best;
 }
 
-TierRun runTier(const jlang::Program& program, const jvm::TierSpec& spec,
+TierRun runTier(const jbc::CompiledProgram& program,
+                const jvm::TierSpec& spec,
                 std::uint64_t steps, std::uint64_t seed, int runs) {
   TierRun out;
   for (int i = 0; i < runs; ++i) {
@@ -216,7 +218,10 @@ int main(int argc, char** argv) {
                     {Align::kLeft, Align::kRight, Align::kRight, Align::kRight,
                      Align::kRight});
 
-    const double bare = timeUninstrumented(w.program, maxSteps, runs);
+    // Both sides run one compile of the program: the overhead is the
+    // instrumentation's alone.
+    const jbc::CompiledProgram compiled = jbc::compile(w.program);
+    const double bare = timeUninstrumented(compiled, maxSteps, runs);
     report.addRow({{"name", w.name + "/uninstrumented"},
                    {"realSecondsPerIter", bare}});
     table.addRow({"(uninstrumented)", fixed(bare * 1e3, 2), "--", "0", "--"});
@@ -240,7 +245,7 @@ int main(int argc, char** argv) {
     std::map<std::string, core::MethodTotals> truth;
     double fullSeconds = 0.0;
     for (const auto& [label, spec] : specs) {
-      const TierRun run = runTier(w.program, spec, maxSteps, seed, runs);
+      const TierRun run = runTier(compiled, spec, maxSteps, seed, runs);
       if (spec.tier == jvm::InstrTier::kFull) {
         truth = run.totals;
         fullSeconds = run.seconds;

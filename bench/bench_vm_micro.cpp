@@ -252,8 +252,10 @@ void BM_MeterChargeOverhead(benchmark::State& state) {
   energy::SimMachine machine;
   for (auto _ : state) {
     machine.charge(energy::Op::kIntAlu, 1);
+    // Inside the loop: every charge must reach the meter's memory, or the
+    // compiler folds the whole loop into one add.
+    benchmark::DoNotOptimize(machine);
   }
-  benchmark::DoNotOptimize(machine.meter().totalOps());
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_MeterChargeOverhead);

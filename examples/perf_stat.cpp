@@ -10,7 +10,8 @@
 #include <sstream>
 
 #include "jlang/parser.hpp"
-#include "jvm/interpreter.hpp"
+#include "jbc/bcvm.hpp"
+#include "jbc/compiler.hpp"
 #include "perf/perf.hpp"
 #include "stats/protocol.hpp"
 #include "support/strings.hpp"
@@ -44,6 +45,7 @@ int main(int argc, char** argv) {
   try {
     const jlang::Program program =
         jlang::Parser::parseProgram(path, ss.str());
+    const jbc::CompiledProgram compiled = jbc::compile(program);
     perf::PerfRunner runner =
         exact ? perf::PerfRunner::exact() : perf::PerfRunner();
 
@@ -51,10 +53,10 @@ int main(int argc, char** argv) {
     auto measureOnce = [&] {
       return runner
           .stat([&](energy::SimMachine& machine) {
-            jvm::Interpreter interp(program, machine);
-            interp.setMaxSteps(2'000'000'000);
-            interp.runMain(mainClass);
-            output = interp.output();
+            jbc::BytecodeVm vm(compiled, machine);
+            vm.setMaxSteps(2'000'000'000);
+            vm.runMain(mainClass);
+            output = vm.output();
           })
           .asRow();
     };

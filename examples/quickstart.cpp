@@ -10,7 +10,8 @@
 #include "jepo/optimizer.hpp"
 #include "jlang/parser.hpp"
 #include "jlang/printer.hpp"
-#include "jvm/interpreter.hpp"
+#include "jbc/bcvm.hpp"
+#include "jbc/compiler.hpp"
 
 int main() {
   using namespace jepo;
@@ -46,10 +47,11 @@ int main() {
 
   // 3. Run both versions and compare energy (simulated Intel RAPL).
   auto measure = [](const jlang::Program& prog) {
+    const jbc::CompiledProgram compiled = jbc::compile(prog);
     energy::SimMachine machine;
-    jvm::Interpreter interp(prog, machine);
-    interp.runMain();
-    return std::pair{interp.output(), machine.sample()};
+    jbc::BytecodeVm vm(compiled, machine);
+    vm.runMain();
+    return std::pair{vm.output(), machine.sample()};
   };
   const auto [outBefore, before] = measure(program);
   const auto [outAfter, after] = measure(optimized.program);

@@ -35,7 +35,6 @@ run bench_tier_frontier --kernel-iters=20000
 run bench_scaling_instances --sizes=300,500
 run bench_ablation_rules
 run bench_ablation_costmodel --trials=1 --instances=300
-run bench_ablation_engine
 run bench_gc --iters=2000
 run bench_obs_overhead --reps=3
 run bench_fault_overhead --reps=3

@@ -2,6 +2,7 @@
 
 #include "jvm/ops.hpp"
 #include "jvm/tier.hpp"
+#include "obs/span.hpp"
 
 // Dispatch strategy. Computed goto ("labels as values", a GNU extension
 // GCC and Clang both support) keeps one indirect branch per opcode handler,
@@ -29,27 +30,6 @@ namespace {
 /// hooks on (full instrumentation or a sampled-in entry), or counted-only
 /// (unsampled entry — population counter, no hook calls).
 enum : std::uint8_t { kHooksOff = 0, kHooksOn, kHooksCounted };
-
-/// Exit accounting for an unsampled entry executed on the fused
-/// trivial-call path: mirrors the framed ExitGuard, running on normal
-/// return and on every unwind (Thrown and VM aborts alike — the framed
-/// guard's destructor makes no distinction either).
-struct TierCountGuard {
-  jvm::TierGate* gate = nullptr;
-  const jvm::MethodRef* ref = nullptr;
-  ~TierCountGuard() {
-    if (gate != nullptr) gate->exitUnsampled(*ref);
-  }
-};
-
-/// Layout-offset field lookup for the dynamic (name-keyed) field opcodes —
-/// the fallback shapes the compiler emits when a site could not be cached.
-Value* fieldByName(HeapObject& ho, const std::string& fieldName) {
-  if (ho.layout == nullptr) return nullptr;
-  const int i = ho.layout->indexOfName(fieldName);
-  if (i < 0) return nullptr;
-  return &ho.fields[static_cast<std::size_t>(i)];
-}
 
 #if defined(__GNUC__) || defined(__clang__)
 #define JEPO_FORCE_INLINE __attribute__((always_inline)) inline
@@ -215,8 +195,6 @@ BytecodeVm::BytecodeVm(const CompiledProgram& program,
   methodChunks_.resize(res.classes.size());
   staticDefaults_.resize(res.classes.size());
   objectTemplates_.resize(res.classes.size());
-  codeById_.assign(program.chunkCount, nullptr);
-  quickened_.resize(program.chunkCount);
   // Classify trivial callees once: a single fused accessor instruction, no
   // exception table, and every slot it reads is a parameter slot (so the
   // body never touches a default-initialized local).
@@ -287,8 +265,8 @@ BytecodeVm::BytecodeVm(const CompiledProgram& program,
 }
 
 void BytecodeVm::throwStepLimit() const {
-  throw VmError("bytecode step limit exceeded (" +
-                std::to_string(maxSteps_) + ")");
+  throw VmError("step limit exceeded (" + std::to_string(maxSteps_) +
+                "): possible runaway loop");
 }
 
 void BytecodeVm::throwCancelled() const {
@@ -326,9 +304,7 @@ void BytecodeVm::ensureClassInitById(std::int32_t classId) {
   }
   // Fusion never produces an empty chunk and kReturnVoid never fuses, so a
   // non-trivial <clinit> still has > 1 instructions post-fusion.
-  if (cls->clinit.code.size() > 1) {
-    invoke(*cls, cls->clinit, {});
-  }
+  if (cls->clinit.code.size() > 1) runInitializer(*cls, cls->clinit, nullptr);
 }
 
 jvm::Value* BytecodeVm::findStaticByName(const std::string& className,
@@ -369,14 +345,9 @@ jvm::Value BytecodeVm::construct(const std::string& className,
     throw VmError("unknown class " + className + " at line " +
                   std::to_string(line));
   }
-  return constructById(id, std::move(args));
-}
-
-jvm::Value BytecodeVm::constructById(std::int32_t classId,
-                                     std::vector<Value> args) {
   // args live across <clinit>, <initfields> and constructor safepoints.
   jvm::Gc::ScopedVector rootArgs(gc_, args);
-  return constructByIdSpan(classId, args.data(), args.size());
+  return constructByIdSpan(id, args.data(), args.size());
 }
 
 jvm::Value BytecodeVm::constructByIdSpan(std::int32_t classId,
@@ -393,7 +364,8 @@ jvm::Value BytecodeVm::constructByIdSpan(std::int32_t classId,
   jvm::Gc::ScopedRef rootR(gc_, r);
   heap_.get(r).fields = objectTemplates_[idx];
   if (cls.initFields.code.size() > 1) {
-    invokeRecvSpan(cls, cls.initFields, Value::ofRef(r), nullptr, 0);
+    const Value self = Value::ofRef(r);
+    runInitializer(cls, cls.initFields, &self);
   }
   const auto ctor = cls.methods.find(cls.name);
   if (ctor != cls.methods.end()) {
@@ -428,22 +400,6 @@ BytecodeVm::Frame& BytecodeVm::acquireFrame(const Chunk& chunk) {
   return f;
 }
 
-jvm::Value BytecodeVm::invoke(const CompiledClass& cls, const Chunk& chunk,
-                              std::vector<Value> args) {
-  if (frameDepth_ >= kMaxFrames) {
-    throwJava("StackOverflowError", chunk.qualifiedName);
-  }
-  JEPO_REQUIRE(args.size() == chunk.paramKinds.size(),
-               "wrong argument count for " + chunk.qualifiedName);
-  Frame& frame = acquireFrame(chunk);
-  Value* const slots = frame.slots.data();
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    charge(energy::Op::kLocalAccess);
-    slots[i] = coerceInline(args[i], chunk.paramKinds[i], builtins_, 0);
-  }
-  return finishInvoke(cls, chunk, frame);
-}
-
 jvm::Value BytecodeVm::invokeSpan(const CompiledClass& cls,
                                   const Chunk& chunk, const Value* args,
                                   std::size_t argc) {
@@ -453,11 +409,7 @@ jvm::Value BytecodeVm::invokeSpan(const CompiledClass& cls,
   JEPO_REQUIRE(argc == chunk.paramKinds.size(),
                "wrong argument count for " + chunk.qualifiedName);
   Frame& frame = acquireFrame(chunk);
-  Value* const slots = frame.slots.data();
-  for (std::size_t i = 0; i < argc; ++i) {
-    charge(energy::Op::kLocalAccess);
-    slots[i] = coerceInline(args[i], chunk.paramKinds[i], builtins_, 0);
-  }
+  std::copy(args, args + argc, frame.slots.data());
   return finishInvoke(cls, chunk, frame);
 }
 
@@ -470,14 +422,8 @@ jvm::Value BytecodeVm::invokeRecvSpan(const CompiledClass& cls,
   JEPO_REQUIRE(nRest + 1 == chunk.paramKinds.size(),
                "wrong argument count for " + chunk.qualifiedName);
   Frame& frame = acquireFrame(chunk);
-  Value* const slots = frame.slots.data();
-  charge(energy::Op::kLocalAccess);
-  slots[0] = coerceInline(recv, chunk.paramKinds[0], builtins_, 0);
-  for (std::size_t i = 0; i < nRest; ++i) {
-    charge(energy::Op::kLocalAccess);
-    slots[i + 1] = coerceInline(rest[i], chunk.paramKinds[i + 1],
-                                builtins_, 0);
-  }
+  frame.slots[0] = recv;
+  std::copy(rest, rest + nRest, frame.slots.data() + 1);
   return finishInvoke(cls, chunk, frame);
 }
 
@@ -497,45 +443,91 @@ jvm::Value BytecodeVm::finishInvoke(const CompiledClass& cls,
                                                        : kHooksCounted;
   }
   if (hookMode == kHooksOn) hooks_->onEnter(ref);
-  struct ExitGuard {
-    BytecodeVm* self;
-    const jvm::MethodRef* ref;
-    std::uint8_t mode;
-    ~ExitGuard() {
-      if (mode == kHooksOn) {
-        self->hooks_->onExit(*ref);
-      } else if (mode == kHooksCounted) {
-        self->tier_->exitUnsampled(*ref);
-      }
-      --self->frameDepth_;
+  const bool tracing = obs::enabled();
+  if (tracing) obs::beginSpan(chunk.qualifiedName);
+  const auto epilogue = [&] {
+    if (hookMode == kHooksOn) {
+      hooks_->onExit(ref);
+    } else if (hookMode == kHooksCounted) {
+      tier_->exitUnsampled(ref);
     }
-  } guard{this, &ref, hookMode};
-
-  const Value result = run(cls, chunk, frame);
-  charge(energy::Op::kReturn);
+  };
+  Value result;
+  try {
+    // Parameter binding inside the callee's measurement interval, as the
+    // tree binds it: coerce, then charge each declared parameter; `this`
+    // binds free.
+    Value* const slots = frame.slots.data();
+    for (std::size_t i = chunk.isStatic ? 0 : 1; i < chunk.paramKinds.size();
+         ++i) {
+      slots[i] = coerceInline(slots[i], chunk.paramKinds[i], builtins_, 0);
+      charge(energy::Op::kLocalAccess);
+    }
+    result = run(cls, chunk, frame);
+    charge(energy::Op::kReturn);
+  } catch (const Thrown&) {
+    // A Java exception unwinding through the method runs the injected
+    // epilogue, exactly as a normal return does.
+    epilogue();
+    if (tracing) obs::endSpan();
+    --frameDepth_;
+    throw;
+  } catch (...) {
+    // VM abort (step limit, cancel, runtime error): the epilogue never
+    // runs, leaving the hook's frame open for
+    // Instrumenter::unwindAbortedFrames to flush as a truncated record
+    // (and the tier gate's exit to TierGate::reconcileAborted).
+    if (tracing) obs::endSpan();
+    --frameDepth_;
+    throw;
+  }
+  epilogue();
+  if (tracing) obs::endSpan();
+  --frameDepth_;
   return result;
 }
 
+void BytecodeVm::runInitializer(const CompiledClass& cls, const Chunk& chunk,
+                                const Value* self) {
+  Frame& frame = acquireFrame(chunk);
+  if (self != nullptr) frame.slots[0] = *self;
+  ++frameDepth_;
+  struct DepthGuard {
+    std::size_t* depth;
+    ~DepthGuard() { --*depth; }
+  } guard{&frameDepth_};
+  run(cls, chunk, frame);
+}
+
 // Trivial-callee inlining. The framed flow for an eligible call is: depth
-// check, argc check, per-argument {charge(kLocalAccess); identity coerce},
-// callee VM_TOP (steps += n, limit check, safepoint with the new frame's
-// top = 0), the single fused body instruction, charge(kReturn). Both
-// helpers replay exactly that sequence without acquiring a frame. The
-// identity coercions are guaranteed by the kind precheck (every argument
-// kind already equals its parameter kind, or the parameter is kRef — the
-// exact first test of coerceToKind), which also means no throw can land
-// between the argument charges, so they merge into one counted charge.
-// The safepoint sees the same root object set as the framed flow: the
-// arguments are still live on the caller's stack under frame.top (recorded
-// at the call's own dispatch before sp was lowered — fused load-load call
-// handlers re-record it after pushing their argument pair), and the callee
-// frame it replaces held only copies of those values plus null locals. Argument
-// values are re-read through the caller's rooted storage *after* the
-// safepoint, so a compaction's remaps are observed just as callee-frame
-// slots would have been.
+// check, argc check, per-declared-parameter {identity coerce;
+// charge(kLocalAccess)}, callee VM_TOP (steps += n, limit check, safepoint
+// with the new frame's top = 0), the single fused body instruction,
+// charge(kReturn). The helper replays exactly that sequence without
+// acquiring a frame. The identity coercions are guaranteed by the kind
+// precheck (every argument kind already equals its parameter kind, or the
+// parameter is kRef — the exact first test of coerceToKind), which also
+// means no throw can land between the parameter charges, so they merge into
+// one counted charge. The safepoint sees the same root object set as the
+// framed flow: the arguments are still live on the caller's stack under
+// frame.top (recorded at the call's own dispatch before sp was lowered —
+// fused load-load call handlers re-record it after pushing their argument
+// pair), and the callee frame it replaces held only copies of those values
+// plus null locals. Argument values are re-read through the caller's rooted
+// storage *after* the safepoint, so a compaction's remaps are observed just
+// as callee-frame slots would have been.
 bool BytecodeVm::inlineSpanCall(const Chunk& chunk, const Value* args,
                                 std::size_t argc, Value* out) {
+  // Every trivial shape reads a parameter, so argc == 0 never qualifies.
+  return argc != 0 && inlineRecvCall(chunk, args[0], args + 1, argc - 1, out);
+}
+
+bool BytecodeVm::inlineRecvCall(const Chunk& chunk, const Value& recv,
+                                const Value* rest, std::size_t nRest,
+                                Value* out) {
   if (chunk.chunkId >= trivialKind_.size()) return false;
+  const std::uint8_t triv = trivialKind_[chunk.chunkId];
+  if (triv == kNotTrivial) return false;
   const jvm::MethodRef ref{chunk.methodId, &chunk.qualifiedName};
   // With hooks installed the call may stay fused only if a sampling gate
   // declines this entry — peek (no ordinal commit yet: a framed bailout
@@ -544,142 +536,66 @@ bool BytecodeVm::inlineSpanCall(const Chunk& chunk, const Value* args,
   if (hooks_ != nullptr && (tier_ == nullptr || tier_->peekAdmit(ref))) {
     return false;
   }
-  const std::uint8_t triv = trivialKind_[chunk.chunkId];
-  if (triv == kNotTrivial) return false;
-  if (argc != chunk.paramKinds.size()) return false;
-  for (std::size_t i = 0; i < argc; ++i) {
-    const ValKind k = chunk.paramKinds[i];
-    if (args[i].kind != k && k != ValKind::kRef) return false;
-  }
-  if (frameDepth_ >= kMaxFrames) {
-    throwJava("StackOverflowError", chunk.qualifiedName);
-  }
-  // Point of no return: commit the unsampled entry to the gate, with exit
-  // accounting on every unwind — the same paths the framed ExitGuard runs.
-  TierCountGuard countGuard;
-  if (hooks_ != nullptr) {
-    tier_->enter(ref);
-    countGuard.gate = tier_;
-    countGuard.ref = &ref;
-  }
-  if (argc != 0) charge(energy::Op::kLocalAccess, argc);
-  const Instr& in0 = chunk.code[0];
-  steps_ += in0.n;
-  if (steps_ > maxStepsEff_) throwStepLimit();
-  if (gc_.limit() != 0) gc_.safepoint();
-  Value result;
-  switch (triv) {
-    case kTrivLoadLoadBinaryReturn: {
-      const std::int32_t bb = in0.b;
-      charge(energy::Op::kLocalAccess, 2);
-      const Value a = args[static_cast<std::size_t>(in0.a)];
-      const Value b = args[static_cast<std::size_t>(bb & 0xFFFFF)];
-      if (!fastIntBinary(static_cast<jlang::BinOp>((bb >> 20) & 0x1F), a, b,
-                         builtins_, *machine_, &result)) {
-        result = jvm::applyBinary(static_cast<jlang::BinOp>((bb >> 20) & 0x1F),
-                                  a, b, heap_, builtins_, *machine_, in0.line);
-      }
-      break;
-    }
-    case kTrivLoadReturn:
-      charge(energy::Op::kLocalAccess);
-      result = args[static_cast<std::size_t>(in0.a)];
-      break;
-    case kTrivThisFieldAccumReturn:
-      result = fieldAccumReturnImpl(in0, args[0], heap_, builtins_,
-                                   *machine_);
-      break;
-    default:  // kTrivThisFieldReturn
-      charge(energy::Op::kFieldAccess);
-      result = heap_.get(args[0].asRef())
-                   .fields[static_cast<std::size_t>(in0.a)];
-      break;
-  }
-  charge(energy::Op::kReturn);
-  *out = result;
-  return true;
-}
-
-bool BytecodeVm::inlineRecvCall(const Chunk& chunk, const Value& recv,
-                                const Value* rest, std::size_t nRest,
-                                Value* out) {
-  if (chunk.chunkId >= trivialKind_.size()) return false;
-  const jvm::MethodRef ref{chunk.methodId, &chunk.qualifiedName};
-  if (hooks_ != nullptr && (tier_ == nullptr || tier_->peekAdmit(ref))) {
-    return false;
-  }
-  const std::uint8_t triv = trivialKind_[chunk.chunkId];
-  if (triv == kNotTrivial) return false;
   if (nRest + 1 != chunk.paramKinds.size()) return false;
-  if (recv.kind != chunk.paramKinds[0] &&
-      chunk.paramKinds[0] != ValKind::kRef) {
-    return false;
-  }
-  for (std::size_t i = 0; i < nRest; ++i) {
-    const ValKind k = chunk.paramKinds[i + 1];
-    if (rest[i].kind != k && k != ValKind::kRef) return false;
+  // Slot s of the would-be callee frame: recv binds the caller's slot 0 or
+  // stack, rest the caller's stack — both rooted storage, so reads after
+  // the safepoint observe any compaction remaps.
+  const auto slotVal = [&](std::size_t s) -> const Value& {
+    return s == 0 ? recv : rest[s - 1];
+  };
+  for (std::size_t i = 0; i <= nRest; ++i) {
+    const ValKind k = chunk.paramKinds[i];
+    if (slotVal(i).kind != k && k != ValKind::kRef) return false;
   }
   if (frameDepth_ >= kMaxFrames) {
     throwJava("StackOverflowError", chunk.qualifiedName);
   }
-  TierCountGuard countGuard;
-  if (hooks_ != nullptr) {
-    tier_->enter(ref);
-    countGuard.gate = tier_;
-    countGuard.ref = &ref;
-  }
-  charge(energy::Op::kLocalAccess, nRest + 1);
-  const Instr& in0 = chunk.code[0];
-  steps_ += in0.n;
-  if (steps_ > maxStepsEff_) throwStepLimit();
-  if (gc_.limit() != 0) gc_.safepoint();
-  // recv binds the caller's slot 0 and rest the caller's stack — both
-  // rooted storage, so these reads observe any compaction remaps.
-  const auto slotVal = [&](std::int32_t s) -> const Value& {
-    return s == 0 ? recv : rest[static_cast<std::size_t>(s) - 1];
-  };
+  // Point of no return: commit the unsampled entry to the gate. Its exit
+  // accounting runs on return and on a Java exception, like the framed
+  // epilogue; a VM abort leaves it to TierGate::reconcileAborted.
+  if (hooks_ != nullptr) tier_->enter(ref);
   Value result;
-  switch (triv) {
-    case kTrivLoadLoadBinaryReturn: {
-      const std::int32_t bb = in0.b;
-      charge(energy::Op::kLocalAccess, 2);
-      const Value a = slotVal(in0.a);
-      const Value b = slotVal(bb & 0xFFFFF);
-      if (!fastIntBinary(static_cast<jlang::BinOp>((bb >> 20) & 0x1F), a, b,
-                         builtins_, *machine_, &result)) {
-        result = jvm::applyBinary(static_cast<jlang::BinOp>((bb >> 20) & 0x1F),
-                                  a, b, heap_, builtins_, *machine_, in0.line);
+  try {
+    const std::size_t declared = nRest + (chunk.isStatic ? 1 : 0);
+    if (declared != 0) charge(energy::Op::kLocalAccess, declared);
+    const Instr& in0 = chunk.code[0];
+    steps_ += in0.n;
+    if (steps_ > maxStepsEff_) throwStepLimit();
+    if (gc_.limit() != 0) gc_.safepoint();
+    switch (triv) {
+      case kTrivLoadLoadBinaryReturn: {
+        const std::int32_t bb = in0.b;
+        charge(energy::Op::kLocalAccess, 2);
+        const Value a = slotVal(static_cast<std::size_t>(in0.a));
+        const Value b = slotVal(static_cast<std::size_t>(bb & 0xFFFFF));
+        const auto op = static_cast<jlang::BinOp>((bb >> 20) & 0x1F);
+        if (!fastIntBinary(op, a, b, builtins_, *machine_, &result)) {
+          result = jvm::applyBinary(op, a, b, heap_, builtins_, *machine_,
+                                    in0.line);
+        }
+        break;
       }
-      break;
+      case kTrivLoadReturn:
+        charge(energy::Op::kLocalAccess);
+        result = slotVal(static_cast<std::size_t>(in0.a));
+        break;
+      case kTrivThisFieldAccumReturn:
+        result = fieldAccumReturnImpl(in0, recv, heap_, builtins_, *machine_);
+        break;
+      default:  // kTrivThisFieldReturn
+        charge(energy::Op::kFieldAccess);
+        result = heap_.get(recv.asRef())
+                     .fields[static_cast<std::size_t>(in0.a)];
+        break;
     }
-    case kTrivLoadReturn:
-      charge(energy::Op::kLocalAccess);
-      result = slotVal(in0.a);
-      break;
-    case kTrivThisFieldAccumReturn:
-      result = fieldAccumReturnImpl(in0, recv, heap_, builtins_,
-                                   *machine_);
-      break;
-    default:  // kTrivThisFieldReturn
-      charge(energy::Op::kFieldAccess);
-      result = heap_.get(recv.asRef())
-                   .fields[static_cast<std::size_t>(in0.a)];
-      break;
+    charge(energy::Op::kReturn);
+  } catch (const Thrown&) {
+    if (hooks_ != nullptr) tier_->exitUnsampled(ref);
+    throw;
   }
-  charge(energy::Op::kReturn);
+  if (hooks_ != nullptr) tier_->exitUnsampled(ref);
   *out = result;
   return true;
-}
-
-Instr* BytecodeVm::quickenableCode(const Chunk& chunk) {
-  const std::size_t id = chunk.chunkId;
-  if (id >= quickened_.size() || chunk.code.empty()) return nullptr;
-  std::vector<Instr>& copy = quickened_[id];
-  if (copy.empty()) {
-    copy.assign(chunk.code.begin(), chunk.code.end());
-    codeById_[id] = copy.data();
-  }
-  return copy.data();
 }
 
 jvm::Value BytecodeVm::run(const CompiledClass& cls, const Chunk& chunk,
@@ -689,13 +605,8 @@ jvm::Value BytecodeVm::run(const CompiledClass& cls, const Chunk& chunk,
     return names[static_cast<std::size_t>(idx)];
   };
 
-  // Dispatch from the quickened copy when one exists; `codeBase`/`ip` are
-  // re-pointed in place if this very run performs the first quickening.
-  const Instr* codeBase =
-      chunk.chunkId < codeById_.size() && codeById_[chunk.chunkId] != nullptr
-          ? codeById_[chunk.chunkId]
-          : chunk.code.data();
-  const Instr* codeEnd = codeBase + chunk.code.size();
+  const Instr* const codeBase = chunk.code.data();
+  const Instr* const codeEnd = codeBase + chunk.code.size();
   const Instr* ip = codeBase;
   Value* const slots = frame.slots.data();
   Value* const stackBase = frame.stack.data();
@@ -731,14 +642,12 @@ jvm::Value BytecodeVm::run(const CompiledClass& cls, const Chunk& chunk,
     }
     slots[static_cast<std::size_t>(slot)] = v;
   };
-  // Re-point the dispatch locals at the quickened copy after a rewrite.
-  const auto switchTo = [&](Instr* mut) {
-    if (mut != codeBase) {
-      const std::size_t myPc = static_cast<std::size_t>(ip - codeBase);
-      codeBase = mut;
-      codeEnd = mut + chunk.code.size();
-      ip = mut + myPc;
-    }
+  // ++/--: old +/- 1, narrowed back to the old value's kind.
+  const auto incDec = [&](std::int32_t op, const Value& old, int line)
+                          JEPO_LAMBDA_INLINE -> Value {
+    return coerceInline(
+        binary(static_cast<jlang::BinOp>(op), old, Value::ofInt(1), line),
+        old.kind, builtins_, line);
   };
   // Shared bodies of the resolved call ops, also entered from their
   // load-load fused prefixes. Each replaces the argument span on the
@@ -746,7 +655,7 @@ jvm::Value BytecodeVm::run(const CompiledClass& cls, const Chunk& chunk,
   const auto callSelfResolved = [&](std::int32_t ordinal, std::int32_t argc,
                                     std::int32_t prependThis)
                                     JEPO_LAMBDA_INLINE {
-    ensureClassInitById(cls.classId);
+    // The running class is always initialized (or initializing) here.
     charge(energy::Op::kCall);
     const Chunk& target = *methodChunks_[static_cast<std::size_t>(cls.classId)]
                                         [static_cast<std::size_t>(ordinal)];
@@ -795,7 +704,8 @@ jvm::Value BytecodeVm::run(const CompiledClass& cls, const Chunk& chunk,
                            : nullptr;
           if (target == nullptr) {
             throw VmError("unknown method " + obj.className + "." +
-                          name(nameIdx));
+                          name(nameIdx) + " at line " +
+                          std::to_string(line));
           }
           cc = {id, classById_[static_cast<std::size_t>(id)], target};
         }
@@ -830,11 +740,12 @@ jvm::Value BytecodeVm::run(const CompiledClass& cls, const Chunk& chunk,
     }
     const auto it = targetCls->methods.find(name(nameIdx));
     if (it == targetCls->methods.end()) {
-      throw VmError("unknown method " + obj.className + "." + name(nameIdx));
+      throw VmError("unknown method " + obj.className + "." + name(nameIdx) +
+                    " at line " + std::to_string(line));
     }
     args.insert(args.begin(), receiver);
     charge(energy::Op::kCall);
-    *sp++ = invoke(*targetCls, it->second, std::move(args));
+    *sp++ = invokeSpan(*targetCls, it->second, args.data(), args.size());
   };
 
   // Hoisted per-dispatch state. setMaxSteps/setHeapLimit are configuration
@@ -897,16 +808,19 @@ jvm::Value BytecodeVm::run(const CompiledClass& cls, const Chunk& chunk,
   static const void* const kLabels[] = {
       &&L_kConstInt, &&L_kConstLong, &&L_kConstFloat, &&L_kConstDouble,
       &&L_kConstStr, &&L_kConstChar, &&L_kConstBool, &&L_kConstNull,
-      &&L_kLoad, &&L_kStore, &&L_kLoadThis,
-      &&L_kGetField, &&L_kPutField, &&L_kGetThisField, &&L_kPutThisField,
-      &&L_kGetStatic, &&L_kPutStatic,
+      &&L_kPushDefault,
+      &&L_kLoad, &&L_kStore, &&L_kStoreDecl, &&L_kLoadThis, &&L_kLoadTemp,
+      &&L_kStoreTemp,
+      &&L_kGetStatic,
       &&L_kArrayGet, &&L_kArraySet, &&L_kNewArray,
       &&L_kNewObject,
-      &&L_kBinary, &&L_kNeg, &&L_kNot, &&L_kBitNot, &&L_kCast, &&L_kBox,
-      &&L_kJump, &&L_kJumpIfFalse, &&L_kJumpIfTrue, &&L_kLoopTick,
-      &&L_kTryTick,
-      &&L_kCallStatic, &&L_kCallVirtual, &&L_kCallUnqualified, &&L_kPrint,
+      &&L_kBinary, &&L_kIncDec, &&L_kNeg, &&L_kNot, &&L_kBitNot, &&L_kCast,
+      &&L_kBox,
+      &&L_kJump, &&L_kJumpIfFalse, &&L_kJumpIfTrue, &&L_kCaseJump,
+      &&L_kCharge, &&L_kStep,
+      &&L_kCallStatic, &&L_kInitClass, &&L_kPrint,
       &&L_kReturnValue, &&L_kReturnVoid, &&L_kPop, &&L_kDup, &&L_kThrow,
+      &&L_kRethrow, &&L_kThrowError,
       &&L_kGetStaticSlot, &&L_kPutStaticSlot, &&L_kGetThisFieldSlot,
       &&L_kPutThisFieldSlot, &&L_kGetFieldCached, &&L_kPutFieldCached,
       &&L_kCallStaticResolved, &&L_kCallSelfResolved, &&L_kCallVirtualCached,
@@ -987,6 +901,11 @@ jvm::Value BytecodeVm::run(const CompiledClass& cls, const Chunk& chunk,
         VM_NEXT();
       }
 
+      VM_CASE(kPushDefault) {
+        *sp++ = jvm::Heap::defaultValue(static_cast<ValKind>(ip->a));
+        VM_NEXT();
+      }
+
       VM_CASE(kLoad) {
         charge(energy::Op::kLocalAccess);
         *sp++ = slots[static_cast<std::size_t>(ip->a)];
@@ -996,135 +915,51 @@ jvm::Value BytecodeVm::run(const CompiledClass& cls, const Chunk& chunk,
         storeToSlot(ip->a, ip->b, pop(), ip->line);
         VM_NEXT();
       }
+      VM_CASE(kStoreDecl) {
+        const Value v =
+            coerceInline(pop(), static_cast<ValKind>(ip->b), builtins_,
+                         ip->line);
+        charge(energy::Op::kLocalAccess);
+        slots[static_cast<std::size_t>(ip->a)] = v;
+        VM_NEXT();
+      }
       VM_CASE(kLoadThis) {
         charge(energy::Op::kLocalAccess);
-        *sp++ = slots[0];
+        *sp++ = ip->b != 0 ? Value::null() : slots[0];
+        VM_NEXT();
+      }
+      VM_CASE(kLoadTemp) {
+        *sp++ = slots[static_cast<std::size_t>(ip->a)];
+        VM_NEXT();
+      }
+      VM_CASE(kStoreTemp) {
+        slots[static_cast<std::size_t>(ip->a)] = pop();
         VM_NEXT();
       }
 
-      VM_CASE(kGetField) {
-        const Instr in = *ip;
-        // Quicken: rewrite this site (in the VM-private copy) into the
-        // cached form with a fresh cache slot, then run the dynamic
-        // semantics one last time — observationally identical.
-        if (Instr* mut = quickenableCode(chunk)) {
-          Instr& site = mut[ip - codeBase];
-          if (site.op == Op::kGetField) {
-            fieldCaches_.push_back(FieldCacheEntry{});
-            site.b = static_cast<std::int32_t>(fieldCaches_.size() - 1);
-            site.op = Op::kGetFieldCached;
-          }
-          switchTo(mut);
-        }
-        const Value obj = pop();
-        if (obj.isNull()) {
-          throwJava("NullPointerException",
-                    "field '" + name(in.a) + "' on null at line " +
-                        std::to_string(in.line));
-        }
-        HeapObject& ho = heap_.get(obj.asRef());
-        charge(energy::Op::kFieldAccess);
-        if (ho.kind == ObjKind::kArray && name(in.a) == "length") {
-          *sp++ = Value::ofInt(static_cast<std::int64_t>(ho.elems.size()));
-          VM_NEXT();
-        }
-        const Value* field = ho.kind == ObjKind::kObject
-                                 ? fieldByName(ho, name(in.a))
-                                 : nullptr;
-        if (field == nullptr) {
-          throw VmError("unknown field '" + name(in.a) + "' at line " +
-                        std::to_string(in.line));
-        }
-        *sp++ = *field;
-        VM_NEXT();
-      }
-      VM_CASE(kPutField) {
-        const Instr in = *ip;
-        if (Instr* mut = quickenableCode(chunk)) {
-          Instr& site = mut[ip - codeBase];
-          if (site.op == Op::kPutField) {
-            fieldCaches_.push_back(FieldCacheEntry{});
-            site.b = static_cast<std::int32_t>(fieldCaches_.size() - 1);
-            site.op = Op::kPutFieldCached;
-          }
-          switchTo(mut);
-        }
-        Value v = pop();
-        const Value obj = pop();
-        if (obj.isNull()) {
-          throwJava("NullPointerException", "store to field of null");
-        }
-        HeapObject& ho = heap_.get(obj.asRef());
-        Value* field = ho.kind == ObjKind::kObject
-                           ? fieldByName(ho, name(in.a))
-                           : nullptr;
-        JEPO_REQUIRE(field != nullptr, "unknown field '" + name(in.a) + "'");
-        charge(energy::Op::kFieldAccess);
-        if (field->isNumeric() && v.isNumeric()) {
-          v = coerceInline(v, field->kind, builtins_, in.line);
-        }
-        *field = v;
-        VM_NEXT();
-      }
-      VM_CASE(kGetThisField) {
-        charge(energy::Op::kFieldAccess);
-        HeapObject& self = heap_.get(slots[0].asRef());
-        const Value* field = fieldByName(self, name(ip->a));
-        JEPO_REQUIRE(field != nullptr,
-                     "unknown this-field '" + name(ip->a) + "'");
-        *sp++ = *field;
-        VM_NEXT();
-      }
-      VM_CASE(kPutThisField) {
-        charge(energy::Op::kFieldAccess);
-        Value v = pop();
-        HeapObject& self = heap_.get(slots[0].asRef());
-        Value* field = fieldByName(self, name(ip->a));
-        JEPO_REQUIRE(field != nullptr,
-                     "unknown this-field '" + name(ip->a) + "'");
-        if (field->isNumeric() && v.isNumeric()) {
-          v = coerceInline(v, field->kind, builtins_, ip->line);
-        }
-        *field = v;
-        VM_NEXT();
-      }
       VM_CASE(kGetStatic) {
-        const std::string& key = name(ip->a);
-        const auto dot = key.find('.');
-        const std::string className = key.substr(0, dot);
-        const std::string fieldName = key.substr(dot + 1);
-        if (BuiltinLibrary::isBuiltinClassName(className)) {
-          Value v;
-          if (builtins_.staticField(className, fieldName, &v)) {
-            *sp++ = v;
-            VM_NEXT();
+        // Builtin class names: the builtin static table first, then a
+        // same-named program class's statics, as the tree reads them.
+        // Locals with destructors live in a block: a computed-goto
+        // dispatch out of their scope would skip the destructors.
+        Value v;
+        {
+          const std::string& key = name(ip->a);
+          const auto dot = key.find('.');
+          const std::string className = key.substr(0, dot);
+          const std::string fieldName = key.substr(dot + 1);
+          if (!builtins_.staticField(className, fieldName, &v)) {
+            ensureClassInit(className);
+            const Value* slot = findStaticByName(className, fieldName);
+            if (slot == nullptr) {
+              throw VmError("unknown static field " + key + " at line " +
+                            std::to_string(ip->line));
+            }
+            charge(energy::Op::kStaticAccess);
+            v = *slot;
           }
         }
-        ensureClassInit(className);
-        const Value* slot = findStaticByName(className, fieldName);
-        if (slot == nullptr) {
-          throw VmError("unknown static field " + key + " at line " +
-                        std::to_string(ip->line));
-        }
-        charge(energy::Op::kStaticAccess);
-        *sp++ = *slot;
-        VM_NEXT();
-      }
-      VM_CASE(kPutStatic) {
-        const std::string& key = name(ip->a);
-        const auto dot = key.find('.');
-        ensureClassInit(key.substr(0, dot));
-        Value* slot =
-            findStaticByName(key.substr(0, dot), key.substr(dot + 1));
-        if (slot == nullptr) {
-          throw VmError("unknown static field " + key);
-        }
-        charge(energy::Op::kStaticAccess);
-        Value v = pop();
-        if (slot->isNumeric() && v.isNumeric()) {
-          v = coerceInline(v, slot->kind, builtins_, ip->line);
-        }
-        *slot = v;
+        *sp++ = v;
         VM_NEXT();
       }
 
@@ -1151,9 +986,9 @@ jvm::Value BytecodeVm::run(const CompiledClass& cls, const Chunk& chunk,
         VM_NEXT();
       }
       VM_CASE(kArraySet) {
-        Value v = pop();
         const std::int64_t idx = pop().asInt();
         const Value arr = pop();
+        Value v = pop();
         if (arr.isNull()) {
           throwJava("NullPointerException", "store to null array");
         }
@@ -1187,16 +1022,20 @@ jvm::Value BytecodeVm::run(const CompiledClass& cls, const Chunk& chunk,
               static_cast<std::size_t>(d), static_cast<ValKind>(ip->b)));
           VM_NEXT();
         }
-        std::vector<std::int64_t> dims(static_cast<std::size_t>(ip->a));
-        for (int i = ip->a - 1; i >= 0; --i) {
-          dims[static_cast<std::size_t>(i)] = pop().asInt();
-        }
-        for (std::int64_t d : dims) {
-          if (d < 0) {
-            throwJava("NegativeArraySizeException", std::to_string(d));
+        Value array;
+        {  // destructors before the dispatch (see kGetStatic)
+          std::vector<std::int64_t> dims(static_cast<std::size_t>(ip->a));
+          for (int i = ip->a - 1; i >= 0; --i) {
+            dims[static_cast<std::size_t>(i)] = pop().asInt();
           }
+          for (std::int64_t d : dims) {
+            if (d < 0) {
+              throwJava("NegativeArraySizeException", std::to_string(d));
+            }
+          }
+          array = allocArray(dims, 0, static_cast<ValKind>(ip->b));
         }
-        *sp++ = allocArray(dims, 0, static_cast<ValKind>(ip->b));
+        *sp++ = array;
         VM_NEXT();
       }
 
@@ -1212,8 +1051,7 @@ jvm::Value BytecodeVm::run(const CompiledClass& cls, const Chunk& chunk,
           *sp++ = result;
           VM_NEXT();
         }
-        std::vector<Value> args = popArgs(argc);
-        *sp++ = construct(name(ip->a), std::move(args), ip->line);
+        *sp++ = construct(name(ip->a), popArgs(argc), ip->line);
         VM_NEXT();
       }
 
@@ -1221,6 +1059,10 @@ jvm::Value BytecodeVm::run(const CompiledClass& cls, const Chunk& chunk,
         const Value b = pop();
         const Value a = sp[-1];
         sp[-1] = binary(static_cast<jlang::BinOp>(ip->a), a, b, ip->line);
+        VM_NEXT();
+      }
+      VM_CASE(kIncDec) {
+        sp[-1] = incDec(ip->a, sp[-1], ip->line);
         VM_NEXT();
       }
       VM_CASE(kNeg) {
@@ -1263,77 +1105,54 @@ jvm::Value BytecodeVm::run(const CompiledClass& cls, const Chunk& chunk,
         VM_JUMP(ip->a);
       }
       VM_CASE(kJumpIfFalse) {
-        charge(ip->b != 0 ? energy::Op::kTernary : energy::Op::kBranch);
-        if (!pop().asBool()) VM_JUMP(ip->a);
+        if (!sp[-1].asBool()) {
+          sp -= ip->b != 0 ? 0 : 1;  // b=1 keeps the short-circuit result
+          VM_JUMP(ip->a);
+        }
+        --sp;
         VM_NEXT();
       }
       VM_CASE(kJumpIfTrue) {
-        charge(energy::Op::kBranch);
-        if (pop().asBool()) VM_JUMP(ip->a);
+        if (sp[-1].asBool()) {
+          sp -= ip->b != 0 ? 0 : 1;
+          VM_JUMP(ip->a);
+        }
+        --sp;
         VM_NEXT();
       }
-      VM_CASE(kLoopTick) {
-        charge(energy::Op::kLoopIter);
+      VM_CASE(kCaseJump) {
+        charge(energy::Op::kIntAlu);
+        if (slots[static_cast<std::size_t>(ip->c)].asInt() ==
+            program_->intPool[static_cast<std::size_t>(ip->b)]) {
+          VM_JUMP(ip->a);
+        }
         VM_NEXT();
       }
-      VM_CASE(kTryTick) {
-        charge(energy::Op::kTryEnter);
+      VM_CASE(kCharge) {
+        charge(static_cast<energy::Op>(ip->a));
+        VM_NEXT();
+      }
+      VM_CASE(kStep) {
         VM_NEXT();
       }
 
       VM_CASE(kCallStatic) {
-        const Instr in = *ip;
-        // Quicken when the callee is a resolvable program method; builtin
-        // classes and unresolvable names stay on the dynamic path forever.
-        if (!BuiltinLibrary::isBuiltinClassName(name(in.a))) {
-          const std::int32_t id = resolution_->classIdOf(name(in.a));
-          if (id >= 0 && classById_[static_cast<std::size_t>(id)] != nullptr) {
-            const jlang::ResolvedClass& rc =
-                resolution_->classes[static_cast<std::size_t>(id)];
-            const jlang::ResolvedMethod* rm = rc.findMethod(name(in.b));
-            const int ordinal = rm != nullptr ? rc.methodOrdinal(rm->decl)
-                                              : -1;
-            if (ordinal >= 0 &&
-                methodChunks_[static_cast<std::size_t>(id)]
-                             [static_cast<std::size_t>(ordinal)] != nullptr) {
-              if (Instr* mut = quickenableCode(chunk)) {
-                Instr& site = mut[ip - codeBase];
-                if (site.op == Op::kCallStatic) {
-                  site.a = id;
-                  site.b = ordinal;
-                  site.c = in.c;
-                  site.op = Op::kCallStaticResolved;
-                }
-                switchTo(mut);
-              }
-            }
-          }
+        Value result;
+        bool found;
+        {  // destructors before the dispatch (see kGetStatic)
+          std::vector<Value> args = popArgs(ip->c);
+          found = builtins_.staticCall(name(ip->a), name(ip->b), args,
+                                       &result);
         }
-        // Dynamic semantics, run (at most) one last time — the seed body.
-        const std::string& className = name(in.a);
-        const std::string& methodName = name(in.b);
-        std::vector<Value> args = popArgs(in.c);
-        if (BuiltinLibrary::isBuiltinClassName(className)) {
-          Value result;
-          if (builtins_.staticCall(className, methodName, args, &result)) {
-            *sp++ = result;
-            VM_NEXT();
-          }
-          throw VmError("unknown method " + className + "." + methodName);
+        if (!found) {
+          throw VmError("unknown method " + name(ip->a) + "." +
+                        name(ip->b) + " at line " + std::to_string(ip->line));
         }
-        const CompiledClass* target = program_->findClass(className);
-        if (target == nullptr) {
-          throw VmError("unknown class " + className);
-        }
-        const auto it = target->methods.find(methodName);
-        if (it == target->methods.end()) {
-          throw VmError("unknown method " + className + "." + methodName);
-        }
-        // Popped args are off the rooted stack; <clinit> can collect.
-        jvm::Gc::ScopedVector rootArgs(gc_, args);
-        ensureClassInit(className);
-        charge(energy::Op::kCall);
-        *sp++ = invoke(*target, it->second, std::move(args));
+        *sp++ = result;
+        VM_NEXT();
+      }
+      VM_CASE(kInitClass) {
+        ensureClassInitById(ip->a);
         VM_NEXT();
       }
       VM_CASE(kCallStaticResolved) {
@@ -1372,64 +1191,6 @@ jvm::Value BytecodeVm::run(const CompiledClass& cls, const Chunk& chunk,
         // dispatch would have.
         if (gcArmed) frame.top = static_cast<std::size_t>(sp - stackBase);
         callSelfResolved(ip->a, bb & 0x3FF, ip->c);
-        VM_NEXT();
-      }
-      VM_CASE(kCallUnqualified) {
-        std::vector<Value> args = popArgs(ip->b);
-        const auto it = cls.methods.find(name(ip->a));
-        if (it == cls.methods.end()) {
-          throw VmError("unknown method " + name(ip->a) + " at line " +
-                        std::to_string(ip->line));
-        }
-        if (!it->second.isStatic) {
-          JEPO_REQUIRE(!chunk.isStatic,
-                       "instance method called from static context");
-          args.insert(args.begin(), slots[0]);
-        }
-        jvm::Gc::ScopedVector rootArgs(gc_, args);
-        ensureClassInit(cls.name);
-        charge(energy::Op::kCall);
-        *sp++ = invoke(cls, it->second, std::move(args));
-        VM_NEXT();
-      }
-      VM_CASE(kCallVirtual) {
-        const Instr in = *ip;
-        if (Instr* mut = quickenableCode(chunk)) {
-          Instr& site = mut[ip - codeBase];
-          if (site.op == Op::kCallVirtual) {
-            callCaches_.push_back(CallCacheEntry{});
-            site.c = static_cast<std::int32_t>(callCaches_.size() - 1);
-            site.op = Op::kCallVirtualCached;
-          }
-          switchTo(mut);
-        }
-        std::vector<Value> args = popArgs(in.b);
-        const Value receiver = pop();
-        if (receiver.isNull()) {
-          throwJava("NullPointerException",
-                    "call '" + name(in.a) + "' on null at line " +
-                        std::to_string(in.line));
-        }
-        Value result;
-        if (builtins_.instanceCall(receiver, name(in.a), args, &result)) {
-          *sp++ = result;
-          VM_NEXT();
-        }
-        const HeapObject& obj = heap_.get(receiver.asRef());
-        JEPO_REQUIRE(obj.kind == ObjKind::kObject,
-                     "method call on non-object");
-        const CompiledClass* targetCls = program_->findClass(obj.className);
-        if (targetCls == nullptr) {
-          throw VmError("method call on unknown class " + obj.className);
-        }
-        const auto it = targetCls->methods.find(name(in.a));
-        if (it == targetCls->methods.end()) {
-          throw VmError("unknown method " + obj.className + "." +
-                        name(in.a));
-        }
-        args.insert(args.begin(), receiver);
-        charge(energy::Op::kCall);
-        *sp++ = invoke(*targetCls, it->second, std::move(args));
         VM_NEXT();
       }
       VM_CASE(kCallVirtualCached) {
@@ -1482,9 +1243,15 @@ jvm::Value BytecodeVm::run(const CompiledClass& cls, const Chunk& chunk,
         charge(energy::Op::kThrow);
         throw Thrown{v};
       }
+      VM_CASE(kRethrow) {
+        throw Thrown{slots[static_cast<std::size_t>(ip->a)]};
+      }
+      VM_CASE(kThrowError) {
+        throw VmError(name(ip->a));
+      }
 
       VM_CASE(kGetStaticSlot) {
-        ensureClassInitById(ip->b);
+        if (ip->b >= 0) ensureClassInitById(ip->b);
         if (ip->a < 0) {
           throw VmError("unknown static field " + name(ip->c) + " at line " +
                         std::to_string(ip->line));
@@ -1494,7 +1261,7 @@ jvm::Value BytecodeVm::run(const CompiledClass& cls, const Chunk& chunk,
         VM_NEXT();
       }
       VM_CASE(kPutStaticSlot) {
-        ensureClassInitById(ip->b);
+        if (ip->b >= 0) ensureClassInitById(ip->b);
         if (ip->a < 0) {
           throw VmError("unknown static field " + name(ip->c));
         }
@@ -1532,41 +1299,49 @@ jvm::Value BytecodeVm::run(const CompiledClass& cls, const Chunk& chunk,
                         std::to_string(ip->line));
         }
         HeapObject& ho = heap_.get(obj.asRef());
-        charge(energy::Op::kFieldAccess);
-        if (ho.kind == ObjKind::kArray && name(ip->a) == "length") {
-          *sp++ = Value::ofInt(static_cast<std::int64_t>(ho.elems.size()));
-          VM_NEXT();
-        }
-        if (ho.kind != ObjKind::kObject || ho.layout == nullptr) {
-          throw VmError("unknown field '" + name(ip->a) + "' at line " +
-                        std::to_string(ip->line));
-        }
-        FieldCacheEntry& fc = fieldCaches_[static_cast<std::size_t>(ip->b)];
-        if (fc.layout != ho.layout) {
-          const int offset = ho.layout->indexOfName(name(ip->a));
-          if (offset < 0) {
-            throw VmError("unknown field '" + name(ip->a) + "' at line " +
+        if (ho.kind == ObjKind::kObject && ho.layout != nullptr) {
+          FieldCacheEntry& fc =
+              fieldCaches_[static_cast<std::size_t>(ip->b)];
+          if (fc.layout != ho.layout) {
+            const int offset = ho.layout->indexOfName(name(ip->a));
+            if (offset >= 0) fc = {ho.layout, offset};
+          }
+          if (fc.layout == ho.layout) {
+            charge(energy::Op::kFieldAccess);
+            *sp++ = ho.fields[static_cast<std::size_t>(fc.offset)];
+            VM_NEXT();
+          }
+        } else if (name(ip->a) == "length") {
+          if (ho.kind == ObjKind::kArray) {
+            charge(energy::Op::kFieldAccess);
+            *sp++ = Value::ofInt(static_cast<std::int64_t>(ho.elems.size()));
+            VM_NEXT();
+          }
+          if (ho.kind == ObjKind::kString || ho.kind == ObjKind::kBuilder) {
+            // length is a method on String; guide users with a precise
+            // error.
+            throw VmError("use length() on strings, at line " +
                           std::to_string(ip->line));
           }
-          fc = {ho.layout, offset};
         }
-        *sp++ = ho.fields[static_cast<std::size_t>(fc.offset)];
-        VM_NEXT();
+        throw VmError("unknown field '" + name(ip->a) + "' at line " +
+                      std::to_string(ip->line));
       }
       VM_CASE(kPutFieldCached) {
-        Value v = pop();
         const Value obj = pop();
+        Value v = pop();
         if (obj.isNull()) {
           throwJava("NullPointerException", "store to field of null");
         }
         HeapObject& ho = heap_.get(obj.asRef());
-        JEPO_REQUIRE(ho.kind == ObjKind::kObject && ho.layout != nullptr,
-                     "unknown field '" + name(ip->a) + "'");
+        JEPO_REQUIRE(ho.kind == ObjKind::kObject, "field store on non-object");
         FieldCacheEntry& fc = fieldCaches_[static_cast<std::size_t>(ip->b)];
-        if (fc.layout != ho.layout) {
+        if (ho.layout != nullptr && fc.layout != ho.layout) {
           const int offset = ho.layout->indexOfName(name(ip->a));
-          JEPO_REQUIRE(offset >= 0, "unknown field '" + name(ip->a) + "'");
-          fc = {ho.layout, offset};
+          if (offset >= 0) fc = {ho.layout, offset};
+        }
+        if (ho.layout == nullptr || fc.layout != ho.layout) {
+          throw VmError("unknown field '" + name(ip->a) + "'");
         }
         Value& field = ho.fields[static_cast<std::size_t>(fc.offset)];
         charge(energy::Op::kFieldAccess);
@@ -1690,6 +1465,7 @@ jvm::Value BytecodeVm::run(const CompiledClass& cls, const Chunk& chunk,
       }
       VM_CASE(kLoadConstCmpJump) {
         const std::int32_t bb = ip->b;
+        charge(energy::Op::kBranch);
         charge(energy::Op::kLocalAccess);
         const Value a = slots[static_cast<std::size_t>(bb & 0xFFFFF)];
         charge(energy::Op::kConstLoad);
@@ -1707,22 +1483,16 @@ jvm::Value BytecodeVm::run(const CompiledClass& cls, const Chunk& chunk,
                                   *machine_, ip->line)
                      .asBool();
         }
-        charge(energy::Op::kBranch);
         if (!cond) VM_JUMP(ip->a);
-        // The kLoopTick is interior to the fused run and executes only on
-        // fall-through; the taken branch exits the run (its target is a
-        // barrier), exactly as the unfused sequence behaves. Its step is
-        // therefore excluded from ip->n and accounted here, limit-checked
-        // before its charge as its own dispatch would have been.
-        if (((bb >> 26) & 1) != 0) {
-          ++steps_;
-          if (steps_ > maxStepsHoisted) throwStepLimit();
-          charge(energy::Op::kLoopIter);
-        }
+        // The fused kLoopIter charge executes only on fall-through; the
+        // taken branch exits the run (its target is a barrier), exactly as
+        // the unfused sequence behaves.
+        if (((bb >> 26) & 1) != 0) charge(energy::Op::kLoopIter);
         VM_NEXT();
       }
       VM_CASE(kLoadLoadCmpJump) {
         const std::int32_t bb = ip->b;
+        charge(energy::Op::kBranch);
         charge(energy::Op::kLocalAccess, 2);
         const Value a = slots[static_cast<std::size_t>(bb & 0x3FF)];
         const Value b = slots[static_cast<std::size_t>((bb >> 10) & 0x3FF)];
@@ -1737,14 +1507,9 @@ jvm::Value BytecodeVm::run(const CompiledClass& cls, const Chunk& chunk,
                                   a, b, heap_, builtins_, *machine_, ip->line)
                      .asBool();
         }
-        charge(energy::Op::kBranch);
         if (!cond) VM_JUMP(ip->a);
-        // Fall-through-only tick step + charge; see kLoadConstCmpJump.
-        if (((bb >> 26) & 1) != 0) {
-          ++steps_;
-          if (steps_ > maxStepsHoisted) throwStepLimit();
-          charge(energy::Op::kLoopIter);
-        }
+        // Fall-through-only tick; see kLoadConstCmpJump.
+        if (((bb >> 26) & 1) != 0) charge(energy::Op::kLoopIter);
         VM_NEXT();
       }
       VM_CASE(kLoadConstBinStore) {
@@ -1765,19 +1530,10 @@ jvm::Value BytecodeVm::run(const CompiledClass& cls, const Chunk& chunk,
       }
       VM_CASE(kIncDecLocalStmt) {
         const std::int32_t bb = ip->b;
-        const std::int32_t slot = bb & 0xFFFFF;
         charge(energy::Op::kLocalAccess);
-        const Value old = slots[static_cast<std::size_t>(slot)];
-        charge(energy::Op::kConstLoad);
-        const Value step = Value::ofInt(
-            program_->intPool[static_cast<std::size_t>(ip->a)]);
-        Value r = binary(static_cast<jlang::BinOp>((bb >> 20) & 0x1F), old,
-                         step, ip->line);
-        if (ip->c >= 0) {
-          r = coerceInline(r, static_cast<ValKind>(ip->c), builtins_,
-                                ip->line);
-        }
-        storeToSlot(slot, (bb >> 25) & 0xF, r, ip->line);
+        const Value r =
+            incDec(bb & 0xFF, slots[static_cast<std::size_t>(ip->a)], ip->line);
+        storeToSlot(ip->a, (bb >> 8) & 0xF, r, ip->line);
         VM_NEXT();
       }
       VM_CASE(kLoadLoadConstBinary) {
@@ -1797,20 +1553,10 @@ jvm::Value BytecodeVm::run(const CompiledClass& cls, const Chunk& chunk,
       }
       VM_CASE(kIncDecJump) {
         const std::int32_t bb = ip->b;
-        const std::int32_t slot = bb & 0xFFFF;
         charge(energy::Op::kLocalAccess);
-        const Value old = slots[static_cast<std::size_t>(slot)];
-        charge(energy::Op::kConstLoad);
-        const Value step = Value::ofInt(
-            program_->intPool[static_cast<std::size_t>(ip->a)]);
-        Value r = binary(static_cast<jlang::BinOp>((bb >> 16) & 0x1F), old,
-                         step, ip->line);
-        const std::int32_t castE = (bb >> 25) & 0xF;
-        if (castE != 15) {
-          r = coerceInline(r, static_cast<ValKind>(castE), builtins_,
-                                ip->line);
-        }
-        storeToSlot(slot, (bb >> 21) & 0xF, r, ip->line);
+        const Value r =
+            incDec(bb & 0xFF, slots[static_cast<std::size_t>(ip->a)], ip->line);
+        storeToSlot(ip->a, (bb >> 8) & 0xF, r, ip->line);
         VM_JUMP(ip->c);
       }
       VM_CASE(kAccumConstStmt) {
@@ -1867,7 +1613,6 @@ jvm::Value BytecodeVm::run(const CompiledClass& cls, const Chunk& chunk,
       // Loop-tail pairs (matchPair): each replays its two constituents'
       // charge sequences back to back, then takes the latch's jump.
       VM_CASE(kAccumConstJump) {
-        const std::uint32_t aa = static_cast<std::uint32_t>(ip->a);
         const std::int32_t bb = ip->b;
         const std::uint32_t cc = static_cast<std::uint32_t>(ip->c);
         const std::int32_t s1 = bb & 0xFF;
@@ -1876,7 +1621,8 @@ jvm::Value BytecodeVm::run(const CompiledClass& cls, const Chunk& chunk,
         const Value a = slots[static_cast<std::size_t>(s1)];
         const Value b = slots[static_cast<std::size_t>(s2)];
         charge(energy::Op::kConstLoad);
-        const Value k = Value::ofInt(program_->intPool[aa & 0xFFFF]);
+        const Value k =
+            Value::ofInt(program_->intPool[static_cast<std::size_t>(ip->a)]);
         const Value t = binary(static_cast<jlang::BinOp>((bb >> 16) & 0x1F),
                                b, k, ip->line);
         Value r = binary(static_cast<jlang::BinOp>((bb >> 21) & 0x1F), a, t,
@@ -1889,42 +1635,25 @@ jvm::Value BytecodeVm::run(const CompiledClass& cls, const Chunk& chunk,
         storeToSlot(s1, static_cast<std::int32_t>((cc >> 16) & 0xF), r,
                     ip->line);
         charge(energy::Op::kLocalAccess);
-        const Value old = slots[static_cast<std::size_t>(s2)];
-        charge(energy::Op::kConstLoad);
-        const Value step = Value::ofInt(program_->intPool[(aa >> 16) & 0xFFFF]);
-        Value r2 = binary(static_cast<jlang::BinOp>((bb >> 26) & 0x1F), old,
-                          step, ip->line);
-        const std::uint32_t castL = cc >> 28;
-        if (castL != 15) {
-          r2 = coerceInline(r2, static_cast<ValKind>(castL), builtins_,
-                            ip->line);
-        }
+        const Value r2 = incDec((bb >> 26) & 0x1F,
+                                slots[static_cast<std::size_t>(s2)], ip->line);
         storeToSlot(s2, static_cast<std::int32_t>((cc >> 24) & 0xF), r2,
                     ip->line);
         VM_JUMP(static_cast<std::int32_t>(cc & 0xFFFF));
       }
       VM_CASE(kStorePopIncDecJump) {
-        const std::uint32_t aa = static_cast<std::uint32_t>(ip->a);
         const std::int32_t bb = ip->b;
         const std::int32_t cc = ip->c;
         storeToSlot(bb & 0x3FF, cc & 0xF, pop(), ip->line);
         const std::int32_t slotL = (bb >> 10) & 0x3FF;
         charge(energy::Op::kLocalAccess);
-        const Value old = slots[static_cast<std::size_t>(slotL)];
-        charge(energy::Op::kConstLoad);
-        const Value step = Value::ofInt(program_->intPool[aa & 0xFFFF]);
-        Value r = binary(static_cast<jlang::BinOp>((bb >> 20) & 0x1F), old,
-                         step, ip->line);
-        const std::int32_t castL = (cc >> 8) & 0xF;
-        if (castL != 15) {
-          r = coerceInline(r, static_cast<ValKind>(castL), builtins_,
-                           ip->line);
-        }
+        const Value r = incDec((bb >> 20) & 0x1F,
+                               slots[static_cast<std::size_t>(slotL)],
+                               ip->line);
         storeToSlot(slotL, (cc >> 4) & 0xF, r, ip->line);
-        VM_JUMP(static_cast<std::int32_t>(aa >> 16));
+        VM_JUMP(ip->a);
       }
       VM_CASE(kBinCastStoreIncDecJump) {
-        const std::uint32_t aa = static_cast<std::uint32_t>(ip->a);
         const std::int32_t bb = ip->b;
         const std::int32_t cc = ip->c;
         const Value vb = pop();
@@ -1936,18 +1665,11 @@ jvm::Value BytecodeVm::run(const CompiledClass& cls, const Chunk& chunk,
         storeToSlot(bb & 0xFF, cc & 0xF, r, ip->line);
         const std::int32_t slotL = (bb >> 8) & 0xFF;
         charge(energy::Op::kLocalAccess);
-        const Value old = slots[static_cast<std::size_t>(slotL)];
-        charge(energy::Op::kConstLoad);
-        const Value step = Value::ofInt(program_->intPool[aa & 0xFFFF]);
-        Value r2 = binary(static_cast<jlang::BinOp>((bb >> 21) & 0x1F), old,
-                          step, ip->line);
-        const std::int32_t castL = (cc >> 12) & 0xF;
-        if (castL != 15) {
-          r2 = coerceInline(r2, static_cast<ValKind>(castL), builtins_,
-                            ip->line);
-        }
+        const Value r2 = incDec((bb >> 21) & 0x1F,
+                                slots[static_cast<std::size_t>(slotL)],
+                                ip->line);
         storeToSlot(slotL, (cc >> 8) & 0xF, r2, ip->line);
-        VM_JUMP(static_cast<std::int32_t>(aa >> 16));
+        VM_JUMP(ip->a);
       }
       VM_CASE(kCountedAccumLoop) {
         const std::uint32_t aa = static_cast<std::uint32_t>(ip->a);
@@ -1955,7 +1677,8 @@ jvm::Value BytecodeVm::run(const CompiledClass& cls, const Chunk& chunk,
         const std::uint32_t cc = static_cast<std::uint32_t>(ip->c);
         const std::int32_t s1 = bb & 0xFF;
         const std::int32_t s2 = (bb >> 8) & 0xFF;
-        // The kLoadConstCmpJump part (covered by ip->n at VM_TOP).
+        // The kLoadConstCmpJump part (its steps covered by ip->n at VM_TOP).
+        charge(energy::Op::kBranch);
         charge(energy::Op::kLocalAccess);
         const Value iv = slots[static_cast<std::size_t>(s2)];
         charge(energy::Op::kConstLoad);
@@ -1972,19 +1695,11 @@ jvm::Value BytecodeVm::run(const CompiledClass& cls, const Chunk& chunk,
                                   *machine_, ip->line)
                      .asBool();
         }
-        charge(energy::Op::kBranch);
         if (!cond) VM_NEXT();  // the implicit exit: fall through the loop
-        // Taken-path-only tick step + charge; see kLoadConstCmpJump.
-        if (((cc >> 15) & 1) != 0) {
-          ++steps_;
-          if (steps_ > maxStepsHoisted) throwStepLimit();
-          charge(energy::Op::kLoopIter);
-        }
-        // The kAccumConstJump part: account its seed run length before
-        // executing it, exactly as its own dispatch would have.
-        const std::uint32_t castK1 = (cc >> 20) & 0xF;
-        const std::uint32_t castKL = cc >> 28;
-        steps_ += 15 + (castK1 != 15 ? 1 : 0) + (castKL != 15 ? 1 : 0);
+        if (((cc >> 15) & 1) != 0) charge(energy::Op::kLoopIter);
+        // The kAccumConstJump part: account its steps before executing
+        // it, exactly as its own dispatch would have.
+        steps_ += cc & 0x3FF;
         if (steps_ > maxStepsHoisted) throwStepLimit();
         charge(energy::Op::kLocalAccess, 2);
         const Value a = slots[static_cast<std::size_t>(s1)];
@@ -1995,6 +1710,7 @@ jvm::Value BytecodeVm::run(const CompiledClass& cls, const Chunk& chunk,
                                b, k, ip->line);
         Value r = binary(static_cast<jlang::BinOp>((bb >> 21) & 0x1F), a, t,
                          ip->line);
+        const std::uint32_t castK1 = (cc >> 20) & 0xF;
         if (castK1 != 15) {
           r = coerceInline(r, static_cast<ValKind>(castK1), builtins_,
                            ip->line);
@@ -2002,15 +1718,8 @@ jvm::Value BytecodeVm::run(const CompiledClass& cls, const Chunk& chunk,
         storeToSlot(s1, static_cast<std::int32_t>((cc >> 16) & 0xF), r,
                     ip->line);
         charge(energy::Op::kLocalAccess);
-        const Value old = slots[static_cast<std::size_t>(s2)];
-        charge(energy::Op::kConstLoad);
-        const Value step = Value::ofInt(program_->intPool[cc & 0x3FF]);
-        Value r2 = binary(static_cast<jlang::BinOp>((bb >> 26) & 0x1F), old,
-                          step, ip->line);
-        if (castKL != 15) {
-          r2 = coerceInline(r2, static_cast<ValKind>(castKL), builtins_,
-                            ip->line);
-        }
+        const Value r2 = incDec((bb >> 26) & 0x1F,
+                                slots[static_cast<std::size_t>(s2)], ip->line);
         storeToSlot(s2, static_cast<std::int32_t>((cc >> 24) & 0xF), r2,
                     ip->line);
         VM_DISPATCH();  // the implicit backedge: re-dispatch this very op
@@ -2067,14 +1776,20 @@ jvm::Value BytecodeVm::run(const CompiledClass& cls, const Chunk& chunk,
 }
 
 jvm::Value BytecodeVm::runMain(std::string_view mainClass) {
-  const CompiledClass* target = nullptr;
-  std::vector<const CompiledClass*> mains;
-  for (const auto& [n, cls] : program_->classes) {
-    if (cls.hasMain) mains.push_back(&cls);
+  // Main-class selection and its errors as jvm::Interpreter::runMain.
+  std::vector<const jlang::ClassDecl*> mains;
+  for (const jlang::ResolvedClass& rc : resolution_->classes) {
+    const jlang::MethodDecl* m = rc.decl->findMethod("main");
+    if (m != nullptr && m->isStatic) mains.push_back(rc.decl);
   }
+  const jlang::ClassDecl* target = nullptr;
   if (mainClass.empty()) {
     if (mains.empty()) throw VmError("no class declares static void main");
-    if (mains.size() > 1) throw VmError("multiple main classes");
+    if (mains.size() > 1) {
+      std::string names;
+      for (const auto* c : mains) names += " " + c->name;
+      throw VmError("multiple main classes; pick one of:" + names);
+    }
     target = mains.front();
   } else {
     for (const auto* c : mains) {
@@ -2084,10 +1799,14 @@ jvm::Value BytecodeVm::runMain(std::string_view mainClass) {
       throw VmError("no main method in class " + std::string(mainClass));
     }
   }
-  ensureClassInit(target->name);
-  const Ref argsArr = heap_.allocArray(0, ValKind::kRef);
-  return invoke(*target, target->methods.at("main"),
-                {Value::ofRef(argsArr)});
+  const CompiledClass& cls = *program_->findClass(target->name);
+  ensureClassInit(cls.name);
+  const std::uint64_t steps0 = steps_;
+  const std::uint64_t heap0 = heap_.allocCount();
+  const Value args = Value::ofRef(heap_.allocArray(0, ValKind::kRef));
+  const Value out = invokeSpan(cls, cls.methods.at("main"), &args, 1);
+  jvm::flushVmCounters(steps_ - steps0, heap_.allocCount() - heap0);
+  return out;
 }
 
 jvm::Value BytecodeVm::callStatic(std::string_view className,
@@ -2101,7 +1820,11 @@ jvm::Value BytecodeVm::callStatic(std::string_view className,
   JEPO_REQUIRE(it->second.isStatic, "method is not static");
   jvm::Gc::ScopedVector rootArgs(gc_, args);  // live across <clinit>
   ensureClassInit(cls->name);
-  return invoke(*cls, it->second, std::move(args));
+  const std::uint64_t steps0 = steps_;
+  const std::uint64_t heap0 = heap_.allocCount();
+  const Value out = invokeSpan(*cls, it->second, args.data(), args.size());
+  jvm::flushVmCounters(steps_ - steps0, heap_.allocCount() - heap0);
+  return out;
 }
 
 void BytecodeVm::scanGcRoots(jvm::Gc::RootWalker& w) {

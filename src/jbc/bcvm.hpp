@@ -1,16 +1,15 @@
-// The bytecode stack machine. Shares the Heap/Value/BuiltinLibrary/ops
-// substrate with the tree interpreter, honours the same MethodHooks
-// interface (so the Instrumenter plugs into either engine), and charges the
-// same cost model — at the granularity of compiled instructions.
+// The bytecode stack machine — the engine core::Profiler runs. Shares the
+// Heap/Value/BuiltinLibrary/ops substrate with the tree interpreter,
+// honours the same MethodHooks interface (so the Instrumenter plugs into
+// either engine), and is charge-identical to it: the compiler emits the
+// tree's charge and step sequence per AST node, and the VM replays the
+// tree's invocation protocol (hooks, parameter binding, kReturn) and its
+// error strings. The tree interpreter stays as the test oracle.
 //
 // The inner loop is direct-threaded (computed goto) on GCC/Clang with a
-// portable switch fallback (-DJEPO_NO_COMPUTED_GOTO), executes the
-// compiler's superinstructions (code.hpp), and quickens the dynamic
-// fallback ops (kCallStatic / kCallVirtual / name-keyed field access) into
-// their resolved/cached forms on first execution — in a VM-private copy of
-// the chunk, keyed by Chunk::chunkId, so concurrent VMs sharing one
-// CompiledProgram never race. Every rewrite preserves the charge sequence,
-// error strings and step accounting of the seed interpreter exactly.
+// portable switch fallback (-DJEPO_NO_COMPUTED_GOTO) and executes the
+// compiler's superinstructions (code.hpp). A CompiledProgram is immutable:
+// concurrent VMs may share one.
 #pragma once
 
 #include <memory>
@@ -97,27 +96,25 @@ class BytecodeVm {
     std::size_t top = 0;
   };
 
-  // Cold call paths keep the seed's vector form; the hot resolved/cached
-  // ops pass caller-stack spans instead (no allocation, args stay rooted
-  // through the caller frame).
-  jvm::Value invoke(const CompiledClass& cls, const Chunk& chunk,
-                    std::vector<jvm::Value> args);
+  // Arguments arrive as spans (the caller's operand stack, rooted through
+  // the caller frame, or a local vector on the cold paths).
   jvm::Value invokeSpan(const CompiledClass& cls, const Chunk& chunk,
                         const jvm::Value* args, std::size_t argc);
   jvm::Value invokeRecvSpan(const CompiledClass& cls, const Chunk& chunk,
                             const jvm::Value& recv, const jvm::Value* rest,
                             std::size_t nRest);
-  /// Shared tail of every invoke flavour: frame bookkeeping, hooks, run,
-  /// and the kReturn charge.
+  /// Shared tail of every invoke flavour: frame bookkeeping, hooks,
+  /// parameter binding, run, and the kReturn charge — in
+  /// jvm::Interpreter::invoke's order.
   jvm::Value finishInvoke(const CompiledClass& cls, const Chunk& chunk,
                           Frame& frame);
+  /// Run a <clinit>/<initfields> chunk the way the tree evaluates field
+  /// initializers: in a frame of its own, without hooks, parameter or
+  /// kReturn charges. `self` binds slot 0 of <initfields>.
+  void runInitializer(const CompiledClass& cls, const Chunk& chunk,
+                      const jvm::Value* self);
   Frame& acquireFrame(const Chunk& chunk);
   jvm::Value run(const CompiledClass& cls, const Chunk& chunk, Frame& frame);
-
-  /// The VM-private mutable copy of a chunk's code, created on first
-  /// quickening (nullptr when the chunk can't be keyed). Updates
-  /// codeById_ so subsequent runs execute the quickened copy.
-  Instr* quickenableCode(const Chunk& chunk);
 
   /// Trivial-callee inlining: a resolved call whose target body is a single
   /// fused accessor instruction ([kLoadLoadBinaryReturn], [kLoadReturn] or
@@ -142,8 +139,6 @@ class BytecodeVm {
   jvm::Value construct(const std::string& className,
                        std::vector<jvm::Value> args, int line);
   /// Resolved construction: builtin probe already ruled out.
-  jvm::Value constructById(std::int32_t classId,
-                           std::vector<jvm::Value> args);
   jvm::Value constructByIdSpan(std::int32_t classId, const jvm::Value* args,
                                std::size_t argc);
   jvm::Value allocArray(const std::vector<std::int64_t>& dims,
@@ -180,12 +175,6 @@ class BytecodeVm {
   std::vector<std::vector<jvm::Value>> objectTemplates_;  // default fields
   std::vector<CallCacheEntry> callCaches_;   // by Instr::c cache slot
   std::vector<FieldCacheEntry> fieldCaches_; // by Instr::b cache slot
-
-  // Quickening state, by Chunk::chunkId: the active code pointer each
-  // run() dispatches from (shared immutable code until the first rewrite),
-  // and the VM-private copies that replace it.
-  std::vector<const Instr*> codeById_;
-  std::vector<std::vector<Instr>> quickened_;
 
   /// By chunkId: which trivial-callee shape the chunk is (kNotTrivial when
   /// the body is anything more than a single fused accessor instruction).

@@ -4,10 +4,11 @@
 // bodies. The jbc module makes that level real: a compiler lowers MiniJava
 // methods into stack-machine chunks (with exception tables, as on the real
 // JVM), and a bytecode VM executes them on the same Heap/Value/Builtin
-// substrate as the tree interpreter. The two engines are pinned together by
-// cross-engine agreement tests; their energy accounting differs only where
-// the compiled form genuinely differs (e.g. a ternary compiles to plain
-// branches).
+// substrate as the tree interpreter. The compiler emits, per AST node, the
+// tree interpreter's exact charge and step sequence, so the two engines are
+// charge-identical: same stdout, op counts, method records and joules (the
+// tree interpreter is the oracle; tests/fuzz_diff_test.cpp and
+// tests/differential_test.cpp hold them together).
 #pragma once
 
 #include <cstdint>
@@ -31,23 +32,24 @@ enum class Op : std::uint8_t {
   kConstChar,    // a = code point
   kConstBool,    // a = 0/1
   kConstNull,
+  kPushDefault,  // a = ValKind: an uninitialized declaration's default
+                 // value (uncharged, like the tree's)
 
-  // Locals. a = slot; for kStore b = ValKind to coerce to (-1: none).
+  // Locals. a = slot; b = the slot's declared ValKind (-1: none), which an
+  // assignment store coerces numeric values to.
   kLoad,
   kStore,
-  kLoadThis,
+  kStoreDecl,  // declaration store: always coerces to b = declared kind
+  kLoadThis,   // b=1: static context, pushes null
+  kLoadTemp,   // compiler temporaries: no charge
+  kStoreTemp,
 
-  // Fields. a -> names.
-  kGetField,      // obj -> value   (array.length handled here)
-  kPutField,      // obj value ->
-  kGetThisField,  // -> value
-  kPutThisField,  // value ->
-  kGetStatic,     // a -> names ("Class.field")
-  kPutStatic,
+  // Fields and statics.
+  kGetStatic,  // a -> names ("Class.field"): builtin statics first
 
   // Arrays.
   kArrayGet,  // arr idx -> value
-  kArraySet,  // arr idx value ->
+  kArraySet,  // value arr idx ->
   kNewArray,  // a = dim count (dims on stack), b = leaf ValKind
 
   // Objects.
@@ -56,55 +58,63 @@ enum class Op : std::uint8_t {
 
   // Operators.
   kBinary,  // a = jlang::BinOp (no &&/||)
+  kIncDec,  // a = BinOp kAdd/kSub: top = top +/- 1, narrowed to top's kind
   kNeg,
   kNot,
   kBitNot,
-  kCast,  // a = ValKind
+  kCast,  // a = ValKind; b=1: implicit (uncharged) coercion
   kBox,   // a -> names (wrapper class)
 
-  // Control flow. a = target pc.
+  // Control flow. a = target pc. The conditional jumps charge nothing (the
+  // statement's kBranch/kTernary is a kCharge ahead of its condition);
+  // b=1 keeps the tested value on the stack when the jump is taken (the
+  // short-circuit result of && / ||).
   kJump,
-  kJumpIfFalse,  // b=1: this branch is a compiled ternary (charge kTernary)
+  kJumpIfFalse,
   kJumpIfTrue,
-  kLoopTick,  // charge one loop iteration
-  kTryTick,   // charge a try entry
+  kCaseJump,  // switch label: charge kIntAlu, jump to a when the selector
+              // in temp slot c equals intPool[b]
+  kCharge,    // charge energy::Op a once
+  kStep,      // no-op: carries Instr::n tree steps to a jump target
 
   // Calls. argc values on stack (receiver below them for virtual).
-  kCallStatic,       // a -> names (class), b -> names (method), c = argc
-  kCallVirtual,      // a -> names (method), b = argc
-  kCallUnqualified,  // a -> names (method), b = argc; current class
-  kPrint,            // a = newline flag, b = has-argument flag
+  kCallStatic,  // builtin classes only: a -> names (class), b -> names
+                // (method), c = argc
+  kInitClass,   // a = classId: run its static initializers if not yet run
+  kPrint,       // a = newline flag, b = has-argument flag
 
   kReturnValue,
   kReturnVoid,
   kPop,
   kDup,
   kThrow,
+  kRethrow,     // rethrow the exception stashed in slot a (uncharged)
+  kThrowError,  // raise VmError(names[a]): a runtime error the tree
+                // interpreter raises when it reaches the same node
 
-  // Slot-resolved forms, emitted when the resolution pass (jlang/resolve.hpp)
-  // bound the site at compile time. Each preserves the charge sequence and
-  // error strings of its dynamic counterpart exactly; only the name lookup
-  // is gone. The dynamic ops above remain as fallbacks for sites the
-  // resolver could not bind (builtin statics, unknown names in dead code).
+  // Slot-resolved forms, emitted from the resolution pass's bindings
+  // (jlang/resolve.hpp).
   kGetStaticSlot,       // a = global static slot (-1: resolved-missing),
-                        // b = classId, c -> names ("Class.field" error text)
-  kPutStaticSlot,       // same operands
+                        // b = classId (-1: none), c -> names ("Class.field"
+                        // error text)
+  kPutStaticSlot,       // same operands; value ->
   kGetThisFieldSlot,    // a = field offset in this's layout
-  kPutThisFieldSlot,    // a = field offset; value on stack
+  kPutThisFieldSlot,    // a = field offset; value ->
   kGetFieldCached,      // a -> names (field), b = field-cache slot
-  kPutFieldCached,      // a -> names (field), b = field-cache slot
+  kPutFieldCached,      // a -> names (field), b = field-cache slot;
+                        // value obj ->
   kCallStaticResolved,  // a = classId, b = method ordinal, c = argc
   kCallSelfResolved,    // a = method ordinal, b = argc, c = prepend-this flag
   kCallVirtualCached,   // a -> names (method), b = argc, c = call-cache slot
 
   // Superinstructions, produced only by the post-resolution peephole pass
   // (compiler.cpp, fuseChunk). Each one executes the exact charge()/error
-  // sequence of the original instruction run it replaces and carries that
-  // run's length in Instr::n, so step() accounting is unchanged. The pass
-  // never fuses across a jump target or an exception-table boundary, and
-  // jump/handler pcs are remapped after deletion. Operand packing below
-  // uses SuperPack (compiler.cpp / bcvm.cpp); a site that does not fit the
-  // packing is simply left unfused.
+  // sequence of the original instruction run it replaces and carries the
+  // sum of that run's step counts in Instr::n. The pass never fuses across
+  // a jump target or an exception-table boundary, and jump/handler pcs are
+  // remapped after deletion. Operand packing below uses SuperPack
+  // (compiler.cpp / bcvm.cpp); a site that does not fit the packing is
+  // simply left unfused.
   kLoadLoad,             // [kLoad kLoad]  a = slot1, b = slot2
   kLoadReturn,           // [kLoad kReturnValue]  a = slot
   kThisFieldReturn,      // [kGetThisFieldSlot kReturnValue]  a = offset
@@ -123,26 +133,24 @@ enum class Op : std::uint8_t {
                          //   a = slot, b = BinOp | castK<<8 | storeK<<16
   kLoadLoadBinaryReturn, // [kLoad kLoad kBinary kReturnValue]  a = slot1,
                          //   b = slot2 | BinOp<<20
-  kLoadConstCmpJump,     // [kLoad kConstInt kBinary(cmp) kJumpIfFalse
-                         //   (kLoopTick)]  a = target, c = intPool,
-                         //   b = slot | cmp<<20 | tick<<26
-  kLoadLoadCmpJump,      // [kLoad kLoad kBinary(cmp) kJumpIfFalse
-                         //   (kLoopTick)]  a = target,
+  kLoadConstCmpJump,     // [kCharge(kBranch) kLoad kConstInt kBinary(cmp)
+                         //   kJumpIfFalse (kCharge(kLoopIter))]  a = target,
+                         //   c = intPool, b = slot | cmp<<20 | tick<<26
+  kLoadLoadCmpJump,      // [kCharge(kBranch) kLoad kLoad kBinary(cmp)
+                         //   kJumpIfFalse (kCharge(kLoopIter))]  a = target,
                          //   b = slot1 | slot2<<10 | cmp<<20 | tick<<26
   kLoadConstBinStore,    // [kLoad kConstInt kBinary (kCast impl) kDup kStore
                          //   kPop]  a = intPool, c = castK enc (-1: none),
                          //   b = slot1 | slot2<<10 | BinOp<<20 | storeK<<25
-  kIncDecLocalStmt,      // [kLoad kDup kConstInt kBinary (kCast impl) kStore
-                         //   kPop]  (post-inc/dec statement, same slot)
-                         //   a = intPool, c = castK enc (-1: none),
-                         //   b = slot | BinOp<<20 | storeK<<25
+  kIncDecLocalStmt,      // [kLoad kDup kIncDec kStore kPop]  (post-inc/dec
+                         //   statement, same slot)  a = slot,
+                         //   b = BinOp | storeK<<8
   kLoadLoadConstBinary,  // [kLoad kLoad kConstInt kBinary]  a = intPool,
                          //   b = slot1 | slot2<<10 | BinOp<<20; pushes
                          //   slots[slot1] then (slots[slot2] <op> const)
   kIncDecJump,           // kIncDecLocalStmt run + trailing kJump — the
-                         //   counted-loop latch.  a = intPool, c = target,
-                         //   b = slot | BinOp<<16 | storeK<<21 | castK<<25
-                         //   (castK enc 15: none)
+                         //   counted-loop latch.  a = slot,
+                         //   b = BinOp | storeK<<8, c = target
   kAccumConstStmt,       // [kLoad kLoad kConstInt kBinary kBinary (kCast
                          //   impl) kDup kStore kPop] — the accumulate
                          //   statement `s1 = s1 <op2> (s2 <op1> const)`.
@@ -165,19 +173,18 @@ enum class Op : std::uint8_t {
   // already-fused code: a loop-body tail statement merged with the
   // kIncDecJump latch that follows it, so a steady-state counted-loop
   // iteration dispatches once for the whole tail. Instr::n carries the
-  // combined seed run length. Packed fields are decoded as unsigned.
+  // combined step count. Packed fields are decoded as unsigned.
   kAccumConstJump,       // [kAccumConstStmt][kIncDecJump], latch slot == s2.
-                         //   a = pool1 | pool2<<16, c = target |
-                         //   storeK1<<16 | castK1<<20 | storeKL<<24 |
-                         //   castKL<<28, b = s1 | s2<<8 | bop1<<16 |
-                         //   bop2<<21 | bopL<<26
-  kStorePopIncDecJump,   // [kStorePop][kIncDecJump].  a = pool | target<<16,
+                         //   a = pool1, c = target | storeK1<<16 |
+                         //   castK1<<20 | storeKL<<24, b = s1 | s2<<8 |
+                         //   bop1<<16 | bop2<<21 | bopL<<26
+  kStorePopIncDecJump,   // [kStorePop][kIncDecJump].  a = target,
                          //   b = slotS | slotL<<10 | bopL<<20,
-                         //   c = storeKS | storeKL<<4 | castKL<<8
+                         //   c = storeKS | storeKL<<4
   kBinCastStoreIncDecJump, // [kBinCastStorePop][kIncDecJump].
-                         //   a = pool | target<<16, b = slotS | slotL<<8 |
+                         //   a = target, b = slotS | slotL<<8 |
                          //   bopS<<16 | bopL<<21, c = storeKS | castKS<<4 |
-                         //   storeKL<<8 | castKL<<12
+                         //   storeKL<<8
 
   kCountedAccumLoop,     // Whole counted accumulate loop, produced by the
                          //   third peephole pass (matchLoop):
@@ -187,12 +194,12 @@ enum class Op : std::uint8_t {
                          //   back to the cmp. Both targets are implicit
                          //   (fall-through / self), so one dispatch runs a
                          //   whole iteration. Instr::n covers only the cmp
-                         //   run; the handler accounts the body run on the
-                         //   taken path, preserving exact step totals.
+                         //   run; the handler accounts the body run's steps
+                         //   on the taken path, preserving exact totals.
                          //   a = limitPool | pool1<<16, b as
-                         //   kAccumConstJump, c = pool2 | cmpOp<<10 |
+                         //   kAccumConstJump, c = bodySteps | cmpOp<<10 |
                          //   tick<<15 | storeK1<<16 | castK1<<20 |
-                         //   storeKL<<24 | castKL<<28
+                         //   storeKL<<24
 };
 
 struct Instr {
@@ -201,9 +208,12 @@ struct Instr {
   std::int32_t b = 0;
   std::int32_t c = 0;
   std::int32_t line = 0;
-  /// Number of seed instructions this instruction accounts for in step()
-  /// bookkeeping: 1 normally, the fused run length for superinstructions.
-  std::uint8_t n = 1;
+  /// Tree-interpreter steps (statement executions plus expression
+  /// evaluations) this instruction accounts for when dispatched. The
+  /// compiler puts each AST node's step on the first instruction its code
+  /// executes, so step totals, and where a step limit stops a run, match
+  /// the tree interpreter. Superinstructions carry the sum of their run.
+  std::uint32_t n = 0;
 };
 
 /// JVM-style exception table entry: pcs in [start, end) covered; on a match
@@ -226,12 +236,12 @@ struct Chunk {
   std::vector<Instr> code;
   std::vector<ExceptionEntry> handlers;
   int numSlots = 0;
-  int numParams = 0;  // including the `this` slot for instance methods
   bool isStatic = true;
-  std::vector<jvm::ValKind> paramKinds;  // coercion at call time
-  /// Dense program-wide chunk index (< CompiledProgram::chunkCount). The VM
-  /// keys its private quickened code copies on it, so quickening one VM
-  /// never mutates the shared CompiledProgram (ParallelRunner shares it).
+  /// Parameter kinds, `this` first in instance chunks (coercion at call
+  /// time).
+  std::vector<jvm::ValKind> paramKinds;
+  /// Dense program-wide chunk index (< CompiledProgram::chunkCount); the VM
+  /// keys per-chunk tables on it.
   std::uint32_t chunkId = 0;
   /// Worst-case operand-stack depth, computed by dataflow over the
   /// pre-fusion code (a fused instruction never needs more stack than the
@@ -272,13 +282,6 @@ struct CompiledProgram {
     const auto it = classes.find(name);
     return it == classes.end() ? nullptr : &it->second;
   }
-};
-
-/// Raised when a construct is outside the bytecode backend's supported set
-/// (documented limitation: break/continue/return crossing a finally).
-class CompileError : public Error {
- public:
-  using Error::Error;
 };
 
 /// Human-readable disassembly (for tests and debugging).

@@ -1,7 +1,10 @@
 #include "jbc/compiler.hpp"
 
+#include <iterator>
 #include <unordered_map>
+#include <utility>
 
+#include "energy/op.hpp"
 #include "jlang/resolve.hpp"
 #include "jvm/builtins.hpp"
 #include "jvm/ops.hpp"
@@ -10,10 +13,12 @@ namespace jepo::jbc {
 
 using jlang::AssignOp;
 using jlang::BinOp;
+using jlang::CallKind;
 using jlang::ClassDecl;
 using jlang::Expr;
 using jlang::ExprKind;
 using jlang::MethodDecl;
+using jlang::NameRef;
 using jlang::Prim;
 using jlang::Program;
 using jlang::Stmt;
@@ -27,6 +32,16 @@ namespace {
 class ProgramCompiler;
 
 /// Compiles one method body into a Chunk.
+///
+/// The lowering mirrors jvm::Interpreter node by node: every name and call
+/// site dispatches on the resolver's binding (the one the tree
+/// interpreter reads), locals use the resolver's frame slots (shifted past
+/// `this` in instance chunks), and every node emits the tree's charges in
+/// the tree's order — a statement's kBranch/kTernary/kTryEnter is a
+/// kCharge ahead of the code it guards, compiler temporaries never charge.
+/// Tree steps are counted in Instr::n: each statement or expression node
+/// adds one pending step, which lands on the next emitted instruction —
+/// the first one the node's code executes.
 class MethodCompiler {
  public:
   MethodCompiler(ProgramCompiler& owner, const ClassDecl& cls,
@@ -40,39 +55,47 @@ class MethodCompiler {
   // ------------------------------------------------------------- emission
   int emit(Op op, std::int32_t a = 0, std::int32_t b = 0, std::int32_t c = 0,
            int line = 0) {
-    chunk_.code.push_back(Instr{op, a, b, c, line});
+    Instr in{op, a, b, c, line};
+    in.n = pendingSteps_;
+    pendingSteps_ = 0;
+    chunk_.code.push_back(in);
     return static_cast<int>(chunk_.code.size() - 1);
   }
   int here() const { return static_cast<int>(chunk_.code.size()); }
+  /// The pc of a jump target about to be emitted. Steps still pending
+  /// belong to the path falling into it, so they get their own carrier.
+  int label() {
+    if (pendingSteps_ > 0) emit(Op::kStep);
+    return here();
+  }
   void patch(int at, int target) {
     chunk_.code[static_cast<std::size_t>(at)].a = target;
   }
-
-  // --------------------------------------------------------------- scopes
-  struct LocalInfo {
-    int slot;
-    ValKind kind;
-  };
-  void pushScope() { scopes_.emplace_back(); }
-  void popScope() { scopes_.pop_back(); }
-  int declareLocal(const std::string& name, ValKind kind) {
-    const int slot = chunk_.numSlots++;
-    scopes_.back().emplace_back(name, LocalInfo{slot, kind});
-    return slot;
+  void emitCharge(energy::Op op, int line) {
+    emit(Op::kCharge, static_cast<std::int32_t>(op), 0, 0, line);
   }
-  const LocalInfo* findLocal(const std::string& name) const {
-    for (auto it = scopes_.rbegin(); it != scopes_.rend(); ++it) {
-      for (const auto& [n, info] : *it) {
-        if (n == name) return &info;
-      }
-    }
-    return nullptr;
+  void emitError(const std::string& message, int line);
+
+  // ---------------------------------------------------------------- slots
+  /// VM slot of a resolver frame slot (slot 0 holds `this` in instance
+  /// chunks).
+  int slotOf(std::int32_t resolverSlot) const {
+    return resolverSlot + thisOffset_;
+  }
+  /// Declared kind of a resolver slot (kRef when unknown).
+  ValKind kindOf(std::int32_t resolverSlot) const {
+    const auto i = static_cast<std::size_t>(resolverSlot);
+    return i < slotKinds_.size() ? slotKinds_[i] : ValKind::kRef;
+  }
+  void setKind(std::int32_t resolverSlot, ValKind k) {
+    const auto i = static_cast<std::size_t>(resolverSlot);
+    if (i >= slotKinds_.size()) slotKinds_.resize(i + 1, ValKind::kRef);
+    slotKinds_[i] = k;
   }
   int newTemp() { return chunk_.numSlots++; }
 
   // ------------------------------------------------------------ statements
   void compileStmt(const Stmt& s);
-  void compileBlock(const Stmt& s);
   void compileVarDecl(const Stmt& s);
   void compileIf(const Stmt& s);
   void compileWhile(const Stmt& s);
@@ -80,44 +103,53 @@ class MethodCompiler {
   void compileTry(const Stmt& s);
   void compileSwitch(const Stmt& s);
   void compileReturn(const Stmt& s);
+  void compileJumpOut(const Stmt& s);
 
   // ----------------------------------------------------------- expressions
   void compileExpr(const Expr& e);
+  void compileVarRef(const Expr& e);
+  void compileFieldAccess(const Expr& e);
   void compileAssign(const Expr& e);
   void compileIncDec(const Expr& e);
   void compileCall(const Expr& e);
-  void compileVarRef(const Expr& e);
-  void compileFieldAccess(const Expr& e);
-  /// Store the top of stack into the lvalue `target`.
+  /// Store the top of stack into the lvalue `target` (jvm::Interpreter::
+  /// storeTo: qualified targets evaluate their object/array/index after
+  /// the value).
   void compileStoreTo(const Expr& target);
-  void emitDefault(ValKind k, int line);
+  /// Implicit narrowing of a compound-assignment or ++/-- result to the
+  /// target local's declared kind.
+  void emitLocalNarrowing(const Expr& target, int line);
 
-  // -------------------------------------------------------------- helpers
-  bool isClassNameRef(const Expr& e) const;
-  /// The resolver's view of the class being compiled.
-  const jlang::ResolvedClass& rcls() const;
-  /// Emit a static get/put against a named class: slot-resolved when the
-  /// class is a program class, the dynamic builtin-first op otherwise.
-  void emitStaticAccess(bool store, const std::string& className,
-                        const std::string& fieldName, int line);
-  /// Emit inlined copies of the finally blocks for frames deeper than
-  /// `downToDepth` (for return/break/continue crossing try-finally).
+  /// Inline copies of the finally blocks of try frames deeper than
+  /// `downToDepth` (for return/break/continue leaving them). Each copy runs
+  /// outside the try ranges it leaves, as the tree runs it after the try
+  /// statement completes.
   void emitFinallyCopies(std::size_t downToDepth);
 
   ProgramCompiler& owner_;
   const ClassDecl& cls_;
   bool isStatic_;
+  int thisOffset_ = 0;
   Chunk chunk_;
-  std::vector<std::vector<std::pair<std::string, LocalInfo>>> scopes_;
+  std::uint32_t pendingSteps_ = 0;
+  std::vector<ValKind> slotKinds_;  // by resolver slot
 
   struct LoopContext {
     std::vector<int> breakJumps;
     std::vector<int> continueJumps;
     bool isLoop = true;         // false for switch (breakable only)
-    std::size_t finallyDepth;   // finally frames live at loop entry
+    std::size_t tryDepth;       // try frames live at loop entry
   };
   std::vector<LoopContext> loops_;
-  std::vector<const Stmt*> finallyStack_;  // enclosing finally blocks
+  /// One entry per enclosing try block (and catch body, whose return/break
+  /// must run the same finally): the finally to inline on early exits and
+  /// the pc ranges of finally copies emitted inside, which the try's
+  /// exception entries must not cover.
+  struct TryFrame {
+    const Stmt* finallyBlock = nullptr;
+    std::vector<std::pair<int, int>> holes;
+  };
+  std::vector<TryFrame> tries_;
 };
 
 class ProgramCompiler {
@@ -144,10 +176,6 @@ class ProgramCompiler {
     return static_cast<int>(out_.numPool.size() - 1);
   }
 
-  const Program& program() const { return program_; }
-  bool isProgramClass(const std::string& name) const {
-    return program_.findClass(name) != nullptr;
-  }
   /// The resolution substrate (available once run() has started).
   const jlang::Resolution& res() const { return *res_; }
 
@@ -159,14 +187,24 @@ class ProgramCompiler {
   std::shared_ptr<const jlang::Resolution> res_;
 };
 
+bool hasStaticInitializers(const ClassDecl& cls) {
+  for (const auto& f : cls.fields) {
+    if (f.isStatic && f.init) return true;
+  }
+  return false;
+}
+
 // ---------------------------------------------------------------------------
 
 MethodCompiler::MethodCompiler(ProgramCompiler& owner, const ClassDecl& cls,
                                bool isStatic)
-    : owner_(owner), cls_(cls), isStatic_(isStatic) {}
+    : owner_(owner),
+      cls_(cls),
+      isStatic_(isStatic),
+      thisOffset_(isStatic ? 0 : 1) {}
 
-const jlang::ResolvedClass& MethodCompiler::rcls() const {
-  return owner_.res().classes[static_cast<std::size_t>(cls_.classId)];
+void MethodCompiler::emitError(const std::string& message, int line) {
+  emit(Op::kThrowError, owner_.nameIdx(message), 0, 0, line);
 }
 
 Chunk MethodCompiler::compileMethod(const MethodDecl& m) {
@@ -174,91 +212,62 @@ Chunk MethodCompiler::compileMethod(const MethodDecl& m) {
   chunk_.qualifiedName = cls_.name + "." + m.name;
   chunk_.methodId = m.methodId;
   chunk_.isStatic = m.isStatic;
-  pushScope();
-  if (!m.isStatic) {
-    declareLocal("this", ValKind::kRef);
-    chunk_.paramKinds.push_back(ValKind::kRef);
-  }
-  for (const auto& p : m.params) {
-    const ValKind k = jvm::kindOfType(p.type);
-    declareLocal(p.name, k);
+  if (!m.isStatic) chunk_.paramKinds.push_back(ValKind::kRef);
+  for (std::size_t i = 0; i < m.params.size(); ++i) {
+    const ValKind k = jvm::kindOfType(m.params[i].type);
     chunk_.paramKinds.push_back(k);
+    setKind(static_cast<std::int32_t>(i), k);
   }
-  chunk_.numParams = static_cast<int>(chunk_.paramKinds.size());
-  if (m.body) compileBlock(*m.body);
+  chunk_.numSlots = slotOf(m.numSlots);
+  if (m.body) compileStmt(*m.body);  // the body block steps, as execStmt
   emit(Op::kReturnVoid, 0, 0, 0, m.line);
-  popScope();
   return std::move(chunk_);
 }
 
 Chunk MethodCompiler::compileFieldInits(const ClassDecl& cls,
                                         bool staticFields) {
+  const jlang::ResolvedClass& rc =
+      owner_.res().classes[static_cast<std::size_t>(cls.classId)];
   chunk_ = Chunk{};
   chunk_.qualifiedName =
       cls.name + (staticFields ? ".<clinit>" : ".<initfields>");
-  chunk_.methodId = staticFields ? rcls().clinitId : rcls().initFieldsId;
+  chunk_.methodId = staticFields ? rc.clinitId : rc.initFieldsId;
   chunk_.isStatic = staticFields;
-  pushScope();
-  if (!staticFields) {
-    declareLocal("this", ValKind::kRef);
-    chunk_.paramKinds.push_back(ValKind::kRef);
-  }
-  chunk_.numParams = static_cast<int>(chunk_.paramKinds.size());
+  if (!staticFields) chunk_.paramKinds.push_back(ValKind::kRef);
+  chunk_.numSlots = thisOffset_;
+  // Interpreter::ensureClassInit / constructResolved: coerce to the
+  // declared kind, box static wrappers, charge the store.
   for (const auto& f : cls.fields) {
     if (f.isStatic != staticFields || !f.init) continue;
     compileExpr(*f.init);
     const ValKind k = jvm::kindOfType(f.type);
-    if (k != ValKind::kRef) emit(Op::kCast, static_cast<int>(k), 0, 0, f.line);
-    if (BuiltinLibrary::isWrapperClassName(f.type.className) &&
-        f.type.arrayDims == 0) {
-      emit(Op::kBox, owner_.nameIdx(f.type.className), 0, 0, f.line);
+    if (k != ValKind::kRef) {
+      emit(Op::kCast, static_cast<int>(k), /*implicit=*/1, 0, f.line);
     }
     // f.slot was assigned by the resolver: the global flat-statics slot
     // for statics, the layout offset for instance fields.
     if (staticFields) {
-      emit(Op::kPutStaticSlot, f.slot, cls.classId, 0, f.line);
+      if (jlang::isWrapperClassName(f.type.className)) {
+        emit(Op::kBox, owner_.nameIdx(f.type.className), 0, 0, f.line);
+      }
+      emit(Op::kPutStaticSlot, f.slot, cls.classId,
+           owner_.nameIdx(cls.name + "." + f.name), f.line);
     } else {
       emit(Op::kPutThisFieldSlot, f.slot, 0, 0, f.line);
     }
   }
   emit(Op::kReturnVoid);
-  popScope();
   return std::move(chunk_);
-}
-
-void MethodCompiler::emitDefault(ValKind k, int line) {
-  switch (k) {
-    case ValKind::kBool: emit(Op::kConstBool, 0, 0, 0, line); break;
-    case ValKind::kFloat:
-      emit(Op::kConstFloat, owner_.numIdx(0.0), 0, 0, line);
-      break;
-    case ValKind::kDouble:
-      emit(Op::kConstDouble, owner_.numIdx(0.0), 0, 0, line);
-      break;
-    case ValKind::kChar: emit(Op::kConstChar, 0, 0, 0, line); break;
-    case ValKind::kLong:
-      emit(Op::kConstLong, owner_.intIdx(0), 0, 0, line);
-      break;
-    case ValKind::kByte:
-    case ValKind::kShort:
-    case ValKind::kInt:
-      emit(Op::kConstInt, owner_.intIdx(0), 0, 0, line);
-      break;
-    default: emit(Op::kConstNull, 0, 0, 0, line); break;
-  }
 }
 
 // ----------------------------------------------------------------- stmts
 
-void MethodCompiler::compileBlock(const Stmt& s) {
-  pushScope();
-  for (const auto& st : s.body) compileStmt(*st);
-  popScope();
-}
-
 void MethodCompiler::compileStmt(const Stmt& s) {
+  ++pendingSteps_;
   switch (s.kind) {
-    case StmtKind::kBlock: compileBlock(s); return;
+    case StmtKind::kBlock:
+      for (const auto& st : s.body) compileStmt(*st);
+      return;
     case StmtKind::kVarDecl: compileVarDecl(s); return;
     case StmtKind::kExprStmt:
       compileExpr(*s.expr);
@@ -274,28 +283,30 @@ void MethodCompiler::compileStmt(const Stmt& s) {
       return;
     case StmtKind::kTry: compileTry(s); return;
     case StmtKind::kSwitch: compileSwitch(s); return;
-    case StmtKind::kBreak: {
-      JEPO_REQUIRE(!loops_.empty(), "break outside loop/switch");
-      emitFinallyCopies(loops_.back().finallyDepth);
-      loops_.back().breakJumps.push_back(emit(Op::kJump, 0, 0, 0, s.line));
-      return;
-    }
-    case StmtKind::kContinue: {
-      // The nearest *loop* (switches are not continue targets).
-      LoopContext* target = nullptr;
-      for (auto it = loops_.rbegin(); it != loops_.rend(); ++it) {
-        if (it->isLoop) {
-          target = &*it;
-          break;
-        }
-      }
-      JEPO_REQUIRE(target != nullptr, "continue outside loop");
-      emitFinallyCopies(target->finallyDepth);
-      target->continueJumps.push_back(emit(Op::kJump, 0, 0, 0, s.line));
-      return;
-    }
+    case StmtKind::kBreak:
+    case StmtKind::kContinue: compileJumpOut(s); return;
   }
   throw Error("unhandled statement kind in compiler");
+}
+
+void MethodCompiler::compileJumpOut(const Stmt& s) {
+  // break: the nearest loop or switch; continue: the nearest *loop*.
+  LoopContext* target = nullptr;
+  for (auto it = loops_.rbegin(); it != loops_.rend(); ++it) {
+    if (s.kind == StmtKind::kBreak || it->isLoop) {
+      target = &*it;
+      break;
+    }
+  }
+  if (target == nullptr) {
+    emitError("break/continue escaped method " + chunk_.qualifiedName,
+              s.line);
+    return;
+  }
+  emitFinallyCopies(target->tryDepth);
+  const int jump = emit(Op::kJump, 0, 0, 0, s.line);
+  (s.kind == StmtKind::kBreak ? target->breakJumps : target->continueJumps)
+      .push_back(jump);
 }
 
 void MethodCompiler::compileVarDecl(const Stmt& s) {
@@ -303,82 +314,102 @@ void MethodCompiler::compileVarDecl(const Stmt& s) {
   if (s.init) {
     compileExpr(*s.init);
   } else {
-    emitDefault(k, s.line);
+    emit(Op::kPushDefault, static_cast<int>(k), 0, 0, s.line);
   }
-  const bool wrapper =
-      s.declType.arrayDims == 0 &&
-      BuiltinLibrary::isWrapperClassName(s.declType.className);
-  if (wrapper) {
+  // A wrapper-class declaration with a primitive initializer autoboxes
+  // (kBox leaves references alone).
+  if (jlang::isWrapperClassName(s.declType.className)) {
     emit(Op::kBox, owner_.nameIdx(s.declType.className), 0, 0, s.line);
   }
-  const int slot = declareLocal(s.declName, k);
-  emit(Op::kStore, slot, static_cast<int>(k), 0, s.line);
+  setKind(s.declSlot, k);
+  emit(Op::kStoreDecl, slotOf(s.declSlot), static_cast<int>(k), 0, s.line);
 }
 
 void MethodCompiler::compileIf(const Stmt& s) {
+  emitCharge(energy::Op::kBranch, s.line);
   compileExpr(*s.cond);
   const int jumpElse = emit(Op::kJumpIfFalse, 0, 0, 0, s.line);
   compileStmt(*s.thenStmt);
   if (s.elseStmt) {
     const int jumpEnd = emit(Op::kJump);
-    patch(jumpElse, here());
+    patch(jumpElse, label());
     compileStmt(*s.elseStmt);
-    patch(jumpEnd, here());
+    patch(jumpEnd, label());
   } else {
-    patch(jumpElse, here());
+    patch(jumpElse, label());
   }
 }
 
 void MethodCompiler::compileWhile(const Stmt& s) {
-  const int start = here();
+  const int start = label();
+  emitCharge(energy::Op::kBranch, s.line);
   compileExpr(*s.cond);
   const int exitJump = emit(Op::kJumpIfFalse, 0, 0, 0, s.line);
-  emit(Op::kLoopTick);
-  loops_.push_back(LoopContext{{}, {}, true, finallyStack_.size()});
+  emitCharge(energy::Op::kLoopIter, s.line);
+  loops_.push_back(LoopContext{{}, {}, true, tries_.size()});
   compileStmt(*s.thenStmt);
   LoopContext ctx = std::move(loops_.back());
   loops_.pop_back();
   for (int j : ctx.continueJumps) patch(j, start);
   emit(Op::kJump, start);
-  patch(exitJump, here());
-  for (int j : ctx.breakJumps) patch(j, here());
+  const int end = label();
+  patch(exitJump, end);
+  for (int j : ctx.breakJumps) patch(j, end);
 }
 
 void MethodCompiler::compileFor(const Stmt& s) {
-  pushScope();
   for (const auto& init : s.body) compileStmt(*init);
-  const int start = here();
+  const int start = label();
   int exitJump = -1;
   if (s.cond) {
+    emitCharge(energy::Op::kBranch, s.line);
     compileExpr(*s.cond);
     exitJump = emit(Op::kJumpIfFalse, 0, 0, 0, s.line);
   }
-  emit(Op::kLoopTick);
-  loops_.push_back(LoopContext{{}, {}, true, finallyStack_.size()});
+  emitCharge(energy::Op::kLoopIter, s.line);
+  loops_.push_back(LoopContext{{}, {}, true, tries_.size()});
   compileStmt(*s.thenStmt);
   LoopContext ctx = std::move(loops_.back());
   loops_.pop_back();
-  const int updateTarget = here();
-  for (int j : ctx.continueJumps) patch(j, updateTarget);
+  if (!ctx.continueJumps.empty()) {
+    const int update = label();
+    for (int j : ctx.continueJumps) patch(j, update);
+  }
+  // Updates are evaluated as bare expressions (no statement step).
   for (const auto& u : s.update) {
     compileExpr(*u);
     emit(Op::kPop);
   }
   emit(Op::kJump, start);
-  if (exitJump >= 0) patch(exitJump, here());
-  for (int j : ctx.breakJumps) patch(j, here());
-  popScope();
+  const int end = label();
+  if (exitJump >= 0) patch(exitJump, end);
+  for (int j : ctx.breakJumps) patch(j, end);
 }
 
 void MethodCompiler::emitFinallyCopies(std::size_t downToDepth) {
-  for (std::size_t i = finallyStack_.size(); i > downToDepth; --i) {
-    const Stmt* fin = finallyStack_[i - 1];
-    if (fin != nullptr) compileStmt(*fin);
+  for (std::size_t i = tries_.size(); i > downToDepth; --i) {
+    const Stmt* fin = tries_[i - 1].finallyBlock;
+    if (fin == nullptr) continue;
+    // The copy runs after try i-1 and every deeper one completed: compile
+    // it with only the frames outside them live (an early exit inside it
+    // leaves those), and keep it out of their exception ranges.
+    std::vector<TryFrame> left(std::make_move_iterator(tries_.begin() + i - 1),
+                               std::make_move_iterator(tries_.end()));
+    tries_.resize(i - 1);
+    const int start = here();
+    compileStmt(*fin);
+    const int end = here();
+    for (TryFrame& t : left) {
+      t.holes.emplace_back(start, end);
+      tries_.push_back(std::move(t));
+    }
   }
 }
 
 void MethodCompiler::compileReturn(const Stmt& s) {
-  if (finallyStack_.empty()) {
+  bool crossesFinally = false;
+  for (const TryFrame& t : tries_) crossesFinally |= t.finallyBlock != nullptr;
+  if (!crossesFinally) {
     if (s.expr) {
       compileExpr(*s.expr);
       emit(Op::kReturnValue, 0, 0, 0, s.line);
@@ -391,9 +422,9 @@ void MethodCompiler::compileReturn(const Stmt& s) {
   if (s.expr) {
     compileExpr(*s.expr);
     const int temp = newTemp();
-    emit(Op::kStore, temp, -1, 0, s.line);
+    emit(Op::kStoreTemp, temp, 0, 0, s.line);
     emitFinallyCopies(0);
-    emit(Op::kLoad, temp, 0, 0, s.line);
+    emit(Op::kLoadTemp, temp, 0, 0, s.line);
     emit(Op::kReturnValue, 0, 0, 0, s.line);
   } else {
     emitFinallyCopies(0);
@@ -402,60 +433,63 @@ void MethodCompiler::compileReturn(const Stmt& s) {
 }
 
 void MethodCompiler::compileTry(const Stmt& s) {
-  emit(Op::kTryTick, 0, 0, 0, s.line);
+  emitCharge(energy::Op::kTryEnter, s.line);
   const Stmt* finallyBlock = s.finallyBlock.get();
-  finallyStack_.push_back(finallyBlock);
-
+  tries_.push_back(TryFrame{finallyBlock, {}});
   const int tryStart = here();
   compileStmt(*s.tryBlock);
   const int tryEnd = here();
+  const TryFrame frame = std::move(tries_.back());
+  tries_.pop_back();
 
-  finallyStack_.pop_back();  // handlers/finally copies run outside the frame
+  // The try block's pc range minus the finally copies inlined into it.
+  std::vector<std::pair<int, int>> ranges;
+  int from = tryStart;
+  for (const auto& [holeStart, holeEnd] : frame.holes) {
+    if (holeStart > from) ranges.emplace_back(from, holeStart);
+    from = holeEnd;
+  }
+  if (tryEnd > from) ranges.emplace_back(from, tryEnd);
+  const auto cover = [&](int handler, std::int32_t classNameIdx, int slot) {
+    for (const auto& [start, end] : ranges) {
+      chunk_.handlers.push_back(
+          ExceptionEntry{start, end, handler, classNameIdx, slot});
+    }
+  };
 
   std::vector<int> endJumps;
   if (finallyBlock != nullptr) compileStmt(*finallyBlock);
   endJumps.push_back(emit(Op::kJump));
 
-  // Catch handlers.
+  // Catch handlers. As in the tree interpreter, an exception escaping a
+  // catch body skips the finally; return/break/continue out of one run it.
   for (const auto& clause : s.catches) {
-    pushScope();
-    const int slot = declareLocal(clause.varName, ValKind::kRef);
-    ExceptionEntry entry;
-    entry.start = tryStart;
-    entry.end = tryEnd;
-    entry.handler = here();
-    entry.classNameIdx = owner_.nameIdx(clause.exceptionClass);
-    entry.slot = slot;
-    chunk_.handlers.push_back(entry);
+    cover(label(), owner_.nameIdx(clause.exceptionClass),
+          slotOf(clause.slot));
+    tries_.push_back(TryFrame{finallyBlock, {}});
     compileStmt(*clause.body);
-    popScope();
+    tries_.pop_back();
     if (finallyBlock != nullptr) compileStmt(*finallyBlock);
     endJumps.push_back(emit(Op::kJump));
   }
-  const int catchesEnd = here();
 
-  // Catch-all: run the finally, rethrow. Covers the try AND catch bodies.
+  // Uncaught: run the finally, rethrow.
   if (finallyBlock != nullptr) {
     const int temp = newTemp();
-    ExceptionEntry entry;
-    entry.start = tryStart;
-    entry.end = catchesEnd;
-    entry.handler = here();
-    entry.classNameIdx = -1;
-    entry.slot = temp;
-    chunk_.handlers.push_back(entry);
+    cover(label(), -1, temp);
     compileStmt(*finallyBlock);
-    emit(Op::kLoad, temp);
-    emit(Op::kThrow);
+    emit(Op::kRethrow, temp);
   }
 
-  for (int j : endJumps) patch(j, here());
+  const int end = label();
+  for (int j : endJumps) patch(j, end);
 }
 
 void MethodCompiler::compileSwitch(const Stmt& s) {
+  emitCharge(energy::Op::kBranch, s.line);
   compileExpr(*s.cond);
   const int selSlot = newTemp();
-  emit(Op::kStore, selSlot, -1, 0, s.line);
+  emit(Op::kStoreTemp, selSlot, 0, 0, s.line);
 
   // Dispatch: compare against each case label in order.
   std::vector<int> caseJumps(s.cases.size(), -1);
@@ -465,166 +499,130 @@ void MethodCompiler::compileSwitch(const Stmt& s) {
       defaultIdx = static_cast<int>(i);
       continue;
     }
-    emit(Op::kLoad, selSlot);
-    emit(Op::kConstInt, owner_.intIdx(s.cases[i].value));
-    emit(Op::kBinary, static_cast<int>(BinOp::kEq));
-    caseJumps[i] = emit(Op::kJumpIfTrue, 0, 0, 0, s.line);
+    caseJumps[i] = emit(Op::kCaseJump, 0, owner_.intIdx(s.cases[i].value),
+                        selSlot, s.line);
   }
   const int dispatchEndJump = emit(Op::kJump);
 
-  loops_.push_back(LoopContext{{}, {}, false, finallyStack_.size()});
+  loops_.push_back(LoopContext{{}, {}, false, tries_.size()});
   std::vector<int> bodyStart(s.cases.size(), 0);
   for (std::size_t i = 0; i < s.cases.size(); ++i) {
-    bodyStart[i] = here();
+    bodyStart[i] = label();
     for (const auto& st : s.cases[i].body) compileStmt(*st);
   }
   LoopContext ctx = std::move(loops_.back());
   loops_.pop_back();
-  JEPO_REQUIRE(ctx.continueJumps.empty(),
-               "continue inside switch must target a loop");
+  const int end = label();
 
   for (std::size_t i = 0; i < s.cases.size(); ++i) {
     if (caseJumps[i] >= 0) patch(caseJumps[i], bodyStart[i]);
   }
   patch(dispatchEndJump,
         defaultIdx >= 0 ? bodyStart[static_cast<std::size_t>(defaultIdx)]
-                        : here());
-  for (int j : ctx.breakJumps) patch(j, here());
+                        : end);
+  for (int j : ctx.breakJumps) patch(j, end);
 }
 
 // ----------------------------------------------------------------- exprs
 
-bool MethodCompiler::isClassNameRef(const Expr& e) const {
-  if (e.kind != ExprKind::kVarRef) return false;
-  if (findLocal(e.strValue) != nullptr) return false;
-  return owner_.isProgramClass(e.strValue) ||
-         BuiltinLibrary::isBuiltinClassName(e.strValue);
-}
-
 void MethodCompiler::compileVarRef(const Expr& e) {
-  if (e.strValue == "this") {
-    emit(Op::kLoadThis, 0, 0, 0, e.line);
-    return;
-  }
-  if (const LocalInfo* local = findLocal(e.strValue)) {
-    emit(Op::kLoad, local->slot, 0, 0, e.line);
-    return;
-  }
-  // Instance field of this (f.slot = layout offset, from the resolver).
-  if (!isStatic_) {
-    for (const auto& f : cls_.fields) {
-      if (!f.isStatic && f.name == e.strValue) {
-        emit(Op::kGetThisFieldSlot, f.slot, 0, 0, e.line);
-        return;
-      }
-    }
-  }
-  // Static field of the current class (f.slot = global statics slot).
-  for (const auto& f : cls_.fields) {
-    if (f.isStatic && f.name == e.strValue) {
-      emit(Op::kGetStaticSlot, f.slot, cls_.classId, 0, e.line);
+  switch (e.nameRef) {
+    case NameRef::kThis:
+      emit(Op::kLoadThis, 0, isStatic_ ? 1 : 0, 0, e.line);
       return;
-    }
-  }
-  throw CompileError("undefined name '" + e.strValue + "' at line " +
-                     std::to_string(e.line));
-}
-
-void MethodCompiler::emitStaticAccess(bool store, const std::string& className,
-                                      const std::string& fieldName, int line) {
-  // Builtin class names keep the dynamic op: the VM probes the builtin
-  // static table first, exactly as the seed did.
-  if (!BuiltinLibrary::isBuiltinClassName(className)) {
-    const std::int32_t id = owner_.res().classIdOf(className);
-    if (id >= 0) {
-      const jlang::ResolvedClass& rc =
-          owner_.res().classes[static_cast<std::size_t>(id)];
-      const int idx = rc.staticIndexOf(fieldName);
-      const std::int32_t slot = idx >= 0 ? rc.staticSlots[idx] : -1;
-      // slot -1: the resolver proved the field missing. The VM still runs
-      // <clinit> first, then raises the seed's error using the name in c.
-      emit(store ? Op::kPutStaticSlot : Op::kGetStaticSlot, slot, id,
-           owner_.nameIdx(className + "." + fieldName), line);
+    case NameRef::kLocal:
+      emit(Op::kLoad, slotOf(e.slot), 0, 0, e.line);
       return;
-    }
+    case NameRef::kThisField:
+      emit(Op::kGetThisFieldSlot, e.slot, 0, 0, e.line);
+      return;
+    case NameRef::kStaticSlot:
+      emit(Op::kGetStaticSlot, e.slot, e.classId,
+           owner_.nameIdx(cls_.name + "." + e.strValue), e.line);
+      return;
+    default:
+      emitError("undefined name '" + e.strValue + "' at line " +
+                    std::to_string(e.line),
+                e.line);
+      return;
   }
-  emit(store ? Op::kPutStatic : Op::kGetStatic,
-       owner_.nameIdx(className + "." + fieldName), 0, 0, line);
 }
 
 void MethodCompiler::compileFieldAccess(const Expr& e) {
-  if (isClassNameRef(*e.a)) {
-    emitStaticAccess(/*store=*/false, e.a->strValue, e.strValue, e.line);
-    return;
-  }
-  compileExpr(*e.a);
-  if (e.nameRef == jlang::NameRef::kInstanceField && e.cacheSlot >= 0) {
-    emit(Op::kGetFieldCached, owner_.nameIdx(e.strValue), e.cacheSlot, 0,
-         e.line);
-  } else {
-    emit(Op::kGetField, owner_.nameIdx(e.strValue), 0, 0, e.line);
+  const std::string qualified = e.a->strValue + "." + e.strValue;
+  switch (e.nameRef) {
+    case NameRef::kBuiltinStatic:
+      emit(Op::kGetStatic, owner_.nameIdx(qualified), 0, 0, e.line);
+      return;
+    case NameRef::kStaticSlot:
+      // The receiver names a class and is never evaluated.
+      emit(Op::kGetStaticSlot, e.slot, e.classId, owner_.nameIdx(qualified),
+           e.line);
+      return;
+    default:
+      compileExpr(*e.a);
+      emit(Op::kGetFieldCached, owner_.nameIdx(e.strValue), e.cacheSlot, 0,
+           e.line);
+      return;
   }
 }
 
 void MethodCompiler::compileStoreTo(const Expr& target) {
   // Precondition: the value to store is on top of the stack.
   switch (target.kind) {
-    case ExprKind::kVarRef: {
-      if (const LocalInfo* local = findLocal(target.strValue)) {
-        emit(Op::kStore, local->slot, static_cast<int>(local->kind), 0,
-             target.line);
-        return;
-      }
-      if (!isStatic_) {
-        for (const auto& f : cls_.fields) {
-          if (!f.isStatic && f.name == target.strValue) {
-            emit(Op::kPutThisFieldSlot, f.slot, 0, 0, target.line);
-            return;
-          }
-        }
-      }
-      for (const auto& f : cls_.fields) {
-        if (f.isStatic && f.name == target.strValue) {
-          emit(Op::kPutStaticSlot, f.slot, cls_.classId, 0, target.line);
+    case ExprKind::kVarRef:
+      switch (target.nameRef) {
+        case NameRef::kLocal:
+          emit(Op::kStore, slotOf(target.slot),
+               static_cast<int>(kindOf(target.slot)), 0, target.line);
           return;
-        }
+        case NameRef::kThisField:
+          emit(Op::kPutThisFieldSlot, target.slot, 0, 0, target.line);
+          return;
+        case NameRef::kStaticSlot:
+          emit(Op::kPutStaticSlot, target.slot, target.classId,
+               owner_.nameIdx(cls_.name + "." + target.strValue),
+               target.line);
+          return;
+        default:  // `this` and unresolved names are not assignable
+          emitError("assignment to undefined name '" + target.strValue +
+                        "' at line " + std::to_string(target.line),
+                    target.line);
+          return;
       }
-      throw CompileError("assignment to undefined name '" + target.strValue +
-                         "' at line " + std::to_string(target.line));
-    }
-    case ExprKind::kFieldAccess: {
-      if (isClassNameRef(*target.a)) {
-        emitStaticAccess(/*store=*/true, target.a->strValue, target.strValue,
-                         target.line);
+    case ExprKind::kFieldAccess:
+      if (target.nameRef == NameRef::kBuiltinStatic ||
+          target.nameRef == NameRef::kStaticSlot) {
+        // Unlike reads, stores never consult the builtin statics.
+        emit(Op::kPutStaticSlot, target.slot, target.classId,
+             owner_.nameIdx(target.a->strValue + "." + target.strValue),
+             target.line);
         return;
       }
-      // value on stack; need obj value for kPutField: stash value.
-      const int temp = newTemp();
-      emit(Op::kStore, temp, -1, 0, target.line);
       compileExpr(*target.a);
-      emit(Op::kLoad, temp);
-      if (target.nameRef == jlang::NameRef::kInstanceField &&
-          target.cacheSlot >= 0) {
-        emit(Op::kPutFieldCached, owner_.nameIdx(target.strValue),
-             target.cacheSlot, 0, target.line);
-      } else {
-        emit(Op::kPutField, owner_.nameIdx(target.strValue), 0, 0,
-             target.line);
-      }
+      emit(Op::kPutFieldCached, owner_.nameIdx(target.strValue),
+           target.cacheSlot, 0, target.line);
       return;
-    }
-    case ExprKind::kArrayIndex: {
-      const int temp = newTemp();
-      emit(Op::kStore, temp, -1, 0, target.line);
+    case ExprKind::kArrayIndex:
       compileExpr(*target.a);
       compileExpr(*target.b);
-      emit(Op::kLoad, temp);
       emit(Op::kArraySet, 0, 0, 0, target.line);
       return;
-    }
     default:
-      throw CompileError("invalid assignment target at line " +
-                         std::to_string(target.line));
+      emitError("invalid assignment target at line " +
+                    std::to_string(target.line),
+                target.line);
+      return;
+  }
+}
+
+void MethodCompiler::emitLocalNarrowing(const Expr& target, int line) {
+  if (target.kind != ExprKind::kVarRef || target.nameRef != NameRef::kLocal) {
+    return;
+  }
+  const ValKind k = kindOf(target.slot);
+  if (k != ValKind::kRef) {
+    emit(Op::kCast, static_cast<int>(k), /*implicit=*/1, 0, line);
   }
 }
 
@@ -644,15 +642,7 @@ void MethodCompiler::compileAssign(const Expr& e) {
     compileExpr(*e.a);  // current value
     compileExpr(*e.b);
     emit(Op::kBinary, static_cast<int>(op), 0, 0, e.line);
-    // Narrow compound results back to the target's kind when known.
-    if (e.a->kind == ExprKind::kVarRef) {
-      if (const LocalInfo* local = findLocal(e.a->strValue)) {
-        if (local->kind != ValKind::kRef) {
-          emit(Op::kCast, static_cast<int>(local->kind), 1 /*implicit*/, 0,
-               e.line);
-        }
-      }
-    }
+    emitLocalNarrowing(*e.a, e.line);
   }
   emit(Op::kDup);  // assignment yields its value
   compileStoreTo(*e.a);
@@ -661,89 +651,88 @@ void MethodCompiler::compileAssign(const Expr& e) {
 void MethodCompiler::compileIncDec(const Expr& e) {
   const bool inc = e.unOp == UnOp::kPreInc || e.unOp == UnOp::kPostInc;
   const bool pre = e.unOp == UnOp::kPreInc || e.unOp == UnOp::kPreDec;
-  // old value
-  compileExpr(*e.a);
+  compileExpr(*e.a);  // old value
   if (!pre) emit(Op::kDup);  // keep old as the expression result
-  emit(Op::kConstInt, owner_.intIdx(1), 0, 0, e.line);
-  emit(Op::kBinary, static_cast<int>(inc ? BinOp::kAdd : BinOp::kSub), 0, 0,
+  emit(Op::kIncDec, static_cast<int>(inc ? BinOp::kAdd : BinOp::kSub), 0, 0,
        e.line);
-  // Coerce to the target's kind when known (++ on byte wraps at byte).
-  if (e.a->kind == ExprKind::kVarRef) {
-    if (const LocalInfo* local = findLocal(e.a->strValue)) {
-      if (local->kind != ValKind::kRef) {
-        emit(Op::kCast, static_cast<int>(local->kind), 1, 0, e.line);
-      }
-    }
-  }
   if (pre) emit(Op::kDup);  // new value is the expression result
   compileStoreTo(*e.a);
 }
 
 void MethodCompiler::compileCall(const Expr& e) {
-  // System.out.println / print.
-  if (e.a && e.a->kind == ExprKind::kFieldAccess && e.a->strValue == "out" &&
-      e.a->a && e.a->a->kind == ExprKind::kVarRef &&
-      e.a->a->strValue == "System" &&
-      (e.strValue == "println" || e.strValue == "print")) {
-    const bool hasArg = !e.args.empty();
-    if (hasArg) compileExpr(*e.args[0]);
-    emit(Op::kPrint, e.strValue == "println" ? 1 : 0, hasArg ? 1 : 0, 0,
-         e.line);
-    return;
-  }
-  // Static call.
-  if (e.a && isClassNameRef(*e.a)) {
+  const auto compileArgs = [&] {
     for (const auto& arg : e.args) compileExpr(*arg);
-    // Program-class targets with a known method resolve to (classId,
-    // ordinal). Builtin classes and missing methods keep the dynamic op
-    // (the builtin dispatch and the seed's errors live there).
-    if (!BuiltinLibrary::isBuiltinClassName(e.a->strValue)) {
-      const std::int32_t id = owner_.res().classIdOf(e.a->strValue);
-      if (id >= 0) {
-        const jlang::ResolvedClass& rc =
-            owner_.res().classes[static_cast<std::size_t>(id)];
-        const jlang::ResolvedMethod* rm = rc.findMethod(e.strValue);
-        if (rm != nullptr) {
-          emit(Op::kCallStaticResolved, id, rc.methodOrdinal(rm->decl),
-               static_cast<int>(e.args.size()), e.line);
-          return;
-        }
-      }
-    }
-    emit(Op::kCallStatic, owner_.nameIdx(e.a->strValue),
-         owner_.nameIdx(e.strValue), static_cast<int>(e.args.size()),
-         e.line);
-    return;
-  }
-  // Unqualified call.
-  if (!e.a) {
-    for (const auto& arg : e.args) compileExpr(*arg);
-    const jlang::ResolvedMethod* rm = rcls().findMethod(e.strValue);
-    // An instance target in a static chunk keeps the dynamic op, which
-    // raises the seed's "instance method called from static context".
-    if (rm != nullptr && !(isStatic_ && !rm->decl->isStatic)) {
-      emit(Op::kCallSelfResolved, rcls().methodOrdinal(rm->decl),
-           static_cast<int>(e.args.size()), rm->decl->isStatic ? 0 : 1,
-           e.line);
+  };
+  const auto argc = static_cast<std::int32_t>(e.args.size());
+  switch (e.callKind) {
+    case CallKind::kPrint: {
+      const bool hasArg = !e.args.empty();
+      if (hasArg) compileExpr(*e.args[0]);
+      emit(Op::kPrint, e.slot == 1 ? 1 : 0, hasArg ? 1 : 0, 0, e.line);
       return;
     }
-    emit(Op::kCallUnqualified, owner_.nameIdx(e.strValue),
-         static_cast<int>(e.args.size()), 0, e.line);
-    return;
-  }
-  // Instance call: receiver, then args.
-  compileExpr(*e.a);
-  for (const auto& arg : e.args) compileExpr(*arg);
-  if (e.callKind == jlang::CallKind::kInstanceCached && e.cacheSlot >= 0) {
-    emit(Op::kCallVirtualCached, owner_.nameIdx(e.strValue),
-         static_cast<int>(e.args.size()), e.cacheSlot, e.line);
-  } else {
-    emit(Op::kCallVirtual, owner_.nameIdx(e.strValue),
-         static_cast<int>(e.args.size()), 0, e.line);
+    case CallKind::kBuiltinStatic:
+      compileArgs();
+      emit(Op::kCallStatic, owner_.nameIdx(e.a->strValue),
+           owner_.nameIdx(e.strValue), argc, e.line);
+      return;
+    case CallKind::kStaticMethod: {
+      // The tree initializes the target class before evaluating the
+      // arguments. That order is observable only when the class has
+      // static initializers and is not the running class (whose
+      // initialization has already started).
+      if (e.classId != cls_.classId && hasStaticInitializers(*e.targetClass)) {
+        emit(Op::kInitClass, e.classId, 0, 0, e.line);
+      }
+      compileArgs();
+      const jlang::ResolvedClass& rc =
+          owner_.res().classes[static_cast<std::size_t>(e.classId)];
+      emit(Op::kCallStaticResolved, e.classId,
+           rc.methodOrdinal(e.targetMethod), argc, e.line);
+      return;
+    }
+    case CallKind::kStaticMissing:
+      // Fails before evaluating arguments or initializing the class.
+      emitError("unknown method " + e.a->strValue + "." + e.strValue +
+                    " at line " + std::to_string(e.line),
+                e.line);
+      return;
+    case CallKind::kSelfMethod:
+      compileArgs();
+      if (isStatic_ && !e.targetMethod->isStatic) {
+        emitError("instance method " + e.strValue +
+                      " called from static context at line " +
+                      std::to_string(e.line),
+                  e.line);
+        return;
+      }
+      emit(Op::kCallSelfResolved,
+           owner_.res()
+               .classes[static_cast<std::size_t>(cls_.classId)]
+               .methodOrdinal(e.targetMethod),
+           argc, e.targetMethod->isStatic ? 0 : 1, e.line);
+      return;
+    case CallKind::kSelfMissing:
+      emitError("unknown method " + e.strValue + " at line " +
+                    std::to_string(e.line),
+                e.line);
+      return;
+    case CallKind::kInstanceCached:
+      compileExpr(*e.a);
+      compileArgs();
+      emit(Op::kCallVirtualCached, owner_.nameIdx(e.strValue), argc,
+           e.cacheSlot, e.line);
+      return;
+    default:
+      emitError("unresolved call '" + e.strValue + "' at line " +
+                    std::to_string(e.line),
+                e.line);
+      return;
   }
 }
 
 void MethodCompiler::compileExpr(const Expr& e) {
+  ++pendingSteps_;
   switch (e.kind) {
     case ExprKind::kIntLit:
       emit(Op::kConstInt, owner_.intIdx(e.intValue), 0, 0, e.line);
@@ -780,23 +769,16 @@ void MethodCompiler::compileExpr(const Expr& e) {
       return;
     case ExprKind::kBinary: {
       if (e.binOp == BinOp::kAndAnd || e.binOp == BinOp::kOrOr) {
-        // a && b  ->  a ? b : false ;  a || b  ->  a ? true : b
+        // Charge the branch, then short-circuit on the lhs, leaving it as
+        // the result when the jump is taken.
+        emitCharge(energy::Op::kBranch, e.line);
         compileExpr(*e.a);
-        if (e.binOp == BinOp::kAndAnd) {
-          const int jumpFalse = emit(Op::kJumpIfFalse, 0, 0, 0, e.line);
-          compileExpr(*e.b);
-          const int jumpEnd = emit(Op::kJump);
-          patch(jumpFalse, here());
-          emit(Op::kConstBool, 0);
-          patch(jumpEnd, here());
-        } else {
-          const int jumpTrue = emit(Op::kJumpIfTrue, 0, 0, 0, e.line);
-          compileExpr(*e.b);
-          const int jumpEnd = emit(Op::kJump);
-          patch(jumpTrue, here());
-          emit(Op::kConstBool, 1);
-          patch(jumpEnd, here());
-        }
+        const int jump =
+            emit(e.binOp == BinOp::kAndAnd ? Op::kJumpIfFalse
+                                           : Op::kJumpIfTrue,
+                 0, /*keep=*/1, 0, e.line);
+        compileExpr(*e.b);
+        patch(jump, label());
         return;
       }
       compileExpr(*e.a);
@@ -824,14 +806,14 @@ void MethodCompiler::compileExpr(const Expr& e) {
       }
     case ExprKind::kAssign: compileAssign(e); return;
     case ExprKind::kTernary: {
+      emitCharge(energy::Op::kTernary, e.line);
       compileExpr(*e.a);
-      const int jumpElse =
-          emit(Op::kJumpIfFalse, 0, /*ternary=*/1, 0, e.line);
+      const int jumpElse = emit(Op::kJumpIfFalse, 0, 0, 0, e.line);
       compileExpr(*e.b);
       const int jumpEnd = emit(Op::kJump);
-      patch(jumpElse, here());
+      patch(jumpElse, label());
       compileExpr(*e.c);
-      patch(jumpEnd, here());
+      patch(jumpEnd, label());
       return;
     }
     case ExprKind::kCall: compileCall(e); return;
@@ -839,8 +821,7 @@ void MethodCompiler::compileExpr(const Expr& e) {
       for (const auto& arg : e.args) compileExpr(*arg);
       // c = classId+1 when the resolver bound the class (program class,
       // not shadowed by a builtin) — the VM skips the builtin probe.
-      const bool bound =
-          e.callKind == jlang::CallKind::kConstruct && e.classId >= 0;
+      const bool bound = e.callKind == CallKind::kConstruct && e.classId >= 0;
       emit(Op::kNewObject, owner_.nameIdx(e.strValue),
            static_cast<int>(e.args.size()), bound ? e.classId + 1 : 0,
            e.line);
@@ -879,19 +860,18 @@ int stackEffect(const Instr& in) {
   switch (in.op) {
     case Op::kConstInt: case Op::kConstLong: case Op::kConstFloat:
     case Op::kConstDouble: case Op::kConstStr: case Op::kConstChar:
-    case Op::kConstBool: case Op::kConstNull:
-    case Op::kLoad: case Op::kLoadThis:
-    case Op::kGetThisField: case Op::kGetStatic:
-    case Op::kGetThisFieldSlot: case Op::kGetStaticSlot:
+    case Op::kConstBool: case Op::kConstNull: case Op::kPushDefault:
+    case Op::kLoad: case Op::kLoadThis: case Op::kLoadTemp:
+    case Op::kGetStatic: case Op::kGetThisFieldSlot: case Op::kGetStaticSlot:
     case Op::kDup:
       return 1;
-    case Op::kStore: case Op::kPutThisField: case Op::kPutStatic:
+    case Op::kStore: case Op::kStoreDecl: case Op::kStoreTemp:
     case Op::kPutThisFieldSlot: case Op::kPutStaticSlot:
     case Op::kJumpIfFalse: case Op::kJumpIfTrue:
     case Op::kBinary: case Op::kArrayGet: case Op::kPop:
     case Op::kReturnValue: case Op::kThrow:
       return -1;
-    case Op::kPutField: case Op::kPutFieldCached:
+    case Op::kPutFieldCached:
       return -2;
     case Op::kArraySet:
       return -3;
@@ -901,23 +881,25 @@ int stackEffect(const Instr& in) {
       return 1 - in.b;
     case Op::kCallStatic: case Op::kCallStaticResolved:
       return 1 - in.c;
-    case Op::kCallUnqualified: case Op::kCallSelfResolved:
+    case Op::kCallSelfResolved:
       return 1 - in.b;  // argc in b; `this` comes from slot 0, not the stack
-    case Op::kCallVirtual: case Op::kCallVirtualCached:
+    case Op::kCallVirtualCached:
       return -in.b;  // argc args + receiver popped, result pushed
     case Op::kPrint:
       return in.b != 0 ? 0 : 1;  // pops the argument if present, pushes null
     default:
-      // kGetField/kGetFieldCached (obj -> value), unary ops, kCast, kBox,
-      // kJump, kLoopTick, kTryTick, kReturnVoid: net zero. The peephole
-      // runs after this pass, so superinstructions never appear here.
+      // kGetFieldCached (obj -> value), unary ops, kIncDec, kCast, kBox,
+      // kJump, kCaseJump, kCharge, kStep, kInitClass, the throwing ops and
+      // kReturnVoid: net zero. The peephole runs after this pass, so
+      // superinstructions never appear here.
       return 0;
   }
 }
 
 bool isTerminator(Op op) {
   return op == Op::kReturnValue || op == Op::kReturnVoid ||
-         op == Op::kThrow || op == Op::kJump;
+         op == Op::kThrow || op == Op::kRethrow || op == Op::kThrowError ||
+         op == Op::kJump;
 }
 
 /// Worklist dataflow computing the worst-case operand-stack depth. Runs on
@@ -947,9 +929,11 @@ void computeMaxStack(Chunk& chunk) {
     const Instr& in = chunk.code[pc];
     const int after = depthAt[pc] + stackEffect(in);
     if (after > maxDepth) maxDepth = after;
-    if (in.op == Op::kJump || in.op == Op::kJumpIfFalse ||
-        in.op == Op::kJumpIfTrue) {
+    if (in.op == Op::kJump || in.op == Op::kCaseJump) {
       enqueue(static_cast<std::size_t>(in.a), after);
+    } else if (in.op == Op::kJumpIfFalse || in.op == Op::kJumpIfTrue) {
+      // A short-circuit jump keeps the tested value on the taken path.
+      enqueue(static_cast<std::size_t>(in.a), in.b != 0 ? after + 1 : after);
     }
     if (!isTerminator(in.op)) enqueue(pc + 1, after);
   }
@@ -990,50 +974,24 @@ std::size_t matchSuper(const std::vector<Instr>& c, std::size_t pc,
   const auto make = [&](Op sop, std::int32_t a, std::int32_t b,
                         std::int32_t cOperand, std::size_t len) {
     *out = Instr{sop, a, b, cOperand, in(0).line};
-    out->n = static_cast<std::uint8_t>(len);
+    out->n = 0;
+    for (std::size_t i = 0; i < len; ++i) out->n += in(i).n;
     return len;
   };
 
   switch (op(0)) {
     case Op::kLoad: {
       const std::int32_t s1 = in(0).a;
-      // [kLoad kDup kConstInt kBinary (kCast) kStore kPop (kJump)] —
-      // post-inc/dec statement on one local; with the trailing kJump it is
-      // the canonical counted-loop latch (kIncDecJump).
-      for (std::size_t len : {std::size_t{7}, std::size_t{6}}) {
-        const bool cast = len == 7;
-        if (!runOk(len)) continue;
-        std::size_t i = 1;
-        if (op(i) != Op::kDup) break;
-        ++i;
-        if (op(i) != Op::kConstInt) break;
-        const std::int32_t pool = in(i).a;
-        ++i;
-        if (op(i) != Op::kBinary) break;
-        const std::int32_t bop = in(i).a;
-        ++i;
-        std::int32_t castEnc = -1;
-        if (cast) {
-          if (!implicitCast(i)) continue;
-          castEnc = in(i).a;
-          ++i;
+      // [kLoad kDup kIncDec kStore kPop (kJump)] — post-inc/dec statement
+      // on one local; with the trailing kJump it is the canonical
+      // counted-loop latch (kIncDecJump).
+      if (runOk(5) && op(1) == Op::kDup && op(2) == Op::kIncDec &&
+          op(3) == Op::kStore && in(3).a == s1 && op(4) == Op::kPop) {
+        const std::int32_t operands = in(2).a | storeEnc(in(3)) << 8;
+        if (runOk(6) && op(5) == Op::kJump) {
+          return make(Op::kIncDecJump, s1, operands, in(5).a, 6);
         }
-        if (op(i) != Op::kStore || in(i).a != s1) break;
-        const std::int32_t se = storeEnc(in(i));
-        ++i;
-        if (op(i) != Op::kPop) break;
-        if (s1 >= (1 << 20) || bop >= 32 || se >= 16) break;
-        // The latch form packs the cast kind into b to free c for the jump
-        // target; its tighter slot field falls back to the plain form (and
-        // a bare kJump) for slot numbers past 2^16.
-        if (runOk(len + 1) && op(len) == Op::kJump && s1 < (1 << 16)) {
-          const std::int32_t castE = castEnc < 0 ? kNoKindEnc : castEnc;
-          return make(Op::kIncDecJump, pool,
-                      s1 | bop << 16 | se << 21 | castE << 25, in(len).a,
-                      len + 1);
-        }
-        return make(Op::kIncDecLocalStmt, pool, s1 | bop << 20 | se << 25,
-                    castEnc, len);
+        return make(Op::kIncDecLocalStmt, s1, operands, 0, 5);
       }
       // [kLoad kConstInt kBinary (kCast) kDup kStore kPop] — local
       // assignment statement `s2 = s1 <op> const`.
@@ -1063,34 +1021,6 @@ std::size_t matchSuper(const std::vector<Instr>& c, std::size_t pc,
         if (s1 >= (1 << 10) || s2 >= (1 << 10) || bop >= 32 || se >= 16) break;
         return make(Op::kLoadConstBinStore, pool,
                     s1 | s2 << 10 | bop << 20 | se << 25, castEnc, len);
-      }
-      // [kLoad kConstInt kBinary(cmp) kJumpIfFalse (kLoopTick)] — the
-      // canonical counted-loop header. Plain branch only (b=0): a ternary
-      // branch charges kTernary and is left unfused.
-      if (runOk(4) && op(1) == Op::kConstInt && op(2) == Op::kBinary &&
-          isCmp(static_cast<BinOp>(in(2).a)) && op(3) == Op::kJumpIfFalse &&
-          in(3).b == 0 && s1 < (1 << 20)) {
-        const bool tick = runOk(5) && op(4) == Op::kLoopTick;
-        const std::size_t len =
-            make(Op::kLoadConstCmpJump, in(3).a,
-                 s1 | in(2).a << 20 | (tick ? 1 : 0) << 26, in(1).a,
-                 tick ? 5 : 4);
-        // n covers only the unconditional 4-instruction prefix: the fused
-        // kLoopTick executes (and is stepped by the handler) solely on
-        // fall-through, while the taken exit runs 4 seed instructions.
-        out->n = 4;
-        return len;
-      }
-      if (runOk(4) && op(1) == Op::kLoad && op(2) == Op::kBinary &&
-          isCmp(static_cast<BinOp>(in(2).a)) && op(3) == Op::kJumpIfFalse &&
-          in(3).b == 0 && s1 < (1 << 10) && in(1).a < (1 << 10)) {
-        const bool tick = runOk(5) && op(4) == Op::kLoopTick;
-        const std::size_t len =
-            make(Op::kLoadLoadCmpJump, in(3).a,
-                 s1 | in(1).a << 10 | in(2).a << 20 | (tick ? 1 : 0) << 26,
-                 0, tick ? 5 : 4);
-        out->n = 4;  // tick stepped on fall-through only; see above
-        return len;
       }
       // [kLoad kLoad kBinary kReturnValue] — e.g. `return a + b;`.
       if (runOk(4) && op(1) == Op::kLoad && op(2) == Op::kBinary &&
@@ -1169,6 +1099,34 @@ std::size_t matchSuper(const std::vector<Instr>& c, std::size_t pc,
       }
       if (runOk(2) && op(1) == Op::kLoad) {
         return make(Op::kLoadLoad, s1, in(1).a, 0, 2);
+      }
+      break;
+    }
+    case Op::kCharge: {
+      // [kCharge(kBranch) kLoad kConstInt|kLoad kBinary(cmp) kJumpIfFalse
+      // (kCharge(kLoopIter))] — the canonical loop header: the branch
+      // charge, the compare, and the iteration charge on fall-through.
+      if (in(0).a != static_cast<std::int32_t>(energy::Op::kBranch) ||
+          !runOk(5) || op(1) != Op::kLoad || op(3) != Op::kBinary ||
+          !isCmp(static_cast<BinOp>(in(3).a)) ||
+          op(4) != Op::kJumpIfFalse || in(4).b != 0) {
+        break;
+      }
+      const bool tick =
+          runOk(6) && op(5) == Op::kCharge &&
+          in(5).a == static_cast<std::int32_t>(energy::Op::kLoopIter) &&
+          in(5).n == 0;  // charged on fall-through only, so it carries no
+                         // step the taken exit would skip
+      const std::int32_t s1 = in(1).a;
+      const std::size_t len = tick ? 6 : 5;
+      if (op(2) == Op::kConstInt && s1 < (1 << 20)) {
+        return make(Op::kLoadConstCmpJump, in(4).a,
+                    s1 | in(3).a << 20 | (tick ? 1 : 0) << 26, in(2).a, len);
+      }
+      if (op(2) == Op::kLoad && s1 < (1 << 10) && in(2).a < (1 << 10)) {
+        return make(Op::kLoadLoadCmpJump, in(4).a,
+                    s1 | in(2).a << 10 | in(3).a << 20 | (tick ? 1 : 0) << 26,
+                    0, len);
       }
       break;
     }
@@ -1262,7 +1220,7 @@ std::size_t matchSuper(const std::vector<Instr>& c, std::size_t pc,
 /// statement with the kIncDecJump latch that follows it, so a steady-state
 /// counted-loop iteration dispatches once for the whole tail. The merged
 /// instruction replays both constituent charge sequences verbatim and
-/// carries the combined seed run length in n. Targets inside the packed
+/// carries the combined step count in n. Targets inside the packed
 /// operands are the pre-pass pcs; remapping happens in runFusePass like
 /// any other jump operand.
 std::size_t matchPair(const std::vector<Instr>& c, std::size_t pc,
@@ -1271,22 +1229,17 @@ std::size_t matchPair(const std::vector<Instr>& c, std::size_t pc,
   if (pc + 2 > c.size() || barrier[pc + 1]) return 1;
   const Instr& i0 = c[pc];
   const Instr& i1 = c[pc + 1];
-  if (i1.op != Op::kIncDecJump || i1.a >= (1 << 16) || i1.c >= (1 << 16)) {
-    return 1;
-  }
-  const std::uint32_t lSlot = static_cast<std::uint32_t>(i1.b) & 0xFFFF;
-  const std::uint32_t lBop = (static_cast<std::uint32_t>(i1.b) >> 16) & 0x1F;
-  const std::uint32_t lStoreK =
-      (static_cast<std::uint32_t>(i1.b) >> 21) & 0xF;
-  const std::uint32_t lCastK = (static_cast<std::uint32_t>(i1.b) >> 25) & 0xF;
-  const std::uint32_t pool = static_cast<std::uint32_t>(i1.a);
+  if (i1.op != Op::kIncDecJump || i1.c >= (1 << 16)) return 1;
+  const std::uint32_t lSlot = static_cast<std::uint32_t>(i1.a);
+  const std::uint32_t lBop = static_cast<std::uint32_t>(i1.b) & 0x1F;
+  const std::uint32_t lStoreK = (static_cast<std::uint32_t>(i1.b) >> 8) & 0xF;
   const std::uint32_t target = static_cast<std::uint32_t>(i1.c);
   const auto emit = [&](Op sop, std::uint32_t a, std::uint32_t b,
                         std::uint32_t cOperand) {
     *out = Instr{sop, static_cast<std::int32_t>(a),
                  static_cast<std::int32_t>(b),
                  static_cast<std::int32_t>(cOperand), i0.line};
-    out->n = static_cast<std::uint8_t>(i0.n + i1.n);
+    out->n = i0.n + i1.n;
     return std::size_t{2};
   };
   switch (i0.op) {
@@ -1294,26 +1247,22 @@ std::size_t matchPair(const std::vector<Instr>& c, std::size_t pc,
       const std::uint32_t b0 = static_cast<std::uint32_t>(i0.b);
       const std::uint32_t s1 = b0 & 0x3FF;
       const std::uint32_t s2 = (b0 >> 10) & 0x3FF;
-      if (s2 != lSlot || s1 >= (1 << 8) || s2 >= (1 << 8) ||
-          i0.a >= (1 << 16)) {
-        return 1;
-      }
+      if (s2 != lSlot || s1 >= (1 << 8) || s2 >= (1 << 8)) return 1;
       const std::uint32_t c0 = static_cast<std::uint32_t>(i0.c);
-      return emit(Op::kAccumConstJump,
-                  static_cast<std::uint32_t>(i0.a) | pool << 16,
+      return emit(Op::kAccumConstJump, static_cast<std::uint32_t>(i0.a),
                   s1 | s2 << 8 | ((b0 >> 20) & 0x1F) << 16 |
                       ((b0 >> 25) & 0x1F) << 21 | lBop << 26,
                   target | (c0 & 0xF) << 16 | ((c0 >> 4) & 0xF) << 20 |
-                      lStoreK << 24 | lCastK << 28);
+                      lStoreK << 24);
     }
     case Op::kStorePop: {
       if (i0.a >= (1 << 10) || lSlot >= (1 << 10) || i0.b >= 15) return 1;
       const std::uint32_t storeKS =
           i0.b < 0 ? kNoKindEnc : static_cast<std::uint32_t>(i0.b);
-      return emit(Op::kStorePopIncDecJump, pool | target << 16,
+      return emit(Op::kStorePopIncDecJump, target,
                   static_cast<std::uint32_t>(i0.a) | lSlot << 10 |
                       lBop << 20,
-                  storeKS | lStoreK << 4 | lCastK << 8);
+                  storeKS | lStoreK << 4);
     }
     case Op::kBinCastStorePop: {
       const std::uint32_t b0 = static_cast<std::uint32_t>(i0.b);
@@ -1324,10 +1273,10 @@ std::size_t matchPair(const std::vector<Instr>& c, std::size_t pc,
           castKS >= 16 || storeKS >= 16) {
         return 1;
       }
-      return emit(Op::kBinCastStoreIncDecJump, pool | target << 16,
+      return emit(Op::kBinCastStoreIncDecJump, target,
                   static_cast<std::uint32_t>(i0.a) | lSlot << 8 |
                       bopS << 16 | lBop << 21,
-                  storeKS | castKS << 4 | lStoreK << 8 | lCastK << 12);
+                  storeKS | castKS << 4 | lStoreK << 8);
     }
     default:
       return 1;
@@ -1338,9 +1287,9 @@ std::size_t matchPair(const std::vector<Instr>& c, std::size_t pc,
 /// [kLoadConstCmpJump][kAccumConstJump] with the cmp testing the latch
 /// slot, the false-exit falling through past the pair, and the backedge
 /// returning to the cmp — into one self-dispatching instruction. n is the
-/// cmp run's unconditional prefix (4, the only part an exiting iteration
-/// executes); the handler accounts the tick and the body run separately on
-/// the taken path, so step totals stay exact on both paths.
+/// cmp run's step count (the only part an exiting iteration executes); the
+/// body run's count rides in the operands and is accounted on the taken
+/// path, so step totals stay exact on both paths.
 std::size_t matchLoop(const std::vector<Instr>& c, std::size_t pc,
                       const std::vector<char>& barrier, Instr* out) {
   *out = c[pc];
@@ -1354,28 +1303,19 @@ std::size_t matchLoop(const std::vector<Instr>& c, std::size_t pc,
   const std::uint32_t b1 = static_cast<std::uint32_t>(i1.b);
   const std::uint32_t c1 = static_cast<std::uint32_t>(i1.c);
   const std::uint32_t tick = (b0 >> 26) & 1;
-  const std::uint32_t castK1 = (c1 >> 20) & 0xF;
-  const std::uint32_t castKL = c1 >> 28;
   if (i0.a != static_cast<std::int32_t>(pc) + 2 ||       // exit falls through
       (c1 & 0xFFFF) != pc ||                             // backedge to cmp
       (b0 & 0xFFFFF) != ((b1 >> 8) & 0xFF) ||            // cmp slot == s2
-      i0.c >= (1 << 16) || (i1.a >> 16) >= (1 << 10) ||
-      // The handler derives each part's seed run length from the encoding;
-      // refuse shapes where that derivation would not hold.
-      i0.n != 4 ||
-      i1.n != 15 + (castK1 != 15 ? 1 : 0) + (castKL != 15 ? 1 : 0)) {
+      i0.c >= (1 << 16) || i1.a >= (1 << 16) || i1.n >= (1 << 10)) {
     return 1;
   }
   *out = Instr{Op::kCountedAccumLoop,
                static_cast<std::int32_t>(static_cast<std::uint32_t>(i0.c) |
-                                         (static_cast<std::uint32_t>(i1.a) &
-                                          0xFFFFu)
+                                         static_cast<std::uint32_t>(i1.a)
                                              << 16),
                i1.b,
-               static_cast<std::int32_t>(
-                   (static_cast<std::uint32_t>(i1.a) >> 16) |
-                   ((b0 >> 20) & 0x1F) << 10 | tick << 15 |
-                   (c1 >> 16) << 16),
+               static_cast<std::int32_t>(i1.n | ((b0 >> 20) & 0x1F) << 10 |
+                                         tick << 15 | (c1 >> 16) << 16),
                i0.line};
   out->n = i0.n;
   return 2;
@@ -1390,8 +1330,11 @@ void visitJumpOperands(Instr& in, Fn&& fn) {
     case Op::kJump:
     case Op::kJumpIfFalse:
     case Op::kJumpIfTrue:
+    case Op::kCaseJump:
     case Op::kLoadConstCmpJump:
     case Op::kLoadLoadCmpJump:
+    case Op::kStorePopIncDecJump:
+    case Op::kBinCastStoreIncDecJump:
       in.a = fn(in.a);
       break;
     case Op::kIncDecJump:
@@ -1403,16 +1346,6 @@ void visitJumpOperands(Instr& in, Fn&& fn) {
           (cc & ~0xFFFFu) |
           static_cast<std::uint32_t>(fn(static_cast<std::int32_t>(
               cc & 0xFFFF))));
-      break;
-    }
-    case Op::kStorePopIncDecJump:
-    case Op::kBinCastStoreIncDecJump: {
-      const std::uint32_t aa = static_cast<std::uint32_t>(in.a);
-      in.a = static_cast<std::int32_t>(
-          (aa & 0xFFFFu) |
-          static_cast<std::uint32_t>(
-              fn(static_cast<std::int32_t>(aa >> 16)))
-              << 16);
       break;
     }
     default:
@@ -1515,8 +1448,9 @@ CompiledProgram ProgramCompiler::run() {
       out_.classes.emplace(cls.name, std::move(compiled));
     }
   }
-  // Post passes over every chunk: dense chunk ids (the VM's quickening
-  // key), the pre-fusion max-stack dataflow, then the peephole.
+  // Post passes over every chunk: dense chunk ids (the VM's per-chunk
+  // tables key on them), the pre-fusion max-stack dataflow, then the
+  // peephole.
   std::uint32_t nextChunkId = 0;
   const auto finishChunk = [&](Chunk& chunk) {
     chunk.chunkId = nextChunkId++;
@@ -1552,12 +1486,11 @@ std::string disassemble(const Chunk& chunk, const CompiledProgram& program) {
            std::to_string(static_cast<int>(in.op)) + " a=" +
            std::to_string(in.a) + " b=" + std::to_string(in.b);
     if (in.op == Op::kConstStr || in.op == Op::kGetStatic ||
-        in.op == Op::kGetField || in.op == Op::kCallVirtual ||
         in.op == Op::kGetFieldCached || in.op == Op::kPutFieldCached ||
-        in.op == Op::kCallVirtualCached) {
+        in.op == Op::kCallVirtualCached || in.op == Op::kThrowError) {
       out += " (" + program.names.at(static_cast<std::size_t>(in.a)) + ")";
     }
-    if (in.n > 1) out += " n=" + std::to_string(static_cast<int>(in.n));
+    if (in.n != 0) out += " n=" + std::to_string(in.n);
     out += "\n";
   }
   for (const auto& h : chunk.handlers) {

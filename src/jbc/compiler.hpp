@@ -4,8 +4,10 @@
 // field initializers) into stack-machine code with JVM-style exception
 // tables. finally blocks are compiled by inlining (the pre-JSR-deprecation
 // javac strategy): a copy on the normal path, a copy on each catch exit, a
-// catch-all handler that runs the copy and rethrows, and copies on every
-// return/break/continue that crosses the finally.
+// catch-all handler over the try block that runs the copy and rethrows, and
+// copies on every return/break/continue that crosses the finally. The
+// exception ranges follow the tree interpreter: they exclude the inlined
+// copies, and an exception escaping a catch body skips the finally.
 #pragma once
 
 #include "jbc/code.hpp"
@@ -19,8 +21,9 @@ struct CompileOptions {
   bool fuseSuperinstructions = true;
 };
 
-/// Compile a whole program; throws CompileError on unsupported constructs
-/// and ParseError-style diagnostics on unresolved names.
+/// Compile a whole program. Never rejects a program the tree interpreter
+/// runs: names and calls it cannot resolve compile to the runtime error the
+/// tree interpreter raises when it reaches them.
 CompiledProgram compile(const jlang::Program& program);
 CompiledProgram compile(const jlang::Program& program,
                         const CompileOptions& options);

@@ -4,18 +4,40 @@
 #include <map>
 #include <memory>
 
-#include "jvm/interpreter.hpp"
+#include "jbc/bcvm.hpp"
+#include "jbc/compiler.hpp"
 #include "obs/span.hpp"
 #include "support/rng.hpp"
 #include "support/strings.hpp"
 
 namespace jepo::core {
 
+namespace {
+
+/// "uncaught <Class>[: <message>]" for an exception escaping main.
+std::string describeUncaught(const jvm::Heap& heap, const jvm::Thrown& t) {
+  const jvm::HeapObject& ex = heap.get(t.exception.asRef());
+  std::string out = "uncaught " + ex.className;
+  const int at = ex.layout != nullptr ? ex.layout->indexOfName("message") : -1;
+  if (at >= 0) {
+    const jvm::Value& message = ex.fields[static_cast<std::size_t>(at)];
+    if (message.isRef()) out += ": " + heap.get(message.asRef()).text;
+  }
+  return out;
+}
+
+}  // namespace
+
 void Profiler::profile(const jlang::Program& program,
+                       std::string_view mainClass, std::uint64_t maxSteps) {
+  profile(jbc::compile(program), mainClass, maxSteps);
+}
+
+void Profiler::profile(const jbc::CompiledProgram& program,
                        std::string_view mainClass, std::uint64_t maxSteps) {
   obs::Span span("jepo.profile");
   energy::SimMachine machine;
-  jvm::Interpreter interp(program, machine);
+  jbc::BytecodeVm vm(program, machine);
   // The fault device (when armed) must outlive the instrumenter reading
   // through it; its stream identity is (profile seed, spec seed) so every
   // job derives a fresh, scheduling-independent fault sequence.
@@ -32,28 +54,33 @@ void Profiler::profile(const jlang::Program& program,
   jvm::Instrumenter inst(machine, device);
   // Tier before hooks: setHooks hoists the instrumenter's gate pointer.
   inst.setTier(tier_, seed_);
-  interp.setHooks(&inst);
-  interp.setMaxSteps(maxSteps);
-  interp.setCancelToken(cancel_);
-  if (heapLimit_.has_value()) interp.setHeapLimit(*heapLimit_);
+  vm.setHooks(&inst);
+  vm.setMaxSteps(maxSteps);
+  vm.setCancelToken(cancel_);
+  if (heapLimit_.has_value()) vm.setHeapLimit(*heapLimit_);
+  const auto capture = [&] {
+    inst.finalizeSampling();
+    records_ = inst.records();
+    tierStats_ = inst.tierStats();
+    output_ = vm.output();
+  };
   try {
-    interp.runMain(mainClass);
+    vm.runMain(mainClass);
+  } catch (const jvm::Thrown& thrown) {
+    // A Java exception escaping main: every frame ran its epilogue, so the
+    // records are complete. Surface it as a runtime error like any abort.
+    capture();
+    throw VmError(describeUncaught(vm.heap(), thrown));
   } catch (...) {
     // VM abort: flush the methods still on the stack as truncated records
     // so partial executions survive into result.txt (open *unsampled*
     // invocations reconcile to counter decrements instead), then surface
     // the error with the captured state intact.
     inst.unwindAbortedFrames();
-    inst.finalizeSampling();
-    records_ = inst.records();
-    tierStats_ = inst.tierStats();
-    output_ = interp.output();
+    capture();
     throw;
   }
-  inst.finalizeSampling();
-  records_ = inst.records();
-  tierStats_ = inst.tierStats();
-  output_ = interp.output();
+  capture();
 }
 
 std::vector<MethodTotals> Profiler::totals() const {

@@ -4,6 +4,10 @@
 // ambiguous), runs the project with the Instrumenter installed, and exposes
 // the per-execution records plus the two artifacts JEPO produces: the
 // result.txt dump and the profiler view (Fig. 4).
+//
+// Runs execute on the bytecode VM (jbc::BytecodeVm), which is
+// charge-identical to the tree interpreter (jvm::Interpreter, the test
+// oracle): same output, records, joules, step counts and error strings.
 #pragma once
 
 #include <cstdint>
@@ -13,6 +17,7 @@
 
 #include "energy/machine.hpp"
 #include "fault/fault.hpp"
+#include "jbc/code.hpp"
 #include "jlang/ast.hpp"
 #include "jvm/instrumenter.hpp"
 #include "support/cancel.hpp"
@@ -51,6 +56,12 @@ class Profiler {
   /// on the stack appear as `truncated` records, innermost first.
   void profile(const jlang::Program& program, std::string_view mainClass = {},
                std::uint64_t maxSteps = 0);
+
+  /// The same run over an already compiled program (jbc::compile), so
+  /// callers that profile one program repeatedly compile it once. The
+  /// compiled program must outlive the call.
+  void profile(const jbc::CompiledProgram& program,
+               std::string_view mainClass = {}, std::uint64_t maxSteps = 0);
 
   /// Cap the profiled run's heap at `objects` before mark-compact kicks in
   /// (0 = never collect). Unset, the engine default applies (env

@@ -515,7 +515,7 @@ std::string Daemon::runJob(const JobRequest& req, JobContext* ctx) {
       return renderOptimizeResponse(req, cached, changes, source);
     }
 
-    // profile — per-job isolation: fresh Profiler/SimMachine/Interpreter,
+    // profile — per-job isolation: fresh Profiler/SimMachine/BytecodeVm,
     // explicit heap limit (the daemon's environment must never leak into
     // a tenant's result), fault/RNG streams derived from the job seed.
     core::Profiler profiler;
@@ -551,7 +551,7 @@ std::string Daemon::runJob(const JobRequest& req, JobContext* ctx) {
                   (std::string("tier.") + jvm::tierName(tierSpec.tier))
                       .c_str())
         .add();
-    profiler.profile(program, req.mainClass, req.maxSteps);
+    profiler.profile(compiled->bytecode(), req.mainClass, req.maxSteps);
     ProfileResult result;
     result.stdoutText = profiler.programOutput();
     result.records = profiler.records();

@@ -1,5 +1,7 @@
 #include "jepod/program_cache.hpp"
 
+#include "jbc/compiler.hpp"
+
 namespace jepo::jepod {
 
 std::uint64_t sourceHash(std::string_view source) noexcept {
@@ -9,6 +11,14 @@ std::uint64_t sourceHash(std::string_view source) noexcept {
     h *= 0x100000001b3ULL;
   }
   return h;
+}
+
+const jbc::CompiledProgram& CachedProgram::bytecode() const {
+  std::call_once(bytecodeOnce, [this] {
+    bytecodeCompiled =
+        std::make_unique<const jbc::CompiledProgram>(jbc::compile(program));
+  });
+  return *bytecodeCompiled;
 }
 
 ProgramCache::ProgramCache(std::size_t byteBudget)

@@ -1,4 +1,5 @@
-// Compile-once-run-many: an LRU cache of parsed + resolved programs.
+// Compile-once-run-many: an LRU cache of parsed + resolved programs, each
+// with its bytecode compiled on the first profile job that needs it.
 //
 // Parsing and the PR 4 resolution pass dominate the cost of small repeated
 // jobs ("Probabilistic energy profiler..." serves thousands of measurement
@@ -30,6 +31,7 @@
 #include <string_view>
 #include <unordered_map>
 
+#include "jbc/code.hpp"
 #include "jlang/ast.hpp"
 #include "obs/registry.hpp"
 
@@ -45,6 +47,14 @@ struct CachedProgram {
   std::string source;      // the exact bytes compiled; verified on get()
   std::uint64_t hash = 0;
   std::size_t bytes = 0;   // source size, the budget currency
+
+  /// The bytecode profile jobs run, compiled from `program` the first time
+  /// one asks (thread-safe; later callers wait for and share that compile).
+  /// suggest/optimize never call it, so entries they create never compile.
+  const jbc::CompiledProgram& bytecode() const;
+
+  mutable std::once_flag bytecodeOnce;
+  mutable std::unique_ptr<const jbc::CompiledProgram> bytecodeCompiled;
 };
 
 class ProgramCache {

@@ -24,6 +24,7 @@ ExprPtr cloneExpr(const Expr& e) {
   auto out = std::make_unique<Expr>(e.kind);
   out->line = e.line;
   out->col = e.col;
+  out->height = e.height;
   out->intValue = e.intValue;
   out->floatValue = e.floatValue;
   out->strValue = e.strValue;

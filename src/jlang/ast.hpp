@@ -128,6 +128,10 @@ struct Expr {
   ExprKind kind;
   int line = 0;
   int col = 0;
+  /// Longest path to a leaf, counting this node (1 for a leaf). The parser
+  /// keeps it under its nesting budget, which bounds every recursive walk
+  /// over the tree.
+  int height = 1;
 
   // Literal payloads.
   std::int64_t intValue = 0;    // int/long/char/bool literals

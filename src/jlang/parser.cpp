@@ -1,5 +1,7 @@
 #include "jlang/parser.hpp"
 
+#include <algorithm>
+
 #include "jlang/lexer.hpp"
 #include "obs/registry.hpp"
 #include "obs/span.hpp"
@@ -285,6 +287,29 @@ bool Parser::looksLikeType() const {
   return peek(i).type == Tok::kIdentifier;
 }
 
+Parser::NestingGuard::NestingGuard(Parser& parser) : parser_(parser) {
+  if (++parser_.depth_ > kMaxNesting) {
+    --parser_.depth_;
+    parser_.fail("nesting deeper than " + std::to_string(kMaxNesting) +
+                 " levels");
+  }
+}
+
+ExprPtr Parser::sealed(ExprPtr node) const {
+  int tallest = 0;
+  for (const Expr* child : {node->a.get(), node->b.get(), node->c.get()}) {
+    if (child != nullptr) tallest = std::max(tallest, child->height);
+  }
+  for (const auto& arg : node->args) tallest = std::max(tallest, arg->height);
+  node->height = tallest + 1;
+  if (node->height > kMaxNesting) {
+    throw ParseError(fileName_ + ": expression nested deeper than " +
+                         std::to_string(kMaxNesting) + " levels",
+                     node->line, node->col);
+  }
+  return node;
+}
+
 StmtPtr Parser::parseBlock() {
   const Token& open = expect(Tok::kLBrace, "block");
   auto block = std::make_unique<Stmt>(StmtKind::kBlock);
@@ -311,6 +336,7 @@ StmtPtr Parser::parseVarDecl(bool requireSemicolon) {
 }
 
 StmtPtr Parser::parseStmt() {
+  const NestingGuard nesting(*this);
   switch (peek().type) {
     case Tok::kLBrace: return parseBlock();
     case Tok::kKwIf: return parseIf();
@@ -481,7 +507,10 @@ StmtPtr Parser::parseSwitch() {
   return stmt;
 }
 
-ExprPtr Parser::parseExpr() { return parseAssignment(); }
+ExprPtr Parser::parseExpr() {
+  const NestingGuard nesting(*this);
+  return parseAssignment();
+}
 
 ExprPtr Parser::parseAssignment() {
   ExprPtr lhs = parseTernary();
@@ -505,8 +534,9 @@ ExprPtr Parser::parseAssignment() {
   node->col = opTok.col;
   node->assignOp = op;
   node->a = std::move(lhs);
+  const NestingGuard nesting(*this);
   node->b = parseAssignment();  // right-associative
-  return node;
+  return sealed(std::move(node));
 }
 
 ExprPtr Parser::parseTernary() {
@@ -519,8 +549,9 @@ ExprPtr Parser::parseTernary() {
   node->a = std::move(cond);
   node->b = parseExpr();
   expect(Tok::kColon, "ternary else branch");
+  const NestingGuard nesting(*this);
   node->c = parseTernary();
-  return node;
+  return sealed(std::move(node));
 }
 
 ExprPtr Parser::parseBinary(int minPrec) {
@@ -536,7 +567,7 @@ ExprPtr Parser::parseBinary(int minPrec) {
     node->binOp = binOpFor(opTok.type);
     node->a = std::move(lhs);
     node->b = std::move(rhs);
-    lhs = std::move(node);
+    lhs = sealed(std::move(node));
   }
 }
 
@@ -549,9 +580,11 @@ ExprPtr Parser::parseUnary() {
     case Tok::kTilde: op = UnOp::kBitNot; break;
     case Tok::kPlusPlus: op = UnOp::kPreInc; break;
     case Tok::kMinusMinus: op = UnOp::kPreDec; break;
-    case Tok::kPlus:
+    case Tok::kPlus: {
       advance();  // unary plus is a no-op
+      const NestingGuard nesting(*this);
       return parseUnary();
+    }
     case Tok::kLParen: {
       // Cast: "( type )" followed by a unary expression. Distinguish from a
       // parenthesized expression by lookahead.
@@ -574,8 +607,9 @@ ExprPtr Parser::parseUnary() {
         node->col = open.col;
         node->type = parseType();
         expect(Tok::kRParen, "end of cast");
+        const NestingGuard nesting(*this);
         node->a = parseUnary();
-        return node;
+        return sealed(std::move(node));
       }
       return parsePostfix();
     }
@@ -587,14 +621,17 @@ ExprPtr Parser::parseUnary() {
   node->line = t.line;
   node->col = t.col;
   node->unOp = op;
-  node->a = parseUnary();
+  {
+    const NestingGuard nesting(*this);
+    node->a = parseUnary();
+  }
   if ((op == UnOp::kPreInc || op == UnOp::kPreDec) &&
       node->a->kind != ExprKind::kVarRef &&
       node->a->kind != ExprKind::kFieldAccess &&
       node->a->kind != ExprKind::kArrayIndex) {
     fail("++/-- target must be a variable, field or array element");
   }
-  return node;
+  return sealed(std::move(node));
 }
 
 ExprPtr Parser::parsePostfix() {
@@ -616,14 +653,14 @@ ExprPtr Parser::parsePostfix() {
           } while (match(Tok::kComma));
         }
         expect(Tok::kRParen, "end of call arguments");
-        e = std::move(call);
+        e = sealed(std::move(call));
       } else {
         auto fld = std::make_unique<Expr>(ExprKind::kFieldAccess);
         fld->line = name.line;
         fld->col = name.col;
         fld->strValue = name.text;
         fld->a = std::move(e);
-        e = std::move(fld);
+        e = sealed(std::move(fld));
       }
     } else if (check(Tok::kLBracket)) {
       const Token& open = advance();
@@ -633,7 +670,7 @@ ExprPtr Parser::parsePostfix() {
       idx->a = std::move(e);
       idx->b = parseExpr();
       expect(Tok::kRBracket, "end of array index");
-      e = std::move(idx);
+      e = sealed(std::move(idx));
     } else if (check(Tok::kPlusPlus) || check(Tok::kMinusMinus)) {
       const Token& opTok = advance();
       auto node = std::make_unique<Expr>(ExprKind::kUnary);
@@ -646,7 +683,7 @@ ExprPtr Parser::parsePostfix() {
         fail("++/-- target must be a variable, field or array element");
       }
       node->a = std::move(e);
-      e = std::move(node);
+      e = sealed(std::move(node));
     } else {
       return e;
     }
@@ -748,7 +785,7 @@ ExprPtr Parser::parsePrimary() {
           } while (match(Tok::kComma));
         }
         expect(Tok::kRParen, "end of call arguments");
-        return call;
+        return sealed(std::move(call));
       }
       auto e = std::make_unique<Expr>(ExprKind::kVarRef);
       e->line = t.line;
@@ -779,7 +816,7 @@ ExprPtr Parser::parsePrimary() {
           arr->args.push_back(parseExpr());
           expect(Tok::kRBracket, "end of array dimension");
         }
-        return arr;
+        return sealed(std::move(arr));
       }
       JEPO_REQUIRE(type.prim == Prim::kClass,
                    "cannot 'new' a primitive without array brackets");
@@ -794,7 +831,7 @@ ExprPtr Parser::parsePrimary() {
         } while (match(Tok::kComma));
       }
       expect(Tok::kRParen, "end of constructor arguments");
-      return obj;
+      return sealed(std::move(obj));
     }
     case Tok::kLParen: {
       advance();

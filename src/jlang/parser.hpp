@@ -12,6 +12,12 @@
 //   ternary  := or [? expr : ternary]
 //   or > and > bitor > bitxor > bitand > equality > relational > shift >
 //   additive > multiplicative > unary > postfix > primary
+//
+// Nesting is budgeted (kMaxNesting): statements and parenthesized or
+// argument expressions may nest that deep, and no expression tree may be
+// taller. Deeper input is a ParseError, so the parser and every recursive
+// walker after it (resolver, printer, suggestion walk, optimizer, compiler,
+// tree interpreter) run in bounded stack depth on untrusted source.
 #pragma once
 
 #include <string>
@@ -25,6 +31,9 @@ namespace jepo::jlang {
 
 class Parser {
  public:
+  /// The nesting budget (see the file comment).
+  static constexpr int kMaxNesting = 256;
+
   Parser(std::string fileName, std::string_view source);
 
   /// Parse the whole file; throws ParseError with line:col on bad input.
@@ -68,9 +77,26 @@ class Parser {
   template <typename NodeT>
   std::unique_ptr<NodeT> locate(std::unique_ptr<NodeT> node) const;
 
+  /// One more level of statement or expression nesting for the guard's
+  /// lifetime; fails past kMaxNesting.
+  class NestingGuard {
+   public:
+    explicit NestingGuard(Parser& parser);
+    ~NestingGuard() { --parser_.depth_; }
+    NestingGuard(const NestingGuard&) = delete;
+    NestingGuard& operator=(const NestingGuard&) = delete;
+
+   private:
+    Parser& parser_;
+  };
+  /// Stamp a completed node's height (its children are complete) and hold
+  /// it to the budget.
+  ExprPtr sealed(ExprPtr node) const;
+
   std::string fileName_;
   std::vector<Token> tokens_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace jepo::jlang

@@ -28,11 +28,6 @@ using jlang::TypeRef;
 using jlang::UnOp;
 using energy::Op;
 
-namespace {
-
-/// Adds one VM run's step and heap-allocation deltas to the global obs
-/// counters. Coarse (once per entry-point call), so it is not gated on
-/// obs::enabled() — bench --json reports always see the totals.
 void flushVmCounters(std::uint64_t stepsDelta, std::size_t heapDelta) {
   static obs::Counter& steps =
       obs::Registry::global().counter("vm.steps");
@@ -41,8 +36,6 @@ void flushVmCounters(std::uint64_t stepsDelta, std::size_t heapDelta) {
   steps.add(stepsDelta);
   heapObjects.add(heapDelta);
 }
-
-}  // namespace
 
 std::string_view valKindName(ValKind k) noexcept {
   switch (k) {
@@ -509,9 +502,14 @@ Interpreter::Flow Interpreter::execStmt(const Stmt& s) {
         }
       }
       if (s.finallyBlock) {
+        // A pending `return` keeps its value across the finally block, whose
+        // own calls reuse returnValue_.
+        Value pendingReturn = returnValue_;
+        Gc::ScopedValue rootReturn(gc_, pendingReturn);
         const Flow finallyFlow = execStmt(*s.finallyBlock);
         // An abrupt finally wins over the pending completion (JLS 14.20.2).
         if (finallyFlow != Flow::kNormal) return finallyFlow;
+        returnValue_ = pendingReturn;
       }
       if (rethrow) throw pending;
       return flow;

@@ -68,6 +68,12 @@ class MethodHooks {
   virtual TierGate* tierGate() noexcept { return nullptr; }
 };
 
+/// Adds one engine run's step and heap-allocation deltas to the global obs
+/// counters (vm.steps, vm.heap.objects). Both engines call it once per
+/// completed entry-point call, so it is not gated on obs::enabled() — bench
+/// --json reports always see the totals.
+void flushVmCounters(std::uint64_t stepsDelta, std::size_t heapDelta);
+
 class Interpreter {
  public:
   Interpreter(const jlang::Program& program, energy::SimMachine& machine);

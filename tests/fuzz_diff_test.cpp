@@ -1,23 +1,12 @@
 // Cross-engine differential fuzzer: seeded random MiniJava programs run on
-// both the tree interpreter and the bytecode VM, which must agree on
+// both the tree interpreter (the oracle) and the bytecode VM (the engine
+// core::Profiler runs), which must agree exactly on
 //
 //   - printed output (byte-for-byte),
-//   - the multiset of instrumented method names (the compiler's synthetic
-//     <clinit>/<initfields> chunks are filtered out),
-//   - the per-op energy-meter counts, hence the simulated joules. One
-//     engine-inherent delta is modeled exactly: the bytecode VM charges
-//     kLocalAccess for every invocation argument slot *including `this`*,
-//     while the tree interpreter binds `this` without a charge — so bcvm's
-//     kLocalAccess count must exceed the tree's by exactly the number of
-//     instance invocations (constructors + instance-method calls), which
-//     the test counts from the method records. Every other op count must
-//     match exactly. Half the seeds ("strict" mode) contain no instance
-//     constructs at all; for those the joules/seconds of an uninstrumented
-//     run (one terminal pricing sync, so joules are a pure function of the
-//     counts) must also be bit-identical. Ternaries, short-circuit operators,
-//     qualified field stores and array stores are excluded by the grammar
-//     because bytecode legitimately compiles them to different charge
-//     sequences (see tests/support/progen.cpp).
+//   - the per-op energy-meter counts and the tree-step count,
+//   - the instrumented method-record stream: names, seconds and joules
+//     bit for bit (equal op counts between consecutive hook events price
+//     to identical joules), hence the run's total joules too.
 //
 // Each program then reruns per engine under a tiny heap limit that forces
 // multiple mark-compact collections; the observables must stay bit-identical
@@ -36,8 +25,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <map>
 #include <string>
+#include <vector>
 
 #include "energy/machine.hpp"
 #include "energy/op.hpp"
@@ -46,6 +35,7 @@
 #include "jlang/parser.hpp"
 #include "jvm/instrumenter.hpp"
 #include "jvm/interpreter.hpp"
+#include "obs/registry.hpp"
 #include "support/rng.hpp"
 #include "tests/support/progen.hpp"
 
@@ -97,32 +87,23 @@ struct RunResult {
   std::uint64_t coreBits = 0;
   std::uint64_t dramBits = 0;
   std::uint64_t secondsBits = 0;
-  // method name -> execution count, compiler-synthetic chunks excluded
-  std::map<std::string, int> methods;
+  // Every record in order: method name plus its seconds/joule bits.
+  std::vector<std::string> records;
   energy::OpArray<std::uint64_t> counts{};
-  // constructor + instance-method executions, counted from the records
-  std::uint64_t instanceInvocations = 0;
+  std::uint64_t steps = 0;
   std::uint64_t collections = 0;
   std::string error;  // non-empty when the run threw
 
   bool sameObservables(const RunResult& o) const {
     return error == o.error && out == o.out && pkgBits == o.pkgBits &&
            coreBits == o.coreBits && dramBits == o.dramBits &&
-           secondsBits == o.secondsBits && methods == o.methods &&
-           counts == o.counts;
+           secondsBits == o.secondsBits && records == o.records &&
+           counts == o.counts && steps == o.steps;
   }
 };
 
-// Generator naming: helper classes are H<i>, instance methods m<digit>,
-// constructors share the class name, statics are t<digit> and Main.main.
-bool isInstanceRecord(const std::string& method) {
-  const std::size_t dot = method.rfind('.');
-  if (dot == std::string::npos) return false;
-  const std::string cls = method.substr(0, dot);
-  const std::string m = method.substr(dot + 1);
-  if (m == cls) return true;  // constructor
-  return m.size() >= 2 && m[0] == 'm' && std::isdigit(
-      static_cast<unsigned char>(m[1]));
+std::uint64_t stepCounter() {
+  return obs::Registry::global().counter("vm.steps").value();
 }
 
 std::uint64_t doubleBits(double d) {
@@ -133,7 +114,7 @@ std::uint64_t doubleBits(double d) {
 }
 
 void finish(RunResult& r, energy::SimMachine& machine, const std::string& out,
-            const jvm::Instrumenter& inst) {
+            const jvm::Instrumenter& inst, std::uint64_t steps0) {
   const energy::MachineSample s = machine.sample();
   r.out = out;
   r.pkgBits = doubleBits(s.packageJoules);
@@ -141,19 +122,18 @@ void finish(RunResult& r, energy::SimMachine& machine, const std::string& out,
   r.dramBits = doubleBits(s.dramJoules);
   r.secondsBits = doubleBits(s.seconds);
   for (const auto& rec : inst.records()) {
-    if (rec.method.find('<') != std::string::npos) continue;
-    ++r.methods[rec.method];
-    if (isInstanceRecord(rec.method)) ++r.instanceInvocations;
+    char bits[80];
+    std::snprintf(bits, sizeof bits, " %016llx/%016llx",
+                  static_cast<unsigned long long>(doubleBits(rec.seconds)),
+                  static_cast<unsigned long long>(
+                      doubleBits(rec.packageJoules)));
+    r.records.push_back(rec.method + bits);
   }
   r.counts = machine.meter().counts();
+  r.steps = stepCounter() - steps0;
 }
 
-// `withHooks=false` skips the instrumenter: the machine then prices all
-// counts in one terminal sync, making the joules a pure function of the op
-// counts (hook-driven mid-run sampling partitions the float accumulation
-// differently per engine, which can shift the last ulp).
-RunResult runTree(const testgen::GeneratedProgram& p, std::size_t heapLimit,
-                  bool withHooks = true) {
+RunResult runTree(const testgen::GeneratedProgram& p, std::size_t heapLimit) {
   RunResult r;
   try {
     const jlang::Program prog = jlang::Parser::parseProgram(p.name, p.source);
@@ -161,10 +141,11 @@ RunResult runTree(const testgen::GeneratedProgram& p, std::size_t heapLimit,
     jvm::Interpreter interp(prog, machine);
     interp.setHeapLimit(heapLimit);
     jvm::Instrumenter inst(machine);
-    if (withHooks) interp.setHooks(&inst);
+    interp.setHooks(&inst);
     interp.setMaxSteps(kMaxSteps);
+    const std::uint64_t steps0 = stepCounter();
     interp.runMain();
-    finish(r, machine, interp.output(), inst);
+    finish(r, machine, interp.output(), inst, steps0);
     r.collections = interp.gc().collections();
   } catch (const std::exception& e) {
     r.error = e.what();
@@ -172,8 +153,7 @@ RunResult runTree(const testgen::GeneratedProgram& p, std::size_t heapLimit,
   return r;
 }
 
-RunResult runBcvm(const testgen::GeneratedProgram& p, std::size_t heapLimit,
-                  bool withHooks = true) {
+RunResult runBcvm(const testgen::GeneratedProgram& p, std::size_t heapLimit) {
   RunResult r;
   try {
     const jlang::Program prog = jlang::Parser::parseProgram(p.name, p.source);
@@ -182,10 +162,11 @@ RunResult runBcvm(const testgen::GeneratedProgram& p, std::size_t heapLimit,
     jbc::BytecodeVm vm(compiled, machine);
     vm.setHeapLimit(heapLimit);
     jvm::Instrumenter inst(machine);
-    if (withHooks) vm.setHooks(&inst);
+    vm.setHooks(&inst);
     vm.setMaxSteps(kMaxSteps);
+    const std::uint64_t steps0 = stepCounter();
     vm.runMain();
-    finish(r, machine, vm.output(), inst);
+    finish(r, machine, vm.output(), inst, steps0);
     r.collections = vm.gc().collections();
   } catch (const std::exception& e) {
     r.error = e.what();
@@ -205,10 +186,8 @@ std::string describe(const RunResult& r) {
                 static_cast<unsigned long long>(r.secondsBits),
                 r.out.size());
   s = buf;
-  s += " methods={";
-  for (const auto& [name, count] : r.methods)
-    s += name + "x" + std::to_string(count) + " ";
-  s += "}";
+  s += " steps=" + std::to_string(r.steps) +
+       " records=" + std::to_string(r.records.size());
   return s;
 }
 
@@ -223,13 +202,11 @@ std::string replayBanner(std::uint64_t seed,
 }
 
 // Checks one derived seed; returns false on any divergence so the caller
-// can cap the failure spam. `*strict` reports whether the program had zero
-// instance invocations (the joule-bit-identical flavor).
-bool checkSeed(std::uint64_t seed, bool* strict = nullptr) {
+// can cap the failure spam.
+bool checkSeed(std::uint64_t seed) {
   const testgen::GeneratedProgram p = testgen::generateProgram(seed);
   const RunResult tree = runTree(p, 0);
   const RunResult bcvm = runBcvm(p, 0);
-  if (strict != nullptr) *strict = tree.instanceInvocations == 0;
 
   // A generator-produced program must execute cleanly on both engines.
   if (!tree.error.empty() || !bcvm.error.empty()) {
@@ -247,47 +224,40 @@ bool checkSeed(std::uint64_t seed, bool* strict = nullptr) {
                   << replayBanner(seed, p);
     ok = false;
   }
-  // Per-op counts must match exactly, except for the bytecode VM's charged
-  // `this` slot: +1 kLocalAccess per instance invocation (see file header).
-  energy::OpArray<std::uint64_t> expected = tree.counts;
-  expected[energy::opIndex(energy::Op::kLocalAccess)] +=
-      tree.instanceInvocations;
-  if (expected != bcvm.counts) {
+  if (tree.counts != bcvm.counts || tree.steps != bcvm.steps) {
     std::string diff;
     for (std::size_t i = 0; i < energy::kOpCount; ++i) {
-      if (expected[i] == bcvm.counts[i]) continue;
+      if (tree.counts[i] == bcvm.counts[i]) continue;
       diff += "  " +
               std::string(energy::opName(static_cast<energy::Op>(i))) +
-              ": expected " + std::to_string(expected[i]) + " bcvm " +
+              ": tree " + std::to_string(tree.counts[i]) + " bcvm " +
               std::to_string(bcvm.counts[i]) + "\n";
     }
-    ADD_FAILURE() << "engines disagree on op counts ("
-                  << tree.instanceInvocations
-                  << " instance invocations modeled)\n"
+    ADD_FAILURE() << "engines disagree on op or step counts (steps: tree "
+                  << tree.steps << " bcvm " << bcvm.steps << ")\n"
                   << diff << replayBanner(seed, p);
     ok = false;
   }
-  // With zero instance invocations the raw counts are identical, so the
-  // joules priced from them must be bit-identical too. Compared on
-  // hook-free runs: a single terminal sync makes the joules a pure
-  // function of the counts (see runTree).
-  if (tree.instanceInvocations == 0) {
-    const RunResult treeBare = runTree(p, 0, /*withHooks=*/false);
-    const RunResult bcvmBare = runBcvm(p, 0, /*withHooks=*/false);
-    if (treeBare.pkgBits != bcvmBare.pkgBits ||
-        treeBare.coreBits != bcvmBare.coreBits ||
-        treeBare.dramBits != bcvmBare.dramBits ||
-        treeBare.secondsBits != bcvmBare.secondsBits) {
-      ADD_FAILURE() << "engines disagree on simulated energy\n  tree "
-                    << describe(treeBare) << "\n  bcvm " << describe(bcvmBare)
-                    << "\n" << replayBanner(seed, p);
-      ok = false;
-    }
-  }
-  if (tree.methods != bcvm.methods) {
-    ADD_FAILURE() << "engines disagree on the method-record multiset\n  tree "
+  if (tree.pkgBits != bcvm.pkgBits || tree.coreBits != bcvm.coreBits ||
+      tree.dramBits != bcvm.dramBits ||
+      tree.secondsBits != bcvm.secondsBits) {
+    ADD_FAILURE() << "engines disagree on simulated energy\n  tree "
                   << describe(tree) << "\n  bcvm " << describe(bcvm) << "\n"
                   << replayBanner(seed, p);
+    ok = false;
+  }
+  if (tree.records != bcvm.records) {
+    std::size_t i = 0;
+    while (i < tree.records.size() && i < bcvm.records.size() &&
+           tree.records[i] == bcvm.records[i]) {
+      ++i;
+    }
+    ADD_FAILURE() << "engines disagree on the method-record stream at "
+                  << "record " << i << "\n  tree "
+                  << (i < tree.records.size() ? tree.records[i] : "<end>")
+                  << "\n  bcvm "
+                  << (i < bcvm.records.size() ? bcvm.records[i] : "<end>")
+                  << "\n" << replayBanner(seed, p);
     ok = false;
   }
   if (!ok) return false;
@@ -393,20 +363,12 @@ TEST(FuzzDiff, EnginesAgreeOnGeneratedPrograms) {
   const int runs = static_cast<int>(envU64(
       "JEPO_FUZZ_RUNS", static_cast<std::uint64_t>(kDefaultRuns), nullptr));
   int failures = 0;
-  int strictSeeds = 0;
   for (int i = 0; i < runs; ++i) {
     const std::uint64_t seed = deriveSeed(base, static_cast<std::uint64_t>(i));
-    bool strict = false;
-    if (!checkSeed(seed, &strict)) ++failures;
-    if (strict) ++strictSeeds;
+    if (!checkSeed(seed)) ++failures;
     ASSERT_LT(failures, 3) << "stopping after repeated divergence — replay "
                               "individual seeds with JEPO_FUZZ_ONLY";
   }
-  // About half the seeds must exercise the joule-bit-identical flavor, or
-  // the energy comparison silently loses its strongest form.
-  EXPECT_GE(strictSeeds, runs / 8)
-      << "generator mode split drifted; strict seeds " << strictSeeds
-      << " of " << runs;
 }
 
 }  // namespace

@@ -1,11 +1,10 @@
-// Exception tables vs. the peephole fuser and the quickener.
+// Exception tables vs. the peephole fuser.
 //
 // The three-pass fuser (compiler.cpp) rewrites instruction runs into
 // superinstructions and remaps every pc-valued operand *and* every
-// ExceptionEntry{start, end, handler}. The quickener (bcvm.cpp) rewrites
-// opcodes in place without moving code. Either rewrite getting a handler
-// range wrong is invisible on the happy path — it only shows when a throw
-// lands inside a rewritten region. These tests pin exactly that:
+// ExceptionEntry{start, end, handler}. A rewrite getting a handler range
+// wrong is invisible on the happy path — it only shows when a throw lands
+// inside a rewritten region. These tests pin exactly that:
 //
 //   - every handler range stays within bounds after fusion, and fusion
 //     demonstrably fired inside try-covered code;
@@ -13,16 +12,11 @@
 //     kBinCastStoreIncDecJump, before the latch increment executes) is
 //     caught by the right handler with the same locals the unfused and
 //     tree engines see;
-//   - a throw on a later call of an already-quickened method still finds
-//     its handler;
-//   - fused and unfused compiles of the same program are observably
-//     bit-identical (stdout, simulated joules and seconds), so the fuser
-//     can never shift the energy accounting.
-//
-// All programs here are static-only (no constructors / instance calls), so
-// even the tree interpreter's joules must match bit-for-bit (the one
-// modeled cross-engine delta is the `this` slot charge; see
-// fuzz_diff_test.cpp).
+//   - a throw on a later call of an already-run method still finds its
+//     handler;
+//   - fused and unfused compiles of the same program, and the tree
+//     interpreter, are observably bit-identical (stdout, simulated joules
+//     and seconds), so the fuser can never shift the energy accounting.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -140,10 +134,9 @@ class Main {
 }
 )";
 
-// A method with its own try/catch, called repeatedly: the call site and the
-// callee body quicken on the first iteration, and the throw only happens on
-// a later, fully-quickened execution. Handler pc ranges must survive the
-// in-place opcode rewrites.
+// A method with its own try/catch, called repeatedly: the throw only
+// happens on a later execution, after the call site's inline cache and the
+// callee's handler ranges have served earlier calls.
 const char* const kThrowAfterQuickening = R"(
 class H {
   static int f(int i) {
@@ -197,11 +190,10 @@ TEST_P(FusionAgreementTest, FusedUnfusedAndTreeAgreeBitExact) {
   EXPECT_EQ(fused.secondsBits, unfused.secondsBits)
       << "fusion shifted simulated time";
 
-  // Cross-engine, only the output contract applies here: bytecode
-  // legitimately charges throw/call paths differently from the tree
-  // walker (the bit-identity energy contract lives in fuzz_diff_test.cpp,
-  // over a grammar that excludes exceptions).
+  // The engines are charge-identical on throw paths too.
   EXPECT_EQ(tree.out, fused.out);
+  EXPECT_EQ(tree.pkgBits, fused.pkgBits) << "engines disagree on joules";
+  EXPECT_EQ(tree.secondsBits, fused.secondsBits);
 }
 
 INSTANTIATE_TEST_SUITE_P(ExceptionShapes, FusionAgreementTest,
@@ -238,7 +230,7 @@ TEST(FusionExceptionTable, CountedLoopInsideTryKeepsHandlerRange) {
 TEST(FusionExceptionTable, ThrowAfterQuickeningFindsHandler) {
   const Program prog =
       Parser::parseProgram("fusion.mjava", kThrowAfterQuickening);
-  // 100/3, 100/2, 100/1, then 3-i hits 0 on the fourth (quickened) call,
+  // 100/3, 100/2, 100/1, then 3-i hits 0 on the fourth call,
   // then negative divisors on the remaining calls.
   EXPECT_EQ(runVm(compileWith(prog, true)).out,
             "33\n50\n100\n-1\n-100\n-50\n");
@@ -300,25 +292,28 @@ class Main {
 }
 )";
 
-bool completesWithin(const CompiledProgram& p, std::uint64_t maxSteps) {
+template <typename Engine, typename Source>
+bool completesWithin(const Source& p, std::uint64_t maxSteps) {
   energy::SimMachine machine;
-  BytecodeVm vm(p, machine);
-  vm.setMaxSteps(maxSteps);
+  Engine engine(p, machine);
+  engine.setMaxSteps(maxSteps);
   try {
-    vm.runMain();
+    engine.runMain();
   } catch (const VmError&) {
     return false;
   }
   return true;
 }
 
-std::uint64_t minimalMaxSteps(const CompiledProgram& p) {
+template <typename Engine, typename Source>
+std::uint64_t minimalMaxSteps(const Source& p) {
   std::uint64_t lo = 1;
   std::uint64_t hi = std::uint64_t{1} << 22;
-  EXPECT_TRUE(completesWithin(p, hi)) << "search upper bound too small";
+  EXPECT_TRUE((completesWithin<Engine>(p, hi)))
+      << "search upper bound too small";
   while (lo < hi) {
     const std::uint64_t mid = lo + (hi - lo) / 2;
-    if (completesWithin(p, mid)) {
+    if (completesWithin<Engine>(p, mid)) {
       hi = mid;
     } else {
       lo = mid + 1;
@@ -327,13 +322,13 @@ std::uint64_t minimalMaxSteps(const CompiledProgram& p) {
   return lo;
 }
 
-// The fused kLoopTick executes only on fall-through, so the cmp-jump
-// superinstructions keep it out of Instr::n (charged at every dispatch,
-// including the exiting one) and step it on the looping path instead. If
-// the exit path over-counted the tick, the smallest step budget that lets
-// this program finish would differ between the fused and unfused compiles
-// — one per loop exit — and a program near its maxSteps budget would trip
-// the limit in one configuration but not the other.
+// Steps count tree-interpreter steps, whatever the code shape: the fused
+// loop headers charge their kLoopIter only on fall-through, and the whole-
+// loop superinstruction accounts its body's steps only on the taken path.
+// If an exit path over-counted, the smallest step budget that lets this
+// program finish would differ between the fused compile, the unfused one
+// and the tree interpreter — and a program near its maxSteps budget would
+// trip the limit in one configuration but not another.
 TEST(FusionStepAccounting, MinimalStepBudgetMatchesUnfusedAcrossLoopExits) {
   const Program prog = Parser::parseProgram("fusion.mjava", kManyLoopExits);
   const CompiledProgram fused = compileWith(prog, true);
@@ -343,7 +338,9 @@ TEST(FusionStepAccounting, MinimalStepBudgetMatchesUnfusedAcrossLoopExits) {
       << disassemble(main, fused);
   ASSERT_TRUE(containsOp(main, Op::kLoadLoadCmpJump))
       << disassemble(main, fused);
-  EXPECT_EQ(minimalMaxSteps(fused), minimalMaxSteps(unfused));
+  const std::uint64_t fusedBudget = minimalMaxSteps<BytecodeVm>(fused);
+  EXPECT_EQ(fusedBudget, minimalMaxSteps<BytecodeVm>(unfused));
+  EXPECT_EQ(fusedBudget, minimalMaxSteps<jvm::Interpreter>(prog));
 }
 
 // Constant churn feeding fused call sites: kLoadLoadCallVirt/-CallSelf push

@@ -16,6 +16,7 @@ using jlang::Program;
 struct EngineRun {
   std::string output;
   double packageJoules;
+  energy::OpArray<std::uint64_t> counts;
 };
 
 EngineRun runTree(const Program& prog) {
@@ -23,7 +24,8 @@ EngineRun runTree(const Program& prog) {
   jvm::Interpreter interp(prog, machine);
   interp.setMaxSteps(100'000'000);
   interp.runMain();
-  return {interp.output(), machine.sample().packageJoules};
+  return {interp.output(), machine.sample().packageJoules,
+          machine.meter().counts()};
 }
 
 EngineRun runBytecode(const Program& prog) {
@@ -32,7 +34,8 @@ EngineRun runBytecode(const Program& prog) {
   BytecodeVm vm(compiled, machine);
   vm.setMaxSteps(200'000'000);
   vm.runMain();
-  return {vm.output(), machine.sample().packageJoules};
+  return {vm.output(), machine.sample().packageJoules,
+          machine.meter().counts()};
 }
 
 std::string wrapMain(const std::string& body) {
@@ -41,10 +44,9 @@ std::string wrapMain(const std::string& body) {
 }
 
 // ---------------------------------------------------------------------------
-// Cross-engine agreement: both engines must print the same output, and
-// their energy accounting must stay within a tight band (the compiled form
-// legitimately differs: ternaries become branches, scope bookkeeping
-// disappears, operand shuffles are free).
+// Cross-engine agreement: the engines are charge-identical, so both must
+// print the same output and charge the same op counts, hence the same
+// joules to the bit (the closest energies can be).
 
 class AgreementTest : public ::testing::TestWithParam<const char*> {};
 
@@ -53,11 +55,8 @@ TEST_P(AgreementTest, OutputsIdenticalEnergiesClose) {
   const EngineRun tree = runTree(prog);
   const EngineRun bytecode = runBytecode(prog);
   EXPECT_EQ(tree.output, bytecode.output);
-  if (tree.packageJoules > 1e-6) {
-    const double ratio = bytecode.packageJoules / tree.packageJoules;
-    EXPECT_GT(ratio, 0.6) << "bytecode engine suspiciously cheap";
-    EXPECT_LT(ratio, 1.6) << "bytecode engine suspiciously expensive";
-  }
+  EXPECT_EQ(tree.counts, bytecode.counts);
+  EXPECT_EQ(tree.packageJoules, bytecode.packageJoules);
 }
 
 const char* kAgreementPrograms[] = {
@@ -289,6 +288,54 @@ TEST(Bytecode, ReturnInsideTryRunsFinally) {
     }
   )");
   EXPECT_EQ(runBytecode(prog).output, "cleanup\n1\n");
+}
+
+TEST(Bytecode, UnresolvedNamesFailOnlyWhenReached) {
+  // The tree interpreter raises "undefined name" errors when it executes
+  // the offending node; compiling must not reject the program up front.
+  const Program dead = Parser::parseProgram(
+      "p.mjava", wrapMain("int x = 1;\nif (x > 5) { y = 3; }\n"
+                          "System.out.println(\"ok\");"));
+  EXPECT_EQ(runBytecode(dead).output, "ok\n");
+
+  // Reached, both engines raise the same error.
+  for (const char* body :
+       {"int x = 9;\nif (x > 5) { y = 3; }", "int x = 9;\nx = y + 1;",
+        "int x = 9;\nundefinedCall(x);", "int x = 9;\nx = Main.nope(x);"}) {
+    const Program live = Parser::parseProgram("p.mjava", wrapMain(body));
+    std::string treeError;
+    try {
+      runTree(live);
+    } catch (const VmError& e) {
+      treeError = e.what();
+    }
+    std::string vmError;
+    try {
+      runBytecode(live);
+    } catch (const VmError& e) {
+      vmError = e.what();
+    }
+    EXPECT_FALSE(treeError.empty()) << body;
+    EXPECT_EQ(vmError, treeError) << body;
+  }
+}
+
+TEST(Bytecode, PendingReturnSurvivesCallsInFinally) {
+  // The finally block's own calls must not replace the value the try block
+  // returns — in either engine.
+  const Program prog = Parser::parseProgram("p.mjava", R"(
+    class Box { int v; Box(int x) { v = x; } }
+    class Main {
+      static int seven() { return 7; }
+      static int f() {
+        try { return 5; }
+        finally { Box b = new Box(seven()); }
+      }
+      static void main(String[] args) { System.out.println(f()); }
+    }
+  )");
+  EXPECT_EQ(runTree(prog).output, "5\n");
+  EXPECT_EQ(runBytecode(prog).output, "5\n");
 }
 
 TEST(Bytecode, UncaughtExceptionEscapesRunMain) {

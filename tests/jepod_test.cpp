@@ -210,6 +210,42 @@ TEST_F(JepodTest, BadRequestsAreTypedAndEchoTheId) {
   EXPECT_EQ(planErr.errorCode, "bad-request");
 }
 
+TEST_F(JepodTest, DeeplyNestedSourceIsATypedParseError) {
+  // 20 000 nested parentheses (~40 KB): untrusted input must come back as a
+  // typed error on every command, and the daemon must keep serving.
+  startDaemon();
+  Client c = connect();
+  const std::string deep = "class Main { static void main(String[] a) { "
+                           "int x = " + std::string(20000, '(') + "1" +
+                           std::string(20000, ')') + "; } }";
+  for (const char* command : {"suggest", "optimize", "profile"}) {
+    JobRequest req = makeRequest(std::string("deep-") + command, "");
+    req.command = command;
+    req.source = deep;
+    const Response r = c.submit(req);
+    EXPECT_FALSE(r.ok) << command;
+    EXPECT_EQ(r.errorCode, "parse-error") << command;
+  }
+  const Response good = c.submit(makeRequest("after-deep", kQuickSource));
+  EXPECT_TRUE(good.ok);
+}
+
+TEST_F(JepodTest, UncaughtJavaExceptionIsARuntimeError) {
+  // A program whose exception escapes main is the tenant's bug: a typed
+  // error response, never a lost job.
+  startDaemon();
+  Client c = connect();
+  const Response r = c.submit(makeRequest(
+      "throws", "class Main { static void main(String[] a) { "
+                "throw new IllegalStateException(\"boom\"); } }"));
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.errorCode, "runtime-error");
+  EXPECT_NE(r.errorMessage.find("uncaught IllegalStateException: boom"),
+            std::string::npos)
+      << r.errorMessage;
+  EXPECT_TRUE(c.submit(makeRequest("after-throw", kQuickSource)).ok);
+}
+
 TEST_F(JepodTest, OversizedLineIsRejectedNotBuffered) {
   DaemonConfig cfg;
   cfg.maxLineBytes = 1024;
@@ -314,6 +350,22 @@ TEST(ProgramCache, HashCollisionIsNeitherServedNorAllowedToDisplace) {
   EXPECT_EQ(cache.entryCount(), 1u);
   EXPECT_EQ(cache.get(7, "victim source"), victim);
   EXPECT_EQ(cache.get(7, "attacker source"), nullptr);
+}
+
+TEST(ProgramCache, BytecodeCompilesOnceOnFirstUse) {
+  auto entry = std::make_shared<jepod::CachedProgram>();
+  entry->program = jlang::Parser::parseProgram("<t>", kQuickSource);
+  EXPECT_EQ(entry->bytecodeCompiled, nullptr);  // nothing until asked
+
+  // Concurrent first uses share one compile.
+  std::vector<const jbc::CompiledProgram*> seen(4, nullptr);
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < seen.size(); ++i) {
+    threads.emplace_back([&, i] { seen[i] = &entry->bytecode(); });
+  }
+  for (auto& t : threads) t.join();
+  for (const auto* p : seen) EXPECT_EQ(p, entry->bytecodeCompiled.get());
+  EXPECT_NE(entry->bytecode().findClass("Quick"), nullptr);
 }
 
 TEST(ProgramCache, SourceHashIsStable) {

@@ -260,6 +260,52 @@ TEST(Parser, ErrorsCarryFileAndLocation) {
   }
 }
 
+std::string nestedMain(int depth, const std::string& open,
+                       const std::string& leaf, const std::string& close) {
+  std::string expr;
+  for (int i = 0; i < depth; ++i) expr += open;
+  expr += leaf;
+  for (int i = 0; i < depth; ++i) expr += close;
+  return "class M { static void main(String[] a) { int x = " + expr +
+         "; } }";
+}
+
+TEST(Parser, NestingBeyondTheBudgetIsATypedError) {
+  // Each shape would otherwise recurse once per level in the parser or in
+  // a later AST walker: parentheses, prefix operators, left-associative
+  // chains (built iteratively, so only their height betrays them), member
+  // chains and nested blocks.
+  constexpr int kDeep = 20000;
+  const std::string chain = [] {
+    std::string e = "1";
+    for (int i = 0; i < kDeep; ++i) e += " + 1";
+    return "class M { static void main(String[] a) { int x = " + e + "; } }";
+  }();
+  const std::string blocks = "class M { static void main(String[] a) { " +
+                             std::string(kDeep, '{') +
+                             std::string(kDeep, '}') + " } }";
+  for (const std::string& src :
+       {nestedMain(kDeep, "(", "1", ")"), nestedMain(kDeep, "~", "1", ""),
+        chain, blocks}) {
+    try {
+      parse(src);
+      ADD_FAILURE() << "accepted " << src.size() << "-byte deep source";
+    } catch (const ParseError& e) {
+      EXPECT_NE(std::string(e.what()).find("nest"), std::string::npos)
+          << e.what();
+    }
+  }
+  std::string members = "class M { int f(M m) { return m";
+  for (int i = 0; i < kDeep; ++i) members += ".f(m)";
+  members += "; } }";
+  EXPECT_THROW(parse(members), ParseError);
+
+  // Up to the budget the same shapes parse.
+  const int ok = Parser::kMaxNesting - 8;
+  EXPECT_NO_THROW(parse(nestedMain(ok, "(", "1", ")")));
+  EXPECT_NO_THROW(parse(nestedMain(ok, "~", "1", "")));
+}
+
 TEST(Parser, MainClassDiscovery) {
   Program prog;
   prog.units.push_back(parse("class A { static void main(String[] a) { } }"));

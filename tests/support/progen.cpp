@@ -10,10 +10,9 @@ namespace jepo::testgen {
 namespace {
 
 // Shape of one generated helper class H<i>. All members are ints; names are
-// positional (f0.., s0.., m0.., t0..) so references never dangle. Statics
-// carry no initializers: a `static int s = <expr>;` runs the compiler's
-// synthetic <clinit> chunk, whose kReturn/kCast charges the tree engine
-// does not mirror — statics start at 0 and are written explicitly instead.
+// positional (f0.., s0.., m0.., t0..) so references never dangle. Fields
+// and statics may carry initializers (run by the engines' class and object
+// initialization).
 struct ClassSpec {
   int fields = 0;
   int statics = 0;
@@ -33,12 +32,8 @@ struct Scope {
 class Emitter {
  public:
   explicit Emitter(std::uint64_t seed) : rng_(seed) {
-    // Half the seeds are "strict": no instance constructs at all, so the
-    // engines' simulated joules must agree bit-for-bit. The other half are
-    // "rich" (ctors, fields, virtual/self calls), where the bytecode VM
-    // charges one extra kLocalAccess per instance invocation (its `this`
-    // slot is a charged parameter; the tree engine binds `this` for free)
-    // — the fuzzer models that delta exactly from the method records.
+    // Half the seeds are "rich" (ctors, fields, virtual/self calls); the
+    // other half use static members only.
     rich_ = rng_.nextBelow(2) == 0;
   }
 
@@ -126,8 +121,18 @@ class Emitter {
   // method-call atoms (disabled inside constructors to keep the call graph
   // acyclic and construction non-reentrant).
   std::string genExpr(int depth, bool calls = true) {
+    // Atoms nest expressions (indices, call arguments, conditions); a
+    // nesting cap keeps that recursion finite.
+    if (exprNest_ >= kMaxExprNest) return literal();
+    ++exprNest_;
+    std::string e = genExprAt(depth, calls);
+    --exprNest_;
+    return e;
+  }
+
+  std::string genExprAt(int depth, bool calls) {
     if (depth <= 0) return genAtom(calls);
-    switch (rng_.nextBelow(6)) {
+    switch (rng_.nextBelow(7)) {
       case 0:
         return genAtom(calls);
       case 1:
@@ -142,6 +147,10 @@ class Emitter {
       case 4:
         return "(" + genExpr(depth - 1, calls) + " / " +
                safeDenominator(genExpr(depth - 1, calls)) + ")";
+      case 5:
+        return "(" + genCondition(calls, depth - 1) + " ? " +
+               genExpr(depth - 1, calls) +
+               " : " + genExpr(depth - 1, calls) + ")";
       default:
         return "(" + genExpr(depth - 1, calls) + " % " +
                safeDenominator(genExpr(depth - 1, calls)) + ")";
@@ -237,23 +246,32 @@ class Emitter {
     return literal();
   }
 
-  std::string genCondition() {
+  std::string genComparison(bool calls, int depth) {
     static const char* const kCmp[] = {"<", "<=", ">", ">=", "==", "!="};
-    return "(" + genExpr(1) + " " + kCmp[rng_.nextBelow(6)] + " " +
-           genExpr(1) + ")";
+    return "(" + genExpr(depth, calls) + " " + kCmp[rng_.nextBelow(6)] + " " +
+           genExpr(depth, calls) + ")";
+  }
+
+  // A comparison of depth-`depth` operands, or two joined by a
+  // short-circuit operator.
+  std::string genCondition(bool calls = true, int depth = 1) {
+    switch (rng_.nextBelow(4)) {
+      case 0:
+        return "(" + genComparison(calls, depth) + " && " +
+               genComparison(calls, depth) + ")";
+      case 1:
+        return "(" + genComparison(calls, depth) + " || " +
+               genComparison(calls, depth) + ")";
+      default:
+        return genComparison(calls, depth);
+    }
   }
 
   // ------------------------------------------------------------ statements
-  //
-  // Deliberately absent: qualified field stores (`o.f = e`) and array
-  // stores (`a[i] = e`) — the compiler stashes the value through a temp
-  // slot (two extra kLocalAccess charges) for those targets, so they can
-  // never be charge-equal. Unqualified this-field stores and static stores
-  // compile without the stash and stay in the grammar.
 
   void genStmt(std::string& out, int stmtDepth) {
     for (int attempt = 0; attempt < 8; ++attempt) {
-      switch (rng_.nextBelow(9)) {
+      switch (rng_.nextBelow(16)) {
         case 0: {  // new int local
           const std::string n = freshInt();
           indent(out);
@@ -294,6 +312,8 @@ class Emitter {
           indent(out);
           out += "while (" + i + " < " + bound + ") {\n";
           ++loopDepth_;
+          const bool outerFor = innermostFor_;
+          innermostFor_ = false;  // `continue` would skip the increment
           scopes_.push_back(Scope{});
           scopes_.back().ints.push_back(i);
           ++indent_;
@@ -304,6 +324,7 @@ class Emitter {
           --indent_;
           scopes_.pop_back();
           --loopDepth_;
+          innermostFor_ = outerFor;
           indent(out);
           out += "}\n";
           return;
@@ -356,6 +377,134 @@ class Emitter {
                  genExpr(2) + ";\n";
           return;
         }
+        case 8: {  // qualified field store on an object-typed local
+          const auto objs = visibleObjs();
+          if (objs.empty()) break;
+          const auto& [name, cls] = objs[rng_.nextBelow(objs.size())];
+          const ClassSpec& spec = classes_[static_cast<std::size_t>(cls)];
+          indent(out);
+          out += name + ".f" +
+                 std::to_string(rng_.nextBelow(
+                     static_cast<std::uint64_t>(spec.fields))) +
+                 " = " + genExpr(2) + ";\n";
+          return;
+        }
+        case 9: {  // array store at a safe index
+          const auto arrs = visibleArrs();
+          if (arrs.empty()) break;
+          const auto& [name, len] = arrs[rng_.nextBelow(arrs.size())];
+          indent(out);
+          out += name + "[" + safeIndex(genExpr(1, false), len) +
+                 "] = " + genExpr(2) + ";\n";
+          return;
+        }
+        case 10: {  // compound assignment or ++/-- on a non-counter local
+          std::vector<std::string> ints;
+          for (const std::string& n : visibleInts())
+            if (n[0] != 'i') ints.push_back(n);
+          if (ints.empty()) break;
+          const std::string& n = ints[rng_.nextBelow(ints.size())];
+          indent(out);
+          switch (rng_.nextBelow(4)) {
+            case 0: out += n + " += " + genExpr(2) + ";\n"; break;
+            case 1: out += n + " -= " + genExpr(2) + ";\n"; break;
+            case 2: out += n + "++;\n"; break;
+            default: out += "--" + n + ";\n"; break;
+          }
+          return;
+        }
+        case 12: {  // counted for loop (its update survives `continue`)
+          if (loopDepth_ >= 2 || stmtDepth >= 2) break;
+          const std::string i = freshLoop();
+          indent(out);
+          out += "for (int " + i + " = 0; " + i + " < " +
+                 std::to_string(rng_.nextInt(2, 8)) + "; " + i + "++) {\n";
+          ++loopDepth_;
+          const bool outerFor = innermostFor_;
+          innermostFor_ = true;
+          scopes_.push_back(Scope{});
+          scopes_.back().ints.push_back(i);
+          ++indent_;
+          const int body = static_cast<int>(rng_.nextInt(1, 3));
+          for (int st = 0; st < body; ++st) genStmt(out, stmtDepth + 1);
+          --indent_;
+          scopes_.pop_back();
+          innermostFor_ = outerFor;
+          --loopDepth_;
+          indent(out);
+          out += "}\n";
+          return;
+        }
+        case 13: {  // conditional break / continue out of a loop
+          if (loopDepth_ == 0) break;
+          const bool cont = innermostFor_ && rng_.nextBelow(2) == 0;
+          indent(out);
+          out += "if " + genCondition() + " { " +
+                 (cont ? "continue" : "break") + "; }\n";
+          return;
+        }
+        case 14: {  // switch with fall-through and a default
+          if (stmtDepth >= 2) break;
+          indent(out);
+          out += "switch (((" + genExpr(1) + ") % 4 + 4) % 4) {\n";
+          for (int c = 0; c < 4; ++c) {
+            // Each case body is a block: a declaration in one case must
+            // not be visible (uninitialized) in the cases below it.
+            indent(out);
+            out += c < 3 ? "  case " + std::to_string(c) + ": {\n"
+                         : std::string("  default: {\n");
+            ++indent_;
+            genBlockBody(out, stmtDepth + 1);
+            indent(out);
+            out += rng_.nextBelow(3) != 0 ? "  } break;\n" : "  }\n";
+            --indent_;
+          }
+          indent(out);
+          out += "}\n";
+          return;
+        }
+        case 15: {  // try / catch / finally around a conditional throw
+          if (stmtDepth >= 2) break;
+          const bool hasCatch = rng_.nextBelow(3) != 0;
+          const bool hasFinally = !hasCatch || rng_.nextBelow(2) == 0;
+          indent(out);
+          out += "try {\n";
+          scopes_.push_back(Scope{});
+          ++indent_;
+          genStmt(out, stmtDepth + 1);
+          if (inClass_ >= 0 && rng_.nextBelow(3) == 0) {
+            indent(out);  // an early return crossing the finally
+            out += "if " + genCondition() + " { return " + genExpr(1) +
+                   "; }\n";
+          }
+          // Without a catch the exception would escape: throw only when
+          // one is there to take it.
+          if (hasCatch) {
+            indent(out);
+            out += "if " + genCondition() +
+                   " { throw new RuntimeException(\"t\"); }\n";
+          }
+          genStmt(out, stmtDepth + 1);
+          --indent_;
+          scopes_.pop_back();
+          indent(out);
+          out += "}";
+          if (hasCatch) {
+            out += rng_.nextBelow(2) == 0 ? " catch (RuntimeException e) {\n"
+                                          : " catch (Exception e) {\n";
+            genBlockBody(out, stmtDepth + 1);
+            indent(out);
+            out += "}";
+          }
+          if (hasFinally) {
+            out += " finally {\n";
+            genBlockBody(out, stmtDepth + 1);
+            indent(out);
+            out += "}";
+          }
+          out += "\n";
+          return;
+        }
         default: {  // print — makes divergence visible in stdout too
           indent(out);
           out += "System.out.println(" + genExpr(2) + ");\n";
@@ -365,6 +514,15 @@ class Emitter {
     }
     indent(out);
     out += "System.out.println(" + literal() + ");\n";
+  }
+
+  // One statement in its own scope, indented one level (catch/finally).
+  void genBlockBody(std::string& out, int stmtDepth) {
+    scopes_.push_back(Scope{});
+    ++indent_;
+    genStmt(out, stmtDepth);
+    --indent_;
+    scopes_.pop_back();
   }
 
   void genBlock(std::string& out, int stmtDepth, int stmts) {
@@ -380,12 +538,22 @@ class Emitter {
   void emitClass(std::string& out, int idx) {
     const ClassSpec& spec = classes_[static_cast<std::size_t>(idx)];
     out += "class " + className(idx) + " {\n";
-    for (int f = 0; f < spec.fields; ++f)
-      out += "  int f" + std::to_string(f) + ";\n";
-    for (int s = 0; s < spec.statics; ++s)
-      out += "  static int s" + std::to_string(s) + ";\n";
-
     inClass_ = idx;
+    // Initializers are call-free and see no locals; they may read this
+    // class's or earlier classes' members (uninitialized ones read 0).
+    inStatic_ = false;
+    for (int f = 0; f < spec.fields; ++f) {
+      out += "  int f" + std::to_string(f);
+      if (rng_.nextBelow(2) == 0) out += " = " + genExpr(1, false);
+      out += ";\n";
+    }
+    inStatic_ = true;
+    for (int s = 0; s < spec.statics; ++s) {
+      out += "  static int s" + std::to_string(s);
+      if (rng_.nextBelow(2) == 0) out += " = " + genExpr(1, false);
+      out += ";\n";
+    }
+
     if (spec.fields > 0) {
       // Constructor: assigns every field from call-free expressions so
       // `new H<j>(...)` can never recurse into user methods.
@@ -497,11 +665,14 @@ class Emitter {
   int inMethod_ = 0;
   int indent_ = 2;
   int loopDepth_ = 0;
+  bool innermostFor_ = false;  // the innermost enclosing loop is a for
   int callBudget_ = 0;
   int nextInt_ = 0;
   int nextObj_ = 0;
   int nextArr_ = 0;
   int nextLoop_ = 0;
+  int exprNest_ = 0;
+  static constexpr int kMaxExprNest = 8;
 };
 
 }  // namespace

@@ -1,15 +1,11 @@
 // Seeded MiniJava program generator for the cross-engine differential
 // fuzzer. Every program it emits is valid, terminating, and exception-free
 // (division/modulo denominators and array indices are generated in safe
-// ranges). The grammar sticks to constructs both engines charge identically
-// per-op, with one modeled exception: instance invocations, where the
-// bytecode VM charges the `this` argument slot and the tree interpreter
-// does not. Half the seeds emit no instance constructs at all, so their
-// simulated joules are bit-identical across engines. Constructs the
-// compiler legitimately charges differently without an exactly countable
-// model (ternaries, short-circuit && / ||, qualified field stores, array
-// stores, field/static initializers) are excluded by design; see
-// tests/fuzz_diff_test.cpp for the invariants.
+// ranges). The engines are charge-identical, so the grammar excludes
+// nothing for their sake: ternaries, short-circuit && / ||, qualified
+// field and array stores, compound assignment, ++/--, and field/static
+// initializers all appear; see tests/fuzz_diff_test.cpp for the
+// invariants.
 #pragma once
 
 #include <cstdint>
