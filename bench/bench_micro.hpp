@@ -7,21 +7,17 @@
 
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <functional>
-#include <sstream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
 
 namespace jepo::bench {
 
-/// One completed gbench run, kept for post-processing (baseline and
-/// engine-pair ratio rows) after RunSpecifiedBenchmarks returns.
+/// One completed gbench run, kept for post-processing (engine-pair ratio
+/// rows) after RunSpecifiedBenchmarks returns.
 struct CapturedRun {
   std::string name;
   double realSecondsPerIter = 0.0;
@@ -58,23 +54,6 @@ class CapturingReporter : public benchmark::ConsoleReporter {
   std::vector<CapturedRun> captured_;
 };
 
-/// Baseline file: `<name> <realSecondsPerIter>` per line, '#' comments.
-/// Returns rows in file order; empty when the file is missing/unreadable.
-inline std::vector<CapturedRun> loadSeedBaseline(const std::string& path) {
-  std::vector<CapturedRun> rows;
-  std::ifstream in(path);
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream fields(line);
-    CapturedRun row;
-    if (fields >> row.name >> row.realSecondsPerIter) {
-      rows.push_back(std::move(row));
-    }
-  }
-  return rows;
-}
-
 /// Post-RunSpecifiedBenchmarks hook: add derived rows (ratios, pairings)
 /// to the report from the captured per-benchmark timings.
 using MicroPostProcess =
@@ -82,11 +61,7 @@ using MicroPostProcess =
 
 /// The micro suites' main body. --runs is accepted (CI invokes every bench
 /// uniformly with --runs=1) but iteration counts stay gbench's decision.
-/// When a seed baseline is given (--seed-baseline=<path>, or the suite's
-/// default), each benchmark present in the baseline gains a "<name>/vs-seed"
-/// row carrying speedupVsSeed = seed time / current time.
 inline int microMain(const std::string& benchName, int argc, char** argv,
-                     const std::string& defaultSeedBaseline = {},
                      const MicroPostProcess& postProcess = {}) {
   std::vector<char*> gbenchArgs = {argv[0]};
   std::vector<char*> jepoArgs = {argv[0]};
@@ -97,8 +72,7 @@ inline int microMain(const std::string& benchName, int argc, char** argv,
       jepoArgs.push_back(argv[i]);
     }
   }
-  Flags flags(static_cast<int>(jepoArgs.size()), jepoArgs.data(),
-              {"seed-baseline"});
+  Flags flags(static_cast<int>(jepoArgs.size()), jepoArgs.data());
   BenchReport report(benchName, flags);
 
   int gbenchArgc = static_cast<int>(gbenchArgs.size());
@@ -111,36 +85,6 @@ inline int microMain(const std::string& benchName, int argc, char** argv,
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
 
-  const std::string baselinePath =
-      flags.get("seed-baseline", defaultSeedBaseline);
-  if (!baselinePath.empty()) {
-    const std::vector<CapturedRun> baseline = loadSeedBaseline(baselinePath);
-    if (baseline.empty()) {
-      std::fprintf(stderr,
-                   "%s: seed baseline %s missing or empty; "
-                   "skipping vs-seed rows\n",
-                   benchName.c_str(), baselinePath.c_str());
-    } else {
-      std::printf("\n-- vs seed baseline (%s) --\n", baselinePath.c_str());
-      for (const CapturedRun& seed : baseline) {
-        for (const CapturedRun& now : reporter.captured()) {
-          if (now.name != seed.name || now.realSecondsPerIter <= 0.0) {
-            continue;
-          }
-          const double speedup =
-              seed.realSecondsPerIter / now.realSecondsPerIter;
-          report.addRow({{"name", seed.name + "/vs-seed"},
-                         {"seedSecondsPerIter", seed.realSecondsPerIter},
-                         {"realSecondsPerIter", now.realSecondsPerIter},
-                         {"speedupVsSeed", speedup}});
-          std::printf("%-36s seed=%.3e now=%.3e speedup=%.2fx\n",
-                      seed.name.c_str(), seed.realSecondsPerIter,
-                      now.realSecondsPerIter, speedup);
-          break;
-        }
-      }
-    }
-  }
   if (postProcess) postProcess(report, reporter.captured());
   return report.finish();
 }

@@ -8,7 +8,7 @@
 //
 // For each workload the bench times an uninstrumented run (no hooks at
 // all), a full-tier profile (the seed behaviour: every call instrumented),
-// sampled:N for each requested rate, and hot:T. Per-method package-joule
+// and sampled:N for each requested rate. Per-method package-joule
 // attribution from each tier's count-weighted extrapolation is compared
 // against the full tier's ground truth:
 //
@@ -21,7 +21,6 @@
 //
 // Flags:
 //   --rates=<n,n,..>   sampled:N rates to sweep (default 4,16,64)
-//   --hot=<T>          hot-tier promotion threshold (default 8)
 //   --kernel-iters=<n> call-heavy kernel loop count (default 60000)
 //   --max-steps=<n>    VM step budget per profile (default 50000000)
 //   --seed=<n>         profile seed — replays any sampled run (default 2020)
@@ -167,20 +166,16 @@ std::vector<std::uint64_t> parseRates(const std::string& csv) {
 
 int main(int argc, char** argv) {
   using namespace jepo;
-  bench::Flags flags(argc, argv, {"rates", "hot", "kernel-iters", "max-steps",
-                                  "seed"});
+  bench::Flags flags(argc, argv, {"rates", "kernel-iters", "max-steps", "seed"});
   bench::BenchReport report("bench_tier_frontier", flags);
 
   const auto rates = parseRates(flags.get("rates", "4,16,64"));
-  const auto hotThreshold =
-      static_cast<std::uint64_t>(flags.getInt("hot", 8));
   const auto kernelIters = flags.getInt("kernel-iters", 60'000);
   const auto maxSteps =
       static_cast<std::uint64_t>(flags.getInt("max-steps", 50'000'000));
   const auto seed = static_cast<std::uint64_t>(flags.getInt("seed", 2020));
   const int runs = static_cast<int>(flags.getInt("runs", 3));
   report.config("rates", flags.get("rates", "4,16,64"));
-  report.config("hot", hotThreshold);
   report.config("kernelIters", kernelIters);
   report.config("maxSteps", maxSteps);
   report.config("seed", seed);
@@ -235,21 +230,11 @@ int main(int argc, char** argv) {
       s.sampleEvery = n;
       specs.emplace_back("sampled:" + std::to_string(n), s);
     }
-    {
-      jvm::TierSpec s;
-      s.tier = jvm::InstrTier::kHot;
-      s.hotThreshold = hotThreshold;
-      specs.emplace_back("hot:" + std::to_string(hotThreshold), s);
-    }
 
     std::map<std::string, core::MethodTotals> truth;
-    double fullSeconds = 0.0;
     for (const auto& [label, spec] : specs) {
       const TierRun run = runTier(compiled, spec, maxSteps, seed, runs);
-      if (spec.tier == jvm::InstrTier::kFull) {
-        truth = run.totals;
-        fullSeconds = run.seconds;
-      }
+      if (spec.tier == jvm::InstrTier::kFull) truth = run.totals;
       const double errPct = attribErrorPct(truth, run.totals);
       const double overheadPct = (run.seconds / bare - 1.0) * 100.0;
       const double samplingRate =
@@ -278,7 +263,6 @@ int main(int argc, char** argv) {
         }
       }
     }
-    (void)fullSeconds;
     bench::printHeader("Workload: " + w.name);
     std::fputs(table.render().c_str(), stdout);
     std::fputs("\n", stdout);

@@ -295,7 +295,5 @@ int main(int argc, char** argv) {
       }
     }
   };
-  return jepo::bench::microMain("bench_vm_micro", argc, argv,
-                                "bench/baselines/vm_micro_seed.txt",
-                                enginePairs);
+  return jepo::bench::microMain("bench_vm_micro", argc, argv, enginePairs);
 }

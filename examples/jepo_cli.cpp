@@ -3,7 +3,7 @@
 //   jepo_cli suggest  <file.mjava>   # Fig. 2/5: the suggestion view
 //   jepo_cli profile  <file.mjava> [MainClass] [--heap-limit=N]
 //                     [--seed=N] [--fault-plan=SPEC] [--max-steps=N]
-//                     [--tier=full|sampled:N|hot:T] [--intervals]
+//                     [--tier=full|sampled:N] [--intervals]
 //                     [--predict]
 //   jepo_cli optimize <file.mjava>   # auto-refactor, print new source
 //
@@ -64,7 +64,7 @@ int usage() {
                "usage: jepo_cli suggest|profile|optimize <file.mjava> "
                "[MainClass] [--heap-limit=N] [--seed=N] "
                "[--fault-plan=SPEC] [--max-steps=N] "
-               "[--tier=full|sampled:N|hot:T] [--intervals] [--predict]\n");
+               "[--tier=full|sampled:N] [--intervals] [--predict]\n");
   return 2;
 }
 

@@ -4,7 +4,7 @@
 //                [--tenant=NAME] [--seed=N] [--heap-limit=N]
 //                [--max-steps=N] [--fault-plan=SPEC] [--raw]
 //                [--retries=N] [--deadline-ms=N]
-//                [--tier=full|sampled:N|hot:T]
+//                [--tier=full|sampled:N]
 //   jepod_client --socket=PATH suggest  <file.mjava> [--raw]
 //   jepod_client --socket=PATH optimize <file.mjava> [--raw]
 //
@@ -52,7 +52,7 @@ int usage() {
                "suggest|profile|optimize <file.mjava> [MainClass] "
                "[--tenant=NAME] [--seed=N] [--heap-limit=N] [--max-steps=N] "
                "[--fault-plan=SPEC] [--raw] [--retries=N] "
-               "[--deadline-ms=N] [--tier=full|sampled:N|hot:T]\n");
+               "[--deadline-ms=N] [--tier=full|sampled:N]\n");
   return 2;
 }
 

@@ -17,7 +17,7 @@ the build on:
     one "fault."-prefixed degradation counter (the decorator publishes
     fault.devices on construction, so a silent fault layer is a bug);
   - malformed speedup-ratio fields: any key containing "speedup" (the
-    vs-seed and engine-pair rows bench_vm_micro derives) must hold a
+    engine-pair rows bench_vm_micro derives) must hold a
     strictly positive finite number — a null means the C++ writer
     sanitised a non-finite ratio, and zero/negative means a corrupt
     timing fed the division;
@@ -27,7 +27,7 @@ the build on:
     its "speedupBcvmOverTree" must equal their ratio — a drift means the
     row was hand-edited or the writer desynced from its inputs;
   - malformed tier provenance: wherever a row carries a "tier" it must be
-    one of full/sampled/hot, and a "samplingRate" must be a number in
+    one of full/sampled, and a "samplingRate" must be a number in
     (0, 1] — rates outside that range mean the count-weighted
     extrapolation divided by a bogus population;
   - a broken overhead/error frontier (bench_tier_frontier): within each
@@ -81,7 +81,7 @@ import sys
 ENERGY_MARKERS = ("joules", "energy")
 QUALITY_VALUES = ("ok", "retried", "degraded", "invalid")
 RETRY_MARKERS = ("retries", "faultretries", "readretries")
-TIER_VALUES = ("full", "sampled", "hot")
+TIER_VALUES = ("full", "sampled")
 # Slack (percentage points) for the frontier monotonicity check: phase
 # sampling is deterministic but discrete, so adjacent rates can tie or
 # wobble by a hair without the extrapolation being wrong.

@@ -338,8 +338,4 @@ jlang::Program generateScaledCorpus(ClassifierKind kind, double scale,
   return program;
 }
 
-jlang::Program generateCorpus(ClassifierKind kind, std::uint64_t seed) {
-  return generateScaledCorpus(kind, 1.0, seed, nullptr);
-}
-
 }  // namespace jepo::corpus

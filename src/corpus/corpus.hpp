@@ -31,12 +31,10 @@ struct CorpusProfile {
 /// The published profile for a classifier (Tables II & IV).
 CorpusProfile profileFor(ml::ClassifierKind kind);
 
-/// Generate the classifier's project. Deterministic in (kind, seed).
-jlang::Program generateCorpus(ml::ClassifierKind kind,
-                              std::uint64_t seed = 42);
-
-/// Scaled-down corpus for tests (same structure, fewer classes). The
-/// seeded change count scales proportionally; returns it via outChanges.
+/// Generate the classifier's project at `scale` (1.0 is the published
+/// size; tests use fewer classes, same structure). Deterministic in
+/// (kind, scale, seed). The seeded change count scales proportionally;
+/// returns it via outChanges (may be null).
 jlang::Program generateScaledCorpus(ml::ClassifierKind kind, double scale,
                                     std::uint64_t seed, int* outChanges);
 

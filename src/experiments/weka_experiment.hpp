@@ -66,7 +66,7 @@ struct WekaExperimentConfig {
   /// reported, never cancelled, so results stay scheduling-independent.
   double watchdogSeconds = 0.0;
   /// Instrumentation-tier provenance stamped on every result row
-  /// ("full" | "sampled:N" | "hot:T", the jvm/tier.hpp spec grammar).
+  /// ("full" | "sampled:N", the jvm/tier.hpp spec grammar).
   /// The experiment's measurements run through PerfRunner, so the tag
   /// records which profiling tier the surrounding pipeline used — rows
   /// carry it into the common --json schema alongside quality/flagged.
@@ -128,7 +128,7 @@ struct ClassifierResult {
   /// is reported flagged instead of aborting the experiment.
   bool flagged = false;
   /// Tier provenance copied from WekaExperimentConfig::tier: the tier
-  /// name ("full" | "sampled" | "hot") and the configured sampling rate
+  /// name ("full" | "sampled") and the configured sampling rate
   /// (1/N for sampled:N, 1.0 otherwise).
   std::string tier = "full";
   double samplingRate = 1.0;

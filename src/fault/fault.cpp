@@ -103,17 +103,6 @@ double parseProb(const std::string& key, const std::string& value) {
 
 }  // namespace
 
-std::string_view faultKindName(FaultKind k) noexcept {
-  switch (k) {
-    case FaultKind::kNone: return "none";
-    case FaultKind::kTransient: return "transient";
-    case FaultKind::kStale: return "stale";
-    case FaultKind::kBackwards: return "backwards";
-    case FaultKind::kJump: return "jump";
-  }
-  return "?";
-}
-
 bool FaultSpec::active() const noexcept {
   return transientProb > 0.0 || staleProb > 0.0 || backwardsProb > 0.0 ||
          jumpProb > 0.0 || !unavailable.empty();

@@ -35,8 +35,6 @@ enum class FaultKind {
   kJump,       // read returns the true value + an implausible jump
 };
 
-std::string_view faultKindName(FaultKind k) noexcept;
-
 /// The knobs of a fault plan. Probabilities are per read attempt and
 /// independent per register; value faults (stale/backwards/jump) apply
 /// only to energy-status registers — the counters that actually glitch on

@@ -156,17 +156,6 @@ TransportFaultSpec parseTransportPlan(const std::string& text) {
   return spec;
 }
 
-std::string_view transportFaultKindName(TransportFaultKind k) noexcept {
-  switch (k) {
-    case TransportFaultKind::kNone: return "none";
-    case TransportFaultKind::kShortWrite: return "short-write";
-    case TransportFaultKind::kShortRead: return "short-read";
-    case TransportFaultKind::kReset: return "reset";
-    case TransportFaultKind::kDelay: return "delay";
-  }
-  return "?";
-}
-
 TransportFaultPlan::TransportFaultPlan(TransportFaultSpec spec,
                                        std::uint64_t connOrdinal)
     : spec_(spec), conn_(connOrdinal) {}
@@ -215,18 +204,14 @@ FaultyStream::FaultyStream(std::unique_ptr<ByteStream> inner,
 
 long FaultyStream::read(char* buf, std::size_t n) {
   if (resetDone_) return 0;  // the peer is gone; reads see EOF
-  const std::uint64_t op = ordinal_++;
+  const std::uint64_t op = ordinal_.fetch_add(1);
   std::size_t ask = n;
   switch (plan_.decide(op, /*isWrite=*/false)) {
     case TransportFaultKind::kShortRead:
       ask = plan_.splitPoint(op, n);
-      ++shortReads_;
-      ++injected_;
       transportCounter("fault.transport.shortReads").add();
       break;
     case TransportFaultKind::kDelay:
-      ++delays_;
-      ++injected_;
       transportCounter("fault.transport.delays").add();
       sleeper_(plan_.spec().delayMs);
       break;
@@ -238,15 +223,13 @@ long FaultyStream::read(char* buf, std::size_t n) {
 
 long FaultyStream::write(const char* buf, std::size_t n) {
   if (resetDone_) return -1;
-  const std::uint64_t op = ordinal_++;
+  const std::uint64_t op = ordinal_.fetch_add(1);
   switch (plan_.decide(op, /*isWrite=*/true)) {
     case TransportFaultKind::kReset: {
       // A peer dying mid-frame: part of the buffer escapes, then the
       // transport is gone. The neighbour-safety proof rests here — the
       // receiver must treat the torn frame as this connection's problem
       // only.
-      ++resets_;
-      ++injected_;
       transportCounter("fault.transport.resets").add();
       if (n >= 2) {
         const std::size_t cut = plan_.splitPoint(op, n);
@@ -257,15 +240,11 @@ long FaultyStream::write(const char* buf, std::size_t n) {
       return -1;
     }
     case TransportFaultKind::kShortWrite: {
-      ++shortWrites_;
-      ++injected_;
       transportCounter("fault.transport.shortWrites").add();
       if (n >= 2) return inner_->write(buf, plan_.splitPoint(op, n));
       return inner_->write(buf, n);
     }
     case TransportFaultKind::kDelay:
-      ++delays_;
-      ++injected_;
       transportCounter("fault.transport.delays").add();
       sleeper_(plan_.spec().delayMs);
       break;

@@ -18,6 +18,7 @@
 // error surfaces and the client retries).
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -92,8 +93,6 @@ enum class TransportFaultKind {
   kDelay,       // sleep delayMs before the op (host time only)
 };
 
-std::string_view transportFaultKindName(TransportFaultKind k) noexcept;
-
 /// The schedule: decide(op ordinal, direction) is pure in (spec.seed,
 /// connection ordinal, op ordinal), so two streams built from the same
 /// identity replay identical fault sequences.
@@ -127,24 +126,15 @@ class FaultyStream final : public ByteStream {
   long write(const char* buf, std::size_t n) override;
   void closeNow() override;
 
-  /// Fault events injected by this stream so far (all kinds).
-  std::uint64_t injected() const noexcept { return injected_; }
-  std::uint64_t shortWrites() const noexcept { return shortWrites_; }
-  std::uint64_t shortReads() const noexcept { return shortReads_; }
-  std::uint64_t resets() const noexcept { return resets_; }
-  std::uint64_t delays() const noexcept { return delays_; }
-
  private:
   std::unique_ptr<ByteStream> inner_;
   TransportFaultPlan plan_;
   std::function<void(int)> sleeper_;
-  std::uint64_t ordinal_ = 0;  // shared across directions: one op stream
-  std::uint64_t injected_ = 0;
-  std::uint64_t shortWrites_ = 0;
-  std::uint64_t shortReads_ = 0;
-  std::uint64_t resets_ = 0;
-  std::uint64_t delays_ = 0;
-  bool resetDone_ = false;  // after a reset every op fails like a dead peer
+  // A connection's reader thread and its writer (under the daemon's write
+  // mutex) drive one stream concurrently, so the shared state is atomic.
+  std::atomic<std::uint64_t> ordinal_{0};  // one op stream, both directions
+  // After a reset every op fails like a dead peer.
+  std::atomic<bool> resetDone_{false};
 };
 
 }  // namespace jepo::fault

@@ -128,6 +128,24 @@ JEPO_FORCE_INLINE Value coerceInline(const Value& v, ValKind k,
   return jvm::coerceToKind(v, k, lib, line);
 }
 
+/// Steps `in` accounted at dispatch for constituents a Java exception from
+/// its binary operator skips (the throw tails of code.hpp); 0 for every
+/// instruction without one.
+std::uint32_t throwTailSteps(const Instr& in) {
+  const auto c = static_cast<std::uint32_t>(in.c);
+  switch (in.op) {
+    case Op::kThisFieldAccumReturn:
+      return c;
+    case Op::kAccumConstJump:
+    case Op::kCountedAccumLoop:
+      return c >> 28;
+    case Op::kBinCastStoreIncDecJump:
+      return c >> 12;
+    default:
+      return 0;
+  }
+}
+
 /// The kThisFieldAccumReturn body (`f1 = f1 <op> f2; return f1;`), shared
 /// by the trivial-callee inline helpers. Replays the seed charge sequence
 /// exactly; `self` stays valid across an allocating binary because heap
@@ -590,6 +608,7 @@ bool BytecodeVm::inlineRecvCall(const Chunk& chunk, const Value& recv,
     }
     charge(energy::Op::kReturn);
   } catch (const Thrown&) {
+    steps_ -= throwTailSteps(chunk.code[0]);
     if (hooks_ != nullptr) tier_->exitUnsampled(ref);
     throw;
   }
@@ -1734,6 +1753,7 @@ jvm::Value BytecodeVm::run(const CompiledClass& cls, const Chunk& chunk,
       // the throwing instruction (handlers never advance it before a
       // potential throw), so the fused pc maps into the remapped ranges
       // exactly as every interior pc of its run would have.
+      steps_ -= throwTailSteps(*ip);
       const auto pc = static_cast<std::size_t>(ip - codeBase);
       const std::string& thrownClass =
           heap_.get(thrown.exception.asRef()).className;

@@ -161,7 +161,8 @@ enum class Op : std::uint8_t {
                          //   kGetThisFieldSlot kReturnValue] — the whole
                          //   `f1 = f1 <op> f2; return f1;` body.
                          //   a = off1 | off2<<12, b = BinOp | castK<<8
-                         //   (castK enc 15: none)
+                         //   (castK enc 15: none), c = the steps of the
+                         //   `return f1;` run (its throw tail, below)
   kLoadLoadCallSelf,     // [kLoad kLoad kCallSelfResolved] — a and c keep
                          //   the call's operands (ordinal, prepend-this);
                          //   b = argc | slot1<<10 | slot2<<20
@@ -174,17 +175,25 @@ enum class Op : std::uint8_t {
   // kIncDecJump latch that follows it, so a steady-state counted-loop
   // iteration dispatches once for the whole tail. Instr::n carries the
   // combined step count. Packed fields are decoded as unsigned.
+  //
+  // Throw tails: a fused instruction accounts all its steps at dispatch,
+  // but a Java exception from its binary operator leaves the constituents
+  // after it unexecuted, steps the tree interpreter never counts. The
+  // instructions whose binary has stepped constituents after it carry that
+  // count (the latch's steps for the pairs) in their operands, and the VM
+  // un-accounts it when such an exception leaves the instruction.
   kAccumConstJump,       // [kAccumConstStmt][kIncDecJump], latch slot == s2.
                          //   a = pool1, c = target | storeK1<<16 |
-                         //   castK1<<20 | storeKL<<24, b = s1 | s2<<8 |
-                         //   bop1<<16 | bop2<<21 | bopL<<26
+                         //   castK1<<20 | storeKL<<24 | latchSteps<<28,
+                         //   b = s1 | s2<<8 | bop1<<16 | bop2<<21 |
+                         //   bopL<<26
   kStorePopIncDecJump,   // [kStorePop][kIncDecJump].  a = target,
                          //   b = slotS | slotL<<10 | bopL<<20,
                          //   c = storeKS | storeKL<<4
   kBinCastStoreIncDecJump, // [kBinCastStorePop][kIncDecJump].
                          //   a = target, b = slotS | slotL<<8 |
                          //   bopS<<16 | bopL<<21, c = storeKS | castKS<<4 |
-                         //   storeKL<<8
+                         //   storeKL<<8 | latchSteps<<12
 
   kCountedAccumLoop,     // Whole counted accumulate loop, produced by the
                          //   third peephole pass (matchLoop):
@@ -199,7 +208,7 @@ enum class Op : std::uint8_t {
                          //   a = limitPool | pool1<<16, b as
                          //   kAccumConstJump, c = bodySteps | cmpOp<<10 |
                          //   tick<<15 | storeK1<<16 | castK1<<20 |
-                         //   storeKL<<24
+                         //   storeKL<<24 | latchSteps<<28
 };
 
 struct Instr {

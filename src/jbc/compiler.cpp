@@ -1165,8 +1165,11 @@ std::size_t matchSuper(const std::vector<Instr>& c, std::size_t pc,
           break;
         }
         const std::int32_t castE = castEnc < 0 ? kNoKindEnc : castEnc;
+        std::uint32_t throwTail = 0;  // steps after the kBinary at index 2
+        for (std::size_t k = 3; k < len; ++k) throwTail += in(k).n;
         return make(Op::kThisFieldAccumReturn, off | off2 << 12,
-                    bop | castE << 8, 0, len);
+                    bop | castE << 8, static_cast<std::int32_t>(throwTail),
+                    len);
       }
       if (runOk(3) && op(1) == Op::kConstInt && op(2) == Op::kBinary &&
           off < (1 << 20)) {
@@ -1229,7 +1232,8 @@ std::size_t matchPair(const std::vector<Instr>& c, std::size_t pc,
   if (pc + 2 > c.size() || barrier[pc + 1]) return 1;
   const Instr& i0 = c[pc];
   const Instr& i1 = c[pc + 1];
-  if (i1.op != Op::kIncDecJump || i1.c >= (1 << 16)) return 1;
+  // The latch's steps ride in c as the pair's throw tail (code.hpp).
+  if (i1.op != Op::kIncDecJump || i1.c >= (1 << 16) || i1.n >= 16) return 1;
   const std::uint32_t lSlot = static_cast<std::uint32_t>(i1.a);
   const std::uint32_t lBop = static_cast<std::uint32_t>(i1.b) & 0x1F;
   const std::uint32_t lStoreK = (static_cast<std::uint32_t>(i1.b) >> 8) & 0xF;
@@ -1253,7 +1257,7 @@ std::size_t matchPair(const std::vector<Instr>& c, std::size_t pc,
                   s1 | s2 << 8 | ((b0 >> 20) & 0x1F) << 16 |
                       ((b0 >> 25) & 0x1F) << 21 | lBop << 26,
                   target | (c0 & 0xF) << 16 | ((c0 >> 4) & 0xF) << 20 |
-                      lStoreK << 24);
+                      lStoreK << 24 | i1.n << 28);
     }
     case Op::kStorePop: {
       if (i0.a >= (1 << 10) || lSlot >= (1 << 10) || i0.b >= 15) return 1;
@@ -1276,7 +1280,7 @@ std::size_t matchPair(const std::vector<Instr>& c, std::size_t pc,
       return emit(Op::kBinCastStoreIncDecJump, target,
                   static_cast<std::uint32_t>(i0.a) | lSlot << 8 |
                       bopS << 16 | lBop << 21,
-                  storeKS | castKS << 4 | lStoreK << 8);
+                  storeKS | castKS << 4 | lStoreK << 8 | i1.n << 12);
     }
     default:
       return 1;

@@ -98,14 +98,11 @@ std::vector<MethodTotals> Profiler::totals() const {
   }
   // Count-weighted extrapolation back to the full population: scale each
   // instrumented sum by invocations / instrumented and report the true
-  // invocation count. Methods whose every entry went unsampled (the
-  // hot-tier cold tail) still get a row — counts without joules.
+  // invocation count. Every method the gate saw has at least one record:
+  // sampled:N always admits ordinal 0, and an aborted instrumented frame
+  // still closes as a truncated record.
   for (const auto& s : tierStats_) {
     MethodTotals& t = agg[s.method];
-    if (t.method.empty()) {
-      t.method = s.method;
-      t.tier = tier_.tier;
-    }
     t.executions = s.invocations;
     t.instrumentedExecutions = s.instrumented;
     if (s.instrumented > 0 && s.instrumented < s.invocations) {

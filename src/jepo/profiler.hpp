@@ -85,7 +85,7 @@ class Profiler {
   void setCancelToken(const CancelToken* token) { cancel_ = token; }
 
   /// Select the instrumentation tier (jvm/tier.hpp): full (the default,
-  /// bit-identical to the untiered seed behaviour), sampled:N or hot:T.
+  /// bit-identical to the untiered seed behaviour) or sampled:N.
   /// Sampling decisions are a pure function of (seed, interned method id,
   /// invocation ordinal), so a sampled run replays bit-identically from
   /// its seed — the same contract jepod relies on for full runs.

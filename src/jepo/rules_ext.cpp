@@ -56,12 +56,6 @@ std::string_view extRuleSuggestion(ExtRuleId id) noexcept {
   return "?";
 }
 
-std::string ExtSuggestion::message() const {
-  std::string out(extRuleSuggestion(rule));
-  if (!detail.empty()) out += " [" + detail + "]";
-  return out;
-}
-
 namespace {
 
 bool isLoop(const Stmt& s) {

@@ -35,8 +35,6 @@ struct ExtSuggestion {
   std::string className;
   int line = 0;
   std::string detail;
-
-  std::string message() const;
 };
 
 /// Analyze a project with the extension rules.

@@ -298,13 +298,17 @@ void Daemon::readLoop(const std::shared_ptr<Connection>& conn) {
         pollfd pfd{};
         pfd.fd = conn->fd;
         pfd.events = POLLIN;
+        const std::uint64_t respondedBefore =
+            conn->responded.load(std::memory_order_acquire);
         const int pr = ::poll(&pfd, 1, cfg_.idleTimeoutMs);
         if (pr > 0) {
           readable = true;
         } else if (pr < 0) {
           if (errno == EINTR) continue;
           return;
-        } else if (conn->inflight.load(std::memory_order_acquire) == 0) {
+        } else if (conn->inflight.load(std::memory_order_acquire) == 0 &&
+                   conn->responded.load(std::memory_order_acquire) ==
+                       respondedBefore) {
           idleReaped_->add();
           return;
         }
@@ -396,6 +400,7 @@ void Daemon::handleLine(const std::string& line,
     const std::string response = runJob(req, ctx.get());
     writeLine(conn, response);
     finishJobContext(ctx);
+    conn->responded.fetch_add(1, std::memory_order_acq_rel);
     conn->inflight.fetch_sub(1, std::memory_order_acq_rel);
     const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
                         std::chrono::steady_clock::now() - admittedAt)

@@ -124,6 +124,9 @@ class Daemon {
     /// Jobs admitted for this connection and not yet responded — the
     /// idle-reaper's "is anyone actually waiting on us" check.
     std::atomic<int> inflight{0};
+    /// Jobs responded so far: a poll window in which one finished was not
+    /// idle, so the reaper gives the client a full timeout after it.
+    std::atomic<std::uint64_t> responded{0};
     std::mutex writeMu;  // workers and the reader interleave responses
   };
 

@@ -266,11 +266,8 @@ Response parseResponse(const std::string& line) {
       }
       r.readRetries =
           static_cast<int>(item.uint64Or("readRetries", 0));
-      const std::string tier = item.stringOr("tier", "full");
-      if (tier == "sampled") {
+      if (item.stringOr("tier", "full") == "sampled") {
         r.tier = jvm::InstrTier::kSampled;
-      } else if (tier == "hot") {
-        r.tier = jvm::InstrTier::kHot;
       }
       r.samplingRate = item.doubleOr("samplingRate", 1.0);
       resp.profile.records.push_back(std::move(r));

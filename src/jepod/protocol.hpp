@@ -87,8 +87,8 @@ struct JobRequest {
   /// finishes in time is bit-identical with or without a deadline.
   std::uint64_t deadlineMs = 0;
   /// Instrumentation tier spec for profile jobs: "" or "full" (every
-  /// invocation instrumented — the pre-tier wire behaviour), "sampled:N"
-  /// or "hot:T" (jvm/tier.hpp). Validated at parse time; rendered only
+  /// invocation instrumented — the pre-tier wire behaviour) or
+  /// "sampled:N" (jvm/tier.hpp). Validated at parse time; rendered only
   /// when non-default, so pre-tier request bytes are unchanged. Part of
   /// the determinism contract: (source, mainClass, seed, heapLimit,
   /// maxSteps, faultPlan, tier) fully determine the result payload,

@@ -46,11 +46,6 @@ std::uint32_t SymbolTable::intern(std::string_view s) {
   return id;
 }
 
-std::uint32_t SymbolTable::lookup(std::string_view s) const {
-  const auto it = ids_.find(std::string(s));
-  return it == ids_.end() ? kNoName : it->second;
-}
-
 const ClassLayout& builtinExceptionLayout() {
   static const ClassLayout layout = [] {
     ClassLayout l;

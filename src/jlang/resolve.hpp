@@ -45,8 +45,6 @@ bool looksLikeExceptionClass(const std::string& name);
 class SymbolTable {
  public:
   std::uint32_t intern(std::string_view s);
-  /// kNoName when the spelling was never interned.
-  std::uint32_t lookup(std::string_view s) const;
   const std::string& name(std::uint32_t id) const { return names_[id]; }
   std::size_t size() const noexcept { return names_.size(); }
 

@@ -40,10 +40,6 @@ BuiltinLibrary::BuiltinLibrary(
 
 // The class-name predicates live in jlang (the resolver classifies names
 // with them); these wrappers keep the historical call sites working.
-bool BuiltinLibrary::isBuiltinClassName(const std::string& name) {
-  return jlang::isBuiltinClassName(name);
-}
-
 bool BuiltinLibrary::isWrapperClassName(const std::string& name) {
   return jlang::isWrapperClassName(name);
 }
@@ -449,9 +445,10 @@ bool BuiltinLibrary::instanceCall(Value receiver, const std::string& name,
     }
     if (name == "hashCode") {
       charge(Op::kIntAlu, s.size() + 1);
-      std::int32_t h = 0;
+      // Java's int arithmetic wraps; unsigned overflow is defined in C++.
+      std::uint32_t h = 0;
       for (char c : s) h = 31 * h + static_cast<unsigned char>(c);
-      *out = Value::ofInt(h);
+      *out = Value::ofInt(static_cast<std::int32_t>(h));
       return true;
     }
     throw VmError("unknown String method " + name);

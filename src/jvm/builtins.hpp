@@ -31,7 +31,6 @@ class BuiltinLibrary {
   [[noreturn]] void throwJava(const std::string& className,
                               const std::string& message);
 
-  static bool isBuiltinClassName(const std::string& name);
   static bool isWrapperClassName(const std::string& name);
   static bool looksLikeExceptionClass(const std::string& name);
 

@@ -154,12 +154,4 @@ void Instrumenter::finalizeSampling() {
   }
 }
 
-void Instrumenter::clear() {
-  stack_.clear();
-  records_.clear();
-  recordIds_.clear();
-  if (gate_ != nullptr) gate_ = std::make_unique<TierGate>(gate_->spec(),
-                                                          gate_->seed());
-}
-
 }  // namespace jepo::jvm

@@ -46,7 +46,7 @@ struct MethodRecord {
   /// Transient read errors absorbed producing this record.
   int readRetries = 0;
   /// Instrumentation tier this record was captured under. kFull records
-  /// measure every invocation; kSampled/kHot records represent
+  /// measure every invocation; kSampled records represent
   /// 1/samplingRate invocations each (count-weighted extrapolation).
   InstrTier tier = InstrTier::kFull;
   /// Effective per-method sampling rate — instrumented / total invocations
@@ -115,8 +115,6 @@ class Instrumenter final : public MethodHooks {
   /// decrement in the gate (TierGate::reconcileAborted), keeping the
   /// effective sampling rates honest.
   void unwindAbortedFrames();
-
-  void clear();
 
  private:
   /// Snapshot of one domain's counter at method entry. A failed arm read

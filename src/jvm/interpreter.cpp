@@ -37,22 +37,6 @@ void flushVmCounters(std::uint64_t stepsDelta, std::size_t heapDelta) {
   heapObjects.add(heapDelta);
 }
 
-std::string_view valKindName(ValKind k) noexcept {
-  switch (k) {
-    case ValKind::kNull: return "null";
-    case ValKind::kBool: return "boolean";
-    case ValKind::kByte: return "byte";
-    case ValKind::kShort: return "short";
-    case ValKind::kInt: return "int";
-    case ValKind::kLong: return "long";
-    case ValKind::kChar: return "char";
-    case ValKind::kFloat: return "float";
-    case ValKind::kDouble: return "double";
-    case ValKind::kRef: return "reference";
-  }
-  return "?";
-}
-
 Interpreter::Interpreter(const jlang::Program& program,
                          energy::SimMachine& machine)
     : program_(&program),
@@ -95,18 +79,6 @@ void Interpreter::step() {
     throw VmError("step limit exceeded (" + std::to_string(maxSteps_) +
                   "): possible runaway loop");
   }
-  // Cooperative cancellation: one predictable branch when no token is
-  // installed; a fired token unwinds exactly like the step limit above.
-  if (cancel_ != nullptr && cancel_->cancelled()) {
-    throw CancelledError(cancel_->reason());
-  }
-}
-
-const std::string& Interpreter::stringAt(Ref r) const {
-  const HeapObject& o = heap_.get(r);
-  JEPO_REQUIRE(o.kind == ObjKind::kString || o.kind == ObjKind::kBuilder,
-               "reference is not a string");
-  return o.text;
 }
 
 ValKind Interpreter::kindOfType(const TypeRef& t) {
@@ -754,10 +726,6 @@ Value Interpreter::unboxIfNeeded(Value v) { return builtins_.unboxIfNeeded(v); }
 
 Value Interpreter::arith(BinOp op, Value a, Value b, int line) {
   return applyBinary(op, a, b, heap_, builtins_, *machine_, line);
-}
-
-Value Interpreter::compare(BinOp op, Value a, Value b) {
-  return applyBinary(op, a, b, heap_, builtins_, *machine_, 0);
 }
 
 

@@ -27,7 +27,6 @@
 #include "jvm/gc.hpp"
 #include "jvm/heap.hpp"
 #include "jvm/value.hpp"
-#include "support/cancel.hpp"
 
 namespace jepo::jvm {
 
@@ -92,13 +91,6 @@ class Interpreter {
   /// Abort with VmError once this many statements/expressions have executed
   /// (runaway-loop guard for tests). 0 disables the limit.
   void setMaxSteps(std::uint64_t maxSteps) { maxSteps_ = maxSteps; }
-
-  /// Install (or clear, with nullptr) a cooperative cancel token, polled at
-  /// the per-step boundary step() already owns. A fired token unwinds with
-  /// CancelledError through the same abort path as the step limit, so
-  /// partially-executed methods flush as truncated records. Host-time-only:
-  /// a token that never fires leaves every observable bit-identical.
-  void setCancelToken(const CancelToken* token) { cancel_ = token; }
 
   /// Run `static void main(String[] args)`. If mainClass is empty the
   /// program must contain exactly one main class (JEPO prompts the user
@@ -175,7 +167,6 @@ class Interpreter {
 
   // Arithmetic with Java promotion rules + energy charging.
   Value arith(jlang::BinOp op, Value a, Value b, int line);
-  Value compare(jlang::BinOp op, Value a, Value b);
   Value unboxIfNeeded(Value v);
 
   // Method machinery.
@@ -222,8 +213,6 @@ class Interpreter {
   // safepoints register through Gc scoped guards at their use sites.
   void scanGcRoots(Gc::RootWalker& w);
 
-  const std::string& stringAt(Ref r) const;
-
   const jlang::Program* program_;
   std::shared_ptr<const jlang::Resolution> resolution_;
   energy::SimMachine* machine_;
@@ -248,7 +237,6 @@ class Interpreter {
 
   std::uint64_t steps_ = 0;
   std::uint64_t maxSteps_ = 0;
-  const CancelToken* cancel_ = nullptr;
 
   // Row cache for the 2-D locality model.
   Ref lastRowArray_ = 0xFFFFFFFF;

@@ -5,25 +5,12 @@
 namespace jepo::jvm {
 
 const char* tierName(InstrTier tier) noexcept {
-  switch (tier) {
-    case InstrTier::kFull:
-      return "full";
-    case InstrTier::kSampled:
-      return "sampled";
-    case InstrTier::kHot:
-      return "hot";
-  }
-  return "full";
+  return tier == InstrTier::kSampled ? "sampled" : "full";
 }
 
 std::string TierSpec::describe() const {
-  switch (tier) {
-    case InstrTier::kFull:
-      return "full";
-    case InstrTier::kSampled:
-      return "sampled:" + std::to_string(sampleEvery);
-    case InstrTier::kHot:
-      return "hot:" + std::to_string(hotThreshold);
+  if (tier == InstrTier::kSampled) {
+    return "sampled:" + std::to_string(sampleEvery);
   }
   return "full";
 }
@@ -32,7 +19,7 @@ namespace {
 
 [[noreturn]] void badTier(std::string_view text) {
   throw Error("bad tier spec '" + std::string(text) +
-              "' (expected full, sampled:N or hot:T)");
+              "' (expected full or sampled:N)");
 }
 
 /// Strict decimal parse of the ":N" payload — rejects empty, signs,
@@ -58,16 +45,10 @@ TierSpec parseTierSpec(std::string_view text) {
     return spec;
   }
   constexpr std::string_view kSampled = "sampled:";
-  constexpr std::string_view kHot = "hot:";
   if (text.rfind(kSampled, 0) == 0) {
     spec.tier = InstrTier::kSampled;
     spec.sampleEvery = parseCount(text, text.substr(kSampled.size()));
     if (spec.sampleEvery == 0) badTier(text);
-    return spec;
-  }
-  if (text.rfind(kHot, 0) == 0) {
-    spec.tier = InstrTier::kHot;
-    spec.hotThreshold = parseCount(text, text.substr(kHot.size()));
     return spec;
   }
   badTier(text);

@@ -15,10 +15,6 @@
 //                seed and the method — never on thread count, scheduling or
 //                wall-clock — and a run can be replayed bit-identically
 //                from its seed.
-//   hot:T      — a per-method invocation counter promotes a method to
-//                instrumented status once it has been entered T times; the
-//                cold tail below the threshold is demoted to aggregate-only
-//                attribution (invocation counts without joules).
 //
 // Unsampled entries pay only a counter increment: the engines branch on a
 // hoisted TierGate pointer and skip the hook call entirely — no MSR reads,
@@ -43,9 +39,9 @@
 
 namespace jepo::jvm {
 
-enum class InstrTier : std::uint8_t { kFull = 0, kSampled = 1, kHot = 2 };
+enum class InstrTier : std::uint8_t { kFull = 0, kSampled = 1 };
 
-/// Wire/CLI name of a tier: "full", "sampled", "hot".
+/// Wire/CLI name of a tier: "full" or "sampled".
 const char* tierName(InstrTier tier) noexcept;
 
 /// A parsed --tier value. `describe()` round-trips through
@@ -54,20 +50,16 @@ struct TierSpec {
   InstrTier tier = InstrTier::kFull;
   /// sampled: instrument 1 of every `sampleEvery` invocations (>= 1).
   std::uint64_t sampleEvery = 1;
-  /// hot: instrument invocations once a method has been entered this many
-  /// times (0 promotes immediately, i.e. behaves like full).
-  std::uint64_t hotThreshold = 0;
 
-  /// "full" | "sampled:N" | "hot:T".
+  /// "full" | "sampled:N".
   std::string describe() const;
 
   bool operator==(const TierSpec& o) const noexcept {
-    return tier == o.tier && sampleEvery == o.sampleEvery &&
-           hotThreshold == o.hotThreshold;
+    return tier == o.tier && sampleEvery == o.sampleEvery;
   }
 };
 
-/// Parse "full" | "sampled:N" (N >= 1) | "hot:T". Throws jepo::Error with a
+/// Parse "full" | "sampled:N" (N >= 1). Throws jepo::Error with a
 /// message naming the accepted forms on malformed input — callers at trust
 /// boundaries (jepod requests, CLI flags) surface it verbatim.
 TierSpec parseTierSpec(std::string_view text);
@@ -82,9 +74,6 @@ class TierGate {
  public:
   TierGate(const TierSpec& spec, std::uint64_t seed)
       : spec_(spec), seed_(seed) {}
-
-  const TierSpec& spec() const noexcept { return spec_; }
-  std::uint64_t seed() const noexcept { return seed_; }
 
   /// Decision for the *next* entry of `m`, without committing it. The
   /// bcvm's fused trivial-call path peeks first: an admitted entry must
@@ -173,30 +162,22 @@ class TierGate {
   }
 
   bool decide(PerMethod& s, std::uint32_t id) {
-    switch (spec_.tier) {
-      case InstrTier::kSampled: {
-        // The measured residue is derived per method from the run seed, so
-        // different methods sample different phases of their call pattern
-        // (avoiding lockstep aliasing with loop structure) while staying a
-        // pure function of (seed, method id, ordinal). The first invocation
-        // is always instrumented: a method called fewer than sampleEvery
-        // times (main, setup code) would otherwise likely contribute zero
-        // records and its entire cost would vanish from the extrapolated
-        // attribution — anchoring ordinal 0 bounds that error while hot
-        // methods still converge to the 1/N rate.
-        if (s.entered == 0) return true;
-        if (!s.phaseReady) {
-          s.phase = deriveSeed(seed_, id) % spec_.sampleEvery;
-          s.phaseReady = true;
-        }
-        return (s.entered % spec_.sampleEvery) == s.phase;
-      }
-      case InstrTier::kHot:
-        return s.entered >= spec_.hotThreshold;
-      case InstrTier::kFull:
-        return true;
+    if (spec_.tier == InstrTier::kFull) return true;
+    // The measured residue is derived per method from the run seed, so
+    // different methods sample different phases of their call pattern
+    // (avoiding lockstep aliasing with loop structure) while staying a
+    // pure function of (seed, method id, ordinal). The first invocation is
+    // always instrumented: a method called fewer than sampleEvery times
+    // (main, setup code) would otherwise likely contribute zero records and
+    // its entire cost would vanish from the extrapolated attribution —
+    // anchoring ordinal 0 bounds that error while hot methods still
+    // converge to the 1/N rate.
+    if (s.entered == 0) return true;
+    if (!s.phaseReady) {
+      s.phase = deriveSeed(seed_, id) % spec_.sampleEvery;
+      s.phaseReady = true;
     }
-    return true;
+    return (s.entered % spec_.sampleEvery) == s.phase;
   }
 
   TierSpec spec_;

@@ -117,6 +117,4 @@ struct Value {
   }
 };
 
-std::string_view valKindName(ValKind k) noexcept;
-
 }  // namespace jepo::jvm

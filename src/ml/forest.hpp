@@ -22,8 +22,6 @@ class RandomForest final : public Classifier {
   int predict(const std::vector<double>& row) const override;
   std::string name() const override { return "RandomForest"; }
 
-  std::size_t treeCount() const noexcept { return trees_.size(); }
-
  private:
   MlRuntime* rt_;
   ForestOptions options_;

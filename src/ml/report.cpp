@@ -101,15 +101,6 @@ std::string EvaluationReport::render(const Attribute& classAttr) const {
   return out;
 }
 
-EvaluationReport evaluateDetailed(Classifier& classifier,
-                                  const Instances& test) {
-  EvaluationReport report(test.numClasses());
-  for (std::size_t i = 0; i < test.numInstances(); ++i) {
-    report.add(test.classValue(i), classifier.predict(test.row(i)));
-  }
-  return report;
-}
-
 EvaluationReport crossValidateDetailed(
     const std::function<std::unique_ptr<Classifier>()>& factory,
     const Instances& data, std::size_t folds, Rng& rng) {

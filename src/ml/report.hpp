@@ -41,10 +41,6 @@ class EvaluationReport {
   std::size_t correct_ = 0;
 };
 
-/// Evaluate a trained classifier over a test set into a report.
-EvaluationReport evaluateDetailed(Classifier& classifier,
-                                  const Instances& test);
-
 /// Stratified k-fold CV accumulating one pooled report over all folds.
 EvaluationReport crossValidateDetailed(
     const std::function<std::unique_ptr<Classifier>()>& factory,

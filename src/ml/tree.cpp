@@ -439,30 +439,6 @@ int DecisionTree<Real>::predict(const std::vector<double>& row) const {
   return predictFrom(root_, row);
 }
 
-template <typename Real>
-std::size_t DecisionTree<Real>::leafCount() const noexcept {
-  std::size_t leaves = 0;
-  for (const auto& n : nodes_) leaves += n.attr < 0;
-  return leaves;
-}
-
-template <typename Real>
-int DecisionTree<Real>::depth() const noexcept {
-  if (root_ < 0) return 0;
-  // Iterative depth computation over the child lists.
-  std::vector<std::pair<int, int>> stack{{root_, 1}};
-  int maxDepth = 0;
-  while (!stack.empty()) {
-    const auto [idx, d] = stack.back();
-    stack.pop_back();
-    maxDepth = std::max(maxDepth, d);
-    for (int c : nodes_[static_cast<std::size_t>(idx)].children) {
-      stack.emplace_back(c, d + 1);
-    }
-  }
-  return maxDepth;
-}
-
 template class DecisionTree<float>;
 template class DecisionTree<double>;
 

@@ -34,14 +34,6 @@ class DecisionTree final : public Classifier {
   int predict(const std::vector<double>& row) const override;
   std::string name() const override { return displayName_; }
 
-  std::size_t nodeCount() const noexcept { return nodes_.size(); }
-  std::size_t leafCount() const noexcept;
-  int depth() const noexcept;
-  /// Attribute index split at the root (-1 when the tree is a single leaf).
-  int rootAttr() const noexcept {
-    return root_ < 0 ? -1 : nodes_[static_cast<std::size_t>(root_)].attr;
-  }
-
  private:
   struct Node {
     int attr = -1;  // -1: leaf

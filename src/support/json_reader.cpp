@@ -38,11 +38,6 @@ const std::vector<Value>& Value::asArray() const {
   return array_;
 }
 
-const std::vector<Member>& Value::asObject() const {
-  JEPO_REQUIRE(isObject(), "JSON value is not an object");
-  return object_;
-}
-
 const Value* Value::find(std::string_view key) const noexcept {
   if (!isObject()) return nullptr;
   for (const auto& [k, v] : object_) {

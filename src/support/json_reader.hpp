@@ -55,7 +55,6 @@ class Value {
   std::uint64_t asUint64() const;
   const std::string& asString() const;
   const std::vector<Value>& asArray() const;
-  const std::vector<Member>& asObject() const;
 
   /// Member lookup (first match); nullptr when absent or not an object.
   const Value* find(std::string_view key) const noexcept;

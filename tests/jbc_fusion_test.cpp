@@ -16,18 +16,23 @@
 //     handler;
 //   - fused and unfused compiles of the same program, and the tree
 //     interpreter, are observably bit-identical (stdout, simulated joules
-//     and seconds), so the fuser can never shift the energy accounting.
+//     and seconds, steps, and method records under a sampling tier), so
+//     the fuser can never shift the energy accounting.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "energy/machine.hpp"
 #include "jbc/bcvm.hpp"
 #include "jbc/compiler.hpp"
 #include "jlang/parser.hpp"
+#include "jvm/instrumenter.hpp"
 #include "jvm/interpreter.hpp"
+#include "jvm/tier.hpp"
+#include "obs/registry.hpp"
 #include "support/error.hpp"
 
 namespace jepo::jbc {
@@ -40,6 +45,8 @@ struct Observables {
   std::string out;
   std::uint64_t pkgBits = 0;
   std::uint64_t secondsBits = 0;
+  std::uint64_t steps = 0;
+  std::vector<jvm::MethodRecord> records;  // empty with hooks off
 };
 
 std::uint64_t doubleBits(double d) {
@@ -48,22 +55,48 @@ std::uint64_t doubleBits(double d) {
   return u;
 }
 
-Observables runVm(const CompiledProgram& compiled) {
-  energy::SimMachine machine;
-  BytecodeVm vm(compiled, machine);
-  vm.setMaxSteps(100'000'000);
-  vm.runMain();
-  return {vm.output(), doubleBits(machine.sample().packageJoules),
-          doubleBits(machine.sample().seconds)};
+std::uint64_t stepsSoFar() {
+  return obs::Registry::global().counter("vm.steps").value();
 }
 
-Observables runTree(const Program& prog) {
+/// Runs either engine; with a tier, under an Instrumenter gated by it.
+template <typename Engine, typename Source>
+Observables run(const Source& p, const jvm::TierSpec* tier = nullptr) {
   energy::SimMachine machine;
-  jvm::Interpreter interp(prog, machine);
-  interp.setMaxSteps(100'000'000);
-  interp.runMain();
-  return {interp.output(), doubleBits(machine.sample().packageJoules),
-          doubleBits(machine.sample().seconds)};
+  Engine engine(p, machine);
+  jvm::Instrumenter inst(machine);
+  if (tier != nullptr) {
+    inst.setTier(*tier, /*seed=*/2020);
+    engine.setHooks(&inst);
+  }
+  engine.setMaxSteps(100'000'000);
+  const std::uint64_t steps0 = stepsSoFar();
+  engine.runMain();
+  inst.finalizeSampling();
+  return {engine.output(), doubleBits(machine.sample().packageJoules),
+          doubleBits(machine.sample().seconds), stepsSoFar() - steps0,
+          inst.records()};
+}
+
+Observables runVm(const CompiledProgram& compiled) {
+  return run<BytecodeVm>(compiled);
+}
+
+void expectSameObservables(const Observables& a, const Observables& b) {
+  EXPECT_EQ(a.out, b.out);
+  EXPECT_EQ(a.pkgBits, b.pkgBits) << "joules differ";
+  EXPECT_EQ(a.secondsBits, b.secondsBits) << "simulated time differs";
+  EXPECT_EQ(a.steps, b.steps);
+  ASSERT_EQ(a.records.size(), b.records.size());
+  for (std::size_t i = 0; i < a.records.size(); ++i) {
+    const jvm::MethodRecord& ra = a.records[i];
+    const jvm::MethodRecord& rb = b.records[i];
+    EXPECT_EQ(ra.method, rb.method) << "record " << i;
+    EXPECT_EQ(doubleBits(ra.packageJoules), doubleBits(rb.packageJoules))
+        << ra.method;
+    EXPECT_EQ(doubleBits(ra.seconds), doubleBits(rb.seconds)) << ra.method;
+    EXPECT_EQ(ra.samplingRate, rb.samplingRate) << ra.method;
+  }
 }
 
 CompiledProgram compileWith(const Program& prog, bool fuse) {
@@ -177,29 +210,130 @@ class Main {
 }
 )";
 
+// Trivial callees: bump() fuses into the kThisFieldAccumReturn
+// superinstruction and id() into kLoadReturn, so the VM inlines both calls
+// (the kTrivThisFieldAccumReturn and kTrivLoadReturn trivial-call kinds)
+// with hooks off, and under a sampling tier whenever the gate declines the
+// entry; admitted entries take the framed, instrumented path. split()
+// fuses the same way and throws from inside the superinstruction, before
+// its `return` statement's steps.
+const char* const kTrivialCallees = R"(
+class Counter {
+  int value;
+  int step;
+  Counter(int s) { step = s; }
+  int bump() { value = value + step; return value; }
+  int split() { value = value / step; return value; }
+  static int id(int x) { return x; }
+}
+class Main {
+  static void main(String[] args) {
+    Counter c = new Counter(3);
+    int total = 0;
+    for (int i = 0; i < 40; i++) {
+      total = total + c.bump() + Counter.id(i);
+    }
+    System.out.println(total + ":" + c.value);
+    for (int i = 0; i < 8; i++) {
+      try {
+        c.step = 2 - i % 3;
+        System.out.println(c.split());
+      } catch (ArithmeticException e) {
+        System.out.println("caught " + i);
+      }
+    }
+  }
+}
+)";
+
+// Throws from inside the fused loop tails: the accumulate statement's
+// division by the constant 0 runs before the i++ latch that the pair
+// (kAccumConstJump; the local bound keeps the while loop from fusing
+// whole) and whole-loop (kCountedAccumLoop) instructions carry.
+const char* const kThrowInFusedLatch = R"(
+class Main {
+  static void main(String[] args) {
+    int acc = 0;
+    int i = 0;
+    int limit = 8;
+    try {
+      while (i < limit) {
+        acc = acc + i / 0;
+        i++;
+      }
+    } catch (ArithmeticException e) {
+      System.out.println("while " + i + " " + acc);
+    }
+    try {
+      for (int j = 0; j < 8; j++) acc = acc + j % 0;
+    } catch (ArithmeticException e) {
+      System.out.println("for " + acc);
+    }
+  }
+}
+)";
+
 class FusionAgreementTest : public ::testing::TestWithParam<const char*> {};
 
+// The engines are charge-identical on throw paths and trivial calls too,
+// with hooks off and under sampled:4 (whose gate decides, per entry,
+// between the fused trivial call and the framed one).
 TEST_P(FusionAgreementTest, FusedUnfusedAndTreeAgreeBitExact) {
   const Program prog = Parser::parseProgram("fusion.mjava", GetParam());
-  const Observables fused = runVm(compileWith(prog, true));
-  const Observables unfused = runVm(compileWith(prog, false));
-  const Observables tree = runTree(prog);
-
-  EXPECT_EQ(fused.out, unfused.out);
-  EXPECT_EQ(fused.pkgBits, unfused.pkgBits) << "fusion shifted joules";
-  EXPECT_EQ(fused.secondsBits, unfused.secondsBits)
-      << "fusion shifted simulated time";
-
-  // The engines are charge-identical on throw paths too.
-  EXPECT_EQ(tree.out, fused.out);
-  EXPECT_EQ(tree.pkgBits, fused.pkgBits) << "engines disagree on joules";
-  EXPECT_EQ(tree.secondsBits, fused.secondsBits);
+  const CompiledProgram fused = compileWith(prog, true);
+  const CompiledProgram unfused = compileWith(prog, false);
+  const jvm::TierSpec sampled = jvm::parseTierSpec("sampled:4");
+  const jvm::TierSpec* const noHooks = nullptr;
+  for (const jvm::TierSpec* tier : {noHooks, &sampled}) {
+    SCOPED_TRACE(tier == nullptr ? "hooks off" : "sampled:4");
+    const Observables f = run<BytecodeVm>(fused, tier);
+    {
+      SCOPED_TRACE("fused vs unfused");
+      expectSameObservables(f, run<BytecodeVm>(unfused, tier));
+    }
+    {
+      SCOPED_TRACE("tree vs fused");
+      expectSameObservables(run<jvm::Interpreter>(prog, tier), f);
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(ExceptionShapes, FusionAgreementTest,
                          ::testing::Values(kThrowInFusedPair, kLoopInsideTry,
                                            kThrowAfterQuickening,
-                                           kFinallyAroundLoop));
+                                           kFinallyAroundLoop,
+                                           kThrowInFusedLatch,
+                                           kTrivialCallees));
+
+TEST(FusionTrivialCallees, CalleesCompileToTrivialShapes) {
+  const Program prog = Parser::parseProgram("fusion.mjava", kTrivialCallees);
+  const CompiledProgram fused = compileWith(prog, true);
+  const CompiledClass* counter = fused.findClass("Counter");
+  ASSERT_NE(counter, nullptr);
+  const auto& methods = counter->methods;
+  for (const char* name : {"bump", "split"}) {
+    EXPECT_EQ(methods.at(name).code.at(0).op, Op::kThisFieldAccumReturn)
+        << disassemble(methods.at(name), fused);
+  }
+  EXPECT_EQ(methods.at("id").code.at(0).op, Op::kLoadReturn)
+      << disassemble(methods.at("id"), fused);
+  // bump() returns 3, 6, ..., 120 (sum 2460); id(i) sums to 780. split()
+  // divides by 2, 1, 0, 2, 1, 0, 2, 1.
+  EXPECT_EQ(runVm(fused).out,
+            "3240:120\n60\n60\ncaught 2\n30\n30\ncaught 5\n15\n15\n");
+}
+
+TEST(FusionExceptionTable, ThrowInFusedLatchCoversPairAndWholeLoop) {
+  const Program prog =
+      Parser::parseProgram("fusion.mjava", kThrowInFusedLatch);
+  const CompiledProgram fused = compileWith(prog, true);
+  const Chunk& main = mainChunk(fused);
+  ASSERT_TRUE(containsOp(main, Op::kAccumConstJump))
+      << disassemble(main, fused);
+  ASSERT_TRUE(containsOp(main, Op::kCountedAccumLoop))
+      << disassemble(main, fused);
+  EXPECT_EQ(runVm(fused).out, "while 0 0\nfor 0\n");
+}
 
 TEST(FusionExceptionTable, ThrowInsideFusedPairIsCaughtWithExactLocals) {
   const Program prog = Parser::parseProgram("fusion.mjava", kThrowInFusedPair);
@@ -242,7 +376,8 @@ TEST(FusionExceptionTable, ThrowAfterQuickeningFindsHandler) {
 // it fired in (so the remap was exercised, not vacuous).
 TEST(FusionExceptionTable, HandlerRangesStayInBoundsAcrossFusion) {
   const char* const sources[] = {kThrowInFusedPair, kLoopInsideTry,
-                                 kThrowAfterQuickening, kFinallyAroundLoop};
+                                 kThrowAfterQuickening, kFinallyAroundLoop,
+                                 kThrowInFusedLatch};
   for (const char* src : sources) {
     const Program prog = Parser::parseProgram("fusion.mjava", src);
     const CompiledProgram fused = compileWith(prog, true);

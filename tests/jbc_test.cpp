@@ -269,6 +269,16 @@ const char* kAgreementPrograms[] = {
       }
     }
     )",
+    // String.hashCode wraps like Java's int arithmetic.
+    R"(
+    class Main {
+      static void main(String[] args) {
+        System.out.println("polygenelubricants".hashCode() == -2147483648);
+        System.out.println("hello world".hashCode() == 1794106052);
+        System.out.println("polygenelubricants".hashCode());
+      }
+    }
+    )",
 };
 
 INSTANTIATE_TEST_SUITE_P(Programs, AgreementTest,

@@ -38,7 +38,6 @@
 #include "jepod/client.hpp"
 #include "jepod/daemon.hpp"
 #include "jlang/parser.hpp"
-#include "jvm/interpreter.hpp"
 #include "obs/registry.hpp"
 #include "support/cancel.hpp"
 #include "support/rng.hpp"
@@ -196,34 +195,13 @@ TEST(CancelToken, FirstReasonWinsAndLaterCancelsAreNoOps) {
   EXPECT_EQ(token.reason(), CancelReason::kDeadline);
 }
 
-TEST(EngineCancel, TreeInterpreterUnwindsOnWatcherCancel) {
-  const auto prog = jlang::Parser::parseProgram("spin.mjava", kSpinSource);
-  energy::SimMachine machine;
-  jvm::Interpreter interp(prog, machine);
-  CancelToken token;
-  interp.setCancelToken(&token);
-  std::thread watcher([&token] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    token.cancel(CancelReason::kCancelled);
-  });
-  try {
-    interp.runMain();
-    FAIL() << "spin loop finished without cancellation";
-  } catch (const CancelledError& e) {
-    EXPECT_EQ(e.reason(), CancelReason::kCancelled);
-  }
-  watcher.join();
-}
-
 // The acceptance case for the VM: polls must fire *inside* the fused
 // counted-accumulate fast path, because kCountedAccumLoop's backedge
 // re-enters the dispatch top (where the poll lives) every iteration. A
 // fuser that hoisted the whole loop out of dispatch would hang here.
 TEST(EngineCancel, FusedCountedAccumLoopStaysCancellable) {
   const auto prog = jlang::Parser::parseProgram("spin.mjava", kSpinSource);
-  jbc::CompileOptions opts;
-  opts.fuseSuperinstructions = true;
-  const jbc::CompiledProgram compiled = jbc::compile(prog, opts);
+  const jbc::CompiledProgram compiled = jbc::compile(prog);
   bool sawFusedLoop = false;
   for (const auto& [name, cls] : compiled.classes) {
     const auto it = cls.methods.find("main");
@@ -254,9 +232,7 @@ TEST(EngineCancel, FusedCountedAccumLoopStaysCancellable) {
 
 TEST(EngineCancel, PreArmedTokenAbortsBeforeRealWork) {
   const auto prog = jlang::Parser::parseProgram("spin.mjava", kSpinSource);
-  jbc::CompileOptions opts;
-  opts.fuseSuperinstructions = true;
-  const jbc::CompiledProgram compiled = jbc::compile(prog, opts);
+  const jbc::CompiledProgram compiled = jbc::compile(prog);
   energy::SimMachine machine;
   jbc::BytecodeVm vm(compiled, machine);
   vm.setMaxSteps(0);

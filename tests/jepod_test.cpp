@@ -539,14 +539,18 @@ TEST_F(JepodTest, MalformedTierIsATypedBadRequest) {
   startDaemon();
   Client c = connect();
 
-  JobRequest req = makeRequest("bt1", kQuickSource);
-  req.tier = "sampled:0";
-  const Response resp = c.submit(req);
-  EXPECT_FALSE(resp.ok);
-  EXPECT_EQ(resp.errorCode, "bad-request");
-  EXPECT_NE(resp.errorMessage.find("tier:"), std::string::npos)
-      << resp.errorMessage;
-  EXPECT_NE(resp.errorMessage.find("bad tier spec"), std::string::npos);
+  // "hot:8" named a tier that no longer exists; it gets the same reject.
+  for (const char* tier : {"sampled:0", "hot:8"}) {
+    JobRequest req = makeRequest(std::string("bt-") + tier, kQuickSource);
+    req.tier = tier;
+    const Response resp = c.submit(req);
+    EXPECT_FALSE(resp.ok) << tier;
+    EXPECT_EQ(resp.errorCode, "bad-request") << tier;
+    EXPECT_NE(resp.errorMessage.find("tier:"), std::string::npos)
+        << resp.errorMessage;
+    EXPECT_NE(resp.errorMessage.find("bad tier spec"), std::string::npos)
+        << resp.errorMessage;
+  }
 
   // The tier is validated at the parse boundary, before any compile or
   // admission work — a raw line with a bogus tier gets the same answer.
@@ -559,10 +563,10 @@ TEST_F(JepodTest, MalformedTierIsATypedBadRequest) {
 
 TEST_F(JepodTest, TierRoundTripsThroughRequestRenderAndParse) {
   JobRequest req = makeRequest("rt1", kQuickSource, "edge-a");
-  req.tier = "hot:32";
+  req.tier = "sampled:32";
   const std::string line = jepod::renderRequest(req);
   const JobRequest back = jepod::parseRequest(line);
-  EXPECT_EQ(back.tier, "hot:32");
+  EXPECT_EQ(back.tier, "sampled:32");
   EXPECT_EQ(back.id, "rt1");
 
   // Sampled records round-trip tier + samplingRate through the response.

@@ -1,7 +1,6 @@
 // Tiered instrumentation (jvm/tier.hpp): spec grammar, gate arithmetic,
 // sampled-run determinism (rerun, thread count, engine), full-tier
-// bit-identity with the untiered path, hot-tier cold-tail attribution,
-// and abort reconciliation (an open unsampled frame unwinds to a counter
+// bit-identity with the untiered path, and abort reconciliation (an open unsampled frame unwinds to a counter
 // decrement, never a bogus truncated record).
 #include <gtest/gtest.h>
 
@@ -108,22 +107,21 @@ ProfileResult runProfile(const jvm::TierSpec& spec, std::uint64_t seed) {
 // ------------------------------------------------------------ spec grammar
 
 TEST(TierSpec, ParseDescribeRoundTrip) {
-  for (const char* text : {"full", "sampled:1", "sampled:64", "hot:0",
-                           "hot:500"}) {
+  for (const char* text : {"full", "sampled:1", "sampled:64"}) {
     const jvm::TierSpec spec = jvm::parseTierSpec(text);
     EXPECT_EQ(spec.describe(), text);
     EXPECT_EQ(jvm::parseTierSpec(spec.describe()), spec);
   }
   EXPECT_EQ(jvm::parseTierSpec("full").tier, jvm::InstrTier::kFull);
   EXPECT_EQ(jvm::parseTierSpec("sampled:16").sampleEvery, 16u);
-  EXPECT_EQ(jvm::parseTierSpec("hot:3").hotThreshold, 3u);
 }
 
 TEST(TierSpec, RejectsMalformedSpecs) {
   for (const char* text : {"", "bogus", "sampled", "sampled:", "sampled:0",
-                           "sampled:-4", "sampled:abc", "hot", "hot:",
-                           "hot:9999999999999999999999", "full:2",
-                           "SAMPLED:4", "sampled:4 "}) {
+                           "sampled:-4", "sampled:abc",
+                           "sampled:9999999999999999999999", "hot", "hot:",
+                           "hot:0", "hot:500", "full:2", "SAMPLED:4",
+                           "sampled:4 "}) {
     EXPECT_THROW(jvm::parseTierSpec(text), Error) << text;
   }
   try {
@@ -193,20 +191,6 @@ TEST(TierGate, ReconcileAbortedDropsOpenUnsampledEntries) {
   stats = gate.stats();
   EXPECT_EQ(stats[0].invocations, 3u);
   EXPECT_EQ(stats[0].instrumented, 1u);
-}
-
-TEST(TierGate, HotPromotesAtThreshold) {
-  const std::string name = "X.m";
-  const jvm::MethodRef m{1, &name};
-  jvm::TierGate gate(jvm::parseTierSpec("hot:3"), /*seed=*/0);
-  EXPECT_FALSE(gate.enter(m));
-  gate.exitUnsampled(m);
-  EXPECT_FALSE(gate.enter(m));
-  gate.exitUnsampled(m);
-  EXPECT_FALSE(gate.enter(m));
-  gate.exitUnsampled(m);
-  EXPECT_TRUE(gate.enter(m)) << "promoted after hotThreshold entries";
-  EXPECT_TRUE(gate.enter(m));
 }
 
 // ------------------------------------------------------------- determinism
@@ -302,36 +286,6 @@ TEST(TierProfile, SampledTotalsExtrapolateToTruePopulation) {
       }
     }
   }
-}
-
-TEST(TierProfile, HotTierDemotesColdTailToCounts) {
-  const ProfileResult hot = runProfile(jvm::parseTierSpec("hot:50"), 2020);
-  // Records only from promoted methods (mix/id past 50 entries).
-  for (const auto& r : hot.records) {
-    EXPECT_TRUE(r.method == "Worker.mix" || r.method == "Worker.id")
-        << r.method;
-    EXPECT_EQ(r.tier, jvm::InstrTier::kHot);
-  }
-  bool sawRare = false;
-  bool sawMain = false;
-  for (const auto& t : hot.totals) {
-    if (t.method == "Worker.rare") {
-      sawRare = true;
-      EXPECT_EQ(t.executions, 1u);
-      EXPECT_EQ(t.instrumentedExecutions, 0u);
-      EXPECT_EQ(t.packageJoules, 0.0) << "cold tail is counts-only";
-    }
-    if (t.method == "Main.main") {
-      sawMain = true;
-      EXPECT_EQ(t.instrumentedExecutions, 0u);
-    }
-    if (t.method == "Worker.mix") {
-      EXPECT_EQ(t.executions, 200u);
-      EXPECT_EQ(t.instrumentedExecutions, 150u) << "promoted at entry 50";
-    }
-  }
-  EXPECT_TRUE(sawRare);
-  EXPECT_TRUE(sawMain);
 }
 
 // ------------------------------------------------------ abort reconciliation
