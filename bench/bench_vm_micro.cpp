@@ -10,6 +10,8 @@
 #include "jbc/compiler.hpp"
 #include "jepo/engine.hpp"
 #include "jepo/optimizer.hpp"
+#include "jepo/profiler.hpp"
+#include "jepod/protocol.hpp"
 #include "jlang/lexer.hpp"
 #include "jlang/parser.hpp"
 #include "jlang/printer.hpp"
@@ -259,6 +261,32 @@ void BM_MeterChargeOverhead(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_MeterChargeOverhead);
+
+// The jepod render layer on its own: one profile response of 2000 records
+// (the method-calls kernel's add() executions, as the profiler measures
+// them), rendered to its wire line.
+void BM_RenderProfileResponse(benchmark::State& state) {
+  core::Profiler profiler;
+  profiler.profile(jlang::Parser::parseProgram("calls.mjava",
+                                               kMethodCallsSource));
+  jepod::ProfileResult result;
+  result.stdoutText = profiler.programOutput();
+  result.records = profiler.takeRecords();
+  result.records.resize(2000);  // drop main's record, completed last
+  jepod::JobRequest req;
+  req.id = "bench-1";
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    const std::string line = jepod::renderProfileResponse(req, true, result);
+    bytes = line.size();
+    benchmark::DoNotOptimize(line.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          2000);
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() *
+                                                    bytes));
+}
+BENCHMARK(BM_RenderProfileResponse);
 
 }  // namespace
 

@@ -60,7 +60,7 @@ void Profiler::profile(const jbc::CompiledProgram& program,
   if (heapLimit_.has_value()) vm.setHeapLimit(*heapLimit_);
   const auto capture = [&] {
     inst.finalizeSampling();
-    records_ = inst.records();
+    records_ = inst.takeRecords();
     tierStats_ = inst.tierStats();
     output_ = vm.output();
   };

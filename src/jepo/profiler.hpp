@@ -104,6 +104,10 @@ class Profiler {
   const std::vector<jvm::MethodRecord>& records() const noexcept {
     return records_;
   }
+  /// Move the records out, for callers done with this Profiler.
+  std::vector<jvm::MethodRecord> takeRecords() noexcept {
+    return std::move(records_);
+  }
 
   /// Per-method aggregation, sorted by descending package energy — the
   /// "which method is energy-hungry" question the tool answers.
@@ -111,6 +115,8 @@ class Profiler {
 
   /// The program's stdout from the profiled run.
   const std::string& programOutput() const noexcept { return output_; }
+  /// Move the program output out, for callers done with this Profiler.
+  std::string takeOutput() noexcept { return std::move(output_); }
 
   /// The result.txt content JEPO writes into the project directory: one
   /// line per execution, method / seconds / package J / core J / dram J,

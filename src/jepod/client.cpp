@@ -168,14 +168,25 @@ std::string Client::roundTrip(const std::string& rawLine) {
 
 std::string Client::readLine() {
   JEPO_REQUIRE(fd_ >= 0, "Client not connected");
-  char chunk[4096];
+  // Large reads keep a big profile response to a handful of syscalls; each
+  // byte is searched for the newline once, when it arrives.
+  char chunk[64 * 1024];
+  std::size_t scanned = 0;  // buffer_[0, scanned) holds no newline
   for (;;) {
-    const std::size_t nl = buffer_.find('\n');
+    const std::size_t nl = buffer_.find('\n', scanned);
     if (nl != std::string::npos) {
-      std::string line = buffer_.substr(0, nl);
-      buffer_.erase(0, nl + 1);
+      std::string line;
+      if (nl + 1 == buffer_.size()) {
+        // Nothing pipelined behind this line: hand the buffer over.
+        buffer_.pop_back();
+        line.swap(buffer_);
+      } else {
+        line.assign(buffer_, 0, nl);
+        buffer_.erase(0, nl + 1);
+      }
       return line;
     }
+    scanned = buffer_.size();
     if (readTimeoutMs_ > 0) {
       // Bounded wait: a daemon dying mid-response (or never responding)
       // surfaces as a typed error instead of hanging this thread forever.

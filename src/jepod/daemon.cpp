@@ -5,6 +5,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
@@ -72,6 +73,8 @@ Daemon::Daemon(DaemonConfig cfg)
   inflight_ = &reg.gauge("jepod.jobs.inflight");
   latencyUs_ = &reg.histogram("jepod.job.latencyUs");
   cancelLatencyUs_ = &reg.histogram("jepod.cancel.latencyUs");
+  tierFull_ = &reg.counter("jepod.tier.full");
+  tierSampled_ = &reg.counter("jepod.tier.sampled");
 }
 
 Daemon::~Daemon() {
@@ -267,12 +270,14 @@ std::size_t Daemon::openConnectionCount() const {
 
 void Daemon::readLoop(const std::shared_ptr<Connection>& conn) {
   std::string buffer;
+  std::size_t scanned = 0;  // buffer[0, scanned) holds no newline
   char chunk[4096];
   for (;;) {
-    // Drain complete lines before reading more.
+    // Drain complete lines before reading more; only bytes that arrived
+    // since the last scan are searched.
     std::size_t start = 0;
     for (;;) {
-      const std::size_t nl = buffer.find('\n', start);
+      const std::size_t nl = buffer.find('\n', std::max(start, scanned));
       if (nl == std::string::npos) break;
       std::string line = buffer.substr(start, nl - start);
       start = nl + 1;
@@ -280,6 +285,7 @@ void Daemon::readLoop(const std::shared_ptr<Connection>& conn) {
       if (!line.empty()) handleLine(line, conn);
     }
     if (start > 0) buffer.erase(0, start);
+    scanned = buffer.size();
 
     if (buffer.size() > cfg_.maxLineBytes) {
       badRequests_->add();
@@ -331,7 +337,8 @@ void Daemon::handleLine(const std::string& line,
     return;
   }
 
-  tenantCounter(req.tenant, "requests").add();
+  TenantMetrics& tenant = tenantMetrics(req.tenant);
+  tenant.requests.add();
 
   // Admission: the draining check and the queue-bound check share one
   // critical section with pending_ bookkeeping, so a drain observed by
@@ -358,7 +365,7 @@ void Daemon::handleLine(const std::string& line,
   }
   if (verdict == Verdict::kDraining) {
     rejectedDraining_->add();
-    tenantCounter(req.tenant, "rejected").add();
+    tenant.rejected.add();
     writeLine(conn,
               renderErrorResponse(req.id, ErrorCode::kShuttingDown,
                                   "daemon is draining; resubmit elsewhere",
@@ -367,7 +374,7 @@ void Daemon::handleLine(const std::string& line,
   }
   if (verdict == Verdict::kQueueFull) {
     rejectedFull_->add();
-    tenantCounter(req.tenant, "rejected").add();
+    tenant.rejected.add();
     writeLine(conn,
               renderErrorResponse(
                   req.id, ErrorCode::kQueueFull,
@@ -396,18 +403,24 @@ void Daemon::handleLine(const std::string& line,
   }
   if (ctx->hasDeadline) watchdogCv_.notify_all();
 
-  pool_->submit([this, req = std::move(req), conn, ctx, admittedAt]() mutable {
-    const std::string response = runJob(req, ctx.get());
-    writeLine(conn, response);
-    finishJobContext(ctx);
-    conn->responded.fetch_add(1, std::memory_order_acq_rel);
-    conn->inflight.fetch_sub(1, std::memory_order_acq_rel);
+  pool_->submit([this, req = std::move(req), conn, ctx, tenant = &tenant,
+                 admittedAt]() mutable {
+    std::string response = runJob(req, *tenant, ctx.get());
+    // Job latency runs from admission to response ready; it and the
+    // completion count land before the write, so a client that has read
+    // its response always finds its job counted. responded/inflight and
+    // finishJob stay after the write: the idle reaper and drain must not
+    // see the job done before its bytes are out.
     const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
                         std::chrono::steady_clock::now() - admittedAt)
                         .count();
     latencyUs_->record(static_cast<std::uint64_t>(us));
-    tenantLatency(req.tenant).record(static_cast<std::uint64_t>(us));
+    tenant->latencyUs.record(static_cast<std::uint64_t>(us));
     completed_->add();
+    writeLine(conn, std::move(response));
+    finishJobContext(ctx);
+    conn->responded.fetch_add(1, std::memory_order_acq_rel);
+    conn->inflight.fetch_sub(1, std::memory_order_acq_rel);
     finishJob();
   });
 }
@@ -494,7 +507,8 @@ std::shared_ptr<const CachedProgram> Daemon::compileCached(
   return cache_.put(std::move(entry));
 }
 
-std::string Daemon::runJob(const JobRequest& req, JobContext* ctx) {
+std::string Daemon::runJob(const JobRequest& req, TenantMetrics& tenant,
+                           JobContext* ctx) {
   bool cached = false;
   try {
     const auto compiled = compileCached(req, &cached);
@@ -549,20 +563,16 @@ std::string Daemon::runJob(const JobRequest& req, JobContext* ctx) {
     }
     // Which tier each tenant's profile jobs actually run — the capacity-
     // planning signal for tiered sampling (global + per-tenant).
-    obs::Registry::global()
-        .counter(std::string("jepod.tier.") + jvm::tierName(tierSpec.tier))
-        .add();
-    tenantCounter(req.tenant,
-                  (std::string("tier.") + jvm::tierName(tierSpec.tier))
-                      .c_str())
-        .add();
+    const bool sampled = tierSpec.tier == jvm::InstrTier::kSampled;
+    (sampled ? *tierSampled_ : *tierFull_).add();
+    (sampled ? tenant.tierSampled : tenant.tierFull).add();
     profiler.profile(compiled->bytecode(), req.mainClass, req.maxSteps);
     ProfileResult result;
-    result.stdoutText = profiler.programOutput();
-    result.records = profiler.records();
+    result.stdoutText = profiler.takeOutput();
+    result.records = profiler.takeRecords();
     return renderProfileResponse(req, cached, result);
   } catch (const ProtocolError& e) {
-    tenantCounter(req.tenant, "errors").add();
+    tenant.errors.add();
     return renderErrorResponse(req.id, e.code(), e.what());
   } catch (const CancelledError& e) {
     // The watchdog or the reader armed this job's token mid-run (or
@@ -571,7 +581,7 @@ std::string Daemon::runJob(const JobRequest& req, JobContext* ctx) {
     // doesn't starve cancellation — and answer with the typed code. The
     // messages depend only on the request, never on timing, so responses
     // stay byte-stable.
-    tenantCounter(req.tenant, "cancelled").add();
+    tenant.cancelled.add();
     if (ctx != nullptr) {
       const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
                           std::chrono::steady_clock::now() - ctx->cancelledAt)
@@ -588,37 +598,41 @@ std::string Daemon::runJob(const JobRequest& req, JobContext* ctx) {
                                "job cancelled: client disconnected");
   } catch (const Error& e) {
     // VM aborts (step limit, runtime error) and main-class ambiguity.
-    tenantCounter(req.tenant, "errors").add();
+    tenant.errors.add();
     return renderErrorResponse(req.id, ErrorCode::kRuntimeError, e.what());
   } catch (const std::exception& e) {
-    tenantCounter(req.tenant, "errors").add();
+    tenant.errors.add();
     return renderErrorResponse(req.id, ErrorCode::kInternal, e.what());
   }
 }
 
 void Daemon::writeLine(const std::shared_ptr<Connection>& conn,
-                       const std::string& line) {
+                       std::string line) {
+  line += '\n';
   std::lock_guard lock(conn->writeMu);
-  std::string framed = line;
-  framed += '\n';
   std::size_t sent = 0;
-  while (sent < framed.size()) {
-    const long n =
-        conn->stream->write(framed.data() + sent, framed.size() - sent);
+  while (sent < line.size()) {
+    const long n = conn->stream->write(line.data() + sent, line.size() - sent);
     if (n <= 0) return;  // client went away; its loss
     sent += static_cast<std::size_t>(n);
   }
 }
 
-obs::Counter& Daemon::tenantCounter(const std::string& tenant,
-                                    const char* what) {
-  return obs::Registry::global().counter("jepod.tenant." +
-                                         sanitizeTenant(tenant) + "." + what);
-}
-
-obs::Histogram& Daemon::tenantLatency(const std::string& tenant) {
-  return obs::Registry::global().histogram(
-      "jepod.tenant." + sanitizeTenant(tenant) + ".latencyUs");
+Daemon::TenantMetrics& Daemon::tenantMetrics(const std::string& tenant) {
+  const std::string name = sanitizeTenant(tenant);
+  std::lock_guard lock(tenantsMu_);
+  std::unique_ptr<TenantMetrics>& slot = tenants_[name];
+  if (slot == nullptr) {
+    obs::Registry& reg = obs::Registry::global();
+    const std::string prefix = "jepod.tenant." + name + ".";
+    slot.reset(new TenantMetrics{
+        reg.counter(prefix + "requests"), reg.counter(prefix + "rejected"),
+        reg.counter(prefix + "errors"), reg.counter(prefix + "cancelled"),
+        reg.counter(prefix + "tier.full"),
+        reg.counter(prefix + "tier.sampled"),
+        reg.histogram(prefix + "latencyUs")});
+  }
+  return *slot;
 }
 
 // ---------------------------------------------------------------------------

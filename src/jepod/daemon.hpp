@@ -154,10 +154,29 @@ class Daemon {
   /// Parse, admit and dispatch one request line; writes rejects inline.
   void handleLine(const std::string& line,
                   const std::shared_ptr<Connection>& conn);
-  std::string runJob(const JobRequest& req) { return runJob(req, nullptr); }
+  /// One tenant's instruments (jepod.tenant.<sanitized name>.*), resolved
+  /// together the first time the tenant is seen. Registry instruments
+  /// never move, so the references stay valid for the process lifetime.
+  struct TenantMetrics {
+    obs::Counter& requests;
+    obs::Counter& rejected;
+    obs::Counter& errors;
+    obs::Counter& cancelled;
+    obs::Counter& tierFull;
+    obs::Counter& tierSampled;
+    obs::Histogram& latencyUs;
+  };
+  /// Find-or-resolve `tenant`'s instruments: one tenantsMu_ lock per call,
+  /// registry lookups only on the tenant's first job.
+  TenantMetrics& tenantMetrics(const std::string& tenant);
+
+  std::string runJob(const JobRequest& req) {
+    return runJob(req, tenantMetrics(req.tenant), nullptr);
+  }
   /// ctx (nullable) carries the job's cancel token; a fired token maps to
   /// the typed deadline-exceeded / cancelled responses.
-  std::string runJob(const JobRequest& req, JobContext* ctx);
+  std::string runJob(const JobRequest& req, TenantMetrics& tenant,
+                     JobContext* ctx);
   /// The deadline watchdog: sleeps until the earliest live deadline, arms
   /// expired jobs' tokens. One thread for the whole daemon.
   void watchdogLoop();
@@ -167,12 +186,11 @@ class Daemon {
   void finishJobContext(const std::shared_ptr<JobContext>& ctx);
   std::shared_ptr<const CachedProgram> compileCached(const JobRequest& req,
                                                      bool* cached);
+  /// Frame `line` with its newline (in place, before taking the
+  /// connection's write lock) and send it.
   static void writeLine(const std::shared_ptr<Connection>& conn,
-                        const std::string& line);
+                        std::string line);
   void finishJob();
-
-  obs::Counter& tenantCounter(const std::string& tenant, const char* what);
-  obs::Histogram& tenantLatency(const std::string& tenant);
 
   DaemonConfig cfg_;
   ProgramCache cache_;
@@ -226,6 +244,13 @@ class Daemon {
   obs::Gauge* inflight_;
   obs::Histogram* latencyUs_;
   obs::Histogram* cancelLatencyUs_;
+  obs::Counter* tierFull_;
+  obs::Counter* tierSampled_;
+
+  // Per-tenant instruments, keyed by sanitized tenant name; entries are
+  // never erased (the registry keeps their instruments forever anyway).
+  std::mutex tenantsMu_;
+  std::unordered_map<std::string, std::unique_ptr<TenantMetrics>> tenants_;
 
   std::uint64_t acceptOrdinal_ = 0;  // accept-loop only; fault stream ids
 };

@@ -99,6 +99,13 @@ class Instrumenter final : public MethodHooks {
     return records_;
   }
 
+  /// Move the records out (after finalizeSampling); the instrumenter is
+  /// left with none.
+  std::vector<MethodRecord> takeRecords() noexcept {
+    recordIds_.clear();
+    return std::move(records_);
+  }
+
   /// Frames whose onExit never fired (the interpreter aborted mid-method).
   bool hasOpenFrames() const noexcept { return !stack_.empty(); }
 

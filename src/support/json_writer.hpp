@@ -14,23 +14,64 @@
 
 #include <charconv>
 #include <cmath>
+#include <concepts>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "support/error.hpp"
 
 namespace jepo {
 
-/// Escape `s` into valid JSON string *contents* (no surrounding quotes):
-/// quote, backslash, the short escapes, and \u00XX for other control chars.
-inline std::string jsonEscape(std::string_view s) {
+namespace detail {
+
+constexpr bool needsJsonEscape(unsigned char c) {
+  return c < 0x20 || c == '"' || c == '\\';
+}
+
+/// Does any byte of `w` need an escape? Exact (no false positives), by the
+/// classic has-zero-byte / has-less-than word tricks.
+constexpr bool wordNeedsJsonEscape(std::uint64_t w) {
+  constexpr std::uint64_t kOnes = 0x0101010101010101ULL;
+  constexpr std::uint64_t kHigh = 0x8080808080808080ULL;
+  const std::uint64_t quote = w ^ (kOnes * '"');
+  const std::uint64_t backslash = w ^ (kOnes * '\\');
+  return (((w - kOnes * 0x20) & ~w) | ((quote - kOnes) & ~quote) |
+          ((backslash - kOnes) & ~backslash)) &
+         kHigh;
+}
+
+/// Length of the longest prefix of `s` that needs no escape, scanned
+/// eight bytes at a time.
+inline std::size_t plainJsonPrefix(std::string_view s) {
+  std::size_t i = 0;
+  for (; s.size() - i >= 8; i += 8) {
+    std::uint64_t word;
+    std::memcpy(&word, s.data() + i, sizeof word);
+    if (wordNeedsJsonEscape(word)) break;
+  }
+  while (i < s.size() && !needsJsonEscape(static_cast<unsigned char>(s[i]))) {
+    ++i;
+  }
+  return i;
+}
+
+}  // namespace detail
+
+/// Append `s` to `out` as valid JSON string *contents* (no surrounding
+/// quotes): quote, backslash, the short escapes, and \u00XX for other
+/// control chars. Runs of plain bytes go out in one append each.
+inline void appendJsonEscaped(std::string& out, std::string_view s) {
   static constexpr char kHex[] = "0123456789abcdef";
-  std::string out;
-  out.reserve(s.size());
-  for (const char raw : s) {
-    const auto c = static_cast<unsigned char>(raw);
+  for (;;) {
+    const std::size_t run = detail::plainJsonPrefix(s);
+    out.append(s.data(), run);
+    if (run == s.size()) return;
+    const auto c = static_cast<unsigned char>(s[run]);
+    s.remove_prefix(run + 1);
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -39,25 +80,54 @@ inline std::string jsonEscape(std::string_view s) {
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (c < 0x20) {
-          out += "\\u00";
-          out += kHex[(c >> 4) & 0xF];
-          out += kHex[c & 0xF];
-        } else {
-          out += raw;
-        }
+      default: {
+        const char esc[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xF]};
+        out.append(esc, sizeof esc);
+      }
     }
   }
+}
+
+/// Append `s` as a quoted, escaped JSON string.
+inline void appendJsonString(std::string& out, std::string_view s) {
+  out += '"';
+  appendJsonEscaped(out, s);
+  out += '"';
+}
+
+/// Append the shortest round-trip decimal for a finite double; null
+/// otherwise.
+inline void appendJsonNumber(std::string& out, double v) {
+  if (!std::isfinite(v)) {
+    out += "null";
+    return;
+  }
+  char buf[32];
+  const auto res = std::to_chars(buf, buf + sizeof buf, v);
+  out.append(buf, res.ptr);
+}
+
+/// Append an integer's decimal digits (signed or unsigned, never wrapped).
+template <class T>
+void appendJsonInteger(std::string& out, T v) {
+  char buf[24];
+  const auto res = std::to_chars(buf, buf + sizeof buf, v);
+  out.append(buf, res.ptr);
+}
+
+/// appendJsonEscaped into a fresh string.
+inline std::string jsonEscape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  appendJsonEscaped(out, s);
   return out;
 }
 
-/// Shortest round-trip decimal for a finite double; null otherwise.
+/// appendJsonNumber into a fresh string.
 inline std::string jsonNumber(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[32];
-  const auto res = std::to_chars(buf, buf + sizeof buf, v);
-  return std::string(buf, res.ptr);
+  std::string out;
+  appendJsonNumber(out, v);
+  return out;
 }
 
 /// A tagged scalar for callers that assemble heterogeneous rows (bench
@@ -69,32 +139,39 @@ class JsonValue {
   JsonValue(int v) : kind_(Kind::kInt), int_(v) {}
   JsonValue(long v) : kind_(Kind::kInt), int_(v) {}
   JsonValue(long long v) : kind_(Kind::kInt), int_(v) {}
-  JsonValue(unsigned v) : kind_(Kind::kInt), int_(v) {}
-  JsonValue(unsigned long v)
-      : kind_(Kind::kInt), int_(static_cast<long long>(v)) {}
-  JsonValue(unsigned long long v)
-      : kind_(Kind::kInt), int_(static_cast<long long>(v)) {}
+  JsonValue(unsigned v) : kind_(Kind::kUint), uint_(v) {}
+  JsonValue(unsigned long v) : kind_(Kind::kUint), uint_(v) {}
+  JsonValue(unsigned long long v) : kind_(Kind::kUint), uint_(v) {}
   JsonValue(double v) : kind_(Kind::kDouble), double_(v) {}
   JsonValue(const char* s) : kind_(Kind::kString), string_(s) {}
   JsonValue(std::string s) : kind_(Kind::kString), string_(std::move(s)) {}
   JsonValue(std::string_view s) : kind_(Kind::kString), string_(s) {}
 
-  std::string render() const {
+  /// Append this value's JSON text to `out`.
+  void appendTo(std::string& out) const {
     switch (kind_) {
-      case Kind::kNull: return "null";
-      case Kind::kBool: return bool_ ? "true" : "false";
-      case Kind::kInt: return std::to_string(int_);
-      case Kind::kDouble: return jsonNumber(double_);
-      case Kind::kString: return '"' + jsonEscape(string_) + '"';
+      case Kind::kNull: out += "null"; return;
+      case Kind::kBool: out += bool_ ? "true" : "false"; return;
+      case Kind::kInt: appendJsonInteger(out, int_); return;
+      case Kind::kUint: appendJsonInteger(out, uint_); return;
+      case Kind::kDouble: appendJsonNumber(out, double_); return;
+      case Kind::kString: appendJsonString(out, string_); return;
     }
-    return "null";
+    out += "null";
+  }
+
+  std::string render() const {
+    std::string out;
+    appendTo(out);
+    return out;
   }
 
  private:
-  enum class Kind { kNull, kBool, kInt, kDouble, kString };
+  enum class Kind { kNull, kBool, kInt, kUint, kDouble, kString };
   Kind kind_;
   bool bool_ = false;
   long long int_ = 0;
+  unsigned long long uint_ = 0;
   double double_ = 0.0;
   std::string string_;
 };
@@ -145,37 +222,68 @@ class JsonWriter {
     JEPO_REQUIRE(!keyPending_, "two keys in a row");
     separator(true);
     out_ += '"';
-    out_ += jsonEscape(k);
+    appendJsonEscaped(out_, k);
     out_ += "\":";
     keyPending_ = true;
   }
 
+  // Every value lands in the document in place, so no call builds a
+  // JsonValue or a temporary string. The std::string and const char*
+  // overloads are exact matches that keep strings off the JsonValue and
+  // bool conversions; float promotes to double; every integer type (bool
+  // aside) takes the template.
   void value(const JsonValue& v) {
     separator(false);
-    out_ += v.render();
+    v.appendTo(out_);
   }
-  void value(std::string_view s) { value(JsonValue(s)); }
-  void value(const char* s) { value(JsonValue(s)); }
-  void value(double v) { value(JsonValue(v)); }
-  void value(bool v) { value(JsonValue(v)); }
-  void value(int v) { value(JsonValue(v)); }
-  void value(long v) { value(JsonValue(v)); }
-  void value(long long v) { value(JsonValue(v)); }
-  void value(unsigned long v) { value(JsonValue(v)); }
-  void value(unsigned long long v) { value(JsonValue(v)); }
-  void null() { value(JsonValue()); }
+  void value(std::string_view s) {
+    separator(false);
+    appendJsonString(out_, s);
+  }
+  void value(const std::string& s) { value(std::string_view(s)); }
+  void value(const char* s) { value(std::string_view(s)); }
+  void value(bool v) {
+    separator(false);
+    out_ += v ? "true" : "false";
+  }
+  void value(double v) {
+    separator(false);
+    appendJsonNumber(out_, v);
+  }
+  template <std::integral T>
+    requires(!std::same_as<T, bool>)
+  void value(T v) {
+    separator(false);
+    appendJsonInteger(out_, v);
+  }
+  void null() {
+    separator(false);
+    out_ += "null";
+  }
 
   /// key + value in one call, for flat objects.
-  void kv(std::string_view k, const JsonValue& v) {
+  template <class T>
+  void kv(std::string_view k, const T& v) {
     key(k);
     value(v);
   }
+
+  /// Pre-size the document for callers that can estimate its length.
+  void reserve(std::size_t bytes) { out_.reserve(bytes); }
 
   /// The document so far; complete (balanced) once the stack is empty.
   const std::string& str() const {
     JEPO_REQUIRE(stack_.empty() && !keyPending_,
                  "JSON document is unbalanced");
     return out_;
+  }
+
+  /// Move the complete document out (same balance check as str()); the
+  /// writer is left empty.
+  std::string take() {
+    JEPO_REQUIRE(stack_.empty() && !keyPending_,
+                 "JSON document is unbalanced");
+    return std::exchange(out_, std::string());
   }
 
  private:

@@ -110,6 +110,19 @@ class Spin {
 }
 )";
 
+// 2001 method executions: a profile response of ~300 KiB, several times
+// the client's read chunk.
+const char* const kTwoThousandCallsSource = R"(
+class Calls {
+  static int step(int x) { return x + 1; }
+  static void main(String[] args) {
+    int acc = 0;
+    for (int i = 0; i < 2000; i++) { acc = step(acc); }
+    System.out.println(acc);
+  }
+}
+)";
+
 JobRequest makeRequest(std::string id, const char* source,
                        std::string tenant = "t0") {
   JobRequest req;
@@ -617,6 +630,90 @@ TEST_F(JepodResilienceTest, TornFramesOnTheDaemonSideStayByteIdentical) {
     EXPECT_TRUE(resp.ok) << "iteration " << i;
     EXPECT_EQ(resp.raw, reference) << "iteration " << i;
   }
+}
+
+TEST_F(JepodResilienceTest, LargeResponseSurvivesTornReadsByteExact) {
+  DaemonConfig cfg;
+  cfg.transportFaults = fault::parseTransportPlan("torn:seed=5");
+  startDaemon(cfg);
+
+  JobRequest req = makeRequest("big", kTwoThousandCallsSource);
+  daemon_->runJobForTest(req);  // warm the cache
+  const std::string reference = daemon_->runJobForTest(req);
+  ASSERT_GT(reference.size(), 64u * 1024u);
+
+  // Short writes on the daemon side and short reads on the client side
+  // split the response at seeded offsets; readLine must stitch it back.
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    fault::TransportFaultSpec torn = fault::parseTransportPlan("torn");
+    torn.seed = seed;
+    Client c;
+    c.setTransportFaults(torn);
+    c.connect(daemon_->config().socketPath);
+    const Response resp = c.submit(req);
+    ASSERT_TRUE(resp.ok) << "seed " << seed;
+    EXPECT_EQ(resp.raw, reference) << "seed " << seed;
+  }
+}
+
+TEST_F(JepodResilienceTest, PipelinedResponsesInOneReadSplitByteExact) {
+  // A fake server writes a response larger than the client's read chunk,
+  // then a second one, in a single write: the tail of the first and all
+  // of the second arrive in one read. A third line follows in two writes.
+  char tmpl[] = "/tmp/jepodrXXXXXX";
+  ASSERT_NE(::mkdtemp(tmpl), nullptr);
+  const std::string dir = tmpl;
+  const std::string path = dir + "/pipe";
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  const int listener = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(listener, 0);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<const sockaddr*>(&addr),
+                   sizeof(addr)),
+            0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+
+  Rng rng(77);
+  std::string first(100 * 1024, 'x');
+  for (char& ch : first) ch = static_cast<char>('a' + rng.nextBelow(26));
+  const std::string second = "{\"v\":1,\"id\":\"second\"}";
+  const std::string third = "third-line";
+  std::thread server([&] {
+    const int fd = ::accept(listener, nullptr, nullptr);
+    if (fd < 0) return;
+    const auto sendAll = [fd](const std::string& bytes) {
+      std::size_t sent = 0;
+      while (sent < bytes.size()) {
+        const ssize_t n =
+            ::send(fd, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
+        if (n <= 0) return;
+        sent += static_cast<std::size_t>(n);
+      }
+    };
+    sendAll(first + "\n" + second + "\n" + third.substr(0, 4));
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    sendAll(third.substr(4) + "\n");
+    char byte;
+    [[maybe_unused]] const ssize_t eof = ::read(fd, &byte, 1);  // client close
+    ::close(fd);
+  });
+
+  std::vector<std::string> lines;
+  try {
+    Client c;
+    c.connect(path);
+    for (int i = 0; i < 3; ++i) lines.push_back(c.awaitLine());
+  } catch (const Error& e) {
+    ADD_FAILURE() << e.what();
+  }
+  // Unblocks the server's accept() if the client never connected.
+  ::shutdown(listener, SHUT_RDWR);
+  server.join();
+  EXPECT_EQ(lines, (std::vector<std::string>{first, second, third}));
+  ::close(listener);
+  ::unlink(path.c_str());
+  ::rmdir(dir.c_str());
 }
 
 TEST_F(JepodResilienceTest, ChaosSoakTwoHundredIterationsBitIdentical) {

@@ -584,6 +584,23 @@ TEST_F(JepodTest, TierRoundTripsThroughRequestRenderAndParse) {
   EXPECT_EQ(parsed.profile.records[0].samplingRate, 0.25);
 }
 
+TEST_F(JepodTest, U64FieldsAtAndAbove2To63RoundTripThroughTheWire) {
+  for (const std::uint64_t v : {std::uint64_t{1} << 63, UINT64_MAX}) {
+    JobRequest req = makeRequest("big", kQuickSource);
+    req.seed = v;
+    req.heapLimit = v;
+    req.maxSteps = v;
+    const std::string line = jepod::renderRequest(req);
+    EXPECT_NE(line.find("\"seed\":" + std::to_string(v) + ","),
+              std::string::npos)
+        << line;
+    const JobRequest back = jepod::parseRequest(line);
+    EXPECT_EQ(back.seed, v);
+    EXPECT_EQ(back.heapLimit, v);
+    EXPECT_EQ(back.maxSteps, v);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Admission control
 

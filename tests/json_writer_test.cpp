@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
 #include <limits>
+#include <string>
 
 #include "support/error.hpp"
 #include "support/json_writer.hpp"
+#include "support/rng.hpp"
 
 namespace jepo {
 namespace {
@@ -54,6 +59,14 @@ TEST(JsonValueTest, RendersEveryKind) {
 
 TEST(JsonValueTest, NanValueRendersAsNull) {
   EXPECT_EQ(JsonValue(std::nan("")).render(), "null");
+}
+
+TEST(JsonValueTest, UnsignedValuesAtAndAbove2To63StayPositive) {
+  EXPECT_EQ(JsonValue(UINT64_MAX).render(), "18446744073709551615");
+  EXPECT_EQ(JsonValue(std::uint64_t{1} << 63).render(),
+            "9223372036854775808");
+  EXPECT_EQ(JsonValue(std::uint64_t{(std::uint64_t{1} << 63) - 1}).render(),
+            "9223372036854775807");
 }
 
 TEST(JsonWriterTest, BuildsNestedDocument) {
@@ -116,6 +129,172 @@ TEST(JsonWriterTest, MisuseTripsPreconditions) {
     w.beginObject();
     EXPECT_THROW(w.str(), PreconditionError);  // unbalanced document
   }
+}
+
+TEST(JsonWriterTest, TakeMovesTheDocumentOutAfterTheBalanceCheck) {
+  JsonWriter w;
+  w.reserve(64);
+  w.beginObject();
+  EXPECT_THROW(w.take(), PreconditionError);
+  w.kv("k", std::string("v"));
+  w.endObject();
+  EXPECT_EQ(w.take(), "{\"k\":\"v\"}");
+  EXPECT_EQ(w.str(), "");
+}
+
+// ---------------------------------------------------------------------------
+// Generators: the in-place writer against reference formatters.
+
+/// The per-character escaper the writer must agree with byte for byte.
+std::string referenceEscape(const std::string& s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::string out;
+  for (const char raw : s) {
+    const auto c = static_cast<unsigned char>(raw);
+    if (c == '"') {
+      out += "\\\"";
+    } else if (c == '\\') {
+      out += "\\\\";
+    } else if (c == '\b') {
+      out += "\\b";
+    } else if (c == '\f') {
+      out += "\\f";
+    } else if (c == '\n') {
+      out += "\\n";
+    } else if (c == '\r') {
+      out += "\\r";
+    } else if (c == '\t') {
+      out += "\\t";
+    } else if (c < 0x20) {
+      out += "\\u00";
+      out += kHex[c >> 4];
+      out += kHex[c & 0xF];
+    } else {
+      out += raw;
+    }
+  }
+  return out;
+}
+
+/// Random runs of plain bytes (0x20..0xff minus quote and backslash) and
+/// escapable bytes (control chars, quote, backslash), run lengths 0..24.
+std::string randomRuns(Rng& rng) {
+  std::string s;
+  const std::uint64_t runs = rng.nextBelow(6);
+  for (std::uint64_t r = 0; r < runs; ++r) {
+    const bool plain = rng.nextBelow(2) == 0;
+    const std::uint64_t len = rng.nextBelow(25);
+    for (std::uint64_t i = 0; i < len; ++i) {
+      unsigned char c;
+      if (plain) {
+        do {
+          c = static_cast<unsigned char>(0x20 + rng.nextBelow(0xe0));
+        } while (c == '"' || c == '\\');
+      } else {
+        const std::uint64_t pick = rng.nextBelow(0x22);
+        c = pick < 0x20 ? static_cast<unsigned char>(pick)
+                        : (pick == 0x20 ? '"' : '\\');
+      }
+      s += static_cast<char>(c);
+    }
+  }
+  return s;
+}
+
+TEST(JsonWriterGenerator, EscapedStringsMatchTheReferenceEscaper) {
+  Rng rng(0x15c4);
+  std::string every;
+  for (int c = 0; c < 256; ++c) every += static_cast<char>(c);
+  for (int i = 0; i < 10000; ++i) {
+    const std::string s = i == 0 ? every : randomRuns(rng);
+    const std::string want = referenceEscape(s);
+    JsonWriter w;
+    w.beginObject();
+    w.kv(s, s);
+    w.endObject();
+    ASSERT_EQ(w.str(), "{\"" + want + "\":\"" + want + "\"}")
+        << "case " << i;
+    ASSERT_EQ(jsonEscape(s), want) << "case " << i;
+    ASSERT_EQ(JsonValue(s).render(), "\"" + want + "\"") << "case " << i;
+  }
+}
+
+TEST(JsonWriterGenerator, DoublesMatchJsonNumberAndRoundTrip) {
+  Rng rng(0xd0b1e);
+  const double specials[] = {
+      std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      0.0,
+      -0.0,
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::bit_cast<double>(std::uint64_t{0x000fffffffffffff}),
+      std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::lowest(),
+      0.1,
+      1e21,
+      1e-7,
+  };
+  const auto check = [](double v) {
+    JsonWriter w;
+    w.beginArray();
+    w.value(v);
+    w.endArray();
+    const std::string num = jsonNumber(v);
+    ASSERT_EQ(w.str(), "[" + num + "]");
+    ASSERT_EQ(JsonValue(v).render(), num);
+    if (!std::isfinite(v)) {
+      ASSERT_EQ(num, "null");
+      return;
+    }
+    // Shortest round-trip form: parses back to the very same bits.
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(std::strtod(num.c_str(), nullptr)),
+              std::bit_cast<std::uint64_t>(v))
+        << num;
+  };
+  for (const double v : specials) check(v);
+  for (int i = 0; i < 10000; ++i) {
+    std::uint64_t bits = rng();
+    // Every fourth pattern is subnormal (zero exponent field).
+    if (i % 4 == 0) bits &= 0x800fffffffffffffULL;
+    check(std::bit_cast<double>(bits));
+  }
+  // float widens to double exactly as it always did.
+  JsonWriter w;
+  w.beginArray();
+  w.value(0.1f);
+  w.endArray();
+  EXPECT_EQ(w.str(), "[" + jsonNumber(static_cast<double>(0.1f)) + "]");
+}
+
+template <class T>
+void expectIntegerLimits() {
+  for (const T v : {std::numeric_limits<T>::min(), T{0},
+                    std::numeric_limits<T>::max()}) {
+    JsonWriter w;
+    w.beginObject();
+    w.kv("n", v);
+    w.endObject();
+    EXPECT_EQ(w.str(), "{\"n\":" + std::to_string(v) + "}");
+  }
+}
+
+TEST(JsonWriterGenerator, EveryIntegerOverloadRendersItsLimits) {
+  expectIntegerLimits<short>();
+  expectIntegerLimits<unsigned short>();
+  expectIntegerLimits<int>();
+  expectIntegerLimits<unsigned>();
+  expectIntegerLimits<long>();
+  expectIntegerLimits<unsigned long>();
+  expectIntegerLimits<long long>();
+  expectIntegerLimits<unsigned long long>();
+  EXPECT_EQ(JsonValue(std::numeric_limits<long long>::min()).render(),
+            "-9223372036854775808");
+  EXPECT_EQ(JsonValue(std::numeric_limits<unsigned>::max()).render(),
+            "4294967295");
 }
 
 }  // namespace
