@@ -13,6 +13,8 @@
 // Unix-domain socket (newline-delimited JSON; see src/jepod/protocol.hpp).
 // On SIGTERM it stops accepting work, answers new requests with a typed
 // "shutting-down" reject, completes every in-flight job, and exits 0.
+// With JEPO_TRACE=<path> set it records spans while it serves and writes
+// them to <path> as Chrome trace_event JSON once it has drained.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -86,6 +88,11 @@ int main(int argc, char** argv) {
     // has flushed its response.
     jepod::SignalDrain signals(daemon);
     daemon.waitDrained();
+    // Every job has finished, so the trace holds all of their spans.
+    if (!obs::tracePath().empty() && !obs::writeTraceIfRequested()) {
+      std::fprintf(stderr, "jepod: cannot write trace %s\n",
+                   obs::tracePath().c_str());
+    }
     std::fprintf(stderr, "jepod: drained, bye\n");
   } catch (const Error& e) {
     std::fprintf(stderr, "jepod: %s\n", e.what());

@@ -1,6 +1,9 @@
 #include "experiments/weka_experiment.hpp"
 
 #include <algorithm>
+#include <exception>
+#include <memory>
+#include <mutex>
 
 #include "corpus/corpus.hpp"
 #include "experiments/parallel_runner.hpp"
@@ -37,33 +40,48 @@ std::unique_ptr<ml::Classifier> build(ClassifierKind kind,
   return ml::makeClassifier(kind, precision, rt, seed);
 }
 
-/// How one measurement stream runs the classifier: code style, exposure,
-/// precision, plus the style coordinate fed into deriveSeed.
+/// How one measurement stream runs the classifier: code style, exposure
+/// and precision. Style index 0 is the baseline, 1 the optimized style.
 struct StyleSpec {
   ml::CodeStyle style;
   ml::StyleExposure exposure;
   ml::Precision precision;
-  int styleIndex = 0;  // 0 = baseline, 1 = optimized
 };
 
-StyleSpec baselineSpec() {
-  return {ml::CodeStyle::javaBaseline(), ml::StyleExposure::full(),
-          ml::Precision::kDouble, 0};
-}
-
-StyleSpec optimizedSpec(ClassifierKind kind,
-                        const WekaExperimentConfig& config) {
+StyleSpec styleSpec(ClassifierKind kind, int styleIndex,
+                    const WekaExperimentConfig& config) {
+  if (styleIndex == 0) {
+    return {ml::CodeStyle::javaBaseline(), ml::StyleExposure::full(),
+            ml::Precision::kDouble};
+  }
   const ml::StyleExposure exposure =
       config.exposureOverride
           ? ml::StyleExposure::of(*config.exposureOverride)
           : ml::StyleExposure::forClassifier(static_cast<int>(kind));
-  return {ml::CodeStyle::jepoOptimized(), exposure, ml::Precision::kFloat, 1};
+  return {ml::CodeStyle::jepoOptimized(), exposure, ml::Precision::kFloat};
 }
+
+/// One stream's workload run, recorded by whichever measurement comes
+/// first: its op counts and accuracy, or the exception it threw.
+struct RecordedWorkload {
+  std::once_flag once;
+  energy::OpArray<std::uint64_t> counts{};
+  double accuracy = 0.0;
+  std::exception_ptr error;  // replays rethrow it
+};
 
 /// One stream of the protocol. Every call builds a private PerfRunner and
 /// SimMachine; the noise RNG is seeded from (config.seed, kind, style,
 /// ordinal), so the returned row is a pure function of the stream identity
 /// and the ordinal — the determinism contract of the parallel runner.
+///
+/// The workload is a pure function of (kind, style, data, config): its op
+/// counts and accuracy are the same at every ordinal, and only the
+/// runner's noise and fault draws change. So it runs once per stream, on a
+/// scratch machine, and every measurement, the first included, charges the
+/// recorded op counts onto the runner's fresh machine, whose sync() prices
+/// them exactly as it would price the live run. The record lives as long
+/// as the stream.
 ///
 /// Hardening: a measurement whose energy reading comes back kInvalid
 /// (fault plans, glitched intervals) is re-attempted up to
@@ -71,11 +89,11 @@ StyleSpec optimizedSpec(ClassifierKind kind,
 /// an exhausted budget keeps the invalid stat so the row surfaces as
 /// flagged downstream. A measurement that throws becomes an all-zero
 /// kInvalid row — a partial result, never an aborted experiment.
-stats::IndexedMeasure makeStyleMeasure(ClassifierKind kind,
-                                       const StyleSpec& spec,
+stats::IndexedMeasure makeStyleMeasure(ClassifierKind kind, int styleIndex,
                                        const ml::Instances& data,
                                        const WekaExperimentConfig& config) {
-  return [kind, spec, &data, &config](int ordinal) {
+  auto recorded = std::make_shared<RecordedWorkload>();
+  return [kind, styleIndex, &data, &config, recorded](int ordinal) {
     const energy::CostModel model =
         config.costModel ? *config.costModel : energy::CostModel::calibrated();
     perf::PerfRunner runner =
@@ -83,29 +101,37 @@ stats::IndexedMeasure makeStyleMeasure(ClassifierKind kind,
             ? perf::PerfRunner(
                   perf::PerfRunner::kDefaultNoise,
                   deriveSeed(config.seed, static_cast<std::uint64_t>(kind),
-                             static_cast<std::uint64_t>(spec.styleIndex)))
+                             static_cast<std::uint64_t>(styleIndex)))
             : perf::PerfRunner::exact();
     if (config.faultPlan && config.faultPlan->active()) {
       // Decorrelate the fault stream per (classifier, style) so the same
       // plan drives different fault schedules in different streams, the
       // way independent real-world runs would fail independently.
-      fault::FaultSpec spec2 = *config.faultPlan;
-      spec2.seed = deriveSeed(config.faultPlan->seed,
-                              static_cast<std::uint64_t>(kind),
-                              static_cast<std::uint64_t>(spec.styleIndex));
-      runner.setFaultPlan(std::move(spec2));
+      fault::FaultSpec spec = *config.faultPlan;
+      spec.seed = deriveSeed(config.faultPlan->seed,
+                             static_cast<std::uint64_t>(kind),
+                             static_cast<std::uint64_t>(styleIndex));
+      runner.setFaultPlan(std::move(spec));
     }
 
     double accuracy = 0.0;
     const auto workload = [&](energy::SimMachine& machine) {
-      ml::MlRuntime rt(machine, spec.style, spec.exposure);
-      Rng cvRng(config.seed + 17);
-      accuracy = ml::crossValidate(
-          [&] {
-            return build(kind, spec.precision, rt, config.seed + 99,
-                         config.forestTrees);
-          },
-          data, config.folds, cvRng);
+      std::call_once(recorded->once, [&] {
+        try {
+          energy::SimMachine scratch(model);
+          recorded->accuracy =
+              detail::runStyleWorkload(kind, styleIndex, data, config,
+                                       scratch);
+          recorded->counts = scratch.meter().counts();
+        } catch (...) {
+          recorded->error = std::current_exception();
+        }
+      });
+      if (recorded->error) std::rethrow_exception(recorded->error);
+      for (std::size_t i = 0; i < energy::kOpCount; ++i) {
+        machine.charge(static_cast<energy::Op>(i), recorded->counts[i]);
+      }
+      accuracy = recorded->accuracy;
     };
 
     perf::PerfStat stat;
@@ -295,12 +321,26 @@ ClassifierPrep prepClassifier(ClassifierKind kind,
   return prep;
 }
 
+double runStyleWorkload(ClassifierKind kind, int styleIndex,
+                        const ml::Instances& data,
+                        const WekaExperimentConfig& config,
+                        energy::SimMachine& machine) {
+  const StyleSpec spec = styleSpec(kind, styleIndex, config);
+  ml::MlRuntime rt(machine, spec.style, spec.exposure);
+  Rng cvRng(config.seed + 17);
+  return ml::crossValidate(
+      [&] {
+        return build(kind, spec.precision, rt, config.seed + 99,
+                     config.forestTrees);
+      },
+      data, config.folds, cvRng);
+}
+
 std::vector<stats::IndexedMeasure> makeStyleMeasures(
     ClassifierKind kind, const ClassifierPrep& prep,
     const WekaExperimentConfig& config) {
-  return {makeStyleMeasure(kind, baselineSpec(), *prep.data, config),
-          makeStyleMeasure(kind, optimizedSpec(kind, config), *prep.data,
-                           config)};
+  return {makeStyleMeasure(kind, 0, *prep.data, config),
+          makeStyleMeasure(kind, 1, *prep.data, config)};
 }
 
 ClassifierResult assembleResult(ClassifierKind kind,

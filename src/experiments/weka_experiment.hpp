@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "energy/cost_model.hpp"
+#include "energy/machine.hpp"
 #include "fault/fault.hpp"
 #include "ml/classifier.hpp"
 #include "rapl/quality.hpp"
@@ -182,10 +183,22 @@ inline constexpr int kTukeyMetricColumns = 4;  // {pkg J, core J, s, acc}
 inline constexpr int kQualityColumn = 4;
 inline constexpr int kRetriesColumn = 5;
 
+/// The metered workload of one measurement stream: stratified CV of `kind`
+/// in style `styleIndex` (0 = baseline, 1 = optimized), charged onto
+/// `machine`. Returns the mean accuracy. A pure function of its arguments:
+/// the same op counts and accuracy on every call.
+double runStyleWorkload(ml::ClassifierKind kind, int styleIndex,
+                        const ml::Instances& data,
+                        const WekaExperimentConfig& config,
+                        energy::SimMachine& machine);
+
 /// The two measurement streams (baseline, optimized) for one classifier.
 /// Each stream returns {package J, core J, seconds, accuracy, quality,
 /// retries} and derives its noise RNG from deriveSeed(config.seed, kind,
-/// style, ordinal) — no shared mutable state. `prep` and `config` must
+/// style, ordinal). The workload does not depend on the ordinal, so each
+/// stream runs runStyleWorkload once, on its first measurement, and every
+/// measurement replays the recorded op counts; that thread-safe record is
+/// the only state a stream's measurements share. `prep` and `config` must
 /// outlive the streams.
 std::vector<stats::IndexedMeasure> makeStyleMeasures(
     ml::ClassifierKind kind, const ClassifierPrep& prep,

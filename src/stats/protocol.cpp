@@ -23,17 +23,19 @@ std::vector<ProtocolResult> measureManyWithTukeyLoop(
   std::vector<ProtocolResult> results(nStreams);
   if (nStreams == 0) return results;
 
-  // ---- Initial batch: every stream's first runCount measurements.
-  // Each job writes one pre-sized, disjoint row, so a parallel executor
-  // needs no synchronization beyond its own join.
+  // ---- Initial batch: every stream's first runCount measurements,
+  // ordinal-major (see the header for why). Each job writes one
+  // pre-sized, disjoint row, so a parallel executor needs no
+  // synchronization beyond its own join, and the order cannot change a
+  // result.
   for (auto& r : results) {
     r.runs.assign(static_cast<std::size_t>(runCount), {});
   }
   {
     std::vector<std::function<void()>> jobs;
     jobs.reserve(nStreams * static_cast<std::size_t>(runCount));
-    for (std::size_t s = 0; s < nStreams; ++s) {
-      for (int i = 0; i < runCount; ++i) {
+    for (int i = 0; i < runCount; ++i) {
+      for (std::size_t s = 0; s < nStreams; ++s) {
         jobs.push_back([&streams, &results, s, i] {
           results[s].runs[static_cast<std::size_t>(i)] = streams[s](i);
         });

@@ -47,7 +47,12 @@ BatchExecutor serialExecutor();
 
 /// The protocol over many streams at once, with pluggable execution.
 ///
-/// All streams' initial `runCount` measurements form the first batch; then
+/// All streams' initial `runCount` measurements form the first batch, in
+/// ordinal-major order: ordinal 0 of every stream, then ordinal 1, and so
+/// on. A stream may do its expensive work once, on whichever measurement
+/// comes first (the experiment streams record their workload then and
+/// replay it), so this order lets a pool's workers start different streams
+/// at once instead of queueing behind one stream's first measurement. Then
 /// each round gathers every stream's Tukey-outlier rows into one batch of
 /// re-measurements. Outlier detection and re-measure bookkeeping happen on
 /// the calling thread between batches — the executor only ever sees

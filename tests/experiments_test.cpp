@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "energy/op.hpp"
 #include "experiments/weka_experiment.hpp"
+#include "obs/obs.hpp"
+#include "obs/registry.hpp"
+#include "obs/span.hpp"
+#include "perf/perf.hpp"
 
 namespace jepo::experiments {
 namespace {
@@ -312,6 +317,171 @@ TEST(Experiments, NoisyProtocolStaysNearExactResult) {
   const auto measured = runClassifierExperiment(ClassifierKind::kSgd, noisy);
   // Tukey scrubbing keeps the noisy estimate within ~1.5pp of truth.
   EXPECT_NEAR(measured.packageImprovement, clean.packageImprovement, 1.5);
+}
+
+
+// ------------------------------------------------------ measurement replay
+
+/// The measurement path without replay, rebuilt here as the reference: the
+/// workload cross-validates on PerfRunner::statAt's own machine at every
+/// ordinal and attempt, with the stream's noise seed, fault plan, retry
+/// loop and row layout.
+std::vector<double> liveMeasurement(ClassifierKind kind, int style,
+                                    const ml::Instances& data,
+                                    const WekaExperimentConfig& config,
+                                    int ordinal) {
+  const auto kindU = static_cast<std::uint64_t>(kind);
+  const auto styleU = static_cast<std::uint64_t>(style);
+  const energy::CostModel model =
+      config.costModel ? *config.costModel : energy::CostModel::calibrated();
+  perf::PerfRunner runner =
+      config.withNoise
+          ? perf::PerfRunner(perf::PerfRunner::kDefaultNoise,
+                             deriveSeed(config.seed, kindU, styleU))
+          : perf::PerfRunner::exact();
+  if (config.faultPlan && config.faultPlan->active()) {
+    fault::FaultSpec spec = *config.faultPlan;
+    spec.seed = deriveSeed(config.faultPlan->seed, kindU, styleU);
+    runner.setFaultPlan(std::move(spec));
+  }
+  double accuracy = 0.0;
+  const auto workload = [&](energy::SimMachine& machine) {
+    accuracy = detail::runStyleWorkload(kind, style, data, config, machine);
+  };
+  perf::PerfStat stat;
+  int retries = 0;
+  int attempt = 0;
+  const int attempts = std::max(1, config.measurementAttempts);
+  try {
+    for (; attempt < attempts; ++attempt) {
+      stat = runner.statAt(static_cast<std::uint64_t>(ordinal), attempt,
+                           workload, model);
+      retries += stat.readRetries;
+      if (stat.quality != rapl::MeasurementQuality::kInvalid) break;
+    }
+    if (attempt > 0 && stat.quality != rapl::MeasurementQuality::kInvalid) {
+      stat.quality = worst(stat.quality, rapl::MeasurementQuality::kRetried);
+    }
+    retries += std::min(attempt, attempts - 1);
+  } catch (const std::exception&) {
+    stat = perf::PerfStat{};
+    stat.quality = rapl::MeasurementQuality::kInvalid;
+  }
+  std::vector<double> row = stat.asRow();
+  row.push_back(accuracy);
+  row.push_back(static_cast<double>(static_cast<int>(stat.quality)));
+  row.push_back(static_cast<double>(retries));
+  return row;
+}
+
+WekaExperimentConfig replayConfig() {
+  WekaExperimentConfig cfg = fastConfig();
+  cfg.instances = 200;
+  cfg.withNoise = true;  // rows differ per ordinal, so a mixed-up one shows
+  return cfg;
+}
+
+/// Every stream of every classifier, at initial and re-measure ordinals
+/// (first call not at ordinal 0): the replayed row equals the live row in
+/// all six columns, exactly. Returns the rows whose quality was not kOk.
+int expectReplayMatchesLive(const WekaExperimentConfig& cfg) {
+  int impaired = 0;
+  const int ordinals[] = {2, 0, 1, 3, cfg.runs, cfg.runs + 5};
+  for (int k = 0; k < ml::kClassifierKindCount; ++k) {
+    const auto kind = static_cast<ClassifierKind>(k);
+    const detail::ClassifierPrep prep = detail::prepClassifier(kind, cfg);
+    const auto streams = detail::makeStyleMeasures(kind, prep, cfg);
+    for (int style = 0; style < 2; ++style) {
+      for (int ordinal : ordinals) {
+        const std::vector<double> replayed =
+            streams[static_cast<std::size_t>(style)](ordinal);
+        EXPECT_EQ(replayed,
+                  liveMeasurement(kind, style, *prep.data, cfg, ordinal))
+            << ml::classifierName(kind) << " style " << style << " ordinal "
+            << ordinal;
+        if (replayed[detail::kQualityColumn] != 0.0) ++impaired;
+      }
+    }
+  }
+  return impaired;
+}
+
+TEST(MeasurementReplay, RowsEqualLiveTrainingAtEveryOrdinal) {
+  EXPECT_EQ(expectReplayMatchesLive(replayConfig()), 0);
+}
+
+TEST(MeasurementReplay, RowsEqualLiveTrainingUnderChaosFaults) {
+  WekaExperimentConfig cfg = replayConfig();
+  cfg.faultPlan = fault::parseFaultPlan("chaos:seed=31");
+  cfg.measurementAttempts = 3;
+  EXPECT_GT(expectReplayMatchesLive(cfg), 0)
+      << "the plan impaired no measurement; the comparison is vacuous";
+}
+
+TEST(MeasurementReplay, ThrowingWorkloadGivesInvalidRowAtEveryOrdinal) {
+  WekaExperimentConfig cfg = replayConfig();
+  cfg.folds = 1;  // stratifiedFolds rejects it: every CV run throws
+  obs::Counter& errors =
+      obs::Registry::global().counter("experiment.measurement.error");
+  const std::uint64_t before = errors.value();
+
+  const detail::ClassifierPrep prep =
+      detail::prepClassifier(ClassifierKind::kNaiveBayes, cfg);
+  const auto streams =
+      detail::makeStyleMeasures(ClassifierKind::kNaiveBayes, prep, cfg);
+  const std::vector<double> invalid = {
+      0.0, 0.0, 0.0, 0.0,
+      static_cast<double>(static_cast<int>(rapl::MeasurementQuality::kInvalid)),
+      0.0};
+  for (const auto& stream : streams) {
+    for (int ordinal = 0; ordinal < 6; ++ordinal) {
+      EXPECT_EQ(stream(ordinal), invalid) << "ordinal " << ordinal;
+    }
+  }
+  // Once per measurement, not once per stream.
+  EXPECT_EQ(errors.value() - before, 12u);
+
+  const auto row = runClassifierExperiment(ClassifierKind::kNaiveBayes, cfg);
+  EXPECT_TRUE(row.flagged);
+  EXPECT_EQ(row.quality, rapl::MeasurementQuality::kInvalid);
+  EXPECT_EQ(errors.value() - before,
+            12u + 2u * static_cast<unsigned>(cfg.runs));
+}
+
+/// `<Classifier>.train` spans recorded since the last clear.
+std::size_t trainSpans() {
+  std::size_t n = 0;
+  for (const auto& e : obs::TraceCollector::events()) {
+    if (e.name.ends_with(".train")) ++n;
+  }
+  return n;
+}
+
+TEST(MeasurementReplay, EachStreamTrainsOncePerRunWhateverTheMeasureCount) {
+  obs::setEnabled(true);
+  for (int runs : {4, 8}) {
+    WekaExperimentConfig cfg = replayConfig();
+    cfg.runs = runs;
+    obs::TraceCollector::clear();
+    const auto one =
+        runClassifierExperiment(ClassifierKind::kRandomForest, cfg);
+    // Both streams train `folds` classifiers once, however many
+    // measurements (initial and Tukey re-measurements) they served.
+    EXPECT_EQ(trainSpans(), 2 * cfg.folds) << "runs=" << runs;
+
+    cfg.parallel.threads = 2;
+    obs::TraceCollector::clear();
+    const auto all = runWekaExperiment(cfg);
+    const auto kinds = static_cast<std::size_t>(ml::kClassifierKindCount);
+    EXPECT_EQ(trainSpans(), 2 * cfg.folds * kinds) << "runs=" << runs;
+    int remeasured = 0;
+    for (const auto& r : all) remeasured += r.tukeyRemeasurements;
+    EXPECT_GT(remeasured, 0) << "no re-measurement; the count is vacuous";
+    EXPECT_EQ(all[static_cast<std::size_t>(ClassifierKind::kRandomForest)]
+                  .basePackageJoules,
+              one.basePackageJoules);
+  }
+  obs::resetForTest();
 }
 
 }  // namespace

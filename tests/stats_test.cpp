@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 
 #include "stats/bootstrap.hpp"
 #include "stats/protocol.hpp"
@@ -206,6 +207,34 @@ TEST(Protocol, ThreadPoolExecutorMatchesSerial) {
     EXPECT_EQ(serial[s].runs, parallel[s].runs);
     EXPECT_EQ(serial[s].means, parallel[s].means);
   }
+}
+
+TEST(Protocol, InitialBatchIsOrdinalMajor) {
+  // A recording executor runs each batch in order and logs its size; the
+  // streams log their calls. The initial batch holds ordinal 0 of every
+  // stream, then ordinal 1, and so on, so a pool starts every stream's
+  // first measurement before any stream's second.
+  std::vector<std::pair<int, int>> calls;
+  std::vector<IndexedMeasure> streams;
+  for (int s = 0; s < 3; ++s) {
+    streams.push_back([s, &calls](int ordinal) {
+      calls.emplace_back(s, ordinal);
+      return std::vector<double>{1.0};  // constant: no Tukey round
+    });
+  }
+  std::vector<std::size_t> batches;
+  const BatchExecutor recording =
+      [&batches](const std::vector<std::function<void()>>& jobs) {
+        batches.push_back(jobs.size());
+        for (const auto& job : jobs) job();
+      };
+  measureManyWithTukeyLoop(streams, 4, recording);
+  EXPECT_EQ(batches, std::vector<std::size_t>{12});
+  std::vector<std::pair<int, int>> ordinalMajor;
+  for (int i = 0; i < 4; ++i) {
+    for (int s = 0; s < 3; ++s) ordinalMajor.emplace_back(s, i);
+  }
+  EXPECT_EQ(calls, ordinalMajor);
 }
 
 TEST(Protocol, ManyStreamsValidateInputs) {
