@@ -1,12 +1,8 @@
 #include "experiments/parallel_runner.hpp"
 
-#include <optional>
-
 #include "obs/span.hpp"
 #include "stats/protocol.hpp"
-#include "support/strings.hpp"
 #include "support/thread_pool.hpp"
-#include "support/watchdog.hpp"
 
 namespace jepo::experiments {
 
@@ -15,19 +11,11 @@ std::vector<ClassifierResult> ParallelRunner::run() {
       static_cast<std::size_t>(ml::kClassifierKindCount);
   ThreadPool pool(config_.parallel.resolvedThreads());
 
-  // Per-task watchdog: flags (never cancels) measurement jobs that outlive
-  // config_.watchdogSeconds, so one wedged task is visible long before the
-  // run's end instead of silently stalling the whole matrix.
-  Watchdog watchdog(config_.watchdogSeconds);
-
   // ---- Phase 1: per-classifier prep (corpus optimize + dataset build).
   // Each task writes its own pre-sized slot; prepClassifier is a pure
   // function of (kind, config).
   std::vector<detail::ClassifierPrep> preps(kinds);
   parallelFor(pool, kinds, [&](std::size_t k) {
-    const auto scope = watchdog.watch(
-        "prep " + std::string(ml::classifierName(
-                      static_cast<ml::ClassifierKind>(k))));
     preps[k] = detail::prepClassifier(static_cast<ml::ClassifierKind>(k),
                                       config_);
   });
@@ -43,12 +31,8 @@ std::vector<ClassifierResult> ParallelRunner::run() {
     }
   }
   const stats::BatchExecutor exec =
-      [&pool, &watchdog](const std::vector<std::function<void()>>& jobs) {
-        parallelFor(pool, jobs.size(), [&jobs, &watchdog](std::size_t i) {
-          const auto scope =
-              watchdog.watch("measure job #" + std::to_string(i));
-          jobs[i]();
-        });
+      [&pool](const std::vector<std::function<void()>>& jobs) {
+        parallelFor(pool, jobs.size(), [&jobs](std::size_t i) { jobs[i](); });
       };
   const auto protocols = [&] {
     // prep/assemble spans come from the detail functions themselves (they

@@ -9,7 +9,6 @@
 #include "experiments/parallel_runner.hpp"
 #include "data/airlines.hpp"
 #include "jepo/optimizer.hpp"
-#include "jvm/tier.hpp"
 #include "ml/evaluation.hpp"
 #include "ml/forest.hpp"
 #include "ml/tree.hpp"
@@ -48,17 +47,14 @@ struct StyleSpec {
   ml::Precision precision;
 };
 
-StyleSpec styleSpec(ClassifierKind kind, int styleIndex,
-                    const WekaExperimentConfig& config) {
+StyleSpec styleSpec(ClassifierKind kind, int styleIndex) {
   if (styleIndex == 0) {
     return {ml::CodeStyle::javaBaseline(), ml::StyleExposure::full(),
             ml::Precision::kDouble};
   }
-  const ml::StyleExposure exposure =
-      config.exposureOverride
-          ? ml::StyleExposure::of(*config.exposureOverride)
-          : ml::StyleExposure::forClassifier(static_cast<int>(kind));
-  return {ml::CodeStyle::jepoOptimized(), exposure, ml::Precision::kFloat};
+  return {ml::CodeStyle::jepoOptimized(),
+          ml::StyleExposure::forClassifier(static_cast<int>(kind)),
+          ml::Precision::kFloat};
 }
 
 /// One stream's workload run, recorded by whichever measurement comes
@@ -85,7 +81,7 @@ struct RecordedWorkload {
 ///
 /// Hardening: a measurement whose energy reading comes back kInvalid
 /// (fault plans, glitched intervals) is re-attempted up to
-/// config.measurementAttempts times with a fresh fault stream per attempt;
+/// detail::kMeasurementAttempts times with a fresh fault stream per attempt;
 /// an exhausted budget keeps the invalid stat so the row surfaces as
 /// flagged downstream. A measurement that throws becomes an all-zero
 /// kInvalid row — a partial result, never an aborted experiment.
@@ -137,7 +133,7 @@ stats::IndexedMeasure makeStyleMeasure(ClassifierKind kind, int styleIndex,
     perf::PerfStat stat;
     int retries = 0;
     int attempt = 0;
-    const int attempts = std::max(1, config.measurementAttempts);
+    constexpr int attempts = detail::kMeasurementAttempts;
     try {
       for (; attempt < attempts; ++attempt) {
         stat = runner.statAt(static_cast<std::uint64_t>(ordinal), attempt,
@@ -255,11 +251,11 @@ ResultIntervals computeIntervals(ClassifierKind kind,
       stats::serialExecutor());
   out.basePackage =
       stats::widen(stats::percentileInterval(baseMeans, row.basePackageJoules,
-                                             config.bootstrap.confidence),
+                                             stats::kConfidence),
                    out.widenFactor);
   out.optPackage =
       stats::widen(stats::percentileInterval(optMeans, row.optPackageJoules,
-                                             config.bootstrap.confidence),
+                                             stats::kConfidence),
                    out.widenFactor);
 
   // Improvement interval from PAIRED resamples: resample b of both styles
@@ -279,7 +275,7 @@ ResultIntervals computeIntervals(ClassifierKind kind,
   } else {
     out.packageImprovement = stats::widen(
         stats::percentileInterval(improvements, row.packageImprovement,
-                                  config.bootstrap.confidence),
+                                  stats::kConfidence),
         out.widenFactor);
   }
   return out;
@@ -299,13 +295,8 @@ ClassifierPrep prepClassifier(ClassifierKind kind,
     int seeded = 0;
     const jlang::Program corpusProg =
         corpus::generateScaledCorpus(kind, config.corpusScale, 42, &seeded);
-    core::OptimizerOptions opts;  // lossy mode: the paper's edit set
-    if (config.ruleMask) {
-      for (std::size_t i = 0; i < config.ruleMask->size(); ++i) {
-        opts.enabled[i] = (*config.ruleMask)[i];
-      }
-    }
-    const auto optimized = core::Optimizer(opts).optimize(corpusProg);
+    // Default options: lossy mode, every rule on — the paper's edit set.
+    const auto optimized = core::Optimizer().optimize(corpusProg);
     prep.changes = static_cast<int>(optimized.changes.size());
     prep.changesFullScale = static_cast<int>(
         static_cast<double>(prep.changes) / config.corpusScale + 0.5);
@@ -325,7 +316,7 @@ double runStyleWorkload(ClassifierKind kind, int styleIndex,
                         const ml::Instances& data,
                         const WekaExperimentConfig& config,
                         energy::SimMachine& machine) {
-  const StyleSpec spec = styleSpec(kind, styleIndex, config);
+  const StyleSpec spec = styleSpec(kind, styleIndex);
   ml::MlRuntime rt(machine, spec.style, spec.exposure);
   Rng cvRng(config.seed + 17);
   return ml::crossValidate(
@@ -378,9 +369,9 @@ ClassifierResult assembleResult(ClassifierKind kind,
   result.basePackageJoules = base.means[0];
   result.optPackageJoules = opt.means[0];
 
-  // A zero-cost baseline (empty dataset, all-rules-off mask) would turn
-  // the improvement ratios into NaN/Inf and poison every report table
-  // downstream; report 0% and flag the row instead.
+  // A zero-cost baseline (e.g. an empty dataset) would turn the improvement
+  // ratios into NaN/Inf and poison every report table downstream; report 0%
+  // and flag the row instead.
   auto improvement = [&result](double baseValue, double optValue) {
     if (!(baseValue > 0.0)) {
       result.degenerateBaseline = true;
@@ -406,15 +397,6 @@ ClassifierResult assembleResult(ClassifierKind kind,
     result.cpuImprovement = 0.0;
     result.timeImprovement = 0.0;
     obs::Registry::global().counter("experiment.row.flagged").add();
-  }
-
-  // Tier provenance: validate the configured spec and stamp the row with
-  // the tier name and its configured sampling rate (1/N for sampled:N).
-  const jvm::TierSpec tierSpec = jvm::parseTierSpec(config.tier);
-  result.tier = jvm::tierName(tierSpec.tier);
-  if (tierSpec.tier == jvm::InstrTier::kSampled) {
-    result.samplingRate =
-        1.0 / static_cast<double>(tierSpec.sampleEvery);
   }
 
   // The probabilistic layer rides last so its inputs are the fully folded

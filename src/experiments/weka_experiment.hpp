@@ -47,31 +47,12 @@ struct WekaExperimentConfig {
   ParallelConfig parallel;
   /// Cost model override (ablation); nullopt = calibrated model.
   std::optional<energy::CostModel> costModel;
-  /// Rule mask for the optimizer/exposure ablations; empty = all rules.
-  std::optional<std::array<bool, 11>> ruleMask;
-  /// Override the per-classifier exposure (calibration runs use 1.0).
-  std::optional<double> exposureOverride;
   /// Fault plan injected under every measurement (chaos runs); nullopt or
   /// an inactive spec leaves the clean path untouched. Each measurement's
   /// fault stream is derived from (plan seed, classifier, style, ordinal,
   /// attempt), so fault-injected matrices stay bit-identical at any
   /// thread count.
   std::optional<fault::FaultSpec> faultPlan;
-  /// How many times one measurement is re-attempted when its energy
-  /// reading comes back kInvalid (stale/backwards/jump interval, retry
-  /// budget exhausted). After the budget the row keeps the invalid stat
-  /// and is flagged rather than aborting the run.
-  int measurementAttempts = 3;
-  /// Per-measurement-job watchdog deadline in wall seconds for the
-  /// parallel runner; 0 disables. Diagnostics only — flagged tasks are
-  /// reported, never cancelled, so results stay scheduling-independent.
-  double watchdogSeconds = 0.0;
-  /// Instrumentation-tier provenance stamped on every result row
-  /// ("full" | "sampled:N", the jvm/tier.hpp spec grammar).
-  /// The experiment's measurements run through PerfRunner, so the tag
-  /// records which profiling tier the surrounding pipeline used — rows
-  /// carry it into the common --json schema alongside quality/flagged.
-  std::string tier = "full";
   /// Compute seeded bootstrap confidence intervals over the final
   /// (post-Tukey) run matrix (stats/bootstrap.hpp). Off by default: the
   /// point estimates, row fields and --json bytes stay identical to the
@@ -115,8 +96,8 @@ struct ClassifierResult {
   double basePackageJoules = 0.0;
   double optPackageJoules = 0.0;
   int tukeyRemeasurements = 0;
-  /// Set when a baseline metric measured <= 0 (empty dataset, all-rules-off
-  /// mask): the affected improvement is reported as 0% instead of NaN/Inf.
+  /// Set when a baseline metric measured <= 0 (e.g. an empty dataset): the
+  /// affected improvement is reported as 0% instead of NaN/Inf.
   bool degenerateBaseline = false;
   /// Worst measurement quality across the final (post-Tukey) runs of both
   /// styles — the row's trust tag.
@@ -128,9 +109,9 @@ struct ClassifierResult {
   /// after per-measurement retries): improvements are zeroed and the row
   /// is reported flagged instead of aborting the experiment.
   bool flagged = false;
-  /// Tier provenance copied from WekaExperimentConfig::tier: the tier
-  /// name ("full" | "sampled") and the configured sampling rate
-  /// (1/N for sampled:N, 1.0 otherwise).
+  /// Instrumentation-tier provenance of the row's measurements. They run
+  /// through PerfRunner, never a profiler tier, so every row is "full" at
+  /// sampling rate 1.0; the fields keep the common --json row schema.
   std::string tier = "full";
   double samplingRate = 1.0;
   /// Bootstrap confidence intervals over the final run matrix; engaged only
@@ -183,6 +164,12 @@ inline constexpr int kTukeyMetricColumns = 4;  // {pkg J, core J, s, acc}
 inline constexpr int kQualityColumn = 4;
 inline constexpr int kRetriesColumn = 5;
 
+/// How many times one measurement is attempted while its energy reading
+/// comes back kInvalid (stale/backwards/jump interval, retry budget
+/// exhausted). After the last attempt the row keeps the invalid stat and
+/// is flagged rather than aborting the run.
+inline constexpr int kMeasurementAttempts = 3;
+
 /// The metered workload of one measurement stream: stratified CV of `kind`
 /// in style `styleIndex` (0 = baseline, 1 = optimized), charged onto
 /// `machine`. Returns the mean accuracy. A pure function of its arguments:
@@ -205,8 +192,7 @@ std::vector<stats::IndexedMeasure> makeStyleMeasures(
     const WekaExperimentConfig& config);
 
 /// Fold the two protocol results into the Table IV row, guarding the
-/// improvement ratios against zero-cost baselines and stamping the
-/// config's tier provenance.
+/// improvement ratios against zero-cost baselines.
 ClassifierResult assembleResult(ml::ClassifierKind kind,
                                 const ClassifierPrep& prep,
                                 const stats::ProtocolResult& base,

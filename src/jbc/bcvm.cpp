@@ -7,11 +7,9 @@
 // Dispatch strategy. Computed goto ("labels as values", a GNU extension
 // GCC and Clang both support) keeps one indirect branch per opcode handler,
 // so the host branch predictor learns per-opcode successor patterns instead
-// of sharing one mispredicting switch branch. -DJEPO_NO_COMPUTED_GOTO (or a
-// different compiler) selects a portable switch loop over the exact same
-// handler bodies; both paths are built in CI.
-#if !defined(JEPO_NO_COMPUTED_GOTO) && (defined(__GNUC__) || defined(__clang__))
-#define JEPO_COMPUTED_GOTO 1
+// of sharing one mispredicting switch branch.
+#if !defined(__GNUC__) && !defined(__clang__)
+#error "the bytecode VM dispatches by computed goto: build with GCC or Clang"
 #endif
 
 namespace jepo::jbc {
@@ -31,13 +29,8 @@ namespace {
 /// (unsampled entry — population counter, no hook calls).
 enum : std::uint8_t { kHooksOff = 0, kHooksOn, kHooksCounted };
 
-#if defined(__GNUC__) || defined(__clang__)
 #define JEPO_FORCE_INLINE __attribute__((always_inline)) inline
 #define JEPO_LAMBDA_INLINE __attribute__((always_inline))
-#else
-#define JEPO_FORCE_INLINE inline
-#define JEPO_LAMBDA_INLINE
-#endif
 
 /// int×int binary fast path, bit-exact with applyBinary (ops.cpp): for two
 /// kInt operands unboxIfNeeded is the identity and charges nothing, there
@@ -800,17 +793,12 @@ jvm::Value BytecodeVm::run(const CompiledClass& cls, const Chunk& chunk,
     }                                                                \
   } while (0)
 
-#ifdef JEPO_COMPUTED_GOTO
 #define VM_CASE(op) L_##op:
 #define VM_DISPATCH()                                                \
   do {                                                               \
     VM_TOP();                                                        \
     goto* kLabels[static_cast<std::size_t>(ip->op)];                 \
   } while (0)
-#else
-#define VM_CASE(op) case Op::op:
-#define VM_DISPATCH() goto jepoDispatchTop
-#endif
 #define VM_NEXT()                                                    \
   do {                                                               \
     ++ip;                                                            \
@@ -822,7 +810,6 @@ jvm::Value BytecodeVm::run(const CompiledClass& cls, const Chunk& chunk,
     VM_DISPATCH();                                                   \
   } while (0)
 
-#ifdef JEPO_COMPUTED_GOTO
   // Must list every Op in exact enum order (dispatch indexes by opcode).
   static const void* const kLabels[] = {
       &&L_kConstInt, &&L_kConstLong, &&L_kConstFloat, &&L_kConstDouble,
@@ -856,17 +843,10 @@ jvm::Value BytecodeVm::run(const CompiledClass& cls, const Chunk& chunk,
   static_assert(sizeof(kLabels) / sizeof(kLabels[0]) ==
                     static_cast<std::size_t>(Op::kCountedAccumLoop) + 1,
                 "label table must cover every opcode");
-#endif
 
   for (;;) {
     try {
-#ifdef JEPO_COMPUTED_GOTO
       VM_DISPATCH();
-#else
-    jepoDispatchTop:
-      VM_TOP();
-      switch (ip->op) {
-#endif
 
       VM_CASE(kConstInt) {
         charge(energy::Op::kConstLoad);
@@ -1743,11 +1723,6 @@ jvm::Value BytecodeVm::run(const CompiledClass& cls, const Chunk& chunk,
                     ip->line);
         VM_DISPATCH();  // the implicit backedge: re-dispatch this very op
       }
-
-#ifndef JEPO_COMPUTED_GOTO
-      }
-      JEPO_ASSERT(false);  // every opcode's case transfers control
-#endif
     } catch (const Thrown& thrown) {
       // Exception table search, in declaration order. `ip` still addresses
       // the throwing instruction (handlers never advance it before a

@@ -6,10 +6,9 @@
 // tree's invocation protocol (hooks, parameter binding, kReturn) and its
 // error strings. The tree interpreter stays as the test oracle.
 //
-// The inner loop is direct-threaded (computed goto) on GCC/Clang with a
-// portable switch fallback (-DJEPO_NO_COMPUTED_GOTO) and executes the
-// compiler's superinstructions (code.hpp). A CompiledProgram is immutable:
-// concurrent VMs may share one.
+// The inner loop is direct-threaded (computed goto, so GCC or Clang is
+// required) and executes the compiler's superinstructions (code.hpp). A
+// CompiledProgram is immutable: concurrent VMs may share one.
 #pragma once
 
 #include <memory>

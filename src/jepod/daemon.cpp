@@ -118,7 +118,7 @@ void Daemon::start() {
   }
   listenFd_.store(fd, std::memory_order_relaxed);
 
-  pool_ = std::make_unique<ThreadPool>(cfg_.threads, /*maxQueue=*/0);
+  pool_ = std::make_unique<ThreadPool>(cfg_.threads);
   started_ = true;
   watchdogThread_ = std::thread([this] { watchdogLoop(); });
   acceptThread_ = std::thread([this] { acceptLoop(); });

@@ -83,6 +83,11 @@ JobRequest parseRequest(const std::string& line) {
   req.maxSteps = optionalU64(doc, "maxSteps", kDefaultMaxSteps);
   req.faultPlan = doc.stringOr("faultPlan", "");
   req.deadlineMs = optionalU64(doc, "deadlineMs", 0);
+  if (req.deadlineMs > kMaxDeadlineMs) {
+    throw ProtocolError(ErrorCode::kBadRequest,
+                        "field 'deadlineMs' must be at most " +
+                            std::to_string(kMaxDeadlineMs));
+  }
   req.tier = doc.stringOr("tier", "");
   if (!req.tier.empty()) {
     try {

@@ -40,6 +40,11 @@ inline constexpr int kProtocolVersion = 1;
 /// Default runaway-program guard, matching jepo_cli profile.
 inline constexpr std::uint64_t kDefaultMaxSteps = 500'000'000;
 
+/// Largest accepted deadlineMs (INT32_MAX ms, ~24.8 days); parseRequest
+/// rejects anything longer as a bad request. The limit keeps admission
+/// time + deadline far inside the steady clock's int64 nanosecond range.
+inline constexpr std::uint64_t kMaxDeadlineMs = 2'147'483'647;
+
 /// Typed error taxonomy. String values are wire-stable: clients switch on
 /// them, tests pin them.
 enum class ErrorCode {
@@ -84,7 +89,8 @@ struct JobRequest {
   /// admission (so a job stuck in the queue counts against it). On expiry
   /// the daemon cancels the job cooperatively and responds with a typed
   /// "deadline-exceeded" error. Wall-clock scheduling only — a job that
-  /// finishes in time is bit-identical with or without a deadline.
+  /// finishes in time is bit-identical with or without a deadline. At most
+  /// kMaxDeadlineMs.
   std::uint64_t deadlineMs = 0;
   /// Instrumentation tier spec for profile jobs: "" or "full" (every
   /// invocation instrumented — the pre-tier wire behaviour) or

@@ -722,8 +722,6 @@ Value Interpreter::evalArrayIndex(const Expr& e) {
   return v;
 }
 
-Value Interpreter::unboxIfNeeded(Value v) { return builtins_.unboxIfNeeded(v); }
-
 Value Interpreter::arith(BinOp op, Value a, Value b, int line) {
   return applyBinary(op, a, b, heap_, builtins_, *machine_, line);
 }

@@ -167,7 +167,6 @@ class Interpreter {
 
   // Arithmetic with Java promotion rules + energy charging.
   Value arith(jlang::BinOp op, Value a, Value b, int line);
-  Value unboxIfNeeded(Value v);
 
   // Method machinery.
   Value invoke(const jlang::ClassDecl& cls, const jlang::MethodDecl& m,

@@ -125,7 +125,7 @@ IntervalResult qualityInterval(const std::vector<double>& values,
   const std::vector<double> means =
       bootstrapMeans(valid, config.resamples, config.seed, exec);
   result.interval =
-      widen(percentileInterval(means, center, config.confidence),
+      widen(percentileInterval(means, center, kConfidence),
             result.widenFactor);
   return result;
 }

@@ -34,11 +34,12 @@ struct BootstrapConfig {
   /// Number of bootstrap resamples. 200 keeps the smoke sweep cheap while
   /// placing the 2.5/97.5 percentiles within a run's noise floor.
   int resamples = 200;
-  /// Two-sided confidence level in (0, 1).
-  double confidence = 0.95;
   /// Base seed of the resample ordinal streams (deriveSeed(seed, r)).
   std::uint64_t seed = 2020;
 };
+
+/// Two-sided confidence level of every interval the pipeline reports.
+inline constexpr double kConfidence = 0.95;
 
 /// A confidence interval around a reported mean. lo <= mean <= hi always
 /// (the percentile interval is clamped to bracket the point estimate, so a

@@ -6,11 +6,9 @@
 
 namespace jepo {
 
-ThreadPool::ThreadPool(std::size_t threads, std::size_t maxQueue)
-    : maxQueue_(maxQueue) {
+ThreadPool::ThreadPool(std::size_t threads) {
   obs::Registry& reg = obs::Registry::global();
   tasks_ = &reg.counter("pool.tasks");
-  backpressure_ = &reg.counter("pool.backpressure.waits");
   queueDepth_ = &reg.gauge("pool.queue.depth");
   if (threads == 0) {
     threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
@@ -27,7 +25,6 @@ ThreadPool::~ThreadPool() {
     stopping_ = true;
   }
   cv_.notify_all();
-  spaceCv_.notify_all();
   for (auto& w : workers_) w.join();
 }
 
@@ -42,7 +39,6 @@ void ThreadPool::workerLoop() {
       queue_.pop_front();
       queueDepth_->set(static_cast<std::int64_t>(queue_.size()));
     }
-    spaceCv_.notify_one();
     tasks_->add();
     obs::Span span("pool.task");
     task();

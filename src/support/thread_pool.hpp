@@ -42,11 +42,8 @@ struct ParallelConfig {
 
 class ThreadPool {
  public:
-  /// `threads == 0` means hardware_concurrency (at least 1). `maxQueue`
-  /// bounds the pending-task queue: submit() blocks while the queue is
-  /// full, giving natural backpressure when a producer enqueues faster
-  /// than the workers drain (0 = unbounded).
-  explicit ThreadPool(std::size_t threads = 0, std::size_t maxQueue = 0);
+  /// `threads == 0` means hardware_concurrency (at least 1).
+  explicit ThreadPool(std::size_t threads = 0);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -54,8 +51,7 @@ class ThreadPool {
 
   std::size_t threadCount() const noexcept { return workers_.size(); }
 
-  /// Enqueue a task; the future reports its result or exception. Blocks
-  /// while a bounded queue is full.
+  /// Enqueue a task; the future reports its result or exception.
   template <typename F>
   auto submit(F&& f) -> std::future<std::invoke_result_t<F>> {
     using R = std::invoke_result_t<F>;
@@ -63,8 +59,7 @@ class ThreadPool {
         std::make_shared<std::packaged_task<R()>>(std::forward<F>(f));
     std::future<R> fut = task->get_future();
     {
-      std::unique_lock lock(mu_);
-      waitForSpace(lock);
+      std::lock_guard lock(mu_);
       JEPO_REQUIRE(!stopping_, "submit on a stopped ThreadPool");
       queue_.emplace_back([task] { (*task)(); });
       queueDepth_->set(static_cast<std::int64_t>(queue_.size()));
@@ -73,56 +68,12 @@ class ThreadPool {
     return fut;
   }
 
-  /// Enqueue a batch of homogeneous tasks under one lock and wake every
-  /// worker once — cheaper than n submit() calls for large fan-outs and
-  /// the batch lands in the queue contiguously, so a bounded queue admits
-  /// it in chunks rather than interleaving with other producers.
-  template <typename F>
-  auto submitBatch(std::vector<F> tasks)
-      -> std::vector<std::future<std::invoke_result_t<F>>> {
-    using R = std::invoke_result_t<F>;
-    std::vector<std::future<R>> futures;
-    futures.reserve(tasks.size());
-    std::size_t enqueued = 0;
-    while (enqueued < tasks.size()) {
-      std::unique_lock lock(mu_);
-      waitForSpace(lock);
-      JEPO_REQUIRE(!stopping_, "submitBatch on a stopped ThreadPool");
-      // Fill whatever space the bound leaves (everything if unbounded).
-      do {
-        auto task = std::make_shared<std::packaged_task<R()>>(
-            std::move(tasks[enqueued]));
-        futures.push_back(task->get_future());
-        queue_.emplace_back([task] { (*task)(); });
-        ++enqueued;
-      } while (enqueued < tasks.size() &&
-               (maxQueue_ == 0 || queue_.size() < maxQueue_));
-      queueDepth_->set(static_cast<std::int64_t>(queue_.size()));
-      lock.unlock();
-      cv_.notify_all();
-    }
-    return futures;
-  }
-
  private:
   void workerLoop();
 
-  /// Pre: lock held. Blocks until the bounded queue has space (no-op when
-  /// unbounded or stopping). Each blocking visit counts one backpressure
-  /// event in the obs registry.
-  void waitForSpace(std::unique_lock<std::mutex>& lock) {
-    if (maxQueue_ == 0) return;
-    if (!stopping_ && queue_.size() >= maxQueue_) backpressure_->add();
-    spaceCv_.wait(lock, [this] {
-      return stopping_ || queue_.size() < maxQueue_;
-    });
-  }
-
   std::mutex mu_;
-  std::condition_variable cv_;       // workers wait for tasks
-  std::condition_variable spaceCv_;  // producers wait for queue space
+  std::condition_variable cv_;  // workers wait for tasks
   std::deque<std::function<void()>> queue_;
-  std::size_t maxQueue_ = 0;
   bool stopping_ = false;
   std::vector<std::thread> workers_;
 
@@ -131,7 +82,6 @@ class ThreadPool {
   // Counters/gauges are coarse (per task, not per op) and stay on
   // unconditionally; task *spans* are gated on obs::enabled().
   obs::Counter* tasks_ = nullptr;
-  obs::Counter* backpressure_ = nullptr;
   obs::Gauge* queueDepth_ = nullptr;
 };
 

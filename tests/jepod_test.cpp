@@ -561,6 +561,32 @@ TEST_F(JepodTest, MalformedTierIsATypedBadRequest) {
   EXPECT_EQ(raw.errorCode, "bad-request");
 }
 
+TEST_F(JepodTest, DeadlineAboveInt32MillisecondsIsATypedBadRequest) {
+  // Admission time + such a deadline would overflow the steady clock's
+  // int64 nanoseconds and land in the past, cancelling the job at once.
+  startDaemon();
+  Client c = connect();
+  for (const std::uint64_t ms :
+       {std::uint64_t{10'000'000'000'000}, std::uint64_t{UINT64_MAX}}) {
+    JobRequest req = makeRequest("dl-" + std::to_string(ms), kQuickSource);
+    req.deadlineMs = ms;
+    const Response resp = c.submit(req);
+    EXPECT_FALSE(resp.ok) << ms;
+    EXPECT_EQ(resp.errorCode, "bad-request") << ms;
+    EXPECT_EQ(resp.id, req.id);
+    EXPECT_NE(resp.errorMessage.find("deadlineMs"), std::string::npos)
+        << resp.errorMessage;
+  }
+
+  // The connection still serves, and the largest accepted deadline
+  // (INT32_MAX ms) is admitted and runs to completion.
+  JobRequest longest = makeRequest("dl-max", kQuickSource);
+  longest.deadlineMs = 2147483647;
+  const Response done = c.submit(longest);
+  EXPECT_TRUE(done.ok) << done.errorMessage;
+  EXPECT_EQ(done.profile.stdoutText, "acc=897\n");
+}
+
 TEST_F(JepodTest, TierRoundTripsThroughRequestRenderAndParse) {
   JobRequest req = makeRequest("rt1", kQuickSource, "edge-a");
   req.tier = "sampled:32";

@@ -4,15 +4,11 @@
 #include <numeric>
 #include <set>
 
-#include <chrono>
-#include <thread>
-
 #include "support/error.hpp"
 #include "support/rng.hpp"
 #include "support/strings.hpp"
 #include "support/table.hpp"
 #include "support/thread_pool.hpp"
-#include "support/watchdog.hpp"
 
 namespace jepo {
 namespace {
@@ -269,36 +265,6 @@ TEST(ThreadPool, ParallelForRethrowsFirstExceptionInIndexOrder) {
   }
 }
 
-TEST(ThreadPool, SubmitBatchRunsEveryTask) {
-  ThreadPool pool(3);
-  std::atomic<int> sum{0};
-  std::vector<std::function<int()>> tasks;
-  for (int i = 0; i < 40; ++i) {
-    tasks.push_back([i, &sum] {
-      ++sum;
-      return i * i;
-    });
-  }
-  auto futures = pool.submitBatch(std::move(tasks));
-  ASSERT_EQ(futures.size(), 40u);
-  for (int i = 0; i < 40; ++i) EXPECT_EQ(futures[i].get(), i * i);
-  EXPECT_EQ(sum.load(), 40);
-}
-
-TEST(ThreadPool, BoundedQueueCompletesAllWorkUnderBackpressure) {
-  // Queue bound far below the task count: producers must block and resume
-  // as workers drain. Everything still completes exactly once.
-  ThreadPool pool(2, /*maxQueue=*/4);
-  std::atomic<int> count{0};
-  parallelFor(pool, 200, [&](std::size_t) { ++count; });
-  EXPECT_EQ(count.load(), 200);
-
-  std::vector<std::function<int()>> tasks;
-  for (int i = 0; i < 100; ++i) tasks.push_back([&count] { return ++count; });
-  for (auto& f : pool.submitBatch(std::move(tasks))) f.get();
-  EXPECT_EQ(count.load(), 300);
-}
-
 TEST(ParallelConfig, ResolvesThreadCounts) {
   EXPECT_TRUE(ParallelConfig{1}.serial());
   EXPECT_FALSE(ParallelConfig{0}.serial());
@@ -312,53 +278,6 @@ TEST(ThreadPool, ManyMoreTasksThanThreads) {
   std::atomic<int> count{0};
   parallelFor(pool, 500, [&](std::size_t) { ++count; });
   EXPECT_EQ(count.load(), 500);
-}
-
-// ------------------------------------------------------------- watchdog
-
-TEST(Watchdog, DisabledWatchdogIsInertAndCheap) {
-  Watchdog dog(0.0);
-  EXPECT_FALSE(dog.enabled());
-  {
-    auto scope = dog.watch("anything");  // must be a no-op, not a crash
-  }
-  EXPECT_TRUE(dog.flagged().empty());
-}
-
-TEST(Watchdog, FastTasksAreNeverFlagged) {
-  Watchdog dog(30.0);
-  EXPECT_TRUE(dog.enabled());
-  for (int i = 0; i < 20; ++i) {
-    auto scope = dog.watch("quick task");
-  }
-  EXPECT_TRUE(dog.flagged().empty());
-}
-
-TEST(Watchdog, SlowTaskIsFlaggedByLabelButNotCancelled) {
-  // 50 ms deadline, 200 ms "task": the monitor (scanning at deadline/4)
-  // must flag it while the scope is still alive — telemetry only, the
-  // task itself runs to completion.
-  Watchdog dog(0.05);
-  bool finished = false;
-  {
-    auto scope = dog.watch("slow measure #3");
-    std::this_thread::sleep_for(std::chrono::milliseconds(200));
-    finished = true;
-  }
-  EXPECT_TRUE(finished);
-  const std::vector<std::string> flagged = dog.flagged();
-  ASSERT_EQ(flagged.size(), 1u);
-  EXPECT_EQ(flagged[0], "slow measure #3");
-}
-
-TEST(Watchdog, ScopeIsMovableAndFlagsOncePerTask) {
-  Watchdog dog(0.05);
-  {
-    auto outer = dog.watch("moved scope");
-    auto inner = std::move(outer);  // job handed to a worker thread
-    std::this_thread::sleep_for(std::chrono::milliseconds(200));
-  }
-  EXPECT_EQ(dog.flagged().size(), 1u);
 }
 
 // ---------------------------------------------------------------- error
