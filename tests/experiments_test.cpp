@@ -88,6 +88,15 @@ TEST(Experiments, ChangesScaleWithCorpusScale) {
   EXPECT_NEAR(a.changesFullScale, b.changesFullScale, 60);
 }
 
+TEST(Experiments, RowsAreFullTierAtUnitSamplingRate) {
+  // Table-IV measurements run through PerfRunner, never a profiler tier;
+  // the --json rows and the interval golden print these two fields.
+  const auto r =
+      runClassifierExperiment(ClassifierKind::kRandomTree, fastConfig());
+  EXPECT_EQ(r.tier, "full");
+  EXPECT_EQ(r.samplingRate, 1.0);
+}
+
 TEST(Experiments, PerturbedCostModelKeepsOrdering) {
   WekaExperimentConfig cfg = fastConfig();
   Rng rng(5);

@@ -587,6 +587,25 @@ TEST_F(JepodTest, DeadlineAboveInt32MillisecondsIsATypedBadRequest) {
   EXPECT_EQ(done.profile.stdoutText, "acc=897\n");
 }
 
+TEST_F(JepodTest, DeadlineLimitIsInt32MaxMillisecondsAtParse) {
+  EXPECT_EQ(jepod::kMaxDeadlineMs,
+            static_cast<std::uint64_t>(INT32_MAX));
+  JobRequest req = makeRequest("dl-edge", kQuickSource);
+  req.deadlineMs = jepod::kMaxDeadlineMs;
+  EXPECT_EQ(jepod::parseRequest(jepod::renderRequest(req)).deadlineMs,
+            jepod::kMaxDeadlineMs);
+
+  req.deadlineMs = jepod::kMaxDeadlineMs + 1;
+  try {
+    jepod::parseRequest(jepod::renderRequest(req));
+    FAIL() << "a deadline one past the limit parsed";
+  } catch (const jepod::ProtocolError& e) {
+    EXPECT_EQ(e.code(), jepod::ErrorCode::kBadRequest);
+    EXPECT_NE(std::string(e.what()).find("deadlineMs"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST_F(JepodTest, TierRoundTripsThroughRequestRenderAndParse) {
   JobRequest req = makeRequest("rt1", kQuickSource, "edge-a");
   req.tier = "sampled:32";

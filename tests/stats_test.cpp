@@ -419,6 +419,35 @@ TEST(Bootstrap, CoverageSanityOnAKnownDistribution) {
   EXPECT_GE(covered, trials * 4 / 5);
 }
 
+TEST(Bootstrap, CleanRowsReportTheNinetyFivePercentPercentileInterval) {
+  EXPECT_EQ(kConfidence, 0.95);
+  const std::vector<double> xs = sampleValues(20, 11);
+  const std::vector<int> qs(xs.size(), kQualityOk);
+  const BootstrapConfig cfg;
+  const IntervalResult r = qualityInterval(xs, qs, cfg);
+  ASSERT_EQ(r.widenFactor, 1.0);
+  const std::vector<double> means =
+      bootstrapMeans(xs, cfg.resamples, cfg.seed, serialExecutor());
+  EXPECT_TRUE(sameInterval(
+      r.interval, percentileInterval(means, r.interval.mean, 0.95)));
+  // A different level gives a different interval, so the match above
+  // pins the level and not only the resamples.
+  EXPECT_FALSE(sameInterval(
+      r.interval, percentileInterval(means, r.interval.mean, 0.5)));
+}
+
+TEST(Bootstrap, PercentileIntervalWidensWithTheConfidenceLevel) {
+  std::vector<double> samples;
+  for (int i = 0; i < 101; ++i) samples.push_back(static_cast<double>(i));
+  const Interval half = percentileInterval(samples, 50.0, 0.5);
+  const Interval ninetyFive = percentileInterval(samples, 50.0, 0.95);
+  EXPECT_NEAR(half.lo, 25.0, 1e-9);
+  EXPECT_NEAR(half.hi, 75.0, 1e-9);
+  EXPECT_NEAR(ninetyFive.lo, 2.5, 1e-9);
+  EXPECT_NEAR(ninetyFive.hi, 97.5, 1e-9);
+  EXPECT_GT(ninetyFive.width(), half.width());
+}
+
 TEST(Bootstrap, ValidatesInputs) {
   EXPECT_THROW(bootstrapMeans({}, 10, 1, serialExecutor()),
                PreconditionError);

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <future>
 #include <numeric>
 #include <set>
 
@@ -278,6 +279,45 @@ TEST(ThreadPool, ManyMoreTasksThanThreads) {
   std::atomic<int> count{0};
   parallelFor(pool, 500, [&](std::size_t) { ++count; });
   EXPECT_EQ(count.load(), 500);
+}
+
+TEST(ThreadPool, EachSubmittedFutureCarriesItsOwnResult) {
+  ThreadPool pool(3);
+  std::atomic<int> ran{0};
+  std::vector<std::future<int>> futures;
+  for (int i = 0; i < 40; ++i) {
+    futures.push_back(pool.submit([i, &ran] {
+      ++ran;
+      return i * i;
+    }));
+  }
+  for (int i = 0; i < 40; ++i) EXPECT_EQ(futures[i].get(), i * i);
+  EXPECT_EQ(ran.load(), 40);
+}
+
+TEST(ThreadPool, DestructorRunsEveryQueuedTask) {
+  // Workers exit only once the queue is drained: tasks still queued when
+  // the pool goes out of scope run before the destructor returns.
+  std::atomic<int> count{0};
+  {
+    ThreadPool pool(1);
+    std::promise<void> release;
+    std::shared_future<void> gate = release.get_future().share();
+    pool.submit([gate] { gate.wait(); });
+    for (int i = 0; i < 20; ++i) pool.submit([&count] { ++count; });
+    EXPECT_EQ(count.load(), 0);
+    release.set_value();
+  }
+  EXPECT_EQ(count.load(), 20);
+}
+
+TEST(ThreadPool, CountsEveryTaskAndDrainsTheQueueDepthGauge) {
+  obs::Registry& reg = obs::Registry::global();
+  const std::uint64_t before = reg.counter("pool.tasks").value();
+  ThreadPool pool(2);
+  parallelFor(pool, 50, [](std::size_t) {});
+  EXPECT_EQ(reg.counter("pool.tasks").value() - before, 50u);
+  EXPECT_EQ(reg.gauge("pool.queue.depth").value(), 0);
 }
 
 // ---------------------------------------------------------------- error
