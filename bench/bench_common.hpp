@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <optional>
 #include <string>
 #include <utility>
@@ -77,11 +78,18 @@ class Flags {
   }
 
   /// Numeric flags parse strictly: a value that is empty, has trailing
-  /// garbage or is out of range prints the offending flag and exits 2, so a
-  /// typo like --clients=abc never runs the bench at some fallback value.
-  long getInt(const std::string& name, long def) const {
+  /// garbage, is out of range or is below `min` prints the offending flag
+  /// and exits 2, so a typo like --clients=abc never runs the bench at some
+  /// fallback value.
+  long getInt(const std::string& name, long def,
+              long min = std::numeric_limits<long>::min()) const {
     const std::optional<std::string> v = find(name);
-    return v ? parseInt(name, *v) : def;
+    if (!v) return def;
+    const long n = parseInt(name, *v);
+    if (n < min) {
+      badValue(name, *v, ("an integer >= " + std::to_string(min)).c_str());
+    }
+    return n;
   }
 
   double getDouble(const std::string& name, double def) const {

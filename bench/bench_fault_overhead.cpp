@@ -26,15 +26,11 @@
 #include "jbc/compiler.hpp"
 #include "perf/perf.hpp"
 #include "rapl/rapl.hpp"
+#include "stats/stats.hpp"
 
 namespace {
 
 using namespace jepo;
-
-double median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  return v[v.size() / 2];
-}
 
 /// Nanoseconds per call of `f`, with the result accumulated so the loop
 /// cannot be optimized away.
@@ -56,7 +52,7 @@ double nanosPerCall(int iters, F&& f) {
 int main(int argc, char** argv) {
   bench::Flags flags(argc, argv, {"reps"});
   bench::BenchReport report("bench_fault_overhead", flags);
-  const int reps = static_cast<int>(flags.getInt("reps", 5));
+  const int reps = static_cast<int>(flags.getInt("reps", 5, /*min=*/1));
   report.config("reps", reps);
 
   bench::printHeader(
@@ -114,7 +110,7 @@ int main(int argc, char** argv) {
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count());
   }
-  const double statSec = median(statTimes);
+  const double statSec = stats::median(statTimes);
 
   const double overheadPct =
       100.0 *

@@ -212,8 +212,8 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  const long jobs = flags.getInt("jobs", 50);
-  const long sourceCount = flags.getInt("sources", 4);
+  const long jobs = flags.getInt("jobs", 50, /*min=*/0);
+  const long sourceCount = flags.getInt("sources", 4, /*min=*/1);
   const long threads = flags.getInt("threads", 0);
   const std::string faultPlan = flags.get("fault-plan", "");
   const std::string transportPlan =

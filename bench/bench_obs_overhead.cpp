@@ -13,7 +13,6 @@
 #include "bench_common.hpp"
 #include "demo_project.hpp"
 
-#include <algorithm>
 #include <chrono>
 
 #include "energy/machine.hpp"
@@ -22,6 +21,7 @@
 #include "jbc/compiler.hpp"
 #include "jvm/instrumenter.hpp"
 #include "obs/span.hpp"
+#include "stats/stats.hpp"
 
 namespace {
 
@@ -37,11 +37,6 @@ double runWorkloadSeconds(const jbc::CompiledProgram& prog) {
   vm.runMain();
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
-}
-
-double median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  return v[v.size() / 2];
 }
 
 /// Nanoseconds per disabled span site: construct + destruct a Span while
@@ -65,7 +60,7 @@ double disabledGateNanos() {
 int main(int argc, char** argv) {
   bench::Flags flags(argc, argv, {"reps"});
   bench::BenchReport report("bench_obs_overhead", flags);
-  const int reps = static_cast<int>(flags.getInt("reps", 5));
+  const int reps = static_cast<int>(flags.getInt("reps", 5, /*min=*/1));
   report.config("reps", reps);
 
   bench::printHeader(
@@ -82,7 +77,7 @@ int main(int argc, char** argv) {
   obs::setEnabled(false);
   std::vector<double> offTimes;
   for (int r = 0; r < reps; ++r) offTimes.push_back(runWorkloadSeconds(prog));
-  const double offSec = median(offTimes);
+  const double offSec = stats::median(offTimes);
 
   // Tracing on: every method call records a span.
   obs::setEnabled(true);
@@ -94,7 +89,7 @@ int main(int argc, char** argv) {
     spansPerRep = obs::TraceCollector::events().size() +
                   obs::TraceCollector::dropped();
   }
-  const double onSec = median(onTimes);
+  const double onSec = stats::median(onTimes);
   obs::setEnabled(false);
 
   const double gateNs = disabledGateNanos();

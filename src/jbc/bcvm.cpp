@@ -1746,7 +1746,7 @@ jvm::Value BytecodeVm::run(const CompiledClass& cls, const Chunk& chunk,
             names[static_cast<std::size_t>(h.classNameIdx)];
         if (handlerClass == thrownClass || handlerClass == "Exception" ||
             (handlerClass == "RuntimeException" &&
-             BuiltinLibrary::looksLikeExceptionClass(thrownClass))) {
+             jlang::looksLikeExceptionClass(thrownClass))) {
           match = &h;
           break;
         }

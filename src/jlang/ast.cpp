@@ -125,13 +125,6 @@ CompilationUnit cloneUnit(const CompilationUnit& unit) {
   return out;
 }
 
-Program cloneProgram(const Program& program) {
-  Program out;
-  out.units.reserve(program.units.size());
-  for (const auto& unit : program.units) out.units.push_back(cloneUnit(unit));
-  return out;
-}
-
 std::vector<const ClassDecl*> Program::mainClasses() const {
   std::vector<const ClassDecl*> out;
   for (const auto& unit : units) {

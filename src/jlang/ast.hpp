@@ -295,8 +295,9 @@ struct Program {
   std::vector<CompilationUnit> units;
 
   /// Cached resolution substrate (symbol table, layouts, slot maps) filled
-  /// lazily by ensureResolved() at engine construction. Deliberately NOT
-  /// copied by cloneProgram(): a rewritten clone must re-resolve.
+  /// lazily by ensureResolved() at engine construction. A Program built
+  /// from cloneUnit() copies starts without it: a rewritten clone must
+  /// re-resolve.
   mutable std::shared_ptr<const Resolution> resolution;
 
   const ClassDecl* findClass(std::string_view name) const;
@@ -304,8 +305,7 @@ struct Program {
   std::vector<const ClassDecl*> mainClasses() const;
 };
 
-/// Deep copies (rewriters clone before mutating).
+/// Deep copy (rewriters clone before mutating).
 CompilationUnit cloneUnit(const CompilationUnit& unit);
-Program cloneProgram(const Program& program);
 
 }  // namespace jepo::jlang

@@ -141,8 +141,8 @@ struct Resolution {
 /// Resolve `program` once (idempotent, thread-safe, mutex-guarded):
 /// interns identifiers, computes layouts and slot maps, annotates the AST
 /// in place and caches the result on the Program. Engines call this at
-/// construction; cloneProgram() drops the cache so rewritten clones
-/// re-resolve.
+/// construction; a Program rebuilt from cloneUnit() copies has no cache,
+/// so rewritten clones re-resolve.
 std::shared_ptr<const Resolution> ensureResolved(const Program& program);
 
 /// The shared foreign layout of builtin exception-style objects: a single

@@ -38,16 +38,6 @@ BuiltinLibrary::BuiltinLibrary(
       out_(&out),
       isProgramClass_(std::move(isProgramClass)) {}
 
-// The class-name predicates live in jlang (the resolver classifies names
-// with them); these wrappers keep the historical call sites working.
-bool BuiltinLibrary::isWrapperClassName(const std::string& name) {
-  return jlang::isWrapperClassName(name);
-}
-
-bool BuiltinLibrary::looksLikeExceptionClass(const std::string& name) {
-  return jlang::looksLikeExceptionClass(name);
-}
-
 Value BuiltinLibrary::makeString(std::string s) {
   return Value::ofRef(heap_->allocString(std::move(s)));
 }
@@ -281,7 +271,7 @@ bool BuiltinLibrary::staticCall(const std::string& className,
     throw VmError("unknown System method " + name);
   }
 
-  if (isWrapperClassName(className)) {
+  if (jlang::isWrapperClassName(className)) {
     if (name == "valueOf") {
       JEPO_REQUIRE(args.size() == 1, "valueOf takes one argument");
       *out = box(className, unboxIfNeeded(args[0]));
@@ -573,7 +563,8 @@ bool BuiltinLibrary::construct(const std::string& className,
     *out = makeString(std::move(text));
     return true;
   }
-  if (!isProgramClass_(className) && looksLikeExceptionClass(className)) {
+  if (!isProgramClass_(className) &&
+      jlang::looksLikeExceptionClass(className)) {
     charge(Op::kAllocObject);
     const Ref r =
         heap_->allocObject(className, jlang::builtinExceptionLayout());

@@ -31,9 +31,6 @@ class BuiltinLibrary {
   [[noreturn]] void throwJava(const std::string& className,
                               const std::string& message);
 
-  static bool isWrapperClassName(const std::string& name);
-  static bool looksLikeExceptionClass(const std::string& name);
-
   /// Box a primitive into a wrapper object (charges the boxing cost).
   Value box(const std::string& wrapper, Value inner);
   /// Unbox if boxed (charges); otherwise returns v unchanged.

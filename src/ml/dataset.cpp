@@ -5,13 +5,6 @@
 
 namespace jepo::ml {
 
-int Attribute::labelIndex(std::string_view label) const {
-  for (std::size_t i = 0; i < labels_.size(); ++i) {
-    if (labels_[i] == label) return static_cast<int>(i);
-  }
-  return -1;
-}
-
 Instances::Instances(std::string relation, std::vector<Attribute> attributes,
                      int classIndex)
     : relation_(std::move(relation)),

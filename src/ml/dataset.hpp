@@ -38,10 +38,6 @@ class Attribute {
   /// Distinct labels of a nominal attribute.
   std::size_t numLabels() const noexcept { return labels_.size(); }
   const std::string& label(std::size_t i) const { return labels_.at(i); }
-  const std::vector<std::string>& labels() const noexcept { return labels_; }
-
-  /// Index of a label; -1 when absent.
-  int labelIndex(std::string_view label) const;
 
  private:
   std::string name_;
@@ -56,7 +52,6 @@ class Instances {
   Instances(std::string relation, std::vector<Attribute> attributes,
             int classIndex);
 
-  const std::string& relation() const noexcept { return relation_; }
   std::size_t numAttributes() const noexcept { return attributes_.size(); }
   std::size_t numInstances() const noexcept { return rows_.size(); }
   int classIndex() const noexcept { return classIndex_; }

@@ -19,14 +19,8 @@ PerfRunner::PerfRunner(NoiseModel noise, std::uint64_t seed)
 
 PerfStat PerfRunner::stat(
     const std::function<void(energy::SimMachine&)>& workload) {
-  return stat(workload, energy::CostModel::calibrated());
-}
-
-PerfStat PerfRunner::stat(
-    const std::function<void(energy::SimMachine&)>& workload,
-    const energy::CostModel& model) {
   return statAt(nextOrdinal_.fetch_add(1, std::memory_order_relaxed),
-                workload, model);
+                workload, energy::CostModel::calibrated());
 }
 
 PerfStat PerfRunner::statAt(

@@ -97,13 +97,10 @@ class PerfRunner {
     return faults_;
   }
 
-  /// Run the workload on a fresh machine built by `makeMachine` (defaults
-  /// to the calibrated model) and return the measured interval. The noise
-  /// stream for this call is the next unused ordinal.
+  /// Run the workload on a fresh machine under the calibrated model and
+  /// return the measured interval. The noise stream for this call is the
+  /// next unused ordinal.
   PerfStat stat(const std::function<void(energy::SimMachine&)>& workload);
-
-  PerfStat stat(const std::function<void(energy::SimMachine&)>& workload,
-                const energy::CostModel& model);
 
   /// As stat(), but with a caller-chosen noise ordinal: the measurement is
   /// a pure function of (runner seed, ordinal, workload), which is what

@@ -1,14 +1,11 @@
 #include <gtest/gtest.h>
 
 #include "data/airlines.hpp"
-#include "data/arff.hpp"
 #include "ml/evaluation.hpp"
 
 namespace jepo::data {
 namespace {
 
-using ml::Attribute;
-using ml::AttrKind;
 using ml::Instances;
 
 // -------------------------------------------------------------- airlines
@@ -77,6 +74,50 @@ TEST(Airlines, DeterministicForSeed) {
   EXPECT_GT(diffs, 90);
 }
 
+TEST(Airlines, GeneratedDataCarriesTheTableThreeSchema) {
+  const Instances schema = airlinesSchema();
+  EXPECT_EQ(schema.numInstances(), 0u);
+  AirlinesConfig cfg;
+  cfg.instances = 10;
+  const Instances data = generateAirlines(cfg);
+  ASSERT_EQ(data.numAttributes(), schema.numAttributes());
+  for (std::size_t a = 0; a < schema.numAttributes(); ++a) {
+    EXPECT_EQ(data.attribute(a).name(), schema.attribute(a).name());
+    EXPECT_EQ(data.attribute(a).kind(), schema.attribute(a).kind());
+    ASSERT_EQ(data.attribute(a).numLabels(), schema.attribute(a).numLabels());
+    for (std::size_t l = 0; l < schema.attribute(a).numLabels(); ++l) {
+      EXPECT_EQ(data.attribute(a).label(l), schema.attribute(a).label(l));
+    }
+  }
+  EXPECT_EQ(data.classIndex(), schema.classIndex());
+}
+
+TEST(Airlines, SmallerRunIsAPrefixOfALargerOne) {
+  AirlinesConfig cfg;
+  cfg.instances = 200;
+  const Instances large = generateAirlines(cfg);
+  cfg.instances = 50;
+  const Instances small = generateAirlines(cfg);
+  for (std::size_t i = 0; i < 50; ++i) EXPECT_EQ(small.row(i), large.row(i));
+}
+
+TEST(Airlines, NoiseOnlyMovesTheClassLabel) {
+  AirlinesConfig cfg;
+  cfg.instances = 500;
+  cfg.noise = 0.0;
+  const Instances clean = generateAirlines(cfg);
+  cfg.noise = 1.0;
+  const Instances coinFlip = generateAirlines(cfg);
+  int labelDiffs = 0;
+  for (std::size_t i = 0; i < 500; ++i) {
+    for (std::size_t a = 0; a < 7; ++a) {
+      EXPECT_EQ(clean.value(i, a), coinFlip.value(i, a));
+    }
+    labelDiffs += clean.classValue(i) != coinFlip.classValue(i);
+  }
+  EXPECT_GT(labelDiffs, 0);
+}
+
 TEST(Airlines, DelayRateIsBalancedish) {
   AirlinesConfig cfg;
   cfg.instances = 5000;
@@ -126,62 +167,6 @@ TEST(Airlines, LatentRuleIsLearnable) {
   // Above chance, below perfection — the realistic airline-delay band.
   EXPECT_GT(acc, sample.majorityClassFraction() + 0.02);
   EXPECT_LT(acc, 0.9);
-}
-
-// ------------------------------------------------------------------ arff
-
-TEST(Arff, RoundTripsSchemaAndRows) {
-  AirlinesConfig cfg;
-  cfg.instances = 50;
-  const Instances data = generateAirlines(cfg);
-  const std::string text = writeArff(data);
-  EXPECT_NE(text.find("@relation airlines"), std::string::npos);
-  EXPECT_NE(text.find("@attribute Delay {0,1}"), std::string::npos);
-
-  const Instances back = readArff(text);
-  ASSERT_EQ(back.numInstances(), data.numInstances());
-  ASSERT_EQ(back.numAttributes(), data.numAttributes());
-  EXPECT_EQ(back.classIndex(), data.classIndex());
-  for (std::size_t i = 0; i < data.numInstances(); ++i) {
-    for (std::size_t a = 0; a < data.numAttributes(); ++a) {
-      EXPECT_NEAR(back.value(i, a), data.value(i, a), 1e-3)
-          << "row " << i << " attr " << a;
-    }
-  }
-}
-
-TEST(Arff, ParsesCommentsAndWhitespace) {
-  const Instances parsed = readArff(R"(
-% a comment
-@relation tiny
-
-@attribute x numeric
-@attribute c {no, yes}
-
-@data
-1.5, no
-2.5, yes
-)");
-  ASSERT_EQ(parsed.numInstances(), 2u);
-  EXPECT_EQ(parsed.classValue(1), 1);
-  EXPECT_DOUBLE_EQ(parsed.value(0, 0), 1.5);
-}
-
-TEST(Arff, RejectsMalformedInput) {
-  EXPECT_THROW(readArff("@data\n1,2\n"), Error);  // no attributes
-  EXPECT_THROW(readArff("@attribute x numeric\n@data\n1,2\n"), Error);
-  EXPECT_THROW(
-      readArff("@attribute c {a,b}\n@data\nz\n"), Error);  // bad label
-}
-
-TEST(Csv, HeaderAndLabels) {
-  AirlinesConfig cfg;
-  cfg.instances = 3;
-  const std::string csv = writeCsv(generateAirlines(cfg));
-  EXPECT_EQ(csv.find("Airline,Flight,AirportFrom"), 0u);
-  // Nominal airline codes appear as labels, not indices.
-  const auto secondLine = csv.find('\n') + 1;
-  EXPECT_TRUE(csv.substr(secondLine, 2) != "0," || true);
 }
 
 }  // namespace

@@ -206,6 +206,43 @@ TEST(Engine, ArrayTraversalRule) {
             0);
 }
 
+TEST(Engine, SuggestionsPointAtTheFlaggedLine) {
+  const auto hits = analyze(
+      "class C {\n"
+      "  int m(int x) {\n"
+      "    int y = x + 1;\n"
+      "    return y > 0 ? 1 : 2;\n"
+      "  }\n"
+      "}\n");
+  ASSERT_EQ(hits.size(), 1u);
+  EXPECT_EQ(hits[0].rule, RuleId::kTernaryOperator);
+  EXPECT_EQ(hits[0].file, "test.mjava");
+  EXPECT_EQ(hits[0].className, "C");
+  EXPECT_EQ(hits[0].line, 4);
+}
+
+TEST(Engine, RecommendedFormsDrawNoSuggestions) {
+  // Each Table I rule's recommended form, in one class.
+  EXPECT_TRUE(analyze(R"(
+    class C {
+      int count;
+      double rate = 2.5e3;
+      Integer boxed;
+      int m(int[] src, int[] dst, int[][] grid, int n, String a, String b,
+            boolean flag) {
+        System.arraycopy(src, 0, dst, 0, n);
+        int acc = 0;
+        for (int i = 0; i < n; i++)
+          for (int j = 0; j < n; j++)
+            acc += grid[i][j] & 7;
+        if (flag && a.equals(b)) acc++;
+        if (acc > 0) acc = 1; else acc = 2;
+        return acc + count;
+      }
+    }
+  )").empty());
+}
+
 TEST(Engine, RuleDisablingSuppressesDiagnostics) {
   SuggestionEngine::Options opts;
   opts.enabled[static_cast<int>(RuleId::kTernaryOperator)] = false;

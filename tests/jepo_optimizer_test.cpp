@@ -218,6 +218,16 @@ TEST(Optimizer, OffsetCopyLoopKeepsOffsets) {
             std::string::npos);
 }
 
+TEST(Optimizer, TransformingCopyLoopIsKept) {
+  const auto r = optimizeSource(R"(
+    class C { void m(int[] src, int[] dst, int n) {
+      for (int i = 0; i < n; i++) dst[i] = src[i] * 2;
+    } }
+  )");
+  EXPECT_EQ(countRule(r.changes, RuleId::kArrayCopy), 0);
+  EXPECT_EQ(printed(r).find("System.arraycopy"), std::string::npos);
+}
+
 TEST(Optimizer, LoopInterchangeForColumnTraversal) {
   const auto r = optimizeSource(R"(
     class C { int m(int[][] a, int rows, int cols) {
@@ -318,6 +328,85 @@ TEST(Optimizer, RuleMaskDisablesRewrites) {
       "class C { int m(int x) { return x > 0 ? 1 : 2; } }", opts);
   EXPECT_EQ(r.changes.size(), 0u);
   EXPECT_NE(printed(r).find("?"), std::string::npos);
+}
+
+TEST(Optimizer, InputProgramIsNotModified) {
+  const Program prog = Parser::parseProgram("t.mjava", R"(
+    class C {
+      static int factor = 2;
+      long total;
+      int m(int x) { return (x % 4 == 0 ? factor : 10000) + x; }
+    }
+  )");
+  const std::string before = jlang::printUnit(prog.units[0]);
+  const OptimizeResult r = Optimizer().optimize(prog);
+  ASSERT_FALSE(r.changes.empty());
+  EXPECT_EQ(jlang::printUnit(prog.units[0]), before);
+  EXPECT_NE(jlang::printUnit(r.program.units[0]), before);
+}
+
+TEST(Optimizer, ChangeRecordsNameFileClassAndLine) {
+  const auto r = optimizeSource(
+      "class A {\n"
+      "  int m(int x) { return x; }\n"
+      "}\n"
+      "class B {\n"
+      "  boolean m(String a, String b) {\n"
+      "    return a.compareTo(b) == 0;\n"
+      "  }\n"
+      "}\n");
+  ASSERT_EQ(r.changes.size(), 1u);
+  EXPECT_EQ(r.changes[0].rule, RuleId::kStringCompare);
+  EXPECT_EQ(r.changes[0].file, "t.mjava");
+  EXPECT_EQ(r.changes[0].className, "B");
+  EXPECT_EQ(r.changes[0].line, 6);
+  EXPECT_FALSE(r.changes[0].description.empty());
+}
+
+TEST(Optimizer, ModulusRewriteKeepsOutputAndLowersEnergy) {
+  const Program prog = Parser::parseProgram("t.mjava", R"(
+    class Main {
+      static void main(String[] args) {
+        int acc = 0;
+        for (int i = 0; i < 2000; i++) acc += i % 16;
+        System.out.println(acc);
+      }
+    }
+  )");
+  OptimizerOptions opts;
+  opts.allowLossyNarrowing = false;
+  const OptimizeResult r = Optimizer(opts).optimize(prog);
+  ASSERT_EQ(countRule(r.changes, RuleId::kModulusOperator), 1);
+  const RunResult before = runProgram(prog);
+  const RunResult after = runProgram(r.program);
+  EXPECT_EQ(after.output, before.output);
+  EXPECT_LT(after.sample.packageJoules, before.sample.packageJoules);
+}
+
+TEST(Optimizer, CompareToRewriteKeepsOutputAndLowersEnergy) {
+  const Program prog = Parser::parseProgram("t.mjava", R"(
+    class Main {
+      static void main(String[] args) {
+        String a = "energy-efficient";
+        String b = "energy-efficient";
+        String c = "energy-hungry!!!";
+        int same = 0;
+        for (int i = 0; i < 500; i++) {
+          if (a.compareTo(b) == 0) same++;
+          if (a.compareTo(c) == 0) same--;
+        }
+        System.out.println(same);
+      }
+    }
+  )");
+  OptimizerOptions opts;
+  opts.allowLossyNarrowing = false;
+  const OptimizeResult r = Optimizer(opts).optimize(prog);
+  ASSERT_EQ(countRule(r.changes, RuleId::kStringCompare), 2);
+  const RunResult before = runProgram(prog);
+  const RunResult after = runProgram(r.program);
+  EXPECT_EQ(after.output, before.output);
+  EXPECT_LT(after.sample.packageJoules, before.sample.packageJoules);
 }
 
 TEST(Optimizer, OptimizedOutputReparses) {

@@ -5,6 +5,7 @@
 #include "data/airlines.hpp"
 #include "ml/evaluation.hpp"
 #include "ml/classifier.hpp"
+#include "ml/encoding.hpp"
 
 namespace jepo::ml {
 namespace {
@@ -109,6 +110,167 @@ TEST(Dataset, NumericRanges) {
   EXPECT_GE(ranges[0].min, 0.0);
   EXPECT_LE(ranges[0].max, 10.0);
   EXPECT_LT(ranges[0].min, ranges[0].max);
+}
+
+TEST(Dataset, SubsampleCapsAtDatasetSizeWithoutRepeats) {
+  const Instances data = makeToyData(40, 4);
+  Rng rng(6);
+  const Instances all = data.subsample(100, rng);
+  ASSERT_EQ(all.numInstances(), 40u);
+  // A permutation: every original row exactly once.
+  std::multiset<std::vector<double>> want;
+  std::multiset<std::vector<double>> got;
+  for (std::size_t i = 0; i < 40; ++i) {
+    want.insert(data.row(i));
+    got.insert(all.row(i));
+  }
+  EXPECT_EQ(got, want);
+}
+
+TEST(Dataset, SelectMaterializesRowsInIndexOrder) {
+  const Instances data = makeToyData(10, 8);
+  const Instances out = data.select({3, 0, 3});
+  ASSERT_EQ(out.numInstances(), 3u);
+  EXPECT_EQ(out.row(0), data.row(3));
+  EXPECT_EQ(out.row(1), data.row(0));
+  EXPECT_EQ(out.row(2), data.row(3));
+  EXPECT_EQ(out.numAttributes(), data.numAttributes());
+  EXPECT_EQ(out.classIndex(), data.classIndex());
+  EXPECT_THROW(data.select({10}), std::out_of_range);
+}
+
+TEST(Dataset, EmptyCopyKeepsSchemaWithoutRows) {
+  const Instances data = makeToyData(10, 9);
+  const Instances copy = data.emptyCopy();
+  EXPECT_EQ(copy.numInstances(), 0u);
+  ASSERT_EQ(copy.numAttributes(), data.numAttributes());
+  for (std::size_t a = 0; a < data.numAttributes(); ++a) {
+    EXPECT_EQ(copy.attribute(a).name(), data.attribute(a).name());
+    EXPECT_EQ(copy.attribute(a).kind(), data.attribute(a).kind());
+    EXPECT_EQ(copy.attribute(a).numLabels(), data.attribute(a).numLabels());
+  }
+  EXPECT_EQ(copy.classIndex(), data.classIndex());
+  EXPECT_EQ(copy.numClasses(), 2u);
+}
+
+TEST(Dataset, StratifiedFoldsRejectTooFewFoldsOrInstances) {
+  const Instances data = makeToyData(4, 10);
+  Rng rng(1);
+  EXPECT_THROW(data.stratifiedFolds(1, rng), PreconditionError);
+  EXPECT_THROW(data.stratifiedFolds(5, rng), PreconditionError);
+  EXPECT_EQ(data.stratifiedFolds(4, rng).size(), 4u);
+}
+
+// ------------------------------------------------------------ encoding
+
+// x numeric (10/20/30), color nominal (r/g/b), class y last.
+Instances tinyMixed() {
+  std::vector<Attribute> attrs;
+  attrs.push_back(Attribute::numeric("x"));
+  attrs.push_back(Attribute::nominal("color", {"r", "g", "b"}));
+  attrs.push_back(Attribute::nominal("y", {"no", "yes"}));
+  Instances d("tiny", attrs, 2);
+  d.addRow({10.0, 0.0, 0.0});
+  d.addRow({20.0, 1.0, 1.0});
+  d.addRow({30.0, 2.0, 1.0});
+  return d;
+}
+
+std::vector<SparseEncoder::Entry> encodeRow(const SparseEncoder& enc,
+                                            const std::vector<double>& row) {
+  energy::SimMachine machine;
+  MlRuntime rt(machine, CodeStyle::javaBaseline());
+  return enc.encode(row, rt);
+}
+
+TEST(SparseEncoder, NumericColumnsMapToUnitInterval) {
+  const Instances data = tinyMixed();
+  SparseEncoder enc;
+  enc.fit(data);
+  EXPECT_DOUBLE_EQ(encodeRow(enc, data.row(0))[0].value, 0.0);
+  EXPECT_DOUBLE_EQ(encodeRow(enc, data.row(1))[0].value, 0.5);
+  EXPECT_DOUBLE_EQ(encodeRow(enc, data.row(2))[0].value, 1.0);
+  EXPECT_EQ(encodeRow(enc, data.row(2))[0].index, 0u);
+}
+
+TEST(SparseEncoder, ConstantNumericColumnEncodesAsZero) {
+  std::vector<Attribute> attrs;
+  attrs.push_back(Attribute::numeric("x"));
+  attrs.push_back(Attribute::nominal("y", {"no", "yes"}));
+  Instances data("flat", attrs, 1);
+  data.addRow({5.0, 0.0});
+  data.addRow({5.0, 1.0});
+  SparseEncoder enc;
+  enc.fit(data);
+  EXPECT_DOUBLE_EQ(encodeRow(enc, data.row(0))[0].value, 0.0);
+  // A zero span never divides, whatever the value.
+  EXPECT_DOUBLE_EQ(encodeRow(enc, {7.0, 0.0})[0].value, 0.0);
+}
+
+TEST(SparseEncoder, RangesComeFromTheFittedData) {
+  SparseEncoder enc;
+  enc.fit(tinyMixed());
+  // Rows outside the fitted [10, 30] scale by the same line, unclamped.
+  EXPECT_DOUBLE_EQ(encodeRow(enc, {100.0, 0.0, 0.0})[0].value, 4.5);
+  EXPECT_DOUBLE_EQ(encodeRow(enc, {-50.0, 1.0, 1.0})[0].value, -3.0);
+}
+
+TEST(SparseEncoder, OneHotExpandsNonClassNominals) {
+  const Instances data = tinyMixed();
+  SparseEncoder enc;
+  enc.fit(data);
+  // x + 3 color indicators + bias; the class gets no feature.
+  ASSERT_EQ(enc.numFeatures(), 5u);
+  // Row 1 is color=g: one active entry per attribute, then the bias.
+  const auto row = encodeRow(enc, data.row(1));
+  ASSERT_EQ(row.size(), 3u);
+  EXPECT_EQ(row[1].index, 2u);
+  EXPECT_DOUBLE_EQ(row[1].value, 1.0);
+  EXPECT_EQ(row[2].index, 4u);
+  EXPECT_DOUBLE_EQ(row[2].value, 1.0);
+  EXPECT_EQ(encodeRow(enc, data.row(0))[1].index, 1u);
+  EXPECT_EQ(encodeRow(enc, data.row(2))[1].index, 3u);
+}
+
+TEST(SparseEncoder, ClassAttributeIsNeverEncoded) {
+  std::vector<Attribute> attrs;
+  attrs.push_back(Attribute::nominal("y", {"no", "yes"}));
+  attrs.push_back(Attribute::numeric("x"));
+  attrs.push_back(Attribute::nominal("c", {"a", "b"}));
+  Instances data("classFirst", attrs, 0);
+  data.addRow({1.0, 0.0, 1.0});
+  data.addRow({0.0, 4.0, 0.0});
+  SparseEncoder enc;
+  enc.fit(data);
+  ASSERT_EQ(enc.numFeatures(), 4u);  // x + 2 indicators + bias
+  const auto row = encodeRow(enc, data.row(0));
+  ASSERT_EQ(row.size(), 3u);
+  EXPECT_EQ(row[0].index, 0u);
+  EXPECT_DOUBLE_EQ(row[0].value, 0.0);
+  EXPECT_EQ(row[1].index, 2u);  // c=b
+  EXPECT_EQ(row[2].index, 3u);  // bias
+}
+
+TEST(SparseEncoder, ChargesPerAttributeWorkInTheRuntimeStyle) {
+  const Instances data = tinyMixed();
+  SparseEncoder enc;
+  enc.fit(data);
+
+  energy::SimMachine base;
+  MlRuntime baseRt(base, CodeStyle::javaBaseline());
+  enc.encode(data.row(1), baseRt);
+  EXPECT_EQ(base.meter().count(energy::Op::kArrayAccess), 2u);
+  EXPECT_EQ(base.meter().count(energy::Op::kIntMod), 1u);
+  EXPECT_EQ(base.meter().count(energy::Op::kDoubleAlu), 2u);
+
+  energy::SimMachine opt;
+  MlRuntime optRt(opt, CodeStyle::jepoOptimized());
+  enc.encode(data.row(1), optRt);
+  EXPECT_EQ(opt.meter().count(energy::Op::kArrayAccess), 2u);
+  EXPECT_EQ(opt.meter().count(energy::Op::kIntMod), 0u);
+  EXPECT_EQ(opt.meter().count(energy::Op::kIntAlu), 1u);
+  EXPECT_EQ(opt.meter().count(energy::Op::kFloatAlu), 2u);
+  EXPECT_EQ(opt.meter().count(energy::Op::kDoubleAlu), 0u);
 }
 
 // ------------------------------------------------- classifiers, generic

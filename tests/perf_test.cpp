@@ -86,7 +86,8 @@ TEST(Perf, CustomCostModelIsHonored) {
   const PerfStat cheap = runner.stat([](energy::SimMachine& m) {
     m.charge(energy::Op::kIntAlu, 1'000'000);
   });
-  const PerfStat costly = runner.stat(
+  const PerfStat costly = runner.statAt(
+      /*ordinal=*/1,
       [](energy::SimMachine& m) {
         m.charge(energy::Op::kIntAlu, 1'000'000);
       },

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "data/airlines.hpp"
-#include "ml/filters.hpp"
 #include "ml/report.hpp"
 
 namespace jepo::ml {
@@ -85,81 +84,6 @@ TEST(Report, DetailedCrossValidationPoolsAllInstances) {
   EXPECT_EQ(report.total(), data.numInstances());
   EXPECT_GT(report.accuracy(), 0.5);
   EXPECT_GT(report.kappa(), 0.0);  // better than chance
-}
-
-// ------------------------------------------------------------- filters
-
-Instances tiny() {
-  std::vector<Attribute> attrs;
-  attrs.push_back(Attribute::numeric("x"));
-  attrs.push_back(Attribute::nominal("color", {"r", "g", "b"}));
-  attrs.push_back(Attribute::nominal("y", {"no", "yes"}));
-  Instances d("tiny", attrs, 2);
-  d.addRow({10.0, 0.0, 0.0});
-  d.addRow({20.0, 1.0, 1.0});
-  d.addRow({30.0, 2.0, 1.0});
-  return d;
-}
-
-TEST(Filters, NormalizeMapsToUnitInterval) {
-  const Instances data = tiny();
-  NormalizeFilter f;
-  f.fit(data);
-  const Instances out = f.apply(data);
-  EXPECT_DOUBLE_EQ(out.value(0, 0), 0.0);
-  EXPECT_DOUBLE_EQ(out.value(1, 0), 0.5);
-  EXPECT_DOUBLE_EQ(out.value(2, 0), 1.0);
-  // Nominal columns untouched.
-  EXPECT_DOUBLE_EQ(out.value(2, 1), 2.0);
-}
-
-TEST(Filters, NormalizeClampsUnseenExtremes) {
-  const Instances data = tiny();
-  NormalizeFilter f;
-  f.fit(data);
-  Instances wild = data.emptyCopy();
-  wild.addRow({100.0, 0.0, 0.0});  // far above the fitted max
-  wild.addRow({-50.0, 1.0, 1.0});
-  const Instances out = f.apply(wild);
-  EXPECT_DOUBLE_EQ(out.value(0, 0), 1.0);
-  EXPECT_DOUBLE_EQ(out.value(1, 0), 0.0);
-}
-
-TEST(Filters, NormalizeApplyBeforeFitThrows) {
-  NormalizeFilter f;
-  EXPECT_THROW(f.apply(tiny()), PreconditionError);
-}
-
-TEST(Filters, NominalToBinaryExpandsNonClassNominals) {
-  const Instances data = tiny();
-  NominalToBinaryFilter f;
-  f.fit(data);
-  const Instances out = f.apply(data);
-  // x + 3 color indicators + class = 5 attributes.
-  ASSERT_EQ(out.numAttributes(), 5u);
-  EXPECT_EQ(out.attribute(1).name(), "color=r");
-  EXPECT_EQ(out.classIndex(), 4);
-  EXPECT_TRUE(out.classAttribute().isNominal());
-  // Row 1 was color=g.
-  EXPECT_DOUBLE_EQ(out.value(1, 1), 0.0);
-  EXPECT_DOUBLE_EQ(out.value(1, 2), 1.0);
-  EXPECT_DOUBLE_EQ(out.value(1, 3), 0.0);
-  EXPECT_EQ(out.classValue(1), 1);
-}
-
-TEST(Filters, ResamplePercentAndDeterminism) {
-  data::AirlinesConfig cfg;
-  cfg.instances = 1000;
-  const Instances data = data::generateAirlines(cfg);
-  ResampleFilter f(25.0, 9);
-  const Instances a = f.apply(data);
-  const Instances b = f.apply(data);
-  EXPECT_EQ(a.numInstances(), 250u);
-  for (std::size_t i = 0; i < a.numInstances(); ++i) {
-    EXPECT_EQ(a.row(i), b.row(i));
-  }
-  EXPECT_THROW(ResampleFilter(0.0, 1), PreconditionError);
-  EXPECT_THROW(ResampleFilter(150.0, 1), PreconditionError);
 }
 
 }  // namespace
