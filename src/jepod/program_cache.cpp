@@ -47,6 +47,9 @@ std::shared_ptr<const CachedProgram> ProgramCache::get(std::uint64_t hash,
 
 std::shared_ptr<const CachedProgram> ProgramCache::put(
     std::shared_ptr<const CachedProgram> entry) {
+  // Declared before the lock so that evicted programs (AST and bytecode)
+  // are freed after it is released, not inside the lock every hit takes.
+  std::vector<std::shared_ptr<const CachedProgram>> victims;
   std::lock_guard lock(mu_);
   const auto it = byHash_.find(entry->hash);
   if (it != byHash_.end()) {
@@ -62,20 +65,21 @@ std::shared_ptr<const CachedProgram> ProgramCache::put(
   lru_.push_front(entry);
   byHash_.emplace(entry->hash, lru_.begin());
   bytes_ += entry->bytes;
-  evictLocked();
+  evictLocked(&victims);
   bytesGauge_->set(static_cast<std::int64_t>(bytes_));
   entriesGauge_->set(static_cast<std::int64_t>(lru_.size()));
   return entry;
 }
 
-void ProgramCache::evictLocked() {
+void ProgramCache::evictLocked(
+    std::vector<std::shared_ptr<const CachedProgram>>* victims) {
   if (byteBudget_ == 0) return;
   // Never evict the entry just inserted (lru_.size() > 1): a job that was
   // admitted must be servable, even if it alone busts the budget.
   while (bytes_ > byteBudget_ && lru_.size() > 1) {
-    const auto& victim = lru_.back();
-    bytes_ -= victim->bytes;
-    byHash_.erase(victim->hash);
+    victims->push_back(std::move(lru_.back()));
+    bytes_ -= victims->back()->bytes;
+    byHash_.erase(victims->back()->hash);
     lru_.pop_back();
     evictions_->add();
   }

@@ -30,6 +30,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <vector>
 
 #include "jbc/code.hpp"
 #include "jlang/ast.hpp"
@@ -83,7 +84,10 @@ class ProgramCache {
   std::size_t byteCount() const;
 
  private:
-  void evictLocked();
+  /// Unlinks the LRU entries past the budget into `victims`, so the caller
+  /// frees them after releasing mu_.
+  void evictLocked(
+      std::vector<std::shared_ptr<const CachedProgram>>* victims);
 
   const std::size_t byteBudget_;
   mutable std::mutex mu_;
