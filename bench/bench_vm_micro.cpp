@@ -4,6 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_micro.hpp"
+#include "corpus/corpus.hpp"
 #include "demo_project.hpp"
 #include "energy/machine.hpp"
 #include "jbc/bcvm.hpp"
@@ -11,10 +12,12 @@
 #include "jepo/engine.hpp"
 #include "jepo/optimizer.hpp"
 #include "jepo/profiler.hpp"
+#include "jepod/program_cache.hpp"
 #include "jepod/protocol.hpp"
 #include "jlang/lexer.hpp"
 #include "jlang/parser.hpp"
 #include "jlang/printer.hpp"
+#include "jlang/resolve.hpp"
 #include "jvm/gc.hpp"
 #include "jvm/interpreter.hpp"
 
@@ -62,7 +65,8 @@ const char* const kObjectsAndCallsSource = R"(
 void BM_Lex(benchmark::State& state) {
   const std::string src = bench::kDemoProjectSource;
   for (auto _ : state) {
-    jlang::Lexer lexer(src);
+    jlang::Arena decoded;
+    jlang::Lexer lexer(src, decoded);
     benchmark::DoNotOptimize(lexer.tokenize());
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -73,19 +77,47 @@ BENCHMARK(BM_Lex);
 void BM_Parse(benchmark::State& state) {
   const std::string src = bench::kDemoProjectSource;
   for (auto _ : state) {
-    jlang::Parser parser("demo.mjava", src);
-    benchmark::DoNotOptimize(parser.parseUnit());
+    benchmark::DoNotOptimize(jlang::Parser::parseProgram("demo.mjava", src));
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(src.size()));
 }
 BENCHMARK(BM_Parse);
 
-void BM_Print(benchmark::State& state) {
-  const auto unit =
-      jlang::Parser("demo.mjava", bench::kDemoProjectSource).parseUnit();
+// The cache-miss path under eviction churn: each iteration parses and
+// resolves a printed corpus source and puts it into a ProgramCache with a
+// 256 KiB budget, which evicts (and frees) older programs as a daemon
+// does under never-repeating sources. BM_Parse never reaches that
+// teardown through the cache.
+void BM_ParseChurn(benchmark::State& state) {
+  const jlang::Program project = corpus::generateScaledCorpus(
+      ml::ClassifierKind::kNaiveBayes, 0.03, 1, nullptr);
+  std::vector<std::string> sources;
+  for (const auto& unit : project.units) {
+    sources.push_back(jlang::printUnit(unit));
+  }
+  jepod::ProgramCache cache(256u << 10);
+  std::uint64_t puts = 0;
+  std::int64_t bytes = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(jlang::printUnit(unit));
+    const std::string& source = sources[puts % sources.size()];
+    auto entry = std::make_shared<jepod::CachedProgram>();
+    entry->program = jlang::Parser::parseProgram("churn.mjava", source);
+    jlang::ensureResolved(entry->program);
+    entry->hash = puts++;  // a fresh key: every put inserts
+    entry->bytes = source.size();
+    benchmark::DoNotOptimize(cache.put(std::move(entry)));
+    bytes += static_cast<std::int64_t>(source.size());
+  }
+  state.SetBytesProcessed(bytes);
+}
+BENCHMARK(BM_ParseChurn);
+
+void BM_Print(benchmark::State& state) {
+  const jlang::Program prog =
+      jlang::Parser::parseProgram("demo.mjava", bench::kDemoProjectSource);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(jlang::printUnit(prog.units.front()));
   }
 }
 BENCHMARK(BM_Print);
@@ -231,11 +263,11 @@ void BM_BcvmHeapChurn(benchmark::State& state) {
 BENCHMARK(BM_BcvmHeapChurn);
 
 void BM_SuggestionEngine(benchmark::State& state) {
-  const auto unit =
-      jlang::Parser("demo.mjava", bench::kDemoProjectSource).parseUnit();
+  const jlang::Program prog =
+      jlang::Parser::parseProgram("demo.mjava", bench::kDemoProjectSource);
   core::SuggestionEngine engine;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.analyzeUnit(unit));
+    benchmark::DoNotOptimize(engine.analyzeUnit(prog.units.front()));
   }
 }
 BENCHMARK(BM_SuggestionEngine);

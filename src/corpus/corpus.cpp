@@ -331,8 +331,7 @@ jlang::Program generateScaledCorpus(ClassifierKind kind, double scale,
     }
     src += "}\n";
 
-    jlang::Parser parser(classNames[c] + ".mjava", src);
-    program.units.push_back(parser.parseUnit());
+    jlang::Parser::addUnit(program, classNames[c] + ".mjava", src);
   }
   JEPO_REQUIRE(patternsLeft == 0, "seeded-change budget not exhausted");
   return program;

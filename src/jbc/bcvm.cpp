@@ -182,7 +182,7 @@ BytecodeVm::BytecodeVm(const CompiledProgram& program,
     : program_(&program),
       resolution_(program.resolution),
       machine_(&machine),
-      builtins_(heap_, machine, out_, [this](const std::string& name) {
+      builtins_(heap_, machine, out_, [this](std::string_view name) {
         return program_->findClass(name) != nullptr;
       }),
       gc_(heap_, [this](jvm::Gc::RootWalker& w) { scanGcRoots(w); }) {
@@ -1782,7 +1782,7 @@ jvm::Value BytecodeVm::runMain(std::string_view mainClass) {
     if (mains.empty()) throw VmError("no class declares static void main");
     if (mains.size() > 1) {
       std::string names;
-      for (const auto* c : mains) names += " " + c->name;
+      for (const auto* c : mains) names += concat(" ", c->name);
       throw VmError("multiple main classes; pick one of:" + names);
     }
     target = mains.front();

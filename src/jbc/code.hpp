@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "jlang/ast.hpp"
+#include "support/strings.hpp"
 #include "jvm/value.hpp"
 
 namespace jepo::jbc {
@@ -268,7 +269,7 @@ struct CompiledClass {
   std::string name;
   std::int32_t classId = -1;  // index into Resolution::classes
   std::vector<CompiledField> fields;
-  std::unordered_map<std::string, Chunk> methods;  // includes ctor (== name)
+  StringMap<Chunk> methods;  // includes ctor (== name)
   Chunk clinit;      // static field initializers (may be empty)
   Chunk initFields;  // instance field initializers (may be empty)
   bool hasMain = false;
@@ -278,7 +279,7 @@ struct CompiledProgram {
   std::vector<std::string> names;   // shared string/name pool
   std::vector<std::int64_t> intPool;
   std::vector<double> numPool;
-  std::unordered_map<std::string, CompiledClass> classes;
+  StringMap<CompiledClass> classes;
   /// Number of chunks across all classes; Chunk::chunkId is dense below it.
   std::uint32_t chunkCount = 0;
   /// The resolution substrate of the source Program (set by compile()).
@@ -287,7 +288,7 @@ struct CompiledProgram {
   /// the same lifetime contract the tree interpreter has always had.
   std::shared_ptr<const jlang::Resolution> resolution;
 
-  const CompiledClass* findClass(const std::string& name) const {
+  const CompiledClass* findClass(std::string_view name) const {
     const auto it = classes.find(name);
     return it == classes.end() ? nullptr : &it->second;
   }

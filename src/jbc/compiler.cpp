@@ -159,10 +159,10 @@ class ProgramCompiler {
 
   CompiledProgram run();
 
-  int nameIdx(const std::string& s) {
+  int nameIdx(std::string_view s) {
     const auto it = nameIndex_.find(s);
     if (it != nameIndex_.end()) return it->second;
-    out_.names.push_back(s);
+    out_.names.emplace_back(s);
     const int idx = static_cast<int>(out_.names.size() - 1);
     nameIndex_.emplace(s, idx);
     return idx;
@@ -183,7 +183,7 @@ class ProgramCompiler {
   const Program& program_;
   CompileOptions options_;
   CompiledProgram out_;
-  std::unordered_map<std::string, int> nameIndex_;
+  StringMap<int> nameIndex_;
   std::shared_ptr<const jlang::Resolution> res_;
 };
 
@@ -209,7 +209,7 @@ void MethodCompiler::emitError(const std::string& message, int line) {
 
 Chunk MethodCompiler::compileMethod(const MethodDecl& m) {
   chunk_ = Chunk{};
-  chunk_.qualifiedName = cls_.name + "." + m.name;
+  chunk_.qualifiedName = concat(cls_.name, ".", m.name);
   chunk_.methodId = m.methodId;
   chunk_.isStatic = m.isStatic;
   if (!m.isStatic) chunk_.paramKinds.push_back(ValKind::kRef);
@@ -230,7 +230,7 @@ Chunk MethodCompiler::compileFieldInits(const ClassDecl& cls,
       owner_.res().classes[static_cast<std::size_t>(cls.classId)];
   chunk_ = Chunk{};
   chunk_.qualifiedName =
-      cls.name + (staticFields ? ".<clinit>" : ".<initfields>");
+      concat(cls.name, (staticFields ? ".<clinit>" : ".<initfields>"));
   chunk_.methodId = staticFields ? rc.clinitId : rc.initFieldsId;
   chunk_.isStatic = staticFields;
   if (!staticFields) chunk_.paramKinds.push_back(ValKind::kRef);
@@ -251,7 +251,7 @@ Chunk MethodCompiler::compileFieldInits(const ClassDecl& cls,
         emit(Op::kBox, owner_.nameIdx(f.type.className), 0, 0, f.line);
       }
       emit(Op::kPutStaticSlot, f.slot, cls.classId,
-           owner_.nameIdx(cls.name + "." + f.name), f.line);
+           owner_.nameIdx(concat(cls.name, ".", f.name)), f.line);
     } else {
       emit(Op::kPutThisFieldSlot, f.slot, 0, 0, f.line);
     }
@@ -434,7 +434,7 @@ void MethodCompiler::compileReturn(const Stmt& s) {
 
 void MethodCompiler::compileTry(const Stmt& s) {
   emitCharge(energy::Op::kTryEnter, s.line);
-  const Stmt* finallyBlock = s.finallyBlock.get();
+  const Stmt* finallyBlock = s.finallyBlock;
   tries_.push_back(TryFrame{finallyBlock, {}});
   const int tryStart = here();
   compileStmt(*s.tryBlock);
@@ -538,18 +538,18 @@ void MethodCompiler::compileVarRef(const Expr& e) {
       return;
     case NameRef::kStaticSlot:
       emit(Op::kGetStaticSlot, e.slot, e.classId,
-           owner_.nameIdx(cls_.name + "." + e.strValue), e.line);
+           owner_.nameIdx(concat(cls_.name, ".", e.strValue)), e.line);
       return;
     default:
-      emitError("undefined name '" + e.strValue + "' at line " +
-                    std::to_string(e.line),
+      emitError(concat("undefined name '", e.strValue, "' at line ",
+                       std::to_string(e.line)),
                 e.line);
       return;
   }
 }
 
 void MethodCompiler::compileFieldAccess(const Expr& e) {
-  const std::string qualified = e.a->strValue + "." + e.strValue;
+  const std::string qualified = concat(e.a->strValue, ".", e.strValue);
   switch (e.nameRef) {
     case NameRef::kBuiltinStatic:
       emit(Op::kGetStatic, owner_.nameIdx(qualified), 0, 0, e.line);
@@ -581,12 +581,12 @@ void MethodCompiler::compileStoreTo(const Expr& target) {
           return;
         case NameRef::kStaticSlot:
           emit(Op::kPutStaticSlot, target.slot, target.classId,
-               owner_.nameIdx(cls_.name + "." + target.strValue),
+               owner_.nameIdx(concat(cls_.name, ".", target.strValue)),
                target.line);
           return;
         default:  // `this` and unresolved names are not assignable
-          emitError("assignment to undefined name '" + target.strValue +
-                        "' at line " + std::to_string(target.line),
+          emitError(concat("assignment to undefined name '", target.strValue,
+                           "' at line ", std::to_string(target.line)),
                     target.line);
           return;
       }
@@ -595,7 +595,7 @@ void MethodCompiler::compileStoreTo(const Expr& target) {
           target.nameRef == NameRef::kStaticSlot) {
         // Unlike reads, stores never consult the builtin statics.
         emit(Op::kPutStaticSlot, target.slot, target.classId,
-             owner_.nameIdx(target.a->strValue + "." + target.strValue),
+             owner_.nameIdx(concat(target.a->strValue, ".", target.strValue)),
              target.line);
         return;
       }
@@ -693,16 +693,16 @@ void MethodCompiler::compileCall(const Expr& e) {
     }
     case CallKind::kStaticMissing:
       // Fails before evaluating arguments or initializing the class.
-      emitError("unknown method " + e.a->strValue + "." + e.strValue +
-                    " at line " + std::to_string(e.line),
+      emitError(concat("unknown method ", e.a->strValue, ".", e.strValue,
+                       " at line ", std::to_string(e.line)),
                 e.line);
       return;
     case CallKind::kSelfMethod:
       compileArgs();
       if (isStatic_ && !e.targetMethod->isStatic) {
-        emitError("instance method " + e.strValue +
-                      " called from static context at line " +
-                      std::to_string(e.line),
+        emitError(concat("instance method ", e.strValue,
+                         " called from static context at line ",
+                         std::to_string(e.line)),
                   e.line);
         return;
       }
@@ -713,8 +713,8 @@ void MethodCompiler::compileCall(const Expr& e) {
            argc, e.targetMethod->isStatic ? 0 : 1, e.line);
       return;
     case CallKind::kSelfMissing:
-      emitError("unknown method " + e.strValue + " at line " +
-                    std::to_string(e.line),
+      emitError(concat("unknown method ", e.strValue, " at line ",
+                       std::to_string(e.line)),
                 e.line);
       return;
     case CallKind::kInstanceCached:
@@ -724,8 +724,8 @@ void MethodCompiler::compileCall(const Expr& e) {
            e.cacheSlot, e.line);
       return;
     default:
-      emitError("unresolved call '" + e.strValue + "' at line " +
-                    std::to_string(e.line),
+      emitError(concat("unresolved call '", e.strValue, "' at line ",
+                       std::to_string(e.line)),
                 e.line);
       return;
   }
@@ -1433,7 +1433,7 @@ CompiledProgram ProgramCompiler::run() {
       compiled.classId = cls.classId;
       for (const auto& f : cls.fields) {
         compiled.fields.push_back(CompiledField{
-            f.name, jvm::kindOfType(f.type), f.isStatic});
+            std::string(f.name), jvm::kindOfType(f.type), f.isStatic});
       }
       {
         MethodCompiler mc(*this, cls, /*isStatic=*/true);

@@ -8,6 +8,7 @@
 #include "jlang/parser.hpp"
 #include "obs/registry.hpp"
 #include "obs/span.hpp"
+#include "support/strings.hpp"
 
 namespace jepo::core {
 
@@ -32,7 +33,7 @@ bool isNonIntPrimitive(const TypeRef& t) {
 
 bool isNonIntegerWrapper(const TypeRef& t) {
   if (t.arrayDims != 0 || t.prim != Prim::kClass) return false;
-  const std::string& n = t.className;
+  const std::string_view n = t.className;
   return n == "Long" || n == "Short" || n == "Byte" || n == "Double" ||
          n == "Float" || n == "Character";
 }
@@ -81,19 +82,20 @@ bool matchCanonicalFor(const Stmt& s, CanonicalFor* out) {
   if (!isIncrement) return false;
   if (out != nullptr) {
     out->var = init.declName;
-    out->init = init.init.get();
-    out->bound = s.cond->b.get();
-    out->body = s.thenStmt.get();
+    out->init = init.init;
+    out->bound = s.cond->b;
+    out->body = s.thenStmt;
   }
   return true;
 }
 
-bool matchManualCopyBody(const Stmt& body, const std::string& var,
-                         std::string* dstName, std::string* srcName) {
+bool matchManualCopyBody(const Stmt& body, std::string_view var,
+                         std::string_view* dstName,
+                         std::string_view* srcName) {
   const Stmt* stmt = &body;
   if (stmt->kind == StmtKind::kBlock) {
     if (stmt->body.size() != 1) return false;
-    stmt = stmt->body[0].get();
+    stmt = stmt->body[0];
   }
   if (stmt->kind != StmtKind::kExprStmt) return false;
   const Expr& e = *stmt->expr;
@@ -102,15 +104,15 @@ bool matchManualCopyBody(const Stmt& body, const std::string& var,
   }
   const Expr& dst = *e.a;
   const Expr& src = *e.b;
-  auto isSimpleIndex = [&var](const Expr& x, std::string* arrayName) {
+  auto isSimpleIndex = [var](const Expr& x, std::string_view* arrayName) {
     if (x.kind != ExprKind::kArrayIndex) return false;
     if (x.a->kind != ExprKind::kVarRef) return false;
     if (x.b->kind != ExprKind::kVarRef || x.b->strValue != var) return false;
     *arrayName = x.a->strValue;
     return true;
   };
-  std::string d;
-  std::string s2;
+  std::string_view d;
+  std::string_view s2;
   if (!isSimpleIndex(dst, &d) || !isSimpleIndex(src, &s2)) return false;
   if (d == s2) return false;  // self-copy is not the pattern
   if (dstName != nullptr) *dstName = d;
@@ -150,15 +152,16 @@ class ClassAnalyzer {
 
   void analyzeField(const jlang::FieldDecl& f) {
     if (f.isStatic) {
-      emit(RuleId::kStaticKeyword, f.line, "static field '" + f.name + "'");
+      emit(RuleId::kStaticKeyword, f.line,
+           concat("static field '", f.name, "'"));
     }
     if (isNonIntPrimitive(f.type)) {
       emit(RuleId::kPrimitiveDataType, f.line,
-           jlang::typeName(f.type) + " field '" + f.name + "'");
+           concat(jlang::typeName(f.type), " field '", f.name, "'"));
     }
     if (isNonIntegerWrapper(f.type)) {
       emit(RuleId::kWrapperClass, f.line,
-           f.type.className + " field '" + f.name + "'");
+           concat(f.type.className, " field '", f.name, "'"));
     }
     if (f.type.isClass("String")) stringNames_.insert(f.name);
     if (f.init) analyzeExpr(*f.init);
@@ -169,7 +172,7 @@ class ClassAnalyzer {
     for (const auto& p : m.params) {
       if (isNonIntPrimitive(p.type)) {
         emit(RuleId::kPrimitiveDataType, m.line,
-             jlang::typeName(p.type) + " parameter '" + p.name + "'");
+             concat(jlang::typeName(p.type), " parameter '", p.name, "'"));
       }
       if (p.type.isClass("String")) stringLocals_.insert(p.name);
     }
@@ -199,11 +202,12 @@ class ClassAnalyzer {
       case StmtKind::kVarDecl: {
         if (isNonIntPrimitive(s.declType)) {
           emit(RuleId::kPrimitiveDataType, s.line,
-               jlang::typeName(s.declType) + " local '" + s.declName + "'");
+               concat(jlang::typeName(s.declType), " local '", s.declName,
+                      "'"));
         }
         if (isNonIntegerWrapper(s.declType)) {
           emit(RuleId::kWrapperClass, s.line,
-               s.declType.className + " local '" + s.declName + "'");
+               concat(s.declType.className, " local '", s.declName, "'"));
         }
         if (s.declType.isClass("String")) stringLocals_.insert(s.declName);
         if (s.init) analyzeExpr(*s.init);
@@ -213,18 +217,18 @@ class ClassAnalyzer {
         CanonicalFor outer;
         if (matchCanonicalFor(s, &outer)) {
           // Manual array copy: for (int i = ...) dst[i] = src[i];
-          std::string dst;
-          std::string src;
+          std::string_view dst;
+          std::string_view src;
           if (matchManualCopyBody(*outer.body, outer.var, &dst, &src)) {
             emit(RuleId::kArrayCopy, s.line,
-                 "manual copy '" + src + "' -> '" + dst + "'");
+                 concat("manual copy '", src, "' -> '", dst, "'"));
           }
           // Column traversal: inner canonical loop whose variable indexes
           // the FIRST dimension while the outer variable indexes the second.
           const Stmt* innerStmt = outer.body;
           if (innerStmt->kind == StmtKind::kBlock &&
               innerStmt->body.size() == 1) {
-            innerStmt = innerStmt->body[0].get();
+            innerStmt = innerStmt->body[0];
           }
           CanonicalFor inner;
           if (matchCanonicalFor(*innerStmt, &inner)) {
@@ -244,8 +248,8 @@ class ClassAnalyzer {
                 });
             if (columnMajor) {
               emit(RuleId::kArrayTraversal, s.line,
-                   "inner loop '" + inner.var +
-                       "' walks the first dimension (column-major)");
+                   concat("inner loop '", inner.var,
+                          "' walks the first dimension (column-major)"));
             }
           }
         }
@@ -256,7 +260,7 @@ class ClassAnalyzer {
     }
 
     // Generic traversal of children + expressions.
-    auto expr = [&](const jlang::ExprPtr& e) {
+    auto expr = [&](const jlang::Expr* e) {
       if (e) analyzeExpr(*e);
     };
     expr(s.expr);
@@ -281,7 +285,7 @@ class ClassAnalyzer {
           emit(RuleId::kScientificNotation, e.line,
                "literal " + (e.strValue.empty()
                                  ? std::to_string(e.floatValue)
-                                 : e.strValue));
+                                 : std::string(e.strValue)));
         }
         break;
       case ExprKind::kBinary:
@@ -331,8 +335,8 @@ class ClassAnalyzer {
   const std::string& file_;
   const ClassDecl& cls_;
   std::vector<Suggestion>* out_;
-  std::unordered_set<std::string> stringLocals_;
-  std::unordered_set<std::string> stringNames_;  // String fields
+  std::unordered_set<std::string_view> stringLocals_;
+  std::unordered_set<std::string_view> stringNames_;  // String fields
 };
 
 }  // namespace
@@ -365,9 +369,8 @@ std::vector<Suggestion> SuggestionEngine::analyzeProgram(
 std::vector<Suggestion> SuggestionEngine::analyzeSource(
     const std::string& fileName, const std::string& source) const {
   obs::Span span("jepo.suggest");
-  jlang::Parser parser(fileName, source);
-  const CompilationUnit unit = parser.parseUnit();
-  return analyzeUnit(unit);
+  const Program program = jlang::Parser::parseProgram(fileName, source);
+  return analyzeUnit(program.units.front());
 }
 
 }  // namespace jepo::core

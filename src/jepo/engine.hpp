@@ -47,7 +47,7 @@ class SuggestionEngine {
 /// Recognizer for the canonical counting loop `for (int v = init; v < bound;
 /// v++)`; several rules and rewrites only apply to this shape.
 struct CanonicalFor {
-  std::string var;
+  std::string_view var;
   const jlang::Expr* init = nullptr;   // loop start
   const jlang::Expr* bound = nullptr;  // exclusive upper bound
   const jlang::Stmt* body = nullptr;
@@ -56,7 +56,7 @@ bool matchCanonicalFor(const jlang::Stmt& s, CanonicalFor* out);
 
 /// Recognizer for the manual element-copy body `dst[v] = src[v];` (possibly
 /// wrapped in a single-statement block). Returns the two array names.
-bool matchManualCopyBody(const jlang::Stmt& body, const std::string& var,
-                         std::string* dstName, std::string* srcName);
+bool matchManualCopyBody(const jlang::Stmt& body, std::string_view var,
+                         std::string_view* dstName, std::string_view* srcName);
 
 }  // namespace jepo::core

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
 #include "jepo/engine.hpp"
 #include "jepo/walk.hpp"
@@ -35,14 +36,6 @@ namespace {
 
 // ------------------------------------------------------------ small utils
 
-ExprPtr makeVarRef(const std::string& name, int line) {
-  auto e = std::make_unique<Expr>(ExprKind::kVarRef);
-  e->strValue = name;
-  e->line = line;
-  return e;
-}
-
-
 bool isIntLit(const Expr& e, std::int64_t v) {
   return e.kind == ExprKind::kIntLit && e.intValue == v;
 }
@@ -50,7 +43,7 @@ bool isIntLit(const Expr& e, std::int64_t v) {
 
 /// Is `++v` / `v += k` / `v *= k` ever applied to this variable anywhere in
 /// the statement tree? (Gate for byte/short→int: overflow points differ.)
-bool varHasArithmeticUpdates(const Stmt& root, const std::string& name) {
+bool varHasArithmeticUpdates(const Stmt& root, std::string_view name) {
   bool found = false;
   walkStmt(
       root, [](const Stmt&) {},
@@ -70,7 +63,7 @@ bool varHasArithmeticUpdates(const Stmt& root, const std::string& name) {
 }
 
 /// Is the variable reassigned at all (beyond its declaration)?
-bool varIsReassigned(const Stmt& root, const std::string& name) {
+bool varIsReassigned(const Stmt& root, std::string_view name) {
   bool found = false;
   walkStmt(
       root, [](const Stmt&) {},
@@ -144,10 +137,10 @@ StaticInfo collectStaticInfo(const Program& program) {
   auto noteAssignTarget = [&](const Expr& target, const ClassDecl& cls) {
     if (target.kind == ExprKind::kVarRef) {
       // Could resolve to a static of the enclosing class.
-      assigned.insert(cls.name + "." + target.strValue);
+      assigned.insert(concat(cls.name, ".", target.strValue));
     } else if (target.kind == ExprKind::kFieldAccess &&
                target.a->kind == ExprKind::kVarRef) {
-      assigned.insert(target.a->strValue + "." + target.strValue);
+      assigned.insert(concat(target.a->strValue, ".", target.strValue));
     }
   };
 
@@ -172,10 +165,10 @@ StaticInfo collectStaticInfo(const Program& program) {
     for (const auto& cls : unit.classes) {
       for (const auto& f : cls.fields) {
         if (!f.isStatic) continue;
-        const std::string key = cls.name + "." + f.name;
+        std::string key = concat(cls.name, ".", f.name);
         if (assigned.count(key) == 0 && f.type.arrayDims == 0 &&
             f.type.prim != Prim::kClass) {
-          info.readOnlyStatics.emplace(key, f.type);
+          info.readOnlyStatics.emplace(std::move(key), f.type);
         }
       }
     }
@@ -188,9 +181,17 @@ StaticInfo collectStaticInfo(const Program& program) {
 
 class UnitRewriter {
  public:
+  /// Rewrites `unit`, a clone in `program`, building new nodes in
+  /// program's arena.
   UnitRewriter(const OptimizerOptions& options, const StaticInfo& statics,
-               CompilationUnit& unit, std::vector<ChangeRecord>* changes)
-      : options_(options), statics_(statics), unit_(unit), changes_(changes) {}
+               Program& program, CompilationUnit& unit,
+               std::vector<ChangeRecord>* changes)
+      : options_(options),
+        statics_(statics),
+        program_(program),
+        arena_(program.arena()),
+        unit_(unit),
+        changes_(changes) {}
 
   void run() {
     for (auto& cls : unit_.classes) rewriteClass(cls);
@@ -201,11 +202,18 @@ class UnitRewriter {
     return options_.enabled[static_cast<int>(rule)];
   }
 
+  ExprPtr makeVarRef(std::string_view name, int line) {
+    Expr* e = arena_.make<Expr>(ExprKind::kVarRef);
+    e->strValue = name;
+    e->line = line;
+    return e;
+  }
+
   void record(RuleId rule, int line, std::string description) {
     ChangeRecord c;
     c.rule = rule;
     c.file = unit_.fileName;
-    c.className = currentClass_->name;
+    c.className = std::string(currentClass_->name);
     c.line = line;
     c.description = std::move(description);
     changes_->push_back(std::move(c));
@@ -216,13 +224,13 @@ class UnitRewriter {
   /// byte/short → int is exact unless the variable relies on narrow-width
   /// wraparound via ++/compound assignment. long→int / double→float are
   /// gated by allowLossyNarrowing (paper mode).
-  bool narrowType(TypeRef* t, const std::string& name, int line,
+  bool narrowType(TypeRef* t, std::string_view name, int line,
                   bool hasArithmeticUpdates, bool isReassigned) {
     if (!on(RuleId::kPrimitiveDataType) || t->arrayDims != 0) return false;
     if ((t->prim == Prim::kByte || t->prim == Prim::kShort) &&
         !hasArithmeticUpdates) {
       record(RuleId::kPrimitiveDataType, line,
-             jlang::typeName(*t) + " '" + name + "' -> int");
+             concat(jlang::typeName(*t), " '", name, "' -> int"));
       t->prim = Prim::kInt;
       return true;
     }
@@ -230,30 +238,31 @@ class UnitRewriter {
       if (options_.allowLossyNarrowing ||
           (!isReassigned && !hasArithmeticUpdates)) {
         record(RuleId::kPrimitiveDataType, line,
-               "long '" + name + "' -> int");
+               concat("long '", name, "' -> int"));
         t->prim = Prim::kInt;
         return true;
       }
     }
     if (t->prim == Prim::kDouble && options_.allowLossyNarrowing) {
       record(RuleId::kPrimitiveDataType, line,
-             "double '" + name + "' -> float");
+             concat("double '", name, "' -> float"));
       t->prim = Prim::kFloat;
       return true;
     }
     return false;
   }
 
-  bool improveWrapper(TypeRef* t, const std::string& name, int line) {
+  bool improveWrapper(TypeRef* t, std::string_view name, int line) {
     if (!on(RuleId::kWrapperClass) || t->arrayDims != 0 ||
         t->prim != Prim::kClass) {
       return false;
     }
-    const std::string& w = t->className;
+    const std::string_view w = t->className;
     const bool exact = w == "Short" || w == "Byte" || w == "Character";
     const bool lossy = w == "Long" && options_.allowLossyNarrowing;
     if (exact || lossy) {
-      record(RuleId::kWrapperClass, line, w + " '" + name + "' -> Integer");
+      record(RuleId::kWrapperClass, line,
+             concat(w, " '", name, "' -> Integer"));
       t->className = "Integer";
       return true;
     }
@@ -272,10 +281,9 @@ class UnitRewriter {
           std::string sci;
           if (scientificRespell(node.floatValue, &sci)) {
             record(RuleId::kScientificNotation, node.line,
-                   (node.strValue.empty() ? std::string("literal")
-                                          : node.strValue) +
-                       " -> " + sci);
-            node.strValue = sci;
+                   concat(node.strValue.empty() ? "literal" : node.strValue,
+                          " -> ", sci));
+            node.strValue = arena_.copy(sci);
             node.scientific = true;
           }
         }
@@ -304,8 +312,8 @@ class UnitRewriter {
       const std::int64_t p = node.b->intValue;
       if (p <= 0 || (p & (p - 1)) != 0) return;
       record(RuleId::kModulusOperator, node.line,
-             node.a->strValue + " % " + std::to_string(p) + " -> " +
-                 node.a->strValue + " & " + std::to_string(p - 1));
+             concat(node.a->strValue, " % ", std::to_string(p), " -> ",
+                    node.a->strValue, " & ", std::to_string(p - 1)));
       node.binOp = BinOp::kBitAnd;
       node.b->intValue = p - 1;
     });
@@ -334,16 +342,16 @@ class UnitRewriter {
         e->a->args.size() == 1 && isIntLit(*e->b, 0) &&
         on(RuleId::kStringCompare)) {
       record(RuleId::kStringCompare, e->line, "compareTo(..) == 0 -> equals");
-      ExprPtr call = std::move(e->a);
+      ExprPtr call = e->a;
       call->strValue = "equals";
       if (e->binOp == BinOp::kEq) {
-        e = std::move(call);
+        e = call;
       } else {
-        auto notExpr = std::make_unique<Expr>(ExprKind::kUnary);
+        Expr* notExpr = arena_.make<Expr>(ExprKind::kUnary);
         notExpr->unOp = UnOp::kNot;
         notExpr->line = e->line;
-        notExpr->a = std::move(call);
-        e = std::move(notExpr);
+        notExpr->a = call;
+        e = notExpr;
       }
     }
     if (!e) return;
@@ -363,14 +371,14 @@ class UnitRewriter {
 
   // --------------------------------------------------------- stmt rewrites
 
-  /// Rewrites a block's statement list in place; returns the new list.
-  void rewriteStmtList(std::vector<StmtPtr>& stmts) {
+  /// Rewrites a block's statement list, rebinding it to the new list.
+  void rewriteStmtList(jlang::List<StmtPtr>& stmts) {
     std::vector<StmtPtr> out;
     out.reserve(stmts.size());
-    for (auto& sp : stmts) {
+    for (StmtPtr& sp : stmts) {
       rewriteStmt(sp, &out);
     }
-    stmts = std::move(out);
+    stmts = arena_.list(out);
   }
 
   /// Rewrite one statement; appends the result (1..3 statements) to out.
@@ -394,11 +402,11 @@ class UnitRewriter {
         if (s.init && s.init->kind == ExprKind::kTernary &&
             on(RuleId::kTernaryOperator)) {
           record(RuleId::kTernaryOperator, s.line,
-                 "ternary initializer of '" + s.declName + "' -> if-then-else");
-          ExprPtr ternary = std::move(s.init);
-          out->push_back(std::move(sp));
-          out->push_back(
-              makeIfAssign(std::move(ternary), s.declName, s.line));
+                 concat("ternary initializer of '", s.declName,
+                        "' -> if-then-else"));
+          ExprPtr ternary = std::exchange(s.init, nullptr);
+          out->push_back(sp);
+          out->push_back(makeIfAssign(ternary, s.declName, s.line));
           return;
         }
         break;
@@ -413,10 +421,9 @@ class UnitRewriter {
             s.expr->b->kind == ExprKind::kTernary &&
             on(RuleId::kTernaryOperator)) {
           record(RuleId::kTernaryOperator, s.line,
-                 "ternary assignment to '" + s.expr->a->strValue +
-                     "' -> if-then-else");
-          out->push_back(makeIfAssign(std::move(s.expr->b),
-                                      s.expr->a->strValue, s.line));
+                 concat("ternary assignment to '", s.expr->a->strValue,
+                        "' -> if-then-else"));
+          out->push_back(makeIfAssign(s.expr->b, s.expr->a->strValue, s.line));
           return;
         }
         break;
@@ -429,19 +436,19 @@ class UnitRewriter {
             on(RuleId::kTernaryOperator)) {
           record(RuleId::kTernaryOperator, s.line,
                  "ternary return -> if-then-else");
-          Expr& t = *s.expr;
-          auto ifStmt = std::make_unique<Stmt>(StmtKind::kIf);
+          const Expr& t = *s.expr;
+          Stmt* ifStmt = arena_.make<Stmt>(StmtKind::kIf);
           ifStmt->line = s.line;
-          ifStmt->cond = std::move(t.a);
-          auto thenRet = std::make_unique<Stmt>(StmtKind::kReturn);
+          ifStmt->cond = t.a;
+          Stmt* thenRet = arena_.make<Stmt>(StmtKind::kReturn);
           thenRet->line = s.line;
-          thenRet->expr = std::move(t.b);
-          auto elseRet = std::make_unique<Stmt>(StmtKind::kReturn);
+          thenRet->expr = t.b;
+          Stmt* elseRet = arena_.make<Stmt>(StmtKind::kReturn);
           elseRet->line = s.line;
-          elseRet->expr = std::move(t.c);
-          ifStmt->thenStmt = std::move(thenRet);
-          ifStmt->elseStmt = std::move(elseRet);
-          out->push_back(std::move(ifStmt));
+          elseRet->expr = t.c;
+          ifStmt->thenStmt = thenRet;
+          ifStmt->elseStmt = elseRet;
+          out->push_back(ifStmt);
           return;
         }
         break;
@@ -457,12 +464,13 @@ class UnitRewriter {
 
         // System.arraycopy rewrite for manual copy loops.
         if (canonical && on(RuleId::kArrayCopy)) {
-          std::string dst;
-          std::string src;
+          std::string_view dst;
+          std::string_view src;
           if (matchManualCopyBody(*cf.body, cf.var, &dst, &src) &&
               isPureExpr(*cf.init) && isPureExpr(*cf.bound)) {
             record(RuleId::kArrayCopy, s.line,
-                   "copy loop -> System.arraycopy(" + src + ", " + dst + ")");
+                   concat("copy loop -> System.arraycopy(", src, ", ", dst,
+                          ")"));
             out->push_back(makeArraycopy(cf, src, dst, s.line));
             return;
           }
@@ -509,7 +517,7 @@ class UnitRewriter {
     for (auto& c : s.cases) rewriteStmtList(c.body);
     if (nonNegCounter) nonNegativeVars_.erase(cf.var);
 
-    out->push_back(std::move(sp));
+    out->push_back(sp);
   }
 
   /// Rewrite a single child statement slot (wraps multi-statement results
@@ -519,63 +527,67 @@ class UnitRewriter {
     rewriteStmt(slot, &result);
     JEPO_ASSERT(!result.empty());
     if (result.size() == 1) {
-      slot = std::move(result[0]);
+      slot = result[0];
     } else {
-      auto block = std::make_unique<Stmt>(StmtKind::kBlock);
+      Stmt* block = arena_.make<Stmt>(StmtKind::kBlock);
       block->line = result[0]->line;
-      block->body = std::move(result);
-      slot = std::move(block);
+      block->body = arena_.list(result);
+      slot = block;
     }
   }
 
   /// if (cond) name = then; else name = otherwise;
-  StmtPtr makeIfAssign(ExprPtr ternary, const std::string& name, int line) {
+  StmtPtr makeIfAssign(const Expr* ternary, std::string_view name,
+                       int line) {
     JEPO_ASSERT(ternary->kind == ExprKind::kTernary);
-    auto ifStmt = std::make_unique<Stmt>(StmtKind::kIf);
+    Stmt* ifStmt = arena_.make<Stmt>(StmtKind::kIf);
     ifStmt->line = line;
-    ifStmt->cond = std::move(ternary->a);
+    ifStmt->cond = ternary->a;
     auto mkAssign = [&](ExprPtr value) {
-      auto assign = std::make_unique<Expr>(ExprKind::kAssign);
+      Expr* assign = arena_.make<Expr>(ExprKind::kAssign);
       assign->line = line;
       assign->assignOp = AssignOp::kSet;
       assign->a = makeVarRef(name, line);
-      assign->b = std::move(value);
-      auto stmt = std::make_unique<Stmt>(StmtKind::kExprStmt);
+      assign->b = value;
+      Stmt* stmt = arena_.make<Stmt>(StmtKind::kExprStmt);
       stmt->line = line;
-      stmt->expr = std::move(assign);
+      stmt->expr = assign;
       return stmt;
     };
-    ifStmt->thenStmt = mkAssign(std::move(ternary->b));
-    ifStmt->elseStmt = mkAssign(std::move(ternary->c));
+    ifStmt->thenStmt = mkAssign(ternary->b);
+    ifStmt->elseStmt = mkAssign(ternary->c);
     return ifStmt;
   }
 
   /// System.arraycopy(src, init, dst, init, bound - init);
-  StmtPtr makeArraycopy(const CanonicalFor& cf, const std::string& src,
-                        const std::string& dst, int line) {
-    auto call = std::make_unique<Expr>(ExprKind::kCall);
+  StmtPtr makeArraycopy(const CanonicalFor& cf, std::string_view src,
+                        std::string_view dst, int line) {
+    Expr* call = arena_.make<Expr>(ExprKind::kCall);
     call->line = line;
     call->strValue = "arraycopy";
     call->a = makeVarRef("System", line);
-    call->args.push_back(makeVarRef(src, line));
-    call->args.push_back(cloneExpr(*cf.init));
-    call->args.push_back(makeVarRef(dst, line));
-    call->args.push_back(cloneExpr(*cf.init));
+    const ExprPtr srcRef = makeVarRef(src, line);
+    const ExprPtr srcPos = cloneExpr(*cf.init, program_);
+    const ExprPtr dstRef = makeVarRef(dst, line);
+    const ExprPtr dstPos = cloneExpr(*cf.init, program_);
+    ExprPtr length;
     if (isIntLit(*cf.init, 0)) {
-      call->args.push_back(cloneExpr(*cf.bound));
+      length = cloneExpr(*cf.bound, program_);
     } else {
-      auto len = std::make_unique<Expr>(ExprKind::kBinary);
+      Expr* len = arena_.make<Expr>(ExprKind::kBinary);
       len->line = line;
       len->binOp = BinOp::kSub;
-      len->a = cloneExpr(*cf.bound);
-      len->b = cloneExpr(*cf.init);
-      call->args.push_back(std::move(len));
+      len->a = cloneExpr(*cf.bound, program_);
+      len->b = cloneExpr(*cf.init, program_);
+      length = len;
     }
-    auto stmt = std::make_unique<Stmt>(StmtKind::kExprStmt);
+    call->args = arena_.list({srcRef, srcPos, dstRef, dstPos, length});
+    Stmt* stmt = arena_.make<Stmt>(StmtKind::kExprStmt);
     stmt->line = line;
-    stmt->expr = std::move(call);
+    stmt->expr = call;
     return stmt;
   }
+
 
   // ------------------------------------------------------ loop interchange
 
@@ -585,14 +597,14 @@ class UnitRewriter {
   /// with a RHS not reading the matrix — both are iteration-order
   /// independent (integer accumulation is exactly associative; FP
   /// accumulation is gated behind allowLossyNarrowing).
-  bool tryLoopInterchange(StmtPtr& sp, const CanonicalFor& outer,
+  bool tryLoopInterchange(StmtPtr sp, const CanonicalFor& outer,
                           std::vector<StmtPtr>* out) {
     Stmt& s = *sp;
     // Inner statement (possibly inside a single-statement block).
-    Stmt* innerHolder = s.thenStmt.get();
+    Stmt* innerHolder = s.thenStmt;
     if (innerHolder->kind == StmtKind::kBlock) {
       if (innerHolder->body.size() != 1) return false;
-      innerHolder = innerHolder->body[0].get();
+      innerHolder = innerHolder->body[0];
     }
     CanonicalFor inner;
     if (!matchCanonicalFor(*innerHolder, &inner)) return false;
@@ -609,7 +621,7 @@ class UnitRewriter {
     const Stmt* body = inner.body;
     if (body->kind == StmtKind::kBlock) {
       if (body->body.size() != 1) return false;
-      body = body->body[0].get();
+      body = body->body[0];
     }
     if (body->kind != StmtKind::kExprStmt) return false;
     const Expr& e = *body->expr;
@@ -641,21 +653,21 @@ class UnitRewriter {
         e.a->kind == ExprKind::kArrayIndex &&
         e.a->a->kind == ExprKind::kArrayIndex &&
         e.a->a->a->kind == ExprKind::kVarRef) {
-      const std::string& matrix = e.a->a->a->strValue;
+      const std::string_view matrix = e.a->a->a->strValue;
       if (isPureExpr(*e.b) && !mentionsVar(*e.b, matrix)) legal = true;
     }
     if (!legal) return false;
 
     record(RuleId::kArrayTraversal, s.line,
-           "interchanged loops '" + outer.var + "'/'" + inner.var +
-               "' to row-major order");
+           concat("interchanged loops '", outer.var, "'/'", inner.var,
+                  "' to row-major order"));
 
     // Swap the two loop headers (inits, conds, updates); keep the body.
     Stmt& innerFor = *innerHolder;
     std::swap(s.body, innerFor.body);
     std::swap(s.cond, innerFor.cond);
     std::swap(s.update, innerFor.update);
-    out->push_back(std::move(sp));
+    out->push_back(sp);
     return true;
   }
 
@@ -663,7 +675,7 @@ class UnitRewriter {
 
   /// s = s + X inside a loop -> StringBuilder __sbN before the loop,
   /// append(X) inside, s = __sbN.toString() after.
-  bool tryBuilderExtraction(StmtPtr& loopStmt, std::vector<StmtPtr>* out) {
+  bool tryBuilderExtraction(StmtPtr loopStmt, std::vector<StmtPtr>* out) {
     // Find candidate target: collect assignments `v = v + X` / `v += X`
     // where v is a known String variable.
     std::unordered_map<std::string, int> concatCounts;
@@ -673,7 +685,7 @@ class UnitRewriter {
         [&](const Expr& e) {
           if (e.kind == ExprKind::kAssign && e.a->kind == ExprKind::kVarRef &&
               stringVars_.count(e.a->strValue) != 0) {
-            const std::string& v = e.a->strValue;
+            const std::string_view v = e.a->strValue;
             const bool selfConcat =
                 (e.assignOp == AssignOp::kAdd &&
                  !mentionsVar(*e.b, v)) ||
@@ -683,14 +695,14 @@ class UnitRewriter {
                  e.b->a->kind == ExprKind::kVarRef && e.b->a->strValue == v &&
                  !mentionsVar(*e.b->b, v));
             if (selfConcat) {
-              ++concatCounts[v];
+              ++concatCounts[std::string(v)];
               return;
             }
           }
         });
     // Count *all* VarRef uses; the rewrite needs every use to be part of a
     // self-concat assignment (2 refs per kSet form, 1 per += form).
-    std::string target;
+    std::string_view target;
     for (const auto& [v, n] : concatCounts) {
       int refs = 0;
       walkStmt(
@@ -719,7 +731,7 @@ class UnitRewriter {
           },
           [](const Expr&) {});
       if (refs == expected && n > 0 && !declaredInside) {
-        target = v;
+        target = arena_.copy(v);
         break;
       }
     }
@@ -727,68 +739,70 @@ class UnitRewriter {
     if (target.empty()) return false;
 
     const int line = loopStmt->line;
-    const std::string sbName = "__sb" + std::to_string(builderCounter_++);
+    const std::string_view sbName =
+        arena_.copy("__sb" + std::to_string(builderCounter_++));
     record(RuleId::kStringConcat, line,
-           "hoisted '" + target + "' concat loop into StringBuilder " + sbName);
+           concat("hoisted '", target, "' concat loop into StringBuilder ",
+                  sbName));
 
     // StringBuilder __sbN = new StringBuilder(target);
-    auto decl = std::make_unique<Stmt>(StmtKind::kVarDecl);
+    Stmt* decl = arena_.make<Stmt>(StmtKind::kVarDecl);
     decl->line = line;
     decl->declType = TypeRef::ofClass("StringBuilder");
     decl->declName = sbName;
-    auto ctor = std::make_unique<Expr>(ExprKind::kNew);
+    Expr* ctor = arena_.make<Expr>(ExprKind::kNew);
     ctor->line = line;
     ctor->strValue = "StringBuilder";
-    ctor->args.push_back(makeVarRef(target, line));
-    decl->init = std::move(ctor);
+    ctor->args = arena_.list({makeVarRef(target, line)});
+    decl->init = ctor;
 
     // Replace each self-concat with __sbN.append(X).
     replaceConcatWithAppend(*loopStmt, target, sbName);
 
     // target = __sbN.toString();
-    auto final = std::make_unique<Stmt>(StmtKind::kExprStmt);
+    Stmt* final = arena_.make<Stmt>(StmtKind::kExprStmt);
     final->line = line;
-    auto assign = std::make_unique<Expr>(ExprKind::kAssign);
+    Expr* assign = arena_.make<Expr>(ExprKind::kAssign);
     assign->line = line;
     assign->assignOp = AssignOp::kSet;
     assign->a = makeVarRef(target, line);
-    auto toStr = std::make_unique<Expr>(ExprKind::kCall);
+    Expr* toStr = arena_.make<Expr>(ExprKind::kCall);
     toStr->line = line;
     toStr->strValue = "toString";
     toStr->a = makeVarRef(sbName, line);
-    assign->b = std::move(toStr);
-    final->expr = std::move(assign);
+    assign->b = toStr;
+    final->expr = assign;
 
-    out->push_back(std::move(decl));
-    out->push_back(std::move(loopStmt));
-    out->push_back(std::move(final));
+    out->push_back(decl);
+    out->push_back(loopStmt);
+    out->push_back(final);
     return true;
   }
 
-  void replaceConcatWithAppend(Stmt& s, const std::string& target,
-                               const std::string& sbName) {
+  void replaceConcatWithAppend(Stmt& s, std::string_view target,
+                               std::string_view sbName) {
     auto rewriteExprSlot = [&](ExprPtr& slot) {
       if (!slot) return;
       Expr& e = *slot;
       if (e.kind == ExprKind::kAssign && e.a->kind == ExprKind::kVarRef &&
           e.a->strValue == target) {
-        ExprPtr appended;
+        ExprPtr appended = nullptr;
         if (e.assignOp == AssignOp::kAdd) {
-          appended = std::move(e.b);
+          appended = e.b;
         } else if (e.assignOp == AssignOp::kSet &&
                    e.b->kind == ExprKind::kBinary &&
                    e.b->binOp == BinOp::kAdd &&
                    e.b->a->kind == ExprKind::kVarRef &&
                    e.b->a->strValue == target) {
-          appended = std::move(e.b->b);
+          appended = e.b->b;
         }
         if (appended) {
-          auto call = std::make_unique<Expr>(ExprKind::kCall);
+          Expr* call = arena_.make<Expr>(ExprKind::kCall);
           call->line = e.line;
           call->strValue = "append";
           call->a = makeVarRef(sbName, e.line);
-          call->args.push_back(std::move(appended));
-          slot = std::move(call);
+          call->args = arena_.list({appended});
+          slot = call;
           return;
         }
       }
@@ -824,9 +838,10 @@ class UnitRewriter {
         *m.body, [](const Stmt&) {},
         [&](const Expr& e) {
           if (e.kind == ExprKind::kVarRef) {
-            const std::string key = currentClass_->name + "." + e.strValue;
+            const std::string key =
+                concat(currentClass_->name, ".", e.strValue);
             if (statics_.readOnlyStatics.count(key) != 0) {
-              ++reads[e.strValue];
+              ++reads[std::string(e.strValue)];
             }
           }
         });
@@ -848,19 +863,19 @@ class UnitRewriter {
           [](const Expr&) {});
       if (shadowed) continue;
 
-      const std::string localName = "__cached_" + field;
+      const std::string_view localName = arena_.copy("__cached_" + field);
       const TypeRef type =
-          statics_.readOnlyStatics.at(currentClass_->name + "." + field);
+          statics_.readOnlyStatics.at(concat(currentClass_->name, ".", field));
       record(RuleId::kStaticKeyword, m.line,
-             "cached static '" + field + "' in local (" +
-                 std::to_string(count) + " reads) in " + m.name);
+             concat("cached static '", field, "' in local (",
+                    std::to_string(count), " reads) in ", m.name));
 
-      auto decl = std::make_unique<Stmt>(StmtKind::kVarDecl);
+      Stmt* decl = arena_.make<Stmt>(StmtKind::kVarDecl);
       decl->line = m.line;
       decl->declType = type;
       decl->declName = localName;
-      decl->init = makeVarRef(field, m.line);
-      prologue.push_back(std::move(decl));
+      decl->init = makeVarRef(arena_.copy(field), m.line);
+      prologue.push_back(decl);
 
       // Replace reads.
       std::function<void(Stmt&)> walk = [&](Stmt& st) {
@@ -889,9 +904,9 @@ class UnitRewriter {
       walk(*m.body);
     }
     if (!prologue.empty()) {
-      for (auto it = prologue.rbegin(); it != prologue.rend(); ++it) {
-        m.body->body.insert(m.body->body.begin(), std::move(*it));
-      }
+      prologue.insert(prologue.end(), m.body->body.begin(),
+                      m.body->body.end());
+      m.body->body = arena_.list(prologue);
     }
   }
 
@@ -947,14 +962,14 @@ class UnitRewriter {
               bool arithmetic = false;
               if (e.kind == ExprKind::kAssign &&
                   e.a->kind == ExprKind::kVarRef) {
-                target = e.a.get();
+                target = e.a;
                 arithmetic = e.assignOp != AssignOp::kSet;
               } else if (e.kind == ExprKind::kUnary &&
                          (e.unOp == UnOp::kPreInc || e.unOp == UnOp::kPreDec ||
                           e.unOp == UnOp::kPostInc ||
                           e.unOp == UnOp::kPostDec) &&
                          e.a->kind == ExprKind::kVarRef) {
-                target = e.a.get();
+                target = e.a;
                 arithmetic = true;
               }
               if (target != nullptr) {
@@ -979,13 +994,16 @@ class UnitRewriter {
 
   const OptimizerOptions& options_;
   const StaticInfo& statics_;
+  Program& program_;
+  jlang::Arena& arena_;
   CompilationUnit& unit_;
   std::vector<ChangeRecord>* changes_;
   const ClassDecl* currentClass_ = nullptr;
-  std::unordered_set<std::string> varsWithArithmeticUpdates_;
-  std::unordered_set<std::string> reassignedVars_;
-  std::unordered_set<std::string> nonNegativeVars_;
-  std::unordered_set<std::string> stringVars_;
+  // Names viewing the rewritten unit's arena.
+  std::unordered_set<std::string_view> varsWithArithmeticUpdates_;
+  std::unordered_set<std::string_view> reassignedVars_;
+  std::unordered_set<std::string_view> nonNegativeVars_;
+  std::unordered_set<std::string_view> stringVars_;
   int builderCounter_ = 0;
 };
 
@@ -1000,9 +1018,14 @@ OptimizeResult Optimizer::optimize(const Program& program) const {
   obs::Span span("jepo.optimize");
   OptimizeResult result;
   const StaticInfo statics = collectStaticInfo(program);
+  std::size_t sourceBytes = 0;
+  for (const auto& unit : program.units) sourceBytes += unit.source.size();
+  result.program.arena().reserve(sourceBytes *
+                                 jlang::kArenaBytesPerSourceByte);
   for (const auto& unit : program.units) {
-    CompilationUnit copy = jlang::cloneUnit(unit);
-    UnitRewriter(options_, statics, copy, &result.changes).run();
+    CompilationUnit copy = jlang::cloneUnit(unit, result.program);
+    UnitRewriter(options_, statics, result.program, copy, &result.changes)
+        .run();
     result.program.units.push_back(std::move(copy));
   }
   changes.add(result.changes.size());

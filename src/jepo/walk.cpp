@@ -17,7 +17,7 @@ void walkExpr(const Expr& e, const std::function<void(const Expr&)>& fn) {
 void walkStmt(const Stmt& s, const std::function<void(const Stmt&)>& onStmt,
               const std::function<void(const Expr&)>& onExpr) {
   onStmt(s);
-  auto expr = [&](const jlang::ExprPtr& e) {
+  auto expr = [&](const jlang::Expr* e) {
     if (e) walkExpr(*e, onExpr);
   };
   expr(s.init);
@@ -75,7 +75,7 @@ int exprSize(const Expr& e) {
   return n;
 }
 
-bool mentionsVar(const Expr& e, const std::string& name) {
+bool mentionsVar(const Expr& e, std::string_view name) {
   bool found = false;
   walkExpr(e, [&](const Expr& node) {
     if (node.kind == ExprKind::kVarRef && node.strValue == name) found = true;

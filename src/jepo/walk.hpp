@@ -27,6 +27,6 @@ bool isPureExpr(const jlang::Expr& e);
 int exprSize(const jlang::Expr& e);
 
 /// True if the expression mentions the given variable name.
-bool mentionsVar(const jlang::Expr& e, const std::string& name);
+bool mentionsVar(const jlang::Expr& e, std::string_view name);
 
 }  // namespace jepo::core

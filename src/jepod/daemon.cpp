@@ -499,7 +499,6 @@ std::shared_ptr<const CachedProgram> Daemon::compileCached(
   } catch (const Error& e) {
     throw ProtocolError(ErrorCode::kParseError, e.what());
   }
-  entry->source = req.source;
   entry->hash = hash;
   entry->bytes = req.source.size();
   // Compile-once: resolve here so cache hits skip parse AND resolution.

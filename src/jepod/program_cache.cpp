@@ -33,7 +33,7 @@ std::shared_ptr<const CachedProgram> ProgramCache::get(std::uint64_t hash,
                                                        std::string_view source) {
   std::lock_guard lock(mu_);
   const auto it = byHash_.find(hash);
-  if (it == byHash_.end() || (*it->second)->source != source) {
+  if (it == byHash_.end() || (*it->second)->sourceBytes() != source) {
     // Absent, or a 64-bit collision — FNV-1a collisions are adversarially
     // constructible, and a hit must never hand one tenant a program
     // compiled from another tenant's bytes. A collision is just a miss.
@@ -53,7 +53,7 @@ std::shared_ptr<const CachedProgram> ProgramCache::put(
   std::lock_guard lock(mu_);
   const auto it = byHash_.find(entry->hash);
   if (it != byHash_.end()) {
-    if ((*it->second)->source != entry->source) {
+    if ((*it->second)->sourceBytes() != entry->sourceBytes()) {
       // Hash collision: the incumbent stays (a colliding insert must not
       // displace it), the newcomer runs from its fresh compile uncached.
       return entry;

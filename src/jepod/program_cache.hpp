@@ -45,7 +45,10 @@ std::uint64_t sourceHash(std::string_view source) noexcept;
 /// One cached compile: the immutable program plus its identity.
 struct CachedProgram {
   jlang::Program program;  // resolved at insert; treated as const after
-  std::string source;      // the exact bytes compiled; verified on get()
+  /// The exact bytes compiled, verified on get(). Left empty, they are the
+  /// program's own copy (program.units.front().source): the daemon keeps
+  /// no second copy. Entries built without parsing set it.
+  std::string source;
   std::uint64_t hash = 0;
   std::size_t bytes = 0;   // source size, the budget currency
 
@@ -53,6 +56,12 @@ struct CachedProgram {
   /// one asks (thread-safe; later callers wait for and share that compile).
   /// suggest/optimize never call it, so entries they create never compile.
   const jbc::CompiledProgram& bytecode() const;
+
+  /// The bytes get() compares: `source`, or the program's copy.
+  std::string_view sourceBytes() const noexcept {
+    if (!source.empty() || program.units.empty()) return source;
+    return program.units.front().source;
+  }
 
   mutable std::once_flag bytecodeOnce;
   mutable std::unique_ptr<const jbc::CompiledProgram> bytecodeCompiled;

@@ -20,59 +20,72 @@ std::string typeName(const TypeRef& t) {
   return base;
 }
 
-ExprPtr cloneExpr(const Expr& e) {
-  auto out = std::make_unique<Expr>(e.kind);
+namespace {
+
+TypeRef cloneType(const TypeRef& t, Arena& arena) {
+  return TypeRef{t.prim, t.arrayDims, arena.copy(t.className)};
+}
+
+}  // namespace
+
+ExprPtr cloneExpr(const Expr& e, Program& into) {
+  Arena& arena = into.arena();
+  Expr* out = arena.make<Expr>(e.kind);
   out->line = e.line;
   out->col = e.col;
   out->height = e.height;
   out->intValue = e.intValue;
   out->floatValue = e.floatValue;
-  out->strValue = e.strValue;
+  out->strValue = arena.copy(e.strValue);
   out->scientific = e.scientific;
   out->binOp = e.binOp;
   out->unOp = e.unOp;
   out->assignOp = e.assignOp;
-  out->type = e.type;
-  if (e.a) out->a = cloneExpr(*e.a);
-  if (e.b) out->b = cloneExpr(*e.b);
-  if (e.c) out->c = cloneExpr(*e.c);
-  out->args.reserve(e.args.size());
-  for (const auto& arg : e.args) out->args.push_back(cloneExpr(*arg));
+  out->type = cloneType(e.type, arena);
+  if (e.a) out->a = cloneExpr(*e.a, into);
+  if (e.b) out->b = cloneExpr(*e.b, into);
+  if (e.c) out->c = cloneExpr(*e.c, into);
+  out->args = arena.list(e.args);
+  for (ExprPtr& arg : out->args) arg = cloneExpr(*arg, into);
   return out;
 }
 
-StmtPtr cloneStmt(const Stmt& s) {
-  auto out = std::make_unique<Stmt>(s.kind);
+namespace {
+
+List<StmtPtr> cloneStmts(List<StmtPtr> stmts, Program& into) {
+  List<StmtPtr> out = into.arena().list(stmts);
+  for (StmtPtr& st : out) st = cloneStmt(*st, into);
+  return out;
+}
+
+}  // namespace
+
+StmtPtr cloneStmt(const Stmt& s, Program& into) {
+  Arena& arena = into.arena();
+  Stmt* out = arena.make<Stmt>(s.kind);
   out->line = s.line;
   out->col = s.col;
-  out->declType = s.declType;
-  out->declName = s.declName;
-  if (s.init) out->init = cloneExpr(*s.init);
-  if (s.expr) out->expr = cloneExpr(*s.expr);
-  if (s.cond) out->cond = cloneExpr(*s.cond);
-  if (s.thenStmt) out->thenStmt = cloneStmt(*s.thenStmt);
-  if (s.elseStmt) out->elseStmt = cloneStmt(*s.elseStmt);
-  out->body.reserve(s.body.size());
-  for (const auto& st : s.body) out->body.push_back(cloneStmt(*st));
-  out->update.reserve(s.update.size());
-  for (const auto& u : s.update) out->update.push_back(cloneExpr(*u));
-  if (s.tryBlock) out->tryBlock = cloneStmt(*s.tryBlock);
-  for (const auto& c : s.catches) {
-    CatchClause cc;
-    cc.exceptionClass = c.exceptionClass;
-    cc.varName = c.varName;
-    cc.body = cloneStmt(*c.body);
-    out->catches.push_back(std::move(cc));
+  out->declType = cloneType(s.declType, arena);
+  out->declName = arena.copy(s.declName);
+  if (s.init) out->init = cloneExpr(*s.init, into);
+  if (s.expr) out->expr = cloneExpr(*s.expr, into);
+  if (s.cond) out->cond = cloneExpr(*s.cond, into);
+  if (s.thenStmt) out->thenStmt = cloneStmt(*s.thenStmt, into);
+  if (s.elseStmt) out->elseStmt = cloneStmt(*s.elseStmt, into);
+  out->body = cloneStmts(s.body, into);
+  out->update = arena.list(s.update);
+  for (ExprPtr& u : out->update) u = cloneExpr(*u, into);
+  if (s.tryBlock) out->tryBlock = cloneStmt(*s.tryBlock, into);
+  out->catches = arena.list(s.catches);
+  for (CatchClause& c : out->catches) {
+    c.exceptionClass = arena.copy(c.exceptionClass);
+    c.varName = arena.copy(c.varName);
+    c.body = cloneStmt(*c.body, into);
+    c.slot = -1;
   }
-  if (s.finallyBlock) out->finallyBlock = cloneStmt(*s.finallyBlock);
-  for (const auto& c : s.cases) {
-    SwitchCase sc;
-    sc.isDefault = c.isDefault;
-    sc.value = c.value;
-    sc.body.reserve(c.body.size());
-    for (const auto& st : c.body) sc.body.push_back(cloneStmt(*st));
-    out->cases.push_back(std::move(sc));
-  }
+  if (s.finallyBlock) out->finallyBlock = cloneStmt(*s.finallyBlock, into);
+  out->cases = arena.list(s.cases);
+  for (SwitchCase& c : out->cases) c.body = cloneStmts(c.body, into);
   return out;
 }
 
@@ -92,32 +105,39 @@ const ClassDecl* Program::findClass(std::string_view name) const {
   return nullptr;
 }
 
-CompilationUnit cloneUnit(const CompilationUnit& unit) {
+CompilationUnit cloneUnit(const CompilationUnit& unit, Program& into) {
+  Arena& arena = into.arena();
   CompilationUnit out;
   out.fileName = unit.fileName;
   out.packageName = unit.packageName;
   out.imports = unit.imports;
+  out.classes.reserve(unit.classes.size());
   for (const auto& cls : unit.classes) {
     ClassDecl c;
-    c.name = cls.name;
+    c.name = arena.copy(cls.name);
     c.line = cls.line;
+    c.fields.reserve(cls.fields.size());
     for (const auto& f : cls.fields) {
       FieldDecl nf;
-      nf.type = f.type;
-      nf.name = f.name;
+      nf.type = cloneType(f.type, arena);
+      nf.name = arena.copy(f.name);
       nf.isStatic = f.isStatic;
       nf.line = f.line;
-      if (f.init) nf.init = cloneExpr(*f.init);
-      c.fields.push_back(std::move(nf));
+      if (f.init) nf.init = cloneExpr(*f.init, into);
+      c.fields.push_back(nf);
     }
+    c.methods.reserve(cls.methods.size());
     for (const auto& m : cls.methods) {
       MethodDecl nm;
-      nm.name = m.name;
+      nm.name = arena.copy(m.name);
       nm.isStatic = m.isStatic;
-      nm.returnType = m.returnType;
-      nm.params = m.params;
+      nm.returnType = cloneType(m.returnType, arena);
+      nm.params.reserve(m.params.size());
+      for (const auto& p : m.params) {
+        nm.params.push_back({cloneType(p.type, arena), arena.copy(p.name)});
+      }
       nm.line = m.line;
-      if (m.body) nm.body = cloneStmt(*m.body);
+      if (m.body) nm.body = cloneStmt(*m.body, into);
       c.methods.push_back(std::move(nm));
     }
     out.classes.push_back(std::move(c));

@@ -2,15 +2,25 @@
 //
 // One node hierarchy is shared by the parser, the canonical printer, the
 // tree-walking VM, the suggestion rules, the optimizer's rewrites and the
-// code-metrics calculator. Nodes are owned by unique_ptr; dispatch is a
-// switch over the kind tag (cheap in the VM's hot loop, no virtual calls).
+// code-metrics calculator. Dispatch is a switch over the kind tag (cheap in
+// the VM's hot loop, no virtual calls).
+//
+// Ownership (DESIGN.md §6): every node, child list and name of a Program
+// lives in the Program's Arena, and every string is a std::string_view into
+// the Program's source copy or its arena. ExprPtr/StmtPtr are plain
+// non-owning pointers, nodes are trivially destructible, and no pointer or
+// view into an AST may outlive its Program. Code that builds nodes for a
+// Program allocates them from that Program's arena().
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
+#include "jlang/arena.hpp"
 #include "support/error.hpp"
 
 namespace jepo::jlang {
@@ -18,6 +28,7 @@ namespace jepo::jlang {
 struct Resolution;  // jlang/resolve.hpp
 struct ClassDecl;
 struct MethodDecl;
+struct Program;
 
 /// No interned symbol / unresolved annotation sentinel.
 inline constexpr std::uint32_t kNoName = 0xFFFFFFFFu;
@@ -61,7 +72,7 @@ enum class CallKind : std::uint8_t {
 // ---------------------------------------------------------------------------
 // Types
 
-enum class Prim : int {
+enum class Prim : std::uint8_t {
   kByte, kShort, kInt, kLong, kFloat, kDouble, kChar, kBoolean,
   kVoid,
   kClass,  // className holds the name (String, StringBuilder, user classes,
@@ -70,8 +81,8 @@ enum class Prim : int {
 
 struct TypeRef {
   Prim prim = Prim::kInt;
-  std::string className;  // meaningful iff prim == kClass
-  int arrayDims = 0;      // 0 scalar, 1 T[], 2 T[][]
+  int arrayDims = 0;           // 0 scalar, 1 T[], 2 T[][]
+  std::string_view className;  // meaningful iff prim == kClass
 
   bool isNumeric() const noexcept {
     return arrayDims == 0 &&
@@ -84,9 +95,9 @@ struct TypeRef {
   }
   bool operator==(const TypeRef&) const = default;
 
-  static TypeRef scalar(Prim p) { return TypeRef{p, {}, 0}; }
-  static TypeRef ofClass(std::string name, int dims = 0) {
-    return TypeRef{Prim::kClass, std::move(name), dims};
+  static TypeRef scalar(Prim p) { return TypeRef{p, 0, {}}; }
+  static TypeRef ofClass(std::string_view name, int dims = 0) {
+    return TypeRef{Prim::kClass, dims, name};
   }
 };
 
@@ -95,7 +106,7 @@ std::string typeName(const TypeRef& t);
 // ---------------------------------------------------------------------------
 // Expressions
 
-enum class ExprKind : int {
+enum class ExprKind : std::uint8_t {
   kIntLit, kLongLit, kFloatLit, kDoubleLit, kCharLit, kStringLit, kBoolLit,
   kNullLit,
   kVarRef,       // name (local, field of this, or class name)
@@ -108,24 +119,29 @@ enum class ExprKind : int {
   kCast,         // (T) expr
 };
 
-enum class BinOp : int {
+enum class BinOp : std::uint8_t {
   kAdd, kSub, kMul, kDiv, kMod,
   kLt, kGt, kLe, kGe, kEq, kNe,
   kAndAnd, kOrOr,
   kBitAnd, kBitOr, kBitXor, kShl, kShr,
 };
 
-enum class UnOp : int {
+enum class UnOp : std::uint8_t {
   kNeg, kNot, kBitNot, kPreInc, kPreDec, kPostInc, kPostDec,
 };
 
-enum class AssignOp : int { kSet, kAdd, kSub, kMul, kDiv, kMod };
+enum class AssignOp : std::uint8_t { kSet, kAdd, kSub, kMul, kDiv, kMod };
 
 struct Expr;
-using ExprPtr = std::unique_ptr<Expr>;
+using ExprPtr = Expr*;  // arena-owned (see the file comment)
 
 struct Expr {
   ExprKind kind;
+  // Operator payloads (next to the tag, where they pack).
+  BinOp binOp = BinOp::kAdd;
+  UnOp unOp = UnOp::kNeg;
+  AssignOp assignOp = AssignOp::kSet;
+  bool scientific = false;  // float literal spelled with an exponent
   int line = 0;
   int col = 0;
   /// Longest path to a leaf, counting this node (1 for a leaf). The parser
@@ -136,13 +152,7 @@ struct Expr {
   // Literal payloads.
   std::int64_t intValue = 0;    // int/long/char/bool literals
   double floatValue = 0.0;      // float/double literals
-  std::string strValue;         // string literal / identifier / member name
-  bool scientific = false;      // float literal spelled with an exponent
-
-  // Operator payloads.
-  BinOp binOp = BinOp::kAdd;
-  UnOp unOp = UnOp::kNeg;
-  AssignOp assignOp = AssignOp::kSet;
+  std::string_view strValue;    // string literal / identifier / member name
 
   // Children. Meaning depends on kind:
   //  kFieldAccess: a = object
@@ -155,8 +165,8 @@ struct Expr {
   //  kNew:         args; strValue = class name
   //  kNewArray:    args = dimension exprs; type = element type
   //  kCast:        a; type = target type
-  ExprPtr a, b, c;
-  std::vector<ExprPtr> args;
+  ExprPtr a = nullptr, b = nullptr, c = nullptr;
+  List<ExprPtr> args;
   TypeRef type;  // kNewArray element type / kCast target type
 
   // Resolution annotations (see top of file). Clones reset to defaults —
@@ -175,30 +185,34 @@ struct Expr {
   explicit Expr(ExprKind k) : kind(k) {}
 };
 
-ExprPtr cloneExpr(const Expr& e);
+static_assert(std::is_trivially_destructible_v<Expr>,
+              "Expr lives in a Program's arena, which runs no destructors");
+
+/// Deep copy into `into`'s arena (nodes and strings).
+ExprPtr cloneExpr(const Expr& e, Program& into);
 
 // ---------------------------------------------------------------------------
 // Statements
 
-enum class StmtKind : int {
+enum class StmtKind : std::uint8_t {
   kBlock, kVarDecl, kExprStmt, kIf, kWhile, kFor, kReturn, kThrow, kTry,
   kSwitch, kBreak, kContinue,
 };
 
 struct Stmt;
-using StmtPtr = std::unique_ptr<Stmt>;
+using StmtPtr = Stmt*;  // arena-owned (see the file comment)
 
 struct CatchClause {
-  std::string exceptionClass;
-  std::string varName;
-  StmtPtr body;  // block
+  std::string_view exceptionClass;
+  std::string_view varName;
+  StmtPtr body = nullptr;  // block
   mutable std::int32_t slot = -1;  // frame slot for varName (resolve())
 };
 
 struct SwitchCase {
   bool isDefault = false;
   std::int64_t value = 0;  // case label (int/char)
-  std::vector<StmtPtr> body;
+  List<StmtPtr> body;
 };
 
 struct Stmt {
@@ -206,31 +220,31 @@ struct Stmt {
   int line = 0;
   int col = 0;
 
-  std::vector<StmtPtr> body;  // kBlock statements / kFor init stmts
+  List<StmtPtr> body;  // kBlock statements / kFor init stmts
 
   // kVarDecl
   TypeRef declType;
-  std::string declName;
-  ExprPtr init;  // may be null
+  std::string_view declName;
+  ExprPtr init = nullptr;  // may be null
 
   // kExprStmt / kReturn (may be null) / kThrow
-  ExprPtr expr;
+  ExprPtr expr = nullptr;
 
   // kIf: cond, thenStmt, elseStmt(optional)
   // kWhile: cond, thenStmt=body
   // kFor: body(init decls) cond, update(exprs), thenStmt=loop body
-  ExprPtr cond;
-  StmtPtr thenStmt;
-  StmtPtr elseStmt;
-  std::vector<ExprPtr> update;
+  ExprPtr cond = nullptr;
+  StmtPtr thenStmt = nullptr;
+  StmtPtr elseStmt = nullptr;
+  List<ExprPtr> update;
 
   // kTry
-  StmtPtr tryBlock;
-  std::vector<CatchClause> catches;
-  StmtPtr finallyBlock;  // may be null
+  StmtPtr tryBlock = nullptr;
+  List<CatchClause> catches;
+  StmtPtr finallyBlock = nullptr;  // may be null
 
   // kSwitch
-  std::vector<SwitchCase> cases;
+  List<SwitchCase> cases;
 
   // kVarDecl frame slot, assigned by resolve().
   mutable std::int32_t declSlot = -1;
@@ -238,21 +252,25 @@ struct Stmt {
   explicit Stmt(StmtKind k) : kind(k) {}
 };
 
-StmtPtr cloneStmt(const Stmt& s);
+static_assert(std::is_trivially_destructible_v<Stmt>,
+              "Stmt lives in a Program's arena, which runs no destructors");
+
+/// Deep copy into `into`'s arena (nodes and strings).
+StmtPtr cloneStmt(const Stmt& s, Program& into);
 
 // ---------------------------------------------------------------------------
 // Declarations
 
 struct Param {
   TypeRef type;
-  std::string name;
+  std::string_view name;
 };
 
 struct FieldDecl {
   TypeRef type;
-  std::string name;
+  std::string_view name;
   bool isStatic = false;
-  ExprPtr init;  // may be null
+  ExprPtr init = nullptr;  // may be null
   int line = 0;
   /// resolve(): instance-field offset in the class layout, or the global
   /// flat-statics slot for static fields.
@@ -260,11 +278,11 @@ struct FieldDecl {
 };
 
 struct MethodDecl {
-  std::string name;
+  std::string_view name;
   bool isStatic = false;
   TypeRef returnType = TypeRef::scalar(Prim::kVoid);
   std::vector<Param> params;
-  StmtPtr body;  // block; null only for the implicit default ctor
+  StmtPtr body = nullptr;  // block; null only for the implicit default ctor
   int line = 0;
   /// resolve(): program-wide method id (indexes Resolution::methodNames)
   /// and the flat frame size (params + every declared local/catch var).
@@ -273,7 +291,7 @@ struct MethodDecl {
 };
 
 struct ClassDecl {
-  std::string name;
+  std::string_view name;
   std::vector<FieldDecl> fields;
   std::vector<MethodDecl> methods;
   int line = 0;
@@ -285,13 +303,27 @@ struct ClassDecl {
 /// One parsed .mjava file.
 struct CompilationUnit {
   std::string fileName;
+  /// The text the unit was parsed from, in the Program's arena (empty for
+  /// a unit built by cloneUnit).
+  std::string_view source;
   std::string packageName;            // "" for the default package
   std::vector<std::string> imports;   // fully-qualified imported class names
   std::vector<ClassDecl> classes;
 };
 
-/// A set of compilation units forming one analyzable/runnable project.
+/// Arena bytes a Program reserves per source byte before it parses (or
+/// clones) a unit: the source copy plus the AST of a typical MiniJava file
+/// (about 18 bytes per source byte) fit in one block.
+inline constexpr std::size_t kArenaBytesPerSourceByte = 20;
+
+/// A set of compilation units forming one analyzable/runnable project,
+/// and the arena that owns their nodes and source text. The arena is held
+/// through a pointer, so moving a Program keeps every node where it is.
 struct Program {
+ private:
+  std::unique_ptr<Arena> arena_;  // declared first: destroyed last
+
+ public:
   std::vector<CompilationUnit> units;
 
   /// Cached resolution substrate (symbol table, layouts, slot maps) filled
@@ -300,12 +332,20 @@ struct Program {
   /// re-resolve.
   mutable std::shared_ptr<const Resolution> resolution;
 
+  /// The arena this Program's nodes and strings come from (opened on first
+  /// use).
+  Arena& arena() {
+    if (!arena_) arena_ = std::make_unique<Arena>();
+    return *arena_;
+  }
+
   const ClassDecl* findClass(std::string_view name) const;
   /// Classes that declare `static void main`.
   std::vector<const ClassDecl*> mainClasses() const;
 };
 
-/// Deep copy (rewriters clone before mutating).
-CompilationUnit cloneUnit(const CompilationUnit& unit);
+/// Deep copy into `into`'s arena (rewriters clone before mutating); the
+/// caller appends the result to `into.units`.
+CompilationUnit cloneUnit(const CompilationUnit& unit, Program& into);
 
 }  // namespace jepo::jlang

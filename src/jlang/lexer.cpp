@@ -1,8 +1,9 @@
 #include "jlang/lexer.hpp"
 
-#include <cctype>
+#include <array>
 #include <cstdlib>
-#include <unordered_map>
+#include <cstring>
+#include <initializer_list>
 
 #include "support/error.hpp"
 
@@ -10,33 +11,104 @@ namespace jepo::jlang {
 
 namespace {
 
-const std::unordered_map<std::string_view, Tok>& keywordTable() {
-  static const std::unordered_map<std::string_view, Tok> table = {
-      {"class", Tok::kKwClass},     {"public", Tok::kKwPublic},
-      {"private", Tok::kKwPrivate}, {"static", Tok::kKwStatic},
-      {"final", Tok::kKwFinal},     {"void", Tok::kKwVoid},
-      {"byte", Tok::kKwByte},       {"short", Tok::kKwShort},
-      {"int", Tok::kKwInt},         {"long", Tok::kKwLong},
-      {"float", Tok::kKwFloat},     {"double", Tok::kKwDouble},
-      {"char", Tok::kKwChar},       {"boolean", Tok::kKwBoolean},
-      {"if", Tok::kKwIf},           {"else", Tok::kKwElse},
-      {"while", Tok::kKwWhile},     {"for", Tok::kKwFor},
-      {"return", Tok::kKwReturn},   {"new", Tok::kKwNew},
-      {"try", Tok::kKwTry},         {"catch", Tok::kKwCatch},
-      {"finally", Tok::kKwFinally}, {"throw", Tok::kKwThrow},
-      {"switch", Tok::kKwSwitch},   {"case", Tok::kKwCase},
-      {"default", Tok::kKwDefault}, {"break", Tok::kKwBreak},
-      {"continue", Tok::kKwContinue},
-      {"true", Tok::kKwTrue},       {"false", Tok::kKwFalse},
-      {"null", Tok::kKwNull},       {"this", Tok::kKwThis},
-      {"package", Tok::kKwPackage}, {"import", Tok::kKwImport},
+// ASCII classes, matching <cctype> in the "C" locale without its calls.
+bool isDigit(char c) noexcept { return c >= '0' && c <= '9'; }
+bool isAlpha(char c) noexcept {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
+}
+bool isIdentChar(char c) noexcept {
+  return isAlpha(c) || isDigit(c) || c == '_';
+}
+bool isSpace(char c) noexcept {
+  return c == ' ' || (c >= '\t' && c <= '\r');  // \t \n \v \f \r
+}
+
+/// The keyword `word` spells, or kIdentifier. Every keyword is 2-8
+/// lowercase letters, so most identifiers are turned away before the
+/// first-letter switch compares at most five candidates.
+Tok keywordOf(std::string_view word) noexcept {
+  if (word.size() < 2 || word.size() > 8 || word[0] < 'b' || word[0] > 'w') {
+    return Tok::kIdentifier;
+  }
+  struct Keyword {
+    std::string_view text;
+    Tok tok;
   };
-  return table;
+  auto pick = [word](std::initializer_list<Keyword> candidates) {
+    for (const Keyword& k : candidates) {
+      if (k.text == word) return k.tok;
+    }
+    return Tok::kIdentifier;
+  };
+  switch (word[0]) {
+    case 'b':
+      return pick({{"byte", Tok::kKwByte},
+                   {"boolean", Tok::kKwBoolean},
+                   {"break", Tok::kKwBreak}});
+    case 'c':
+      return pick({{"class", Tok::kKwClass},
+                   {"char", Tok::kKwChar},
+                   {"catch", Tok::kKwCatch},
+                   {"case", Tok::kKwCase},
+                   {"continue", Tok::kKwContinue}});
+    case 'd':
+      return pick({{"double", Tok::kKwDouble}, {"default", Tok::kKwDefault}});
+    case 'e': return pick({{"else", Tok::kKwElse}});
+    case 'f':
+      return pick({{"final", Tok::kKwFinal},
+                   {"float", Tok::kKwFloat},
+                   {"for", Tok::kKwFor},
+                   {"finally", Tok::kKwFinally},
+                   {"false", Tok::kKwFalse}});
+    case 'i':
+      return pick({{"int", Tok::kKwInt},
+                   {"if", Tok::kKwIf},
+                   {"import", Tok::kKwImport}});
+    case 'l': return pick({{"long", Tok::kKwLong}});
+    case 'n': return pick({{"new", Tok::kKwNew}, {"null", Tok::kKwNull}});
+    case 'p':
+      return pick({{"public", Tok::kKwPublic},
+                   {"private", Tok::kKwPrivate},
+                   {"package", Tok::kKwPackage}});
+    case 'r': return pick({{"return", Tok::kKwReturn}});
+    case 's':
+      return pick({{"static", Tok::kKwStatic},
+                   {"short", Tok::kKwShort},
+                   {"switch", Tok::kKwSwitch}});
+    case 't':
+      return pick({{"this", Tok::kKwThis},
+                   {"true", Tok::kKwTrue},
+                   {"try", Tok::kKwTry},
+                   {"throw", Tok::kKwThrow}});
+    case 'v': return pick({{"void", Tok::kKwVoid}});
+    case 'w': return pick({{"while", Tok::kKwWhile}});
+    default: return Tok::kIdentifier;
+  }
+}
+
+/// One-byte views for character literals, which hold the decoded byte.
+constexpr auto kByteTable = [] {
+  std::array<char, 256> t{};
+  for (int i = 0; i < 256; ++i) t[i] = static_cast<char>(i);
+  return t;
+}();
+
+/// strtod/strtoll over a digit run that is not NUL-terminated.
+template <typename Fn>
+auto parseDigits(std::string_view digits, Fn fn) {
+  char buf[64];
+  if (digits.size() < sizeof buf) {
+    std::memcpy(buf, digits.data(), digits.size());
+    buf[digits.size()] = '\0';
+    return fn(buf);
+  }
+  return fn(std::string(digits).c_str());
 }
 
 }  // namespace
 
-Lexer::Lexer(std::string_view source) : src_(source) {}
+Lexer::Lexer(std::string_view source, Arena& decoded)
+    : src_(source), decoded_(decoded) {}
 
 char Lexer::peek(std::size_t ahead) const noexcept {
   return pos_ + ahead < src_.size() ? src_[pos_ + ahead] : '\0';
@@ -67,7 +139,7 @@ void Lexer::skipWhitespaceAndComments() {
   for (;;) {
     if (atEnd()) return;
     const char c = peek();
-    if (std::isspace(static_cast<unsigned char>(c))) {
+    if (isSpace(c)) {
       advance();
     } else if (c == '/' && peek(1) == '/') {
       while (!atEnd() && peek() != '\n') advance();
@@ -99,95 +171,113 @@ Token Lexer::lexNumber() {
   bool isFloat = false;
   bool scientific = false;
 
-  while (std::isdigit(static_cast<unsigned char>(peek()))) advance();
-  if (peek() == '.' && std::isdigit(static_cast<unsigned char>(peek(1)))) {
+  while (isDigit(peek())) advance();
+  if (peek() == '.' && isDigit(peek(1))) {
     isFloat = true;
     advance();
-    while (std::isdigit(static_cast<unsigned char>(peek()))) advance();
+    while (isDigit(peek())) advance();
   }
   if (peek() == 'e' || peek() == 'E') {
     const char sign = peek(1);
     const char digit = (sign == '+' || sign == '-') ? peek(2) : sign;
-    if (std::isdigit(static_cast<unsigned char>(digit))) {
+    if (isDigit(digit)) {
       isFloat = true;
       scientific = true;
       advance();  // e
       if (peek() == '+' || peek() == '-') advance();
-      while (std::isdigit(static_cast<unsigned char>(peek()))) advance();
+      while (isDigit(peek())) advance();
     }
   }
 
-  std::string digits(src_.substr(start, pos_ - start));
+  const std::string_view digits = src_.substr(start, pos_ - start);
   Token t = makeToken(Tok::kIntLiteral);
   t.text = digits;
   t.scientific = scientific;
+  const auto toDouble = [digits] {
+    return parseDigits(digits,
+                       [](const char* s) { return std::strtod(s, nullptr); });
+  };
+  const auto toInt = [digits] {
+    return parseDigits(digits, [](const char* s) {
+      return static_cast<std::int64_t>(std::strtoll(s, nullptr, 10));
+    });
+  };
 
   if (peek() == 'f' || peek() == 'F') {
     advance();
     t.type = Tok::kFloatLiteral;
-    t.floatValue = std::strtod(digits.c_str(), nullptr);
+    t.floatValue = toDouble();
     return t;
   }
   if (peek() == 'd' || peek() == 'D') {
     advance();
     t.type = Tok::kDoubleLiteral;
-    t.floatValue = std::strtod(digits.c_str(), nullptr);
+    t.floatValue = toDouble();
     return t;
   }
   if (isFloat) {
     t.type = Tok::kDoubleLiteral;
-    t.floatValue = std::strtod(digits.c_str(), nullptr);
+    t.floatValue = toDouble();
     return t;
   }
   if (peek() == 'l' || peek() == 'L') {
     advance();
     t.type = Tok::kLongLiteral;
-    t.intValue = std::strtoll(digits.c_str(), nullptr, 10);
+    t.intValue = toInt();
     return t;
   }
   t.type = Tok::kIntLiteral;
-  t.intValue = std::strtoll(digits.c_str(), nullptr, 10);
+  t.intValue = toInt();
   return t;
 }
 
 Token Lexer::lexIdentifierOrKeyword() {
   const std::size_t start = pos_;
-  while (std::isalnum(static_cast<unsigned char>(peek())) || peek() == '_') {
-    advance();
-  }
-  std::string name(src_.substr(start, pos_ - start));
-  const auto& kw = keywordTable();
-  const auto it = kw.find(name);
-  Token t = makeToken(it != kw.end() ? it->second : Tok::kIdentifier);
-  t.text = std::move(name);
+  while (isIdentChar(peek())) advance();
+  const std::string_view name = src_.substr(start, pos_ - start);
+  Token t = makeToken(keywordOf(name));
+  t.text = name;
   if (t.type == Tok::kKwTrue) t.intValue = 1;
   return t;
 }
 
+char Lexer::lexEscape(const char* what) {
+  if (atEnd()) fail(std::string("unterminated ") + what + " literal");
+  const char esc = advance();
+  switch (esc) {
+    case 'n': return '\n';
+    case 't': return '\t';
+    case 'r': return '\r';
+    case '\\': return '\\';
+    case '"': return '"';
+    case '\'': return '\'';
+    case '0': return '\0';
+    default: fail(std::string("unknown escape \\") + esc);
+  }
+}
+
 Token Lexer::lexString() {
   advance();  // opening quote
-  std::string value;
+  const std::size_t start = pos_;
+  std::string value;  // the decoded text, once an escape is seen
+  bool escaped = false;
   while (peek() != '"') {
     if (atEnd() || peek() == '\n') fail("unterminated string literal");
+    const std::size_t at = pos_;
     char c = advance();
     if (c == '\\') {
-      const char esc = advance();
-      switch (esc) {
-        case 'n': c = '\n'; break;
-        case 't': c = '\t'; break;
-        case 'r': c = '\r'; break;
-        case '\\': c = '\\'; break;
-        case '"': c = '"'; break;
-        case '\'': c = '\''; break;
-        case '0': c = '\0'; break;
-        default: fail(std::string("unknown escape \\") + esc);
-      }
+      if (!escaped) value.assign(src_.substr(start, at - start));
+      escaped = true;
+      c = lexEscape("string");
+    } else if (!escaped) {
+      continue;
     }
     value += c;
   }
+  const std::string_view raw = src_.substr(start, pos_ - start);
   advance();  // closing quote
   Token t = makeToken(Tok::kStringLiteral);
-  t.text = std::move(value);
+  t.text = escaped ? decoded_.copy(value) : raw;
   return t;
 }
 
@@ -195,29 +285,20 @@ Token Lexer::lexChar() {
   advance();  // opening quote
   if (atEnd()) fail("unterminated char literal");
   char c = advance();
-  if (c == '\\') {
-    const char esc = advance();
-    switch (esc) {
-      case 'n': c = '\n'; break;
-      case 't': c = '\t'; break;
-      case 'r': c = '\r'; break;
-      case '\\': c = '\\'; break;
-      case '\'': c = '\''; break;
-      case '"': c = '"'; break;
-      case '0': c = '\0'; break;
-      default: fail(std::string("unknown escape \\") + esc);
-    }
-  }
+  if (c == '\\') c = lexEscape("char");
   if (peek() != '\'') fail("unterminated char literal");
   advance();
   Token t = makeToken(Tok::kCharLiteral);
-  t.text = std::string(1, c);
-  t.intValue = static_cast<unsigned char>(c);
+  const auto byte = static_cast<unsigned char>(c);
+  t.text = std::string_view(&kByteTable[byte], 1);
+  t.intValue = byte;
   return t;
 }
 
 std::vector<Token> Lexer::tokenize() {
   std::vector<Token> out;
+  // MiniJava sources average a little over four bytes per token.
+  out.reserve(src_.size() / 4 + 1);
   for (;;) {
     skipWhitespaceAndComments();
     tokLine_ = line_;
@@ -227,11 +308,11 @@ std::vector<Token> Lexer::tokenize() {
       return out;
     }
     const char c = peek();
-    if (std::isdigit(static_cast<unsigned char>(c))) {
+    if (isDigit(c)) {
       out.push_back(lexNumber());
       continue;
     }
-    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
+    if (isAlpha(c) || c == '_') {
       out.push_back(lexIdentifierOrKeyword());
       continue;
     }

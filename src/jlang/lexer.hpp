@@ -6,13 +6,17 @@
 #include <string_view>
 #include <vector>
 
+#include "jlang/arena.hpp"
 #include "jlang/token.hpp"
 
 namespace jepo::jlang {
 
 class Lexer {
  public:
-  explicit Lexer(std::string_view source);
+  /// Token texts are views into `source`, except decoded string literals
+  /// with escapes, which are written to `decoded`. Both must outlive the
+  /// tokens.
+  Lexer(std::string_view source, Arena& decoded);
 
   /// Tokenize to EOF; throws ParseError on malformed input. The returned
   /// vector always ends with a kEof token.
@@ -30,9 +34,13 @@ class Lexer {
   Token lexIdentifierOrKeyword();
   Token lexString();
   Token lexChar();
+  /// The character an escape sequence stands for; the backslash has been
+  /// consumed. `what` names the literal kind for the unterminated error.
+  char lexEscape(const char* what);
   [[noreturn]] void fail(const std::string& msg) const;
 
   std::string_view src_;
+  Arena& decoded_;
   std::size_t pos_ = 0;
   int line_ = 1;
   int col_ = 1;

@@ -1,6 +1,7 @@
 #include "jlang/parser.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "jlang/lexer.hpp"
 #include "obs/registry.hpp"
@@ -93,16 +94,52 @@ Prim primFor(Tok t) {
 
 }  // namespace
 
-Parser::Parser(std::string fileName, std::string_view source)
-    : fileName_(std::move(fileName)) {
-  tokens_ = Lexer(source).tokenize();
+Parser::Parser(Program& program, std::string fileName, std::string_view source)
+    : fileName_(std::move(fileName)), arena_(program.arena()) {
+  // Open one block for the source copy and (typically) the whole AST, so
+  // a parse allocates a single block.
+  arena_.reserve(source.size() * kArenaBytesPerSourceByte);
+  source_ = arena_.copy(source);
+  tokens_ = Lexer(source_, arena_).tokenize();
+}
+
+const CompilationUnit& Parser::addUnit(Program& program, std::string fileName,
+                                       std::string_view source) {
+  Parser p(program, std::move(fileName), source);
+  program.units.push_back(p.parseUnit());
+  return program.units.back();
 }
 
 Program Parser::parseProgram(std::string fileName, std::string_view source) {
-  Parser p(std::move(fileName), source);
   Program prog;
-  prog.units.push_back(p.parseUnit());
+  addUnit(prog, std::move(fileName), source);
   return prog;
+}
+
+List<StmtPtr> Parser::takeStmts(std::size_t mark) {
+  const List<StmtPtr> out = arena_.list(std::span<const StmtPtr>(
+      stmtScratch_.data() + mark, stmtScratch_.size() - mark));
+  stmtScratch_.resize(mark);
+  return out;
+}
+
+List<ExprPtr> Parser::takeExprs(std::size_t mark) {
+  const List<ExprPtr> out = arena_.list(std::span<const ExprPtr>(
+      exprScratch_.data() + mark, exprScratch_.size() - mark));
+  exprScratch_.resize(mark);
+  return out;
+}
+
+List<ExprPtr> Parser::parseArgs(const char* what) {
+  const std::size_t mark = exprScratch_.size();
+  if (!check(Tok::kRParen)) {
+    do {
+      ExprPtr arg = parseExpr();
+      exprScratch_.push_back(arg);
+    } while (match(Tok::kComma));
+  }
+  expect(Tok::kRParen, what);
+  return takeExprs(mark);
 }
 
 const Token& Parser::peek(std::size_t ahead) const {
@@ -135,7 +172,7 @@ void Parser::fail(const std::string& msg) const {
 }
 
 std::string Parser::parseQualifiedName() {
-  std::string name = expect(Tok::kIdentifier, "qualified name").text;
+  std::string name(expect(Tok::kIdentifier, "qualified name").text);
   while (match(Tok::kDot)) {
     name += '.';
     name += expect(Tok::kIdentifier, "qualified name part").text;
@@ -150,6 +187,7 @@ CompilationUnit Parser::parseUnit() {
   obs::Span span("jlang.parse");
   CompilationUnit unit;
   unit.fileName = fileName_;
+  unit.source = source_;
   if (match(Tok::kKwPackage)) {
     unit.packageName = parseQualifiedName();
     expect(Tok::kSemicolon, "after package declaration");
@@ -210,7 +248,7 @@ void Parser::parseMember(ClassDecl& cls) {
         Param p;
         p.type = parseType();
         p.name = expect(Tok::kIdentifier, "parameter name").text;
-        ctor.params.push_back(std::move(p));
+        ctor.params.push_back(p);
       } while (match(Tok::kComma));
     }
     expect(Tok::kRParen, "end of constructor parameters");
@@ -220,7 +258,7 @@ void Parser::parseMember(ClassDecl& cls) {
   }
 
   TypeRef type = parseType();
-  const std::string name = expect(Tok::kIdentifier, "member name").text;
+  const std::string_view name = expect(Tok::kIdentifier, "member name").text;
 
   if (check(Tok::kLParen)) {
     MethodDecl m;
@@ -234,7 +272,7 @@ void Parser::parseMember(ClassDecl& cls) {
         Param p;
         p.type = parseType();
         p.name = expect(Tok::kIdentifier, "parameter name").text;
-        m.params.push_back(std::move(p));
+        m.params.push_back(p);
       } while (match(Tok::kComma));
     }
     expect(Tok::kRParen, "end of parameter list");
@@ -244,7 +282,7 @@ void Parser::parseMember(ClassDecl& cls) {
   }
 
   // Field (possibly a comma-separated group sharing one type).
-  std::string declName = name;
+  std::string_view declName = name;
   for (;;) {
     FieldDecl f;
     f.type = type;
@@ -252,7 +290,7 @@ void Parser::parseMember(ClassDecl& cls) {
     f.isStatic = isStatic;
     f.line = line;
     if (match(Tok::kAssign)) f.init = parseExpr();
-    cls.fields.push_back(std::move(f));
+    cls.fields.push_back(f);
     if (!match(Tok::kComma)) break;
     declName = expect(Tok::kIdentifier, "field name").text;
   }
@@ -297,10 +335,10 @@ Parser::NestingGuard::NestingGuard(Parser& parser) : parser_(parser) {
 
 ExprPtr Parser::sealed(ExprPtr node) const {
   int tallest = 0;
-  for (const Expr* child : {node->a.get(), node->b.get(), node->c.get()}) {
+  for (const Expr* child : {node->a, node->b, node->c}) {
     if (child != nullptr) tallest = std::max(tallest, child->height);
   }
-  for (const auto& arg : node->args) tallest = std::max(tallest, arg->height);
+  for (const Expr* arg : node->args) tallest = std::max(tallest, arg->height);
   node->height = tallest + 1;
   if (node->height > kMaxNesting) {
     throw ParseError(fileName_ + ": expression nested deeper than " +
@@ -312,18 +350,21 @@ ExprPtr Parser::sealed(ExprPtr node) const {
 
 StmtPtr Parser::parseBlock() {
   const Token& open = expect(Tok::kLBrace, "block");
-  auto block = std::make_unique<Stmt>(StmtKind::kBlock);
+  auto block = arena_.make<Stmt>(StmtKind::kBlock);
   block->line = open.line;
   block->col = open.col;
+  const std::size_t mark = stmtScratch_.size();
   while (!check(Tok::kRBrace)) {
-    block->body.push_back(parseStmt());
+    StmtPtr st = parseStmt();
+    stmtScratch_.push_back(st);
   }
   expect(Tok::kRBrace, "end of block");
+  block->body = takeStmts(mark);
   return block;
 }
 
 StmtPtr Parser::parseVarDecl(bool requireSemicolon) {
-  auto stmt = std::make_unique<Stmt>(StmtKind::kVarDecl);
+  auto stmt = arena_.make<Stmt>(StmtKind::kVarDecl);
   stmt->line = peek().line;
   stmt->col = peek().col;
   while (match(Tok::kKwFinal)) {
@@ -346,7 +387,7 @@ StmtPtr Parser::parseStmt() {
     case Tok::kKwSwitch: return parseSwitch();
     case Tok::kKwReturn: {
       const Token& kw = advance();
-      auto stmt = std::make_unique<Stmt>(StmtKind::kReturn);
+      auto stmt = arena_.make<Stmt>(StmtKind::kReturn);
       stmt->line = kw.line;
       stmt->col = kw.col;
       if (!check(Tok::kSemicolon)) stmt->expr = parseExpr();
@@ -355,7 +396,7 @@ StmtPtr Parser::parseStmt() {
     }
     case Tok::kKwThrow: {
       const Token& kw = advance();
-      auto stmt = std::make_unique<Stmt>(StmtKind::kThrow);
+      auto stmt = arena_.make<Stmt>(StmtKind::kThrow);
       stmt->line = kw.line;
       stmt->col = kw.col;
       stmt->expr = parseExpr();
@@ -364,7 +405,7 @@ StmtPtr Parser::parseStmt() {
     }
     case Tok::kKwBreak: {
       const Token& kw = advance();
-      auto stmt = std::make_unique<Stmt>(StmtKind::kBreak);
+      auto stmt = arena_.make<Stmt>(StmtKind::kBreak);
       stmt->line = kw.line;
       stmt->col = kw.col;
       expect(Tok::kSemicolon, "after break");
@@ -372,7 +413,7 @@ StmtPtr Parser::parseStmt() {
     }
     case Tok::kKwContinue: {
       const Token& kw = advance();
-      auto stmt = std::make_unique<Stmt>(StmtKind::kContinue);
+      auto stmt = arena_.make<Stmt>(StmtKind::kContinue);
       stmt->line = kw.line;
       stmt->col = kw.col;
       expect(Tok::kSemicolon, "after continue");
@@ -384,7 +425,7 @@ StmtPtr Parser::parseStmt() {
   if (looksLikeType() || peek().type == Tok::kKwFinal) {
     return parseVarDecl(/*requireSemicolon=*/true);
   }
-  auto stmt = std::make_unique<Stmt>(StmtKind::kExprStmt);
+  auto stmt = arena_.make<Stmt>(StmtKind::kExprStmt);
   stmt->line = peek().line;
   stmt->col = peek().col;
   stmt->expr = parseExpr();
@@ -394,7 +435,7 @@ StmtPtr Parser::parseStmt() {
 
 StmtPtr Parser::parseIf() {
   const Token& kw = expect(Tok::kKwIf, "if");
-  auto stmt = std::make_unique<Stmt>(StmtKind::kIf);
+  auto stmt = arena_.make<Stmt>(StmtKind::kIf);
   stmt->line = kw.line;
   stmt->col = kw.col;
   expect(Tok::kLParen, "if condition");
@@ -407,7 +448,7 @@ StmtPtr Parser::parseIf() {
 
 StmtPtr Parser::parseWhile() {
   const Token& kw = expect(Tok::kKwWhile, "while");
-  auto stmt = std::make_unique<Stmt>(StmtKind::kWhile);
+  auto stmt = arena_.make<Stmt>(StmtKind::kWhile);
   stmt->line = kw.line;
   stmt->col = kw.col;
   expect(Tok::kLParen, "while condition");
@@ -419,43 +460,40 @@ StmtPtr Parser::parseWhile() {
 
 StmtPtr Parser::parseFor() {
   const Token& kw = expect(Tok::kKwFor, "for");
-  auto stmt = std::make_unique<Stmt>(StmtKind::kFor);
+  auto stmt = arena_.make<Stmt>(StmtKind::kFor);
   stmt->line = kw.line;
   stmt->col = kw.col;
   expect(Tok::kLParen, "for header");
 
   if (!check(Tok::kSemicolon)) {
+    StmtPtr init;
     if (looksLikeType() || peek().type == Tok::kKwFinal) {
-      stmt->body.push_back(parseVarDecl(/*requireSemicolon=*/false));
+      init = parseVarDecl(/*requireSemicolon=*/false);
     } else {
-      auto init = std::make_unique<Stmt>(StmtKind::kExprStmt);
+      init = arena_.make<Stmt>(StmtKind::kExprStmt);
       init->line = peek().line;
       init->col = peek().col;
       init->expr = parseExpr();
-      stmt->body.push_back(std::move(init));
     }
+    stmt->body = arena_.list({init});
   }
   expect(Tok::kSemicolon, "after for-init");
 
   if (!check(Tok::kSemicolon)) stmt->cond = parseExpr();
   expect(Tok::kSemicolon, "after for-condition");
 
-  if (!check(Tok::kRParen)) {
-    do {
-      stmt->update.push_back(parseExpr());
-    } while (match(Tok::kComma));
-  }
-  expect(Tok::kRParen, "end of for header");
+  stmt->update = parseArgs("end of for header");
   stmt->thenStmt = parseStmt();
   return stmt;
 }
 
 StmtPtr Parser::parseTry() {
   const Token& kw = expect(Tok::kKwTry, "try");
-  auto stmt = std::make_unique<Stmt>(StmtKind::kTry);
+  auto stmt = arena_.make<Stmt>(StmtKind::kTry);
   stmt->line = kw.line;
   stmt->col = kw.col;
   stmt->tryBlock = parseBlock();
+  std::vector<CatchClause> catches;
   while (check(Tok::kKwCatch)) {
     advance();
     expect(Tok::kLParen, "catch parameter");
@@ -464,8 +502,9 @@ StmtPtr Parser::parseTry() {
     clause.varName = expect(Tok::kIdentifier, "exception variable").text;
     expect(Tok::kRParen, "end of catch parameter");
     clause.body = parseBlock();
-    stmt->catches.push_back(std::move(clause));
+    catches.push_back(clause);
   }
+  stmt->catches = arena_.list(catches);
   if (match(Tok::kKwFinally)) stmt->finallyBlock = parseBlock();
   if (stmt->catches.empty() && !stmt->finallyBlock) {
     fail("try requires at least one catch or a finally");
@@ -475,13 +514,14 @@ StmtPtr Parser::parseTry() {
 
 StmtPtr Parser::parseSwitch() {
   const Token& kw = expect(Tok::kKwSwitch, "switch");
-  auto stmt = std::make_unique<Stmt>(StmtKind::kSwitch);
+  auto stmt = arena_.make<Stmt>(StmtKind::kSwitch);
   stmt->line = kw.line;
   stmt->col = kw.col;
   expect(Tok::kLParen, "switch selector");
   stmt->cond = parseExpr();
   expect(Tok::kRParen, "end of switch selector");
   expect(Tok::kLBrace, "switch body");
+  std::vector<SwitchCase> cases;
   while (!check(Tok::kRBrace)) {
     SwitchCase sc;
     if (match(Tok::kKwDefault)) {
@@ -497,12 +537,16 @@ StmtPtr Parser::parseSwitch() {
       sc.value = negative ? -lit.intValue : lit.intValue;
     }
     expect(Tok::kColon, "after case label");
+    const std::size_t mark = stmtScratch_.size();
     while (!check(Tok::kKwCase) && !check(Tok::kKwDefault) &&
            !check(Tok::kRBrace)) {
-      sc.body.push_back(parseStmt());
+      StmtPtr st = parseStmt();
+      stmtScratch_.push_back(st);
     }
-    stmt->cases.push_back(std::move(sc));
+    sc.body = takeStmts(mark);
+    cases.push_back(sc);
   }
+  stmt->cases = arena_.list(cases);
   expect(Tok::kRBrace, "end of switch body");
   return stmt;
 }
@@ -529,29 +573,29 @@ ExprPtr Parser::parseAssignment() {
     fail("assignment target must be a variable, field or array element");
   }
   const Token& opTok = advance();
-  auto node = std::make_unique<Expr>(ExprKind::kAssign);
+  auto node = arena_.make<Expr>(ExprKind::kAssign);
   node->line = opTok.line;
   node->col = opTok.col;
   node->assignOp = op;
-  node->a = std::move(lhs);
+  node->a = lhs;
   const NestingGuard nesting(*this);
   node->b = parseAssignment();  // right-associative
-  return sealed(std::move(node));
+  return sealed(node);
 }
 
 ExprPtr Parser::parseTernary() {
   ExprPtr cond = parseBinary(1);
   if (!check(Tok::kQuestion)) return cond;
   const Token& q = advance();
-  auto node = std::make_unique<Expr>(ExprKind::kTernary);
+  auto node = arena_.make<Expr>(ExprKind::kTernary);
   node->line = q.line;
   node->col = q.col;
-  node->a = std::move(cond);
+  node->a = cond;
   node->b = parseExpr();
   expect(Tok::kColon, "ternary else branch");
   const NestingGuard nesting(*this);
   node->c = parseTernary();
-  return sealed(std::move(node));
+  return sealed(node);
 }
 
 ExprPtr Parser::parseBinary(int minPrec) {
@@ -561,13 +605,13 @@ ExprPtr Parser::parseBinary(int minPrec) {
     if (prec < minPrec) return lhs;
     const Token& opTok = advance();
     ExprPtr rhs = parseBinary(prec + 1);  // all binary ops left-associative
-    auto node = std::make_unique<Expr>(ExprKind::kBinary);
+    auto node = arena_.make<Expr>(ExprKind::kBinary);
     node->line = opTok.line;
     node->col = opTok.col;
     node->binOp = binOpFor(opTok.type);
-    node->a = std::move(lhs);
-    node->b = std::move(rhs);
-    lhs = sealed(std::move(node));
+    node->a = lhs;
+    node->b = rhs;
+    lhs = sealed(node);
   }
 }
 
@@ -602,14 +646,14 @@ ExprPtr Parser::parseUnary() {
                               peek(3).type == Tok::kKwThis);
       if (primCast || classCast) {
         const Token& open = advance();
-        auto node = std::make_unique<Expr>(ExprKind::kCast);
+        auto node = arena_.make<Expr>(ExprKind::kCast);
         node->line = open.line;
         node->col = open.col;
         node->type = parseType();
         expect(Tok::kRParen, "end of cast");
         const NestingGuard nesting(*this);
         node->a = parseUnary();
-        return sealed(std::move(node));
+        return sealed(node);
       }
       return parsePostfix();
     }
@@ -617,7 +661,7 @@ ExprPtr Parser::parseUnary() {
       return parsePostfix();
   }
   advance();
-  auto node = std::make_unique<Expr>(ExprKind::kUnary);
+  auto node = arena_.make<Expr>(ExprKind::kUnary);
   node->line = t.line;
   node->col = t.col;
   node->unOp = op;
@@ -631,7 +675,7 @@ ExprPtr Parser::parseUnary() {
       node->a->kind != ExprKind::kArrayIndex) {
     fail("++/-- target must be a variable, field or array element");
   }
-  return sealed(std::move(node));
+  return sealed(node);
 }
 
 ExprPtr Parser::parsePostfix() {
@@ -641,39 +685,34 @@ ExprPtr Parser::parsePostfix() {
       advance();
       const Token& name = expect(Tok::kIdentifier, "member name");
       if (check(Tok::kLParen)) {
-        auto call = std::make_unique<Expr>(ExprKind::kCall);
+        auto call = arena_.make<Expr>(ExprKind::kCall);
         call->line = name.line;
         call->col = name.col;
         call->strValue = name.text;
-        call->a = std::move(e);
+        call->a = e;
         advance();
-        if (!check(Tok::kRParen)) {
-          do {
-            call->args.push_back(parseExpr());
-          } while (match(Tok::kComma));
-        }
-        expect(Tok::kRParen, "end of call arguments");
-        e = sealed(std::move(call));
+        call->args = parseArgs("end of call arguments");
+        e = sealed(call);
       } else {
-        auto fld = std::make_unique<Expr>(ExprKind::kFieldAccess);
+        auto fld = arena_.make<Expr>(ExprKind::kFieldAccess);
         fld->line = name.line;
         fld->col = name.col;
         fld->strValue = name.text;
-        fld->a = std::move(e);
-        e = sealed(std::move(fld));
+        fld->a = e;
+        e = sealed(fld);
       }
     } else if (check(Tok::kLBracket)) {
       const Token& open = advance();
-      auto idx = std::make_unique<Expr>(ExprKind::kArrayIndex);
+      auto idx = arena_.make<Expr>(ExprKind::kArrayIndex);
       idx->line = open.line;
       idx->col = open.col;
-      idx->a = std::move(e);
+      idx->a = e;
       idx->b = parseExpr();
       expect(Tok::kRBracket, "end of array index");
-      e = sealed(std::move(idx));
+      e = sealed(idx);
     } else if (check(Tok::kPlusPlus) || check(Tok::kMinusMinus)) {
       const Token& opTok = advance();
-      auto node = std::make_unique<Expr>(ExprKind::kUnary);
+      auto node = arena_.make<Expr>(ExprKind::kUnary);
       node->line = opTok.line;
       node->col = opTok.col;
       node->unOp = opTok.type == Tok::kPlusPlus ? UnOp::kPostInc
@@ -682,8 +721,8 @@ ExprPtr Parser::parsePostfix() {
           e->kind != ExprKind::kArrayIndex) {
         fail("++/-- target must be a variable, field or array element");
       }
-      node->a = std::move(e);
-      e = sealed(std::move(node));
+      node->a = e;
+      e = sealed(node);
     } else {
       return e;
     }
@@ -695,7 +734,7 @@ ExprPtr Parser::parsePrimary() {
   switch (t.type) {
     case Tok::kIntLiteral: {
       advance();
-      auto e = std::make_unique<Expr>(ExprKind::kIntLit);
+      auto e = arena_.make<Expr>(ExprKind::kIntLit);
       e->line = t.line;
       e->col = t.col;
       e->intValue = t.intValue;
@@ -703,7 +742,7 @@ ExprPtr Parser::parsePrimary() {
     }
     case Tok::kLongLiteral: {
       advance();
-      auto e = std::make_unique<Expr>(ExprKind::kLongLit);
+      auto e = arena_.make<Expr>(ExprKind::kLongLit);
       e->line = t.line;
       e->col = t.col;
       e->intValue = t.intValue;
@@ -711,7 +750,7 @@ ExprPtr Parser::parsePrimary() {
     }
     case Tok::kFloatLiteral: {
       advance();
-      auto e = std::make_unique<Expr>(ExprKind::kFloatLit);
+      auto e = arena_.make<Expr>(ExprKind::kFloatLit);
       e->line = t.line;
       e->col = t.col;
       e->floatValue = t.floatValue;
@@ -721,7 +760,7 @@ ExprPtr Parser::parsePrimary() {
     }
     case Tok::kDoubleLiteral: {
       advance();
-      auto e = std::make_unique<Expr>(ExprKind::kDoubleLit);
+      auto e = arena_.make<Expr>(ExprKind::kDoubleLit);
       e->line = t.line;
       e->col = t.col;
       e->floatValue = t.floatValue;
@@ -731,7 +770,7 @@ ExprPtr Parser::parsePrimary() {
     }
     case Tok::kCharLiteral: {
       advance();
-      auto e = std::make_unique<Expr>(ExprKind::kCharLit);
+      auto e = arena_.make<Expr>(ExprKind::kCharLit);
       e->line = t.line;
       e->col = t.col;
       e->intValue = t.intValue;
@@ -740,7 +779,7 @@ ExprPtr Parser::parsePrimary() {
     }
     case Tok::kStringLiteral: {
       advance();
-      auto e = std::make_unique<Expr>(ExprKind::kStringLit);
+      auto e = arena_.make<Expr>(ExprKind::kStringLit);
       e->line = t.line;
       e->col = t.col;
       e->strValue = t.text;
@@ -749,7 +788,7 @@ ExprPtr Parser::parsePrimary() {
     case Tok::kKwTrue:
     case Tok::kKwFalse: {
       advance();
-      auto e = std::make_unique<Expr>(ExprKind::kBoolLit);
+      auto e = arena_.make<Expr>(ExprKind::kBoolLit);
       e->line = t.line;
       e->col = t.col;
       e->intValue = t.type == Tok::kKwTrue ? 1 : 0;
@@ -757,14 +796,14 @@ ExprPtr Parser::parsePrimary() {
     }
     case Tok::kKwNull: {
       advance();
-      auto e = std::make_unique<Expr>(ExprKind::kNullLit);
+      auto e = arena_.make<Expr>(ExprKind::kNullLit);
       e->line = t.line;
       e->col = t.col;
       return e;
     }
     case Tok::kKwThis: {
       advance();
-      auto e = std::make_unique<Expr>(ExprKind::kVarRef);
+      auto e = arena_.make<Expr>(ExprKind::kVarRef);
       e->line = t.line;
       e->col = t.col;
       e->strValue = "this";
@@ -774,20 +813,15 @@ ExprPtr Parser::parsePrimary() {
       advance();
       if (check(Tok::kLParen)) {
         // Unqualified call: method of the current class.
-        auto call = std::make_unique<Expr>(ExprKind::kCall);
+        auto call = arena_.make<Expr>(ExprKind::kCall);
         call->line = t.line;
         call->col = t.col;
         call->strValue = t.text;
         advance();
-        if (!check(Tok::kRParen)) {
-          do {
-            call->args.push_back(parseExpr());
-          } while (match(Tok::kComma));
-        }
-        expect(Tok::kRParen, "end of call arguments");
-        return sealed(std::move(call));
+        call->args = parseArgs("end of call arguments");
+        return sealed(call);
       }
-      auto e = std::make_unique<Expr>(ExprKind::kVarRef);
+      auto e = arena_.make<Expr>(ExprKind::kVarRef);
       e->line = t.line;
       e->col = t.col;
       e->strValue = t.text;
@@ -802,10 +836,11 @@ ExprPtr Parser::parsePrimary() {
         return TypeRef::ofClass(expect(Tok::kIdentifier, "type name").text);
       }();
       if (check(Tok::kLBracket)) {
-        auto arr = std::make_unique<Expr>(ExprKind::kNewArray);
+        auto arr = arena_.make<Expr>(ExprKind::kNewArray);
         arr->line = t.line;
         arr->col = t.col;
         arr->type = type;
+        const std::size_t mark = exprScratch_.size();
         while (match(Tok::kLBracket)) {
           if (check(Tok::kRBracket)) {
             // trailing empty dims: new int[5][]
@@ -813,25 +848,22 @@ ExprPtr Parser::parsePrimary() {
             ++arr->type.arrayDims;
             continue;
           }
-          arr->args.push_back(parseExpr());
+          ExprPtr dim = parseExpr();
+          exprScratch_.push_back(dim);
           expect(Tok::kRBracket, "end of array dimension");
         }
-        return sealed(std::move(arr));
+        arr->args = takeExprs(mark);
+        return sealed(arr);
       }
       JEPO_REQUIRE(type.prim == Prim::kClass,
                    "cannot 'new' a primitive without array brackets");
-      auto obj = std::make_unique<Expr>(ExprKind::kNew);
+      auto obj = arena_.make<Expr>(ExprKind::kNew);
       obj->line = t.line;
       obj->col = t.col;
       obj->strValue = type.className;
       expect(Tok::kLParen, "constructor arguments");
-      if (!check(Tok::kRParen)) {
-        do {
-          obj->args.push_back(parseExpr());
-        } while (match(Tok::kComma));
-      }
-      expect(Tok::kRParen, "end of constructor arguments");
-      return sealed(std::move(obj));
+      obj->args = parseArgs("end of constructor arguments");
+      return sealed(obj);
     }
     case Tok::kLParen: {
       advance();

@@ -34,15 +34,25 @@ class Parser {
   /// The nesting budget (see the file comment).
   static constexpr int kMaxNesting = 256;
 
-  Parser(std::string fileName, std::string_view source);
-
-  /// Parse the whole file; throws ParseError with line:col on bad input.
-  CompilationUnit parseUnit();
-
-  /// Convenience: parse a single file into a one-unit Program.
+  /// Parse one file into a one-unit Program; throws ParseError with
+  /// line:col on bad input. The Program keeps its own copy of `source`.
   static Program parseProgram(std::string fileName, std::string_view source);
 
+  /// Parse one more file into `program`, copying `source` into its arena,
+  /// and append the unit to program.units.
+  static const CompilationUnit& addUnit(Program& program, std::string fileName,
+                                        std::string_view source);
+
  private:
+  Parser(Program& program, std::string fileName, std::string_view source);
+  CompilationUnit parseUnit();
+
+  /// Move scratch entries [mark, end) into an arena list.
+  List<StmtPtr> takeStmts(std::size_t mark);
+  List<ExprPtr> takeExprs(std::size_t mark);
+  /// Comma-separated expressions up to and including the closing ')'.
+  List<ExprPtr> parseArgs(const char* what);
+
   const Token& peek(std::size_t ahead = 0) const;
   const Token& advance();
   bool check(Tok t) const { return peek().type == t; }
@@ -74,9 +84,6 @@ class Parser {
   ExprPtr parsePostfix();
   ExprPtr parsePrimary();
 
-  template <typename NodeT>
-  std::unique_ptr<NodeT> locate(std::unique_ptr<NodeT> node) const;
-
   /// One more level of statement or expression nesting for the guard's
   /// lifetime; fails past kMaxNesting.
   class NestingGuard {
@@ -94,7 +101,13 @@ class Parser {
   ExprPtr sealed(ExprPtr node) const;
 
   std::string fileName_;
+  Arena& arena_;
+  std::string_view source_;  // the arena copy being parsed
   std::vector<Token> tokens_;
+  // Children of the lists being parsed, innermost last: a list's entries
+  // move to the arena once it is complete.
+  std::vector<StmtPtr> stmtScratch_;
+  std::vector<ExprPtr> exprScratch_;
   std::size_t pos_ = 0;
   int depth_ = 0;
 };

@@ -18,27 +18,27 @@ namespace jepo::jlang {
 // Builtin-class predicates (moved here from jvm::BuiltinLibrary so the
 // resolver and both engines share one list).
 
-bool isBuiltinClassName(const std::string& name) {
+bool isBuiltinClassName(std::string_view name) {
   return name == "Math" || name == "System" || name == "Integer" ||
          name == "Long" || name == "Double" || name == "Float" ||
          name == "Short" || name == "Byte" || name == "Character" ||
          name == "Boolean" || name == "String" || name == "StringBuilder";
 }
 
-bool isWrapperClassName(const std::string& name) {
+bool isWrapperClassName(std::string_view name) {
   return name == "Integer" || name == "Long" || name == "Double" ||
          name == "Float" || name == "Short" || name == "Byte" ||
          name == "Character" || name == "Boolean";
 }
 
-bool looksLikeExceptionClass(const std::string& name) {
+bool looksLikeExceptionClass(std::string_view name) {
   return endsWith(name, "Exception") || endsWith(name, "Error");
 }
 
 // ---------------------------------------------------------------------------
 
 std::uint32_t SymbolTable::intern(std::string_view s) {
-  const auto it = ids_.find(std::string(s));
+  const auto it = ids_.find(s);
   if (it != ids_.end()) return it->second;
   const auto id = static_cast<std::uint32_t>(names_.size());
   names_.emplace_back(s);
@@ -72,14 +72,14 @@ class MethodScope {
   /// FIRST declaration of a name wins on lookup (the interpreter scans
   /// scope entries front to back), so a duplicate declaration gets a slot
   /// for its own initializer store but does not rebind the name.
-  std::int32_t declare(const std::string& name) {
+  std::int32_t declare(std::string_view name) {
     const std::int32_t slot = nextSlot_++;
     scopes_.back().emplace_back(name, slot);
     return slot;
   }
 
   /// Innermost scope outward, first match within a scope.
-  std::int32_t find(const std::string& name) const {
+  std::int32_t find(std::string_view name) const {
     for (auto scopeIt = scopes_.rbegin(); scopeIt != scopes_.rend();
          ++scopeIt) {
       for (const auto& [n, slot] : *scopeIt) {
@@ -92,7 +92,7 @@ class MethodScope {
   std::int32_t numSlots() const noexcept { return nextSlot_; }
 
  private:
-  std::vector<std::vector<std::pair<std::string, std::int32_t>>> scopes_;
+  std::vector<std::vector<std::pair<std::string_view, std::int32_t>>> scopes_;
   std::int32_t nextSlot_ = 0;
 };
 
@@ -126,27 +126,27 @@ class Resolver {
           const std::uint32_t nameId = res_->symbols.intern(f.name);
           if (f.isStatic) {
             f.slot = res_->staticCount++;
-            rc.staticNames.push_back(f.name);
+            rc.staticNames.emplace_back(f.name);
             rc.staticTypes.push_back(f.type);
             rc.staticSlots.push_back(f.slot);
           } else {
             f.slot = static_cast<std::int32_t>(rc.layout.fieldNames.size());
-            rc.layout.fieldNames.push_back(f.name);
+            rc.layout.fieldNames.emplace_back(f.name);
             rc.layout.fieldNameIds.push_back(nameId);
             rc.layout.fieldTypes.push_back(f.type);
           }
         }
         for (const auto& m : cls.methods) {
           m.methodId = static_cast<std::uint32_t>(res_->methodNames.size());
-          res_->methodNames.push_back(cls.name + "." + m.name);
+          res_->methodNames.push_back(concat(cls.name, ".", m.name));
           rc.methods.push_back(
               ResolvedMethod{&m, res_->symbols.intern(m.name), m.methodId});
         }
         rc.ctor = cls.findMethod(cls.name);
         rc.clinitId = static_cast<std::uint32_t>(res_->methodNames.size());
-        res_->methodNames.push_back(cls.name + ".<clinit>");
+        res_->methodNames.push_back(concat(cls.name, ".<clinit>"));
         rc.initFieldsId = static_cast<std::uint32_t>(res_->methodNames.size());
-        res_->methodNames.push_back(cls.name + ".<initfields>");
+        res_->methodNames.push_back(concat(cls.name, ".<initfields>"));
         res_->classes.push_back(std::move(rc));
       }
     }
@@ -183,7 +183,7 @@ class Resolver {
 
   /// True when `name` is a class name as the interpreter's isClassName
   /// sees it (builtin or program class).
-  bool isClassName(const std::string& name) const {
+  bool isClassName(std::string_view name) const {
     return isBuiltinClassName(name) || res_->classIdOf(name) >= 0;
   }
 
@@ -282,7 +282,7 @@ class Resolver {
           e.strId = it->second;
         } else {
           e.strId = static_cast<std::int32_t>(res_->stringLiterals.size());
-          res_->stringLiterals.push_back(e.strValue);
+          res_->stringLiterals.emplace_back(e.strValue);
           literalIds_.emplace(e.strValue, e.strId);
         }
         return;
@@ -370,7 +370,7 @@ class Resolver {
            isClassName(receiver.strValue);
   }
 
-  void annotateStatic(const Expr& e, const std::string& className) {
+  void annotateStatic(const Expr& e, std::string_view className) {
     const std::int32_t classId = res_->classIdOf(className);
     e.classId = classId;
     if (classId >= 0) {
@@ -413,7 +413,7 @@ class Resolver {
 
     // Static call: ClassName.method(...).
     if (e.a && isClassNameReceiver(*e.a)) {
-      const std::string& className = e.a->strValue;
+      const std::string_view className = e.a->strValue;
       for (const auto& a : e.args) resolveExpr(*a);
       if (isBuiltinClassName(className)) {
         e.callKind = CallKind::kBuiltinStatic;
@@ -477,7 +477,8 @@ class Resolver {
   ResolvedClass* cls_ = nullptr;
   MethodScope* scope_ = nullptr;
   bool isStatic_ = true;
-  std::unordered_map<std::string, std::int32_t> literalIds_;
+  // Keys view the program's literals, which outlive the resolver.
+  std::unordered_map<std::string_view, std::int32_t> literalIds_;
 };
 
 std::mutex& resolutionMutex() {

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "jlang/ast.hpp"
+#include "support/strings.hpp"
 
 namespace jepo::jlang {
 
@@ -35,9 +36,9 @@ namespace jepo::jlang {
 // can classify names without depending on the VM; jvm::BuiltinLibrary
 // delegates here, keeping one source of truth.
 
-bool isBuiltinClassName(const std::string& name);
-bool isWrapperClassName(const std::string& name);
-bool looksLikeExceptionClass(const std::string& name);
+bool isBuiltinClassName(std::string_view name);
+bool isWrapperClassName(std::string_view name);
+bool looksLikeExceptionClass(std::string_view name);
 
 // ---------------------------------------------------------------------------
 
@@ -50,7 +51,7 @@ class SymbolTable {
 
  private:
   std::vector<std::string> names_;
-  std::unordered_map<std::string, std::uint32_t> ids_;
+  StringMap<std::uint32_t> ids_;
 };
 
 /// Flat instance-field layout of a class: field i of an object lives at
@@ -125,7 +126,7 @@ struct Resolution {
   SymbolTable symbols;
   std::vector<ResolvedClass> classes;  // indexed by classId
   // First class wins for duplicate names, mirroring Program::findClass.
-  std::unordered_map<std::string, std::int32_t> classIdByName;
+  StringMap<std::int32_t> classIdByName;
   std::vector<std::string> methodNames;     // methodId -> "Class.method"
   std::vector<std::string> stringLiterals;  // strId -> content (deduped)
   std::int32_t staticCount = 0;     // flat statics array size
@@ -133,7 +134,7 @@ struct Resolution {
   std::int32_t numFieldCaches = 0;  // inline field-cache sites
 
   std::int32_t classIdOf(std::string_view name) const {
-    const auto it = classIdByName.find(std::string(name));
+    const auto it = classIdByName.find(name);
     return it == classIdByName.end() ? -1 : it->second;
   }
 };

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace jepo::jlang {
 
@@ -45,7 +46,10 @@ enum class Tok : int {
 
 struct Token {
   Tok type = Tok::kEof;
-  std::string text;  // identifier name / literal spelling (quotes stripped)
+  // Identifier name / literal spelling (quotes stripped, escapes decoded):
+  // a view into the lexed source, or into the lexer's arena for a string
+  // literal with escapes.
+  std::string_view text;
   int line = 0;
   int col = 0;
 

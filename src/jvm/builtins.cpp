@@ -32,7 +32,7 @@ std::string renderFloating(double v, bool isFloat) {
 
 BuiltinLibrary::BuiltinLibrary(
     Heap& heap, energy::SimMachine& machine, std::string& out,
-    std::function<bool(const std::string&)> isProgramClass)
+    std::function<bool(std::string_view)> isProgramClass)
     : heap_(&heap),
       machine_(&machine),
       out_(&out),
@@ -53,14 +53,15 @@ void BuiltinLibrary::throwJava(const std::string& className,
                                const std::string& message) {
   charge(Op::kThrow);
   const Ref r =
-      heap_->allocObject(className, jlang::builtinExceptionLayout());
+      heap_->allocObject(std::string(className),
+                           jlang::builtinExceptionLayout());
   heap_->get(r).fields[0] = makeString(message);  // "message" at offset 0
   throw Thrown{Value::ofRef(r)};
 }
 
-Value BuiltinLibrary::box(const std::string& wrapper, Value inner) {
+Value BuiltinLibrary::box(std::string_view wrapper, Value inner) {
   charge(wrapper == "Integer" ? Op::kBoxInteger : Op::kBoxOther);
-  return Value::ofRef(heap_->allocBoxed(wrapper, inner));
+  return Value::ofRef(heap_->allocBoxed(std::string(wrapper), inner));
 }
 
 Value BuiltinLibrary::unboxIfNeeded(Value v) {
@@ -123,8 +124,8 @@ void BuiltinLibrary::print(const Value* v, bool newline) {
   *out_ += text;
 }
 
-bool BuiltinLibrary::staticField(const std::string& className,
-                                 const std::string& field, Value* out) {
+bool BuiltinLibrary::staticField(std::string_view className,
+                                 std::string_view field, Value* out) {
   auto hit = [&](Value v) {
     charge(Op::kStaticAccess);
     *out = v;
@@ -160,8 +161,8 @@ bool BuiltinLibrary::staticField(const std::string& className,
   return false;
 }
 
-bool BuiltinLibrary::staticCall(const std::string& className,
-                                const std::string& name,
+bool BuiltinLibrary::staticCall(std::string_view className,
+                                std::string_view name,
                                 std::vector<Value>& args, Value* out) {
   if (className == "Math") {
     for (auto& a : args) a = unboxIfNeeded(a);
@@ -220,7 +221,7 @@ bool BuiltinLibrary::staticCall(const std::string& className,
       *out = Value::ofLong(std::llround(oneD()));
       return true;
     }
-    throw VmError("unknown Math method " + name);
+    throw VmError(concat("unknown Math method ", name));
   }
 
   if (className == "System") {
@@ -268,7 +269,7 @@ bool BuiltinLibrary::staticCall(const std::string& className,
       *out = Value::ofLong(static_cast<std::int64_t>(machine_->seconds() * 1e9));
       return true;
     }
-    throw VmError("unknown System method " + name);
+    throw VmError(concat("unknown System method ", name));
   }
 
   if (jlang::isWrapperClassName(className)) {
@@ -306,7 +307,7 @@ bool BuiltinLibrary::staticCall(const std::string& className,
       *out = makeString(s);
       return true;
     }
-    throw VmError("unknown " + className + " method " + name);
+    throw VmError(concat("unknown ", className, " method ", name));
   }
 
   if (className == "String") {
@@ -317,13 +318,13 @@ bool BuiltinLibrary::staticCall(const std::string& className,
       *out = makeString(s);
       return true;
     }
-    throw VmError("unknown String static method " + name);
+    throw VmError(concat("unknown String static method ", name));
   }
 
   return false;
 }
 
-bool BuiltinLibrary::instanceCall(Value receiver, const std::string& name,
+bool BuiltinLibrary::instanceCall(Value receiver, std::string_view name,
                                   std::vector<Value>& args, Value* out) {
   if (!receiver.isRef()) return false;
   HeapObject& self = heap_->get(receiver.asRef());
@@ -441,7 +442,7 @@ bool BuiltinLibrary::instanceCall(Value receiver, const std::string& name,
       *out = Value::ofInt(static_cast<std::int32_t>(h));
       return true;
     }
-    throw VmError("unknown String method " + name);
+    throw VmError(concat("unknown String method ", name));
   }
 
   // ------------------------------------------------------ StringBuilder
@@ -481,7 +482,7 @@ bool BuiltinLibrary::instanceCall(Value receiver, const std::string& name,
       *out = Value::null();
       return true;
     }
-    throw VmError("unknown StringBuilder method " + name);
+    throw VmError(concat("unknown StringBuilder method ", name));
   }
 
   // ------------------------------------------------------------- Boxed
@@ -523,7 +524,7 @@ bool BuiltinLibrary::instanceCall(Value receiver, const std::string& name,
       *out = makeString(s);
       return true;
     }
-    throw VmError("unknown wrapper method " + name);
+    throw VmError(concat("unknown wrapper method ", name));
   }
 
   // -------------------------------------------- Exception-style objects
@@ -536,13 +537,13 @@ bool BuiltinLibrary::instanceCall(Value receiver, const std::string& name,
                          : Value::null();
       return true;
     }
-    throw VmError("unknown method " + name + " on " + self.className);
+    throw VmError(concat("unknown method ", name, " on ", self.className));
   }
 
   return false;
 }
 
-bool BuiltinLibrary::construct(const std::string& className,
+bool BuiltinLibrary::construct(std::string_view className,
                                std::vector<Value>& args, Value* out) {
   if (className == "StringBuilder") {
     charge(Op::kAllocObject);
@@ -567,7 +568,8 @@ bool BuiltinLibrary::construct(const std::string& className,
       jlang::looksLikeExceptionClass(className)) {
     charge(Op::kAllocObject);
     const Ref r =
-        heap_->allocObject(className, jlang::builtinExceptionLayout());
+        heap_->allocObject(std::string(className),
+                           jlang::builtinExceptionLayout());
     Value msg = args.empty() ? makeString("") : args[0];
     heap_->get(r).fields[0] = msg;  // "message" at offset 0
     *out = Value::ofRef(r);

@@ -7,6 +7,7 @@
 
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "energy/machine.hpp"
@@ -22,7 +23,7 @@ class BuiltinLibrary {
   /// `isProgramClass` lets the library distinguish user classes (whose
   /// methods the engine dispatches) from library/exception objects.
   BuiltinLibrary(Heap& heap, energy::SimMachine& machine, std::string& out,
-                 std::function<bool(const std::string&)> isProgramClass);
+                 std::function<bool(std::string_view)> isProgramClass);
 
   // ------------------------------------------------------------- helpers
   Value makeString(std::string s);
@@ -32,7 +33,7 @@ class BuiltinLibrary {
                               const std::string& message);
 
   /// Box a primitive into a wrapper object (charges the boxing cost).
-  Value box(const std::string& wrapper, Value inner);
+  Value box(std::string_view wrapper, Value inner);
   /// Unbox if boxed (charges); otherwise returns v unchanged.
   Value unboxIfNeeded(Value v);
 
@@ -41,22 +42,22 @@ class BuiltinLibrary {
   void print(const Value* v, bool newline);
 
   /// Class constants (Integer.MAX_VALUE, Math.PI, ...).
-  bool staticField(const std::string& className, const std::string& field,
+  bool staticField(std::string_view className, std::string_view field,
                    Value* out);
 
   /// Static calls (Math.sqrt, System.arraycopy, Integer.parseInt, ...).
   /// Returns false when the class is not a builtin receiver.
-  bool staticCall(const std::string& className, const std::string& name,
+  bool staticCall(std::string_view className, std::string_view name,
                   std::vector<Value>& args, Value* out);
 
   /// Instance calls on strings/builders/boxed/exception objects. Returns
   /// false when the receiver is a user-class object.
-  bool instanceCall(Value receiver, const std::string& name,
+  bool instanceCall(Value receiver, std::string_view name,
                     std::vector<Value>& args, Value* out);
 
   /// Builtin constructors: StringBuilder, String, and undeclared
   /// *Exception/*Error classes. Returns false for user classes.
-  bool construct(const std::string& className, std::vector<Value>& args,
+  bool construct(std::string_view className, std::vector<Value>& args,
                  Value* out);
 
  private:
@@ -65,7 +66,7 @@ class BuiltinLibrary {
   Heap* heap_;
   energy::SimMachine* machine_;
   std::string* out_;
-  std::function<bool(const std::string&)> isProgramClass_;
+  std::function<bool(std::string_view)> isProgramClass_;
 };
 
 }  // namespace jepo::jvm

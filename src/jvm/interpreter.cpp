@@ -42,7 +42,7 @@ Interpreter::Interpreter(const jlang::Program& program,
     : program_(&program),
       resolution_(jlang::ensureResolved(program)),
       machine_(&machine),
-      builtins_(heap_, machine, out_, [this](const std::string& name) {
+      builtins_(heap_, machine, out_, [this](std::string_view name) {
         return program_->findClass(name) != nullptr;
       }),
       gc_(heap_, [this](Gc::RootWalker& w) { scanGcRoots(w); }) {
@@ -95,7 +95,7 @@ Value Interpreter::runMain(std::string_view mainClass) {
     if (mains.empty()) throw VmError("no class declares static void main");
     if (mains.size() > 1) {
       std::string names;
-      for (const auto* c : mains) names += " " + c->name;
+      for (const auto* c : mains) names += concat(" ", c->name);
       throw VmError("multiple main classes; pick one of:" + names);
     }
     target = mains.front();
@@ -138,7 +138,7 @@ Value Interpreter::callStatic(std::string_view className,
 // ---------------------------------------------------------------------------
 // Classes and statics
 
-void Interpreter::ensureClassInit(const std::string& className) {
+void Interpreter::ensureClassInit(std::string_view className) {
   // Names that resolve to no program class (builtins, typos) have no
   // statics and no <clinit>; initialization is a no-op for them.
   ensureClassInitById(resolution_->classIdOf(className));
@@ -186,8 +186,8 @@ Value* Interpreter::staticAt(std::int32_t classId, std::int32_t slot) {
   return &statics_[static_cast<std::size_t>(slot)];
 }
 
-Value* Interpreter::findStaticByName(const std::string& className,
-                                     const std::string& field) {
+Value* Interpreter::findStaticByName(std::string_view className,
+                                     std::string_view field) {
   // Seed order: initialization (and its charges) happens before the
   // lookup can fail.
   const std::int32_t classId = resolution_->classIdOf(className);
@@ -207,10 +207,10 @@ Value* Interpreter::findStaticByName(const std::string& className,
 Value Interpreter::invoke(const ClassDecl& cls, const MethodDecl& m,
                           Value thisValue, std::vector<Value> args) {
   if (frames_.size() >= kMaxFrames) {
-    throwJava("StackOverflowError", cls.name + "." + m.name);
+    throwJava("StackOverflowError", concat(cls.name, ".", m.name));
   }
   JEPO_REQUIRE(args.size() == m.params.size(),
-               "wrong argument count for " + cls.name + "." + m.name);
+               concat("wrong argument count for ", cls.name, ".", m.name));
 
   Frame frame;
   frame.cls = &cls;
@@ -289,7 +289,7 @@ Value Interpreter::invoke(const ClassDecl& cls, const MethodDecl& m,
   return out;
 }
 
-Value Interpreter::construct(const std::string& className,
+Value Interpreter::construct(std::string_view className,
                              std::vector<Value> args, int line) {
   // Builtin constructors: StringBuilder, String, and undeclared
   // exception-style classes (as in Java, they come from the library).
@@ -300,8 +300,8 @@ Value Interpreter::construct(const std::string& className,
 
   const std::int32_t classId = resolution_->classIdOf(className);
   if (classId < 0) {
-    throw VmError("unknown class " + className + " at line " +
-                  std::to_string(line));
+    throw VmError(concat("unknown class ", className, " at line ",
+                         std::to_string(line)));
   }
   return constructResolved(
       resolution_->classes[static_cast<std::size_t>(classId)],
@@ -317,7 +317,7 @@ Value Interpreter::constructResolved(const ResolvedClass& rc,
   // constructor returns it.
   Gc::ScopedVector rootArgs(gc_, args);
   ensureClassInitById(rc.layout.classId);
-  Ref r = heap_.allocObject(cls->name, rc.layout);
+  Ref r = heap_.allocObject(std::string(cls->name), rc.layout);
   Gc::ScopedRef rootR(gc_, r);
   // Default field values, then initializers in declaration order.
   heap_.get(r).fields =
@@ -344,7 +344,8 @@ Value Interpreter::constructResolved(const ResolvedClass& rc,
     invoke(*cls, *rc.ctor, Value::ofRef(r), std::move(args));
   } else {
     JEPO_REQUIRE(args.empty(),
-                 "class " + cls->name + " has no constructor taking args");
+                 concat("class ", cls->name,
+                        " has no constructor taking args"));
   }
   return Value::ofRef(r);
 }
@@ -619,8 +620,8 @@ Value Interpreter::evalVarRef(const Expr& e) {
     default:
       break;
   }
-  throw VmError("undefined name '" + e.strValue + "' at line " +
-                std::to_string(e.line));
+  throw VmError(concat("undefined name '", e.strValue, "' at line ",
+                       std::to_string(e.line)));
 }
 
 Value Interpreter::evalFieldAccess(const Expr& e) {
@@ -639,15 +640,15 @@ Value Interpreter::evalFieldAccess(const Expr& e) {
       charge(Op::kStaticAccess);
       return *st;
     }
-    throw VmError("unknown static field " + e.a->strValue + "." + e.strValue +
-                  " at line " + std::to_string(e.line));
+    throw VmError(concat("unknown static field ", e.a->strValue, ".",
+                         e.strValue, " at line ", std::to_string(e.line)));
   }
 
   Value obj = eval(*e.a);
   if (obj.isNull()) {
     throwJava("NullPointerException",
-              "field '" + e.strValue + "' on null at line " +
-                  std::to_string(e.line));
+              concat("field '", e.strValue, "' on null at line ",
+                     std::to_string(e.line)));
   }
   HeapObject& ho = heap_.get(obj.asRef());
   if (ho.kind == ObjKind::kArray && e.strValue == "length") {
@@ -678,8 +679,8 @@ Value Interpreter::evalFieldAccess(const Expr& e) {
       return ho.fields[static_cast<std::size_t>(offset)];
     }
   }
-  throw VmError("unknown field '" + e.strValue + "' at line " +
-                std::to_string(e.line));
+  throw VmError(concat("unknown field '", e.strValue, "' at line ",
+                       std::to_string(e.line)));
 }
 
 void Interpreter::chargeRowLoad(Ref array, std::int64_t index,
@@ -855,8 +856,8 @@ void Interpreter::storeTo(const Expr& target, Value v) {
         default:  // kThis and unresolved names are not assignable
           break;
       }
-      throw VmError("assignment to undefined name '" + target.strValue +
-                    "' at line " + std::to_string(target.line));
+      throw VmError(concat("assignment to undefined name '", target.strValue,
+                           "' at line ", std::to_string(target.line)));
     }
 
     case ExprKind::kFieldAccess: {
@@ -872,8 +873,8 @@ void Interpreter::storeTo(const Expr& target, Value v) {
           *st = v;
           return;
         }
-        throw VmError("unknown static field " + target.a->strValue + "." +
-                      target.strValue);
+        throw VmError(concat("unknown static field ", target.a->strValue, ".",
+                             target.strValue));
       }
       Value obj = eval(*target.a);
       if (obj.isNull()) {
@@ -896,7 +897,7 @@ void Interpreter::storeTo(const Expr& target, Value v) {
         }
       }
       if (offset < 0) {
-        throw VmError("unknown field '" + target.strValue + "'");
+        throw VmError(concat("unknown field '", target.strValue, "'"));
       }
       Value& field = ho.fields[static_cast<std::size_t>(offset)];
       charge(Op::kFieldAccess);
@@ -1030,7 +1031,7 @@ Value Interpreter::evalCall(const Expr& e) {
       if (e.args.empty()) {
         builtins_.print(nullptr, e.slot == 1);
       } else {
-        const Value v = eval(*e.args.at(0));
+        const Value v = eval(*e.args[0]);
         builtins_.print(&v, e.slot == 1);
       }
       return Value::null();
@@ -1042,8 +1043,8 @@ Value Interpreter::evalCall(const Expr& e) {
       if (builtins_.staticCall(e.a->strValue, e.strValue, args, &result)) {
         return result;
       }
-      throw VmError("unknown method " + e.a->strValue + "." + e.strValue +
-                    " at line " + std::to_string(e.line));
+      throw VmError(concat("unknown method ", e.a->strValue, ".", e.strValue,
+                           " at line ", std::to_string(e.line)));
     }
 
     case CallKind::kStaticMethod: {
@@ -1057,8 +1058,8 @@ Value Interpreter::evalCall(const Expr& e) {
     case CallKind::kStaticMissing:
       // Resolution proved the method missing; the seed fails before
       // evaluating arguments or initializing the class.
-      throw VmError("unknown method " + e.a->strValue + "." + e.strValue +
-                    " at line " + std::to_string(e.line));
+      throw VmError(concat("unknown method ", e.a->strValue, ".", e.strValue,
+                           " at line ", std::to_string(e.line)));
 
     case CallKind::kSelfMethod: {
       std::vector<Value> args = evalArgs(e);
@@ -1070,15 +1071,15 @@ Value Interpreter::evalCall(const Expr& e) {
     }
 
     case CallKind::kSelfMissing:
-      throw VmError("unknown method " + e.strValue + " at line " +
-                    std::to_string(e.line));
+      throw VmError(concat("unknown method ", e.strValue, " at line ",
+                           std::to_string(e.line)));
 
     case CallKind::kInstanceCached: {
       Value receiver = eval(*e.a);
       if (receiver.isNull()) {
         throwJava("NullPointerException",
-                  "call '" + e.strValue + "' on null at line " +
-                      std::to_string(e.line));
+                  concat("call '", e.strValue, "' on null at line ",
+                         std::to_string(e.line)));
       }
       Gc::ScopedValue rootReceiver(gc_, receiver);  // across argument evals
       std::vector<Value> args = evalArgs(e);
@@ -1097,9 +1098,9 @@ Value Interpreter::evalCall(const Expr& e) {
                     ->classes[static_cast<std::size_t>(obj.layout->classId)];
             const ResolvedMethod* rm = rc.findMethod(e.strValue);
             if (rm == nullptr) {
-              throw VmError("unknown method " + obj.className + "." +
-                            e.strValue + " at line " +
-                            std::to_string(e.line));
+              throw VmError(concat("unknown method ", obj.className, ".",
+                                   e.strValue, " at line ",
+                                   std::to_string(e.line)));
             }
             cache.classId = obj.layout->classId;
             cache.cls = rc.decl;
@@ -1127,8 +1128,8 @@ Value Interpreter::evalCall(const Expr& e) {
           resolution_->classes[static_cast<std::size_t>(classId)];
       const ResolvedMethod* rm = rc.findMethod(e.strValue);
       if (rm == nullptr) {
-        throw VmError("unknown method " + obj.className + "." + e.strValue +
-                      " at line " + std::to_string(e.line));
+        throw VmError(concat("unknown method ", obj.className, ".", e.strValue,
+                             " at line ", std::to_string(e.line)));
       }
       charge(Op::kCall);
       return invoke(*rc.decl, *rm->decl, receiver, std::move(args));
@@ -1137,8 +1138,8 @@ Value Interpreter::evalCall(const Expr& e) {
     default:
       // Every call is classified by the resolver; an unresolved call here
       // means the program bypassed ensureResolved().
-      throw VmError("unresolved call '" + e.strValue + "' at line " +
-                    std::to_string(e.line));
+      throw VmError(concat("unresolved call '", e.strValue, "' at line ",
+                           std::to_string(e.line)));
   }
 }
 

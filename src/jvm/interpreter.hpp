@@ -171,20 +171,20 @@ class Interpreter {
   // Method machinery.
   Value invoke(const jlang::ClassDecl& cls, const jlang::MethodDecl& m,
                Value thisValue, std::vector<Value> args);
-  Value construct(const std::string& className, std::vector<Value> args,
+  Value construct(std::string_view className, std::vector<Value> args,
                   int line);
   Value constructResolved(const jlang::ResolvedClass& rc,
                           std::vector<Value> args);
 
   // Class initialization: by resolved id (hot) or by name (entry points,
   // unresolved fallbacks — a no-op for names that resolve to no class).
-  void ensureClassInit(const std::string& className);
+  void ensureClassInit(std::string_view className);
   void ensureClassInitById(std::int32_t classId);
 
   /// Seed-order static lookup: initialize the class, then resolve the
   /// field to its global slot. nullptr when the class has no such static.
-  Value* findStaticByName(const std::string& className,
-                          const std::string& field);
+  Value* findStaticByName(std::string_view className,
+                          std::string_view field);
   /// Global-slot static access after classId-init (slot < 0: the resolver
   /// proved the field missing — init still ran, as it would have).
   Value* staticAt(std::int32_t classId, std::int32_t slot);

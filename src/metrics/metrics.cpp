@@ -15,10 +15,10 @@ CodeMetrics computeMetrics(const jlang::Program& program) {
     if (!unit.packageName.empty()) packages.insert(unit.packageName);
     for (const auto& imp : unit.imports) classes.insert(imp);
     for (const auto& cls : unit.classes) {
-      const std::string qualified =
-          unit.packageName.empty() ? cls.name
-                                   : unit.packageName + "." + cls.name;
-      classes.insert(qualified);
+      std::string qualified =
+          unit.packageName.empty() ? std::string(cls.name)
+                                   : concat(unit.packageName, ".", cls.name);
+      classes.insert(std::move(qualified));
       out.attributes += cls.fields.size();
       out.methods += cls.methods.size();
     }

@@ -24,10 +24,10 @@ struct ShapeWalk {
     if (e->kind == ExprKind::kCall || e->kind == ExprKind::kNew) {
       calls += 1.0;
     }
-    expr(e->a.get(), depth);
-    expr(e->b.get(), depth);
-    expr(e->c.get(), depth);
-    for (const auto& arg : e->args) expr(arg.get(), depth);
+    expr(e->a, depth);
+    expr(e->b, depth);
+    expr(e->c, depth);
+    for (const auto& arg : e->args) expr(arg, depth);
   }
 
   void stmt(const Stmt* s, int depth) {
@@ -38,18 +38,18 @@ struct ShapeWalk {
       ++depth;
       maxLoopDepth = std::max(maxLoopDepth, depth);
     }
-    expr(s->init.get(), depth);
-    expr(s->expr.get(), depth);
-    expr(s->cond.get(), depth);
-    for (const auto& u : s->update) expr(u.get(), depth);
-    for (const auto& child : s->body) stmt(child.get(), depth);
-    stmt(s->thenStmt.get(), depth);
-    stmt(s->elseStmt.get(), depth);
-    stmt(s->tryBlock.get(), depth);
-    for (const auto& c : s->catches) stmt(c.body.get(), depth);
-    stmt(s->finallyBlock.get(), depth);
+    expr(s->init, depth);
+    expr(s->expr, depth);
+    expr(s->cond, depth);
+    for (const auto& u : s->update) expr(u, depth);
+    for (const auto& child : s->body) stmt(child, depth);
+    stmt(s->thenStmt, depth);
+    stmt(s->elseStmt, depth);
+    stmt(s->tryBlock, depth);
+    for (const auto& c : s->catches) stmt(c.body, depth);
+    stmt(s->finallyBlock, depth);
     for (const auto& sc : s->cases) {
-      for (const auto& child : sc.body) stmt(child.get(), depth);
+      for (const auto& child : sc.body) stmt(child, depth);
     }
   }
 };
@@ -64,10 +64,10 @@ std::vector<MethodFeatures> extractFeatures(const jlang::Program& program) {
     for (const auto& cls : unit.classes) {
       for (const auto& method : cls.methods) {
         MethodFeatures f;
-        f.method = cls.name + "." + method.name;
+        f.method = concat(cls.name, ".", method.name);
 
         ShapeWalk walk;
-        walk.stmt(method.body.get(), 0);
+        walk.stmt(method.body, 0);
         f.callCount = walk.calls;
         f.loopDepth = static_cast<double>(walk.maxLoopDepth);
 

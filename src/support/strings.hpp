@@ -2,8 +2,10 @@
 // report renderers. All functions are pure.
 #pragma once
 
+#include <functional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 namespace jepo {
@@ -16,6 +18,27 @@ std::string_view trim(std::string_view s);
 
 bool startsWith(std::string_view s, std::string_view prefix);
 bool endsWith(std::string_view s, std::string_view suffix);
+
+/// Concatenate strings, views and literals into one string.
+template <typename... Parts>
+std::string concat(const Parts&... parts) {
+  std::string out;
+  out.reserve((std::string_view(parts).size() + ...));
+  (out.append(std::string_view(parts)), ...);
+  return out;
+}
+
+/// Hash for string-keyed maps that are probed with string_views, so a
+/// lookup builds no std::string.
+struct StringHash {
+  using is_transparent = void;
+  std::size_t operator()(std::string_view s) const noexcept {
+    return std::hash<std::string_view>{}(s);
+  }
+};
+template <typename V>
+using StringMap =
+    std::unordered_map<std::string, V, StringHash, std::equal_to<>>;
 
 /// Join with a separator.
 std::string join(const std::vector<std::string>& parts, std::string_view sep);

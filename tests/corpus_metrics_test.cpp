@@ -19,7 +19,7 @@ using ml::ClassifierKind;
 
 TEST(Metrics, CountsSmallProgram) {
   Program prog;
-  prog.units.push_back(Parser("a.mjava", R"(
+  Parser::addUnit(prog, "a.mjava", R"(
     package pkg.one;
     import pkg.two.B;
     class A {
@@ -28,11 +28,11 @@ TEST(Metrics, CountsSmallProgram) {
       void m() { }
       int n(int v) { return v; }
     }
-  )").parseUnit());
-  prog.units.push_back(Parser("b.mjava", R"(
+  )");
+  Parser::addUnit(prog, "b.mjava", R"(
     package pkg.two;
     class B { int z; void p() { } }
-  )").parseUnit());
+  )");
 
   const CodeMetrics m = computeMetrics(prog);
   EXPECT_EQ(m.dependencies, 2u);  // pkg.one.A + pkg.two.B (import merges)
@@ -44,9 +44,8 @@ TEST(Metrics, CountsSmallProgram) {
 
 TEST(Metrics, ImportOfExternalClassCountsAsDependency) {
   Program prog;
-  prog.units.push_back(Parser("a.mjava",
-                              "package p;\nimport q.External;\nclass A { }\n")
-                           .parseUnit());
+  Parser::addUnit(prog, "a.mjava",
+                  "package p;\nimport q.External;\nclass A { }\n");
   EXPECT_EQ(computeMetrics(prog).dependencies, 2u);
 }
 
@@ -99,7 +98,7 @@ TEST(Corpus, GeneratedSourceReparses) {
       generateScaledCorpus(ClassifierKind::kNaiveBayes, 0.02, 11, nullptr);
   for (const auto& unit : prog.units) {
     const std::string printed = jlang::printUnit(unit);
-    EXPECT_NO_THROW(Parser(unit.fileName, printed).parseUnit())
+    EXPECT_NO_THROW(Parser::parseProgram(unit.fileName, printed))
         << unit.fileName;
   }
 }

@@ -265,12 +265,12 @@ TEST(Engine, SuggestionsCarryTableOneWording) {
 
 TEST(Engine, MultiClassProgramReportsPerClass) {
   jlang::Program prog;
-  prog.units.push_back(jlang::Parser("a.mjava", R"(
+  jlang::Parser::addUnit(prog, "a.mjava", R"(
     class A { static int x; }
-  )").parseUnit());
-  prog.units.push_back(jlang::Parser("b.mjava", R"(
+  )");
+  jlang::Parser::addUnit(prog, "b.mjava", R"(
     class B { long y; }
-  )").parseUnit());
+  )");
   SuggestionEngine engine;
   const auto hits = engine.analyzeProgram(prog);
   ASSERT_EQ(hits.size(), 2u);

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "energy/machine.hpp"
 #include "jepo/optimizer.hpp"
 #include "jlang/parser.hpp"
@@ -343,6 +346,42 @@ TEST(Optimizer, InputProgramIsNotModified) {
   ASSERT_FALSE(r.changes.empty());
   EXPECT_EQ(jlang::printUnit(prog.units[0]), before);
   EXPECT_NE(jlang::printUnit(r.program.units[0]), before);
+}
+
+TEST(Optimizer, ResultOutlivesTheInputProgram) {
+  // The rewrites below name new locals (__sb0, __cached_LIMIT) and respell
+  // a literal: all of it must live in the result's own arena.
+  OptimizeResult result;
+  std::string before;
+  {
+    std::string source = R"(
+      class T {
+        static int LIMIT = 8;
+        static void main(String[] args) {
+          String s = "";
+          for (int i = 0; i < LIMIT; i++) { s = s + i; }
+          int m = LIMIT > 4 ? LIMIT : 4;
+          double big = 25000.0;
+          System.out.println(s + " " + m + " " + (big > 1.0));
+        }
+      }
+    )";
+    const Program prog = Parser::parseProgram("t.mjava", source);
+    before = runProgram(prog).output;
+    result = Optimizer().optimize(prog);
+    std::fill(source.begin(), source.end(), '#');
+  }
+  EXPECT_EQ(countRule(result.changes, RuleId::kStringConcat), 1);
+  EXPECT_EQ(countRule(result.changes, RuleId::kStaticKeyword), 1);
+  EXPECT_EQ(countRule(result.changes, RuleId::kTernaryOperator), 1);
+  EXPECT_EQ(countRule(result.changes, RuleId::kScientificNotation), 1);
+  EXPECT_EQ(runProgram(result.program).output, before);
+  const std::string text = printed(result);
+  EXPECT_NE(text.find("__sb0"), std::string::npos);
+  EXPECT_NE(text.find("__cached_LIMIT"), std::string::npos);
+  EXPECT_NE(text.find("2.5e4"), std::string::npos);
+  const Program reparsed = Parser::parseProgram("p.mjava", text);
+  EXPECT_EQ(jlang::printUnit(reparsed.units[0]), text);
 }
 
 TEST(Optimizer, ChangeRecordsNameFileClassAndLine) {

@@ -856,5 +856,66 @@ TEST_F(JepodTest, ConcurrentTenantsGetBitIdenticalIsolatedResults) {
             static_cast<std::uint64_t>(kClients * kJobsPerClient));
 }
 
+TEST_F(JepodTest, EvictionWhileJobsHoldProgramsKeepsResponsesExact) {
+  // A one-byte budget: every insert evicts every other entry, so programs
+  // are freed while jobs on other workers still hold them.
+  DaemonConfig cfg;
+  cfg.threads = 4;
+  cfg.cacheBytes = 1;
+  constexpr int kClients = 4;
+  constexpr int kJobsPerClient = 6;
+  const char* const commands[] = {"suggest", "optimize", "profile"};
+  // Every request has a source of its own: each job misses the cache.
+  const auto requestFor = [&](int client, int k) {
+    const int n = 40 + client * kJobsPerClient + k;
+    JobRequest req = makeRequest(
+        "c" + std::to_string(client) + "-" + std::to_string(k), "",
+        "tenant-" + std::to_string(client));
+    req.command = commands[(client + k) % 3];
+    req.seed = 7;
+    req.source = "class Evict {\n"
+                 "  static int LIMIT = " + std::to_string(n) + ";\n"
+                 "  static void main(String[] args) {\n"
+                 "    String s = \"\";\n"
+                 "    for (int i = 0; i < LIMIT; i++) { s = s + i % 10; }\n"
+                 "    int m = LIMIT > 50 ? LIMIT : 50;\n"
+                 "    double big = 25000.0;\n"
+                 "    System.out.println(s + \" \" + m + \" \" + big);\n"
+                 "  }\n"
+                 "}\n";
+    return req;
+  };
+
+  // Each request's response when sent alone, to a daemon of its own.
+  std::vector<std::vector<std::string>> expected(kClients);
+  {
+    Daemon alone(cfg);
+    for (int i = 0; i < kClients; ++i) {
+      for (int k = 0; k < kJobsPerClient; ++k) {
+        expected[i].push_back(alone.runJobForTest(requestFor(i, k)));
+      }
+    }
+  }
+
+  startDaemon(cfg);
+  const std::uint64_t evictions0 = counterValue("jepod.cache.evictions");
+  std::vector<std::thread> clients;
+  std::atomic<int> mismatches{0};
+  for (int i = 0; i < kClients; ++i) {
+    clients.emplace_back([&, i] {
+      Client c;
+      c.connect(daemon_->config().socketPath);
+      for (int k = 0; k < kJobsPerClient; ++k) {
+        const Response resp = c.submit(requestFor(i, k));
+        if (!resp.ok || resp.raw != expected[i][k]) ++mismatches;
+      }
+    });
+  }
+  for (auto& t : clients) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_GE(counterValue("jepod.cache.evictions") - evictions0,
+            static_cast<std::uint64_t>(kClients * kJobsPerClient - 1));
+}
+
 }  // namespace
 }  // namespace jepo

@@ -1,16 +1,34 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <deque>
+#include <memory>
+
+#include "energy/machine.hpp"
+#include "jbc/bcvm.hpp"
+#include "jbc/compiler.hpp"
 #include "jlang/lexer.hpp"
 #include "jlang/parser.hpp"
 #include "jlang/printer.hpp"
+#include "jlang/resolve.hpp"
+#include "jvm/interpreter.hpp"
 
 namespace jepo::jlang {
 namespace {
 
-std::vector<Token> lex(std::string_view src) { return Lexer(src).tokenize(); }
+std::vector<Token> lex(std::string_view src) {
+  // Tokens view `src`, or this arena for decoded string literals.
+  static Arena decoded;
+  return Lexer(src, decoded).tokenize();
+}
 
-CompilationUnit parse(std::string_view src) {
-  return Parser("test.mjava", src).parseUnit();
+/// Parses into a Program kept alive for the rest of the test binary, so
+/// the returned unit's nodes and names stay valid wherever it is copied.
+const CompilationUnit& parse(std::string_view src) {
+  static std::deque<Program> programs;
+  programs.push_back(Parser::parseProgram("test.mjava", src));
+  return programs.back().units.front();
 }
 
 // ------------------------------------------------------------------ lexer
@@ -88,6 +106,28 @@ TEST(Lexer, RejectsMalformedInput) {
   EXPECT_THROW(lex("#"), ParseError);
 }
 
+/// The message of the ParseError that lexing `text` throws, lexed from a
+/// heap buffer of exactly its length: no terminator follows the last byte,
+/// so a read past it is a heap-buffer-overflow under ASan.
+std::string lexErrorOfExactBuffer(std::string_view text) {
+  const auto buf = std::make_unique<char[]>(text.size());
+  std::memcpy(buf.get(), text.data(), text.size());
+  try {
+    lex(std::string_view(buf.get(), text.size()));
+  } catch (const ParseError& e) {
+    return e.what();
+  }
+  return "no error";
+}
+
+TEST(Lexer, TrailingBackslashIsAnUnterminatedLiteral) {
+  EXPECT_NE(lexErrorOfExactBuffer("\"abc\\").find(
+                "unterminated string literal"),
+            std::string::npos);
+  EXPECT_NE(lexErrorOfExactBuffer("'\\").find("unterminated char literal"),
+            std::string::npos);
+}
+
 // ----------------------------------------------------------------- parser
 
 TEST(Parser, PackageImportsAndClass) {
@@ -147,9 +187,8 @@ TEST(Parser, MethodSignatures) {
 }
 
 ExprPtr parseOneExpr(const std::string& expr) {
-  auto unit = parse("class C { void m() { int x = " + expr + "; } }");
-  auto& body = unit.classes[0].methods[0].body->body;
-  return std::move(body.at(0)->init);
+  const auto& unit = parse("class C { void m() { int x = " + expr + "; } }");
+  return unit.classes[0].methods[0].body->body[0]->init;
 }
 
 TEST(Parser, PrecedenceMulOverAdd) {
@@ -381,8 +420,66 @@ TEST(Printer, CloneProducesIdenticalPrint) {
     }
   )");
   const MethodDecl& m = unit.classes[0].methods[0];
-  const StmtPtr copy = cloneStmt(*m.body);
+  Program dest;
+  const StmtPtr copy = cloneStmt(*m.body, dest);
   EXPECT_EQ(printStmt(*copy), printStmt(*m.body));
+}
+
+// ----------------------------------------------------------- AST lifetime
+
+const char* const kLifetimeSource = R"(
+  class Main {
+    static String greet(String who) { return "hi\t" + who; }
+    static void main(String[] args) {
+      int acc = 0;
+      for (int i = 0; i < 10; i++) acc += i * 3;
+      System.out.println(greet("arena") + " " + acc);
+    }
+  }
+)";
+
+std::string runTree(const Program& prog) {
+  energy::SimMachine machine;
+  jvm::Interpreter interp(prog, machine);
+  interp.runMain();
+  return interp.output();
+}
+
+std::string runBytecode(const Program& prog) {
+  const jbc::CompiledProgram compiled = jbc::compile(prog);
+  energy::SimMachine machine;
+  jbc::BytecodeVm vm(compiled, machine);
+  vm.runMain();
+  return vm.output();
+}
+
+TEST(AstLifetime, ProgramOutlivesTheStringItWasParsedFrom) {
+  Program prog;
+  {
+    std::string source = kLifetimeSource;
+    prog = Parser::parseProgram("tmp.mjava", source);
+    std::fill(source.begin(), source.end(), '#');  // then it is freed
+  }
+  ensureResolved(prog);
+  EXPECT_EQ(runBytecode(prog), "hi\tarena 135\n");
+  EXPECT_EQ(runTree(prog), "hi\tarena 135\n");
+  EXPECT_EQ(printUnit(prog.units[0]),
+            printUnit(Parser::parseProgram("copy.mjava", kLifetimeSource)
+                          .units[0]));
+}
+
+TEST(AstLifetime, MovingAProgramKeepsItsNodesInPlace) {
+  Program from = Parser::parseProgram("m.mjava", kLifetimeSource);
+  const Stmt* body = from.units[0].classes[0].methods[1].body;
+  Program to = std::move(from);
+  EXPECT_TRUE(from.units.empty());
+  EXPECT_EQ(to.units[0].classes[0].methods[1].body, body);
+  EXPECT_EQ(runBytecode(to), "hi\tarena 135\n");
+
+  // The moved-from Program takes a new parse and runs too.
+  from = Parser::parseProgram("again.mjava", kLifetimeSource);
+  EXPECT_EQ(runTree(from), "hi\tarena 135\n");
+  EXPECT_EQ(runTree(to), "hi\tarena 135\n");
 }
 
 }  // namespace

@@ -146,8 +146,7 @@ TEST(Properties, SuggestionsStableUnderPrintParseRoundTrip) {
 
   jlang::Program reparsed;
   for (const auto& unit : prog.units) {
-    reparsed.units.push_back(
-        jlang::Parser(unit.fileName, jlang::printUnit(unit)).parseUnit());
+    jlang::Parser::addUnit(reparsed, unit.fileName, jlang::printUnit(unit));
   }
   const auto viaPrint = engine.analyzeProgram(reparsed);
   ASSERT_EQ(direct.size(), viaPrint.size());
