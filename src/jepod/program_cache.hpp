@@ -45,9 +45,9 @@ std::uint64_t sourceHash(std::string_view source) noexcept;
 /// One cached compile: the immutable program plus its identity.
 struct CachedProgram {
   jlang::Program program;  // resolved at insert; treated as const after
-  /// The exact bytes compiled, verified on get(). Left empty, they are the
-  /// program's own copy (program.units.front().source): the daemon keeps
-  /// no second copy. Entries built without parsing set it.
+  /// Unused: get() verifies hits against the program's own copy of its
+  /// source (sourceBytes()). perfbench's replayer still assigns it, so it
+  /// goes with the next change to the benchmark.
   std::string source;
   std::uint64_t hash = 0;
   std::size_t bytes = 0;   // source size, the budget currency
@@ -57,10 +57,10 @@ struct CachedProgram {
   /// suggest/optimize never call it, so entries they create never compile.
   const jbc::CompiledProgram& bytecode() const;
 
-  /// The bytes get() compares: `source`, or the program's copy.
+  /// The exact bytes `program` was parsed from; get() compares them.
   std::string_view sourceBytes() const noexcept {
-    if (!source.empty() || program.units.empty()) return source;
-    return program.units.front().source;
+    return program.units.empty() ? std::string_view()
+                                 : program.units.front().source;
   }
 
   mutable std::once_flag bytecodeOnce;

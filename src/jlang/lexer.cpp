@@ -1,9 +1,9 @@
 #include "jlang/lexer.hpp"
 
-#include <array>
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
-#include <initializer_list>
+#include <iterator>
 
 #include "support/error.hpp"
 
@@ -23,75 +23,45 @@ bool isSpace(char c) noexcept {
   return c == ' ' || (c >= '\t' && c <= '\r');  // \t \n \v \f \r
 }
 
+struct Keyword {
+  std::string_view text;
+  Tok tok;
+};
+
+/// Sorted by text, for binary search.
+constexpr Keyword kKeywords[] = {
+    {"boolean", Tok::kKwBoolean},   {"break", Tok::kKwBreak},
+    {"byte", Tok::kKwByte},         {"case", Tok::kKwCase},
+    {"catch", Tok::kKwCatch},       {"char", Tok::kKwChar},
+    {"class", Tok::kKwClass},       {"continue", Tok::kKwContinue},
+    {"default", Tok::kKwDefault},   {"double", Tok::kKwDouble},
+    {"else", Tok::kKwElse},         {"false", Tok::kKwFalse},
+    {"final", Tok::kKwFinal},       {"finally", Tok::kKwFinally},
+    {"float", Tok::kKwFloat},       {"for", Tok::kKwFor},
+    {"if", Tok::kKwIf},             {"import", Tok::kKwImport},
+    {"int", Tok::kKwInt},           {"long", Tok::kKwLong},
+    {"new", Tok::kKwNew},           {"null", Tok::kKwNull},
+    {"package", Tok::kKwPackage},   {"private", Tok::kKwPrivate},
+    {"public", Tok::kKwPublic},     {"return", Tok::kKwReturn},
+    {"short", Tok::kKwShort},       {"static", Tok::kKwStatic},
+    {"switch", Tok::kKwSwitch},     {"this", Tok::kKwThis},
+    {"throw", Tok::kKwThrow},       {"true", Tok::kKwTrue},
+    {"try", Tok::kKwTry},           {"void", Tok::kKwVoid},
+    {"while", Tok::kKwWhile},
+};
+
 /// The keyword `word` spells, or kIdentifier. Every keyword is 2-8
-/// lowercase letters, so most identifiers are turned away before the
-/// first-letter switch compares at most five candidates.
+/// letters from 'b' to 'w', which turns most identifiers away unsearched.
 Tok keywordOf(std::string_view word) noexcept {
   if (word.size() < 2 || word.size() > 8 || word[0] < 'b' || word[0] > 'w') {
     return Tok::kIdentifier;
   }
-  struct Keyword {
-    std::string_view text;
-    Tok tok;
-  };
-  auto pick = [word](std::initializer_list<Keyword> candidates) {
-    for (const Keyword& k : candidates) {
-      if (k.text == word) return k.tok;
-    }
-    return Tok::kIdentifier;
-  };
-  switch (word[0]) {
-    case 'b':
-      return pick({{"byte", Tok::kKwByte},
-                   {"boolean", Tok::kKwBoolean},
-                   {"break", Tok::kKwBreak}});
-    case 'c':
-      return pick({{"class", Tok::kKwClass},
-                   {"char", Tok::kKwChar},
-                   {"catch", Tok::kKwCatch},
-                   {"case", Tok::kKwCase},
-                   {"continue", Tok::kKwContinue}});
-    case 'd':
-      return pick({{"double", Tok::kKwDouble}, {"default", Tok::kKwDefault}});
-    case 'e': return pick({{"else", Tok::kKwElse}});
-    case 'f':
-      return pick({{"final", Tok::kKwFinal},
-                   {"float", Tok::kKwFloat},
-                   {"for", Tok::kKwFor},
-                   {"finally", Tok::kKwFinally},
-                   {"false", Tok::kKwFalse}});
-    case 'i':
-      return pick({{"int", Tok::kKwInt},
-                   {"if", Tok::kKwIf},
-                   {"import", Tok::kKwImport}});
-    case 'l': return pick({{"long", Tok::kKwLong}});
-    case 'n': return pick({{"new", Tok::kKwNew}, {"null", Tok::kKwNull}});
-    case 'p':
-      return pick({{"public", Tok::kKwPublic},
-                   {"private", Tok::kKwPrivate},
-                   {"package", Tok::kKwPackage}});
-    case 'r': return pick({{"return", Tok::kKwReturn}});
-    case 's':
-      return pick({{"static", Tok::kKwStatic},
-                   {"short", Tok::kKwShort},
-                   {"switch", Tok::kKwSwitch}});
-    case 't':
-      return pick({{"this", Tok::kKwThis},
-                   {"true", Tok::kKwTrue},
-                   {"try", Tok::kKwTry},
-                   {"throw", Tok::kKwThrow}});
-    case 'v': return pick({{"void", Tok::kKwVoid}});
-    case 'w': return pick({{"while", Tok::kKwWhile}});
-    default: return Tok::kIdentifier;
-  }
+  const auto* it = std::lower_bound(
+      std::begin(kKeywords), std::end(kKeywords), word,
+      [](const Keyword& k, std::string_view w) { return k.text < w; });
+  return it != std::end(kKeywords) && it->text == word ? it->tok
+                                                       : Tok::kIdentifier;
 }
-
-/// One-byte views for character literals, which hold the decoded byte.
-constexpr auto kByteTable = [] {
-  std::array<char, 256> t{};
-  for (int i = 0; i < 256; ++i) t[i] = static_cast<char>(i);
-  return t;
-}();
 
 /// strtod/strtoll over a digit run that is not NUL-terminated.
 template <typename Fn>
@@ -283,15 +253,15 @@ Token Lexer::lexString() {
 
 Token Lexer::lexChar() {
   advance();  // opening quote
+  const std::size_t start = pos_;
   if (atEnd()) fail("unterminated char literal");
   char c = advance();
   if (c == '\\') c = lexEscape("char");
   if (peek() != '\'') fail("unterminated char literal");
-  advance();
   Token t = makeToken(Tok::kCharLiteral);
-  const auto byte = static_cast<unsigned char>(c);
-  t.text = std::string_view(&kByteTable[byte], 1);
-  t.intValue = byte;
+  t.text = src_.substr(start, pos_ - start);  // the spelling, e.g. \t
+  t.intValue = static_cast<unsigned char>(c);
+  advance();  // closing quote
   return t;
 }
 

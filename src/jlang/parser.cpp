@@ -774,7 +774,6 @@ ExprPtr Parser::parsePrimary() {
       e->line = t.line;
       e->col = t.col;
       e->intValue = t.intValue;
-      e->strValue = t.text;
       return e;
     }
     case Tok::kStringLiteral: {

@@ -8,9 +8,7 @@ namespace jepo::jlang {
 
 namespace {
 
-void indentTo(std::string& out, int indent) {
-  out.append(static_cast<std::size_t>(indent) * 4, ' ');
-}
+std::string indentStr(int indent) { return std::string(indent * 4, ' '); }
 
 std::string_view binOpText(BinOp op) {
   switch (op) {
@@ -48,7 +46,8 @@ std::string_view assignOpText(AssignOp op) {
   return "?";
 }
 
-void appendEscapedString(std::string& out, std::string_view s) {
+std::string escapeString(std::string_view s) {
+  std::string out;
   for (char c : s) {
     switch (c) {
       case '\n': out += "\\n"; break;
@@ -60,358 +59,227 @@ void appendEscapedString(std::string& out, std::string_view s) {
       default: out += c;
     }
   }
+  return out;
 }
 
-void appendEscapedChar(std::string& out, char c) {
+std::string escapeChar(char c) {
   switch (c) {
-    case '\n': out += "\\n"; break;
-    case '\t': out += "\\t"; break;
-    case '\r': out += "\\r"; break;
-    case '\\': out += "\\\\"; break;
-    case '\'': out += "\\'"; break;
-    case '\0': out += "\\0"; break;
-    default: out += c;
+    case '\n': return "\\n";
+    case '\t': return "\\t";
+    case '\r': return "\\r";
+    case '\\': return "\\\\";
+    case '\'': return "\\'";
+    case '\0': return "\\0";
+    default: return std::string(1, c);
   }
 }
 
 /// Double literal spelling: reuse the original spelling when available so a
 /// parse→print round trip is stable; otherwise shortest round-trip form.
-void appendFloatText(std::string& out, const Expr& e) {
-  if (!e.strValue.empty()) {
-    out += e.strValue;
-    return;
-  }
+std::string floatText(const Expr& e) {
+  if (!e.strValue.empty()) return std::string(e.strValue);
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.17g", e.floatValue);
-  const std::string_view s = buf;
-  out += s;
-  if (s.find('.') == std::string_view::npos &&
-      s.find('e') == std::string_view::npos &&
-      s.find('E') == std::string_view::npos &&
-      s.find("inf") == std::string_view::npos &&
-      s.find("nan") == std::string_view::npos) {
-    out += ".0";
+  std::string s = buf;
+  if (s.find('.') == std::string::npos && s.find('e') == std::string::npos &&
+      s.find('E') == std::string::npos && s.find("inf") == std::string::npos &&
+      s.find("nan") == std::string::npos) {
+    s += ".0";
   }
+  return s;
 }
 
-void appendExpr(std::string& out, const Expr& e);
+}  // namespace
 
-void appendList(std::string& out, List<ExprPtr> items) {
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    if (i != 0) out += ", ";
-    appendExpr(out, *items[i]);
-  }
-}
-
-void appendExpr(std::string& out, const Expr& e) {
+std::string printExpr(const Expr& e) {
   switch (e.kind) {
-    case ExprKind::kIntLit: out += std::to_string(e.intValue); return;
-    case ExprKind::kLongLit:
-      out += std::to_string(e.intValue);
-      out += 'L';
-      return;
-    case ExprKind::kFloatLit:
-      appendFloatText(out, e);
-      out += 'f';
-      return;
-    case ExprKind::kDoubleLit: appendFloatText(out, e); return;
+    case ExprKind::kIntLit: return std::to_string(e.intValue);
+    case ExprKind::kLongLit: return std::to_string(e.intValue) + "L";
+    case ExprKind::kFloatLit: return floatText(e) + "f";
+    case ExprKind::kDoubleLit: return floatText(e);
     case ExprKind::kCharLit:
-      out += '\'';
-      appendEscapedChar(out, static_cast<char>(e.intValue));
-      out += '\'';
-      return;
-    case ExprKind::kStringLit:
-      out += '"';
-      appendEscapedString(out, e.strValue);
-      out += '"';
-      return;
-    case ExprKind::kBoolLit: out += e.intValue != 0 ? "true" : "false"; return;
-    case ExprKind::kNullLit: out += "null"; return;
-    case ExprKind::kVarRef: out += e.strValue; return;
+      return "'" + escapeChar(static_cast<char>(e.intValue)) + "'";
+    case ExprKind::kStringLit: return "\"" + escapeString(e.strValue) + "\"";
+    case ExprKind::kBoolLit: return e.intValue != 0 ? "true" : "false";
+    case ExprKind::kNullLit: return "null";
+    case ExprKind::kVarRef: return std::string(e.strValue);
     case ExprKind::kFieldAccess:
-      appendExpr(out, *e.a);
-      out += '.';
-      out += e.strValue;
-      return;
+      return concat(printExpr(*e.a), ".", e.strValue);
     case ExprKind::kArrayIndex:
-      appendExpr(out, *e.a);
-      out += '[';
-      appendExpr(out, *e.b);
-      out += ']';
-      return;
+      return printExpr(*e.a) + "[" + printExpr(*e.b) + "]";
     case ExprKind::kBinary:
-      out += '(';
-      appendExpr(out, *e.a);
-      out += ' ';
-      out += binOpText(e.binOp);
-      out += ' ';
-      appendExpr(out, *e.b);
-      out += ')';
-      return;
-    case ExprKind::kUnary: {
-      std::string_view prefix;
-      std::string_view suffix;
+      return "(" + printExpr(*e.a) + " " + std::string(binOpText(e.binOp)) +
+             " " + printExpr(*e.b) + ")";
+    case ExprKind::kUnary:
       switch (e.unOp) {
-        case UnOp::kNeg: prefix = "-"; break;
-        case UnOp::kNot: prefix = "!"; break;
-        case UnOp::kBitNot: prefix = "~"; break;
-        case UnOp::kPreInc: prefix = "++"; break;
-        case UnOp::kPreDec: prefix = "--"; break;
-        case UnOp::kPostInc: suffix = "++"; break;
-        case UnOp::kPostDec: suffix = "--"; break;
+        case UnOp::kNeg: return "(-" + printExpr(*e.a) + ")";
+        case UnOp::kNot: return "(!" + printExpr(*e.a) + ")";
+        case UnOp::kBitNot: return "(~" + printExpr(*e.a) + ")";
+        case UnOp::kPreInc: return "(++" + printExpr(*e.a) + ")";
+        case UnOp::kPreDec: return "(--" + printExpr(*e.a) + ")";
+        case UnOp::kPostInc: return "(" + printExpr(*e.a) + "++)";
+        case UnOp::kPostDec: return "(" + printExpr(*e.a) + "--)";
       }
-      out += '(';
-      out += prefix;
-      appendExpr(out, *e.a);
-      out += suffix;
-      out += ')';
-      return;
-    }
+      return "?";
     case ExprKind::kAssign:
-      appendExpr(out, *e.a);
-      out += ' ';
-      out += assignOpText(e.assignOp);
-      out += ' ';
-      appendExpr(out, *e.b);
-      return;
+      return printExpr(*e.a) + " " + std::string(assignOpText(e.assignOp)) +
+             " " + printExpr(*e.b);
     case ExprKind::kTernary:
+      return "(" + printExpr(*e.a) + " ? " + printExpr(*e.b) + " : " +
+             printExpr(*e.c) + ")";
+    case ExprKind::kCall: {
+      std::string out;
+      if (e.a) out = printExpr(*e.a) + ".";
+      out += e.strValue;
       out += '(';
-      appendExpr(out, *e.a);
-      out += " ? ";
-      appendExpr(out, *e.b);
-      out += " : ";
-      appendExpr(out, *e.c);
-      out += ')';
-      return;
-    case ExprKind::kCall:
-      if (e.a) {
-        appendExpr(out, *e.a);
-        out += '.';
+      for (std::size_t i = 0; i < e.args.size(); ++i) {
+        if (i != 0) out += ", ";
+        out += printExpr(*e.args[i]);
       }
-      out += e.strValue;
-      out += '(';
-      appendList(out, e.args);
-      out += ')';
-      return;
-    case ExprKind::kNew:
-      out += "new ";
-      out += e.strValue;
-      out += '(';
-      appendList(out, e.args);
-      out += ')';
-      return;
+      return out + ")";
+    }
+    case ExprKind::kNew: {
+      std::string out = concat("new ", e.strValue, "(");
+      for (std::size_t i = 0; i < e.args.size(); ++i) {
+        if (i != 0) out += ", ";
+        out += printExpr(*e.args[i]);
+      }
+      return out + ")";
+    }
     case ExprKind::kNewArray: {
       TypeRef elem = e.type;
       elem.arrayDims = 0;
-      out += "new ";
-      out += typeName(elem);
-      for (const Expr* dim : e.args) {
-        out += '[';
-        appendExpr(out, *dim);
-        out += ']';
-      }
+      std::string out = "new " + typeName(elem);
+      for (const auto& dim : e.args) out += "[" + printExpr(*dim) + "]";
       for (int i = 0; i < e.type.arrayDims; ++i) out += "[]";
-      return;
+      return out;
     }
     case ExprKind::kCast:
-      out += "((";
-      out += typeName(e.type);
-      out += ") ";
-      appendExpr(out, *e.a);
-      out += ')';
-      return;
+      return "((" + typeName(e.type) + ") " + printExpr(*e.a) + ")";
   }
-  out += '?';
+  return "?";
 }
 
-void appendStmt(std::string& out, const Stmt& s, int indent);
-
-/// A loop or if body: a block stays at the statement's indent, any other
-/// statement goes one deeper.
-void appendBody(std::string& out, const Stmt& body, int indent) {
-  appendStmt(out, body, body.kind == StmtKind::kBlock ? indent : indent + 1);
-}
-
-void appendStmt(std::string& out, const Stmt& s, int indent) {
-  indentTo(out, indent);
+std::string printStmt(const Stmt& s, int indent) {
+  const std::string ind = indentStr(indent);
   switch (s.kind) {
-    case StmtKind::kBlock:
-      out += "{\n";
-      for (const Stmt* st : s.body) appendStmt(out, *st, indent + 1);
-      indentTo(out, indent);
-      out += "}\n";
-      return;
-    case StmtKind::kVarDecl:
-      out += typeName(s.declType);
-      out += ' ';
-      out += s.declName;
-      if (s.init) {
-        out += " = ";
-        appendExpr(out, *s.init);
-      }
-      out += ";\n";
-      return;
+    case StmtKind::kBlock: {
+      std::string out = ind + "{\n";
+      for (const auto& st : s.body) out += printStmt(*st, indent + 1);
+      return out + ind + "}\n";
+    }
+    case StmtKind::kVarDecl: {
+      std::string out = concat(ind, typeName(s.declType), " ", s.declName);
+      if (s.init) out += " = " + printExpr(*s.init);
+      return out + ";\n";
+    }
     case StmtKind::kExprStmt:
-      appendExpr(out, *s.expr);
-      out += ";\n";
-      return;
-    case StmtKind::kIf:
-      out += "if (";
-      appendExpr(out, *s.cond);
-      out += ")\n";
-      appendBody(out, *s.thenStmt, indent);
+      return ind + printExpr(*s.expr) + ";\n";
+    case StmtKind::kIf: {
+      std::string out = ind + "if (" + printExpr(*s.cond) + ")\n";
+      out += printStmt(*s.thenStmt,
+                       s.thenStmt->kind == StmtKind::kBlock ? indent
+                                                            : indent + 1);
       if (s.elseStmt) {
-        indentTo(out, indent);
-        out += "else\n";
-        appendBody(out, *s.elseStmt, indent);
+        out += ind + "else\n";
+        out += printStmt(*s.elseStmt,
+                         s.elseStmt->kind == StmtKind::kBlock ? indent
+                                                              : indent + 1);
       }
-      return;
-    case StmtKind::kWhile:
-      out += "while (";
-      appendExpr(out, *s.cond);
-      out += ")\n";
-      appendBody(out, *s.thenStmt, indent);
-      return;
-    case StmtKind::kFor:
-      out += "for (";
+      return out;
+    }
+    case StmtKind::kWhile: {
+      std::string out = ind + "while (" + printExpr(*s.cond) + ")\n";
+      out += printStmt(*s.thenStmt,
+                       s.thenStmt->kind == StmtKind::kBlock ? indent
+                                                            : indent + 1);
+      return out;
+    }
+    case StmtKind::kFor: {
+      std::string init;
       if (!s.body.empty()) {
         const Stmt& is = *s.body.front();
         if (is.kind == StmtKind::kVarDecl) {
-          out += typeName(is.declType);
-          out += ' ';
-          out += is.declName;
-          if (is.init) {
-            out += " = ";
-            appendExpr(out, *is.init);
-          }
+          init = concat(typeName(is.declType), " ", is.declName);
+          if (is.init) init += " = " + printExpr(*is.init);
         } else {
-          appendExpr(out, *is.expr);
+          init = printExpr(*is.expr);
         }
       }
-      out += "; ";
-      if (s.cond) appendExpr(out, *s.cond);
-      out += "; ";
-      appendList(out, s.update);
-      out += ")\n";
-      appendBody(out, *s.thenStmt, indent);
-      return;
-    case StmtKind::kReturn:
-      out += "return";
-      if (s.expr) {
-        out += ' ';
-        appendExpr(out, *s.expr);
+      std::string upd;
+      for (std::size_t i = 0; i < s.update.size(); ++i) {
+        if (i != 0) upd += ", ";
+        upd += printExpr(*s.update[i]);
       }
-      out += ";\n";
-      return;
+      std::string out = ind + "for (" + init + "; " +
+                        (s.cond ? printExpr(*s.cond) : "") + "; " + upd +
+                        ")\n";
+      out += printStmt(*s.thenStmt,
+                       s.thenStmt->kind == StmtKind::kBlock ? indent
+                                                            : indent + 1);
+      return out;
+    }
+    case StmtKind::kReturn:
+      return ind + (s.expr ? "return " + printExpr(*s.expr) : "return") +
+             ";\n";
     case StmtKind::kThrow:
-      out += "throw ";
-      appendExpr(out, *s.expr);
-      out += ";\n";
-      return;
-    case StmtKind::kTry:
-      out += "try\n";
-      appendStmt(out, *s.tryBlock, indent);
-      for (const CatchClause& c : s.catches) {
-        indentTo(out, indent);
-        out += "catch (";
-        out += c.exceptionClass;
-        out += ' ';
-        out += c.varName;
-        out += ")\n";
-        appendStmt(out, *c.body, indent);
+      return ind + "throw " + printExpr(*s.expr) + ";\n";
+    case StmtKind::kTry: {
+      std::string out = ind + "try\n" + printStmt(*s.tryBlock, indent);
+      for (const auto& c : s.catches) {
+        out += concat(ind, "catch (", c.exceptionClass, " ", c.varName, ")\n");
+        out += printStmt(*c.body, indent);
       }
       if (s.finallyBlock) {
-        indentTo(out, indent);
-        out += "finally\n";
-        appendStmt(out, *s.finallyBlock, indent);
+        out += ind + "finally\n" + printStmt(*s.finallyBlock, indent);
       }
-      return;
-    case StmtKind::kSwitch:
-      out += "switch (";
-      appendExpr(out, *s.cond);
-      out += ") {\n";
-      for (const SwitchCase& c : s.cases) {
-        indentTo(out, indent + 1);
-        if (c.isDefault) {
-          out += "default:";
-        } else {
-          out += "case ";
-          out += std::to_string(c.value);
-          out += ':';
-        }
-        out += '\n';
-        for (const Stmt* st : c.body) appendStmt(out, *st, indent + 2);
+      return out;
+    }
+    case StmtKind::kSwitch: {
+      std::string out = ind + "switch (" + printExpr(*s.cond) + ") {\n";
+      for (const auto& c : s.cases) {
+        out += indentStr(indent + 1) +
+               (c.isDefault ? "default:" : "case " + std::to_string(c.value) +
+                                               ":") +
+               "\n";
+        for (const auto& st : c.body) out += printStmt(*st, indent + 2);
       }
-      indentTo(out, indent);
-      out += "}\n";
-      return;
-    case StmtKind::kBreak: out += "break;\n"; return;
-    case StmtKind::kContinue: out += "continue;\n"; return;
+      return out + ind + "}\n";
+    }
+    case StmtKind::kBreak: return ind + "break;\n";
+    case StmtKind::kContinue: return ind + "continue;\n";
   }
-  out += "?";
+  return "?";
 }
 
-void appendClass(std::string& out, const ClassDecl& cls, int indent) {
-  indentTo(out, indent);
-  out += "class ";
-  out += cls.name;
-  out += " {\n";
+std::string printClass(const ClassDecl& cls, int indent) {
+  const std::string ind = indentStr(indent);
+  std::string out = concat(ind, "class ", cls.name, " {\n");
   for (const auto& f : cls.fields) {
-    indentTo(out, indent + 1);
+    out += indentStr(indent + 1);
     if (f.isStatic) out += "static ";
-    out += typeName(f.type);
-    out += ' ';
-    out += f.name;
-    if (f.init) {
-      out += " = ";
-      appendExpr(out, *f.init);
-    }
+    out += concat(typeName(f.type), " ", f.name);
+    if (f.init) out += " = " + printExpr(*f.init);
     out += ";\n";
   }
   if (!cls.fields.empty() && !cls.methods.empty()) out += "\n";
   for (std::size_t i = 0; i < cls.methods.size(); ++i) {
     const MethodDecl& m = cls.methods[i];
     if (i != 0) out += "\n";
-    indentTo(out, indent + 1);
+    out += indentStr(indent + 1);
     if (m.isStatic) out += "static ";
     // Constructors print without a return type.
-    if (m.name != cls.name) {
-      out += typeName(m.returnType);
-      out += ' ';
-    }
+    if (m.name != cls.name) out += typeName(m.returnType) + " ";
     out += m.name;
     out += '(';
     for (std::size_t p = 0; p < m.params.size(); ++p) {
       if (p != 0) out += ", ";
-      out += typeName(m.params[p].type);
-      out += ' ';
-      out += m.params[p].name;
+      out += concat(typeName(m.params[p].type), " ", m.params[p].name);
     }
     out += ")\n";
-    appendStmt(out, *m.body, indent + 1);
+    out += printStmt(*m.body, indent + 1);
   }
-  indentTo(out, indent);
-  out += "}\n";
-}
-
-}  // namespace
-
-std::string printExpr(const Expr& e) {
-  std::string out;
-  appendExpr(out, e);
-  return out;
-}
-
-std::string printStmt(const Stmt& s, int indent) {
-  std::string out;
-  appendStmt(out, s, indent);
-  return out;
-}
-
-std::string printClass(const ClassDecl& cls, int indent) {
-  std::string out;
-  appendClass(out, cls, indent);
-  return out;
+  return out + ind + "}\n";
 }
 
 std::string printUnit(const CompilationUnit& unit) {
@@ -423,7 +291,7 @@ std::string printUnit(const CompilationUnit& unit) {
   if (!unit.imports.empty()) out += "\n";
   for (std::size_t i = 0; i < unit.classes.size(); ++i) {
     if (i != 0) out += "\n";
-    appendClass(out, unit.classes[i], 0);
+    out += printClass(unit.classes[i]);
   }
   return out;
 }

@@ -46,9 +46,9 @@ enum class Tok : int {
 
 struct Token {
   Tok type = Tok::kEof;
-  // Identifier name / literal spelling (quotes stripped, escapes decoded):
-  // a view into the lexed source, or into the lexer's arena for a string
-  // literal with escapes.
+  // Identifier name / literal spelling, quotes stripped: a view into the
+  // lexed source. A string literal's escapes are decoded, into the lexer's
+  // arena if it has any; a char literal's value is in intValue.
   std::string_view text;
   int line = 0;
   int col = 0;

@@ -290,7 +290,10 @@ std::shared_ptr<jepod::CachedProgram> cacheEntry(std::uint64_t hash,
                                                  std::string source = "") {
   auto e = std::make_shared<jepod::CachedProgram>();
   if (source.empty()) source = "src-" + std::to_string(hash);
-  e->source = std::move(source);
+  // An unparsed unit holding the source bytes the cache compares.
+  jlang::CompilationUnit unit;
+  unit.source = e->program.arena().copy(source);
+  e->program.units.push_back(unit);
   e->hash = hash;
   e->bytes = bytes;
   return e;
