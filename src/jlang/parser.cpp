@@ -1,7 +1,6 @@
 #include "jlang/parser.hpp"
 
 #include <algorithm>
-#include <span>
 
 #include "jlang/lexer.hpp"
 #include "obs/registry.hpp"
@@ -103,11 +102,10 @@ Parser::Parser(Program& program, std::string fileName, std::string_view source)
   tokens_ = Lexer(source_, arena_).tokenize();
 }
 
-const CompilationUnit& Parser::addUnit(Program& program, std::string fileName,
-                                       std::string_view source) {
+void Parser::addUnit(Program& program, std::string fileName,
+                     std::string_view source) {
   Parser p(program, std::move(fileName), source);
   program.units.push_back(p.parseUnit());
-  return program.units.back();
 }
 
 Program Parser::parseProgram(std::string fileName, std::string_view source) {
@@ -116,30 +114,15 @@ Program Parser::parseProgram(std::string fileName, std::string_view source) {
   return prog;
 }
 
-List<StmtPtr> Parser::takeStmts(std::size_t mark) {
-  const List<StmtPtr> out = arena_.list(std::span<const StmtPtr>(
-      stmtScratch_.data() + mark, stmtScratch_.size() - mark));
-  stmtScratch_.resize(mark);
-  return out;
-}
-
-List<ExprPtr> Parser::takeExprs(std::size_t mark) {
-  const List<ExprPtr> out = arena_.list(std::span<const ExprPtr>(
-      exprScratch_.data() + mark, exprScratch_.size() - mark));
-  exprScratch_.resize(mark);
-  return out;
-}
-
 List<ExprPtr> Parser::parseArgs(const char* what) {
   const std::size_t mark = exprScratch_.size();
   if (!check(Tok::kRParen)) {
     do {
-      ExprPtr arg = parseExpr();
-      exprScratch_.push_back(arg);
+      exprScratch_.push_back(parseExpr());
     } while (match(Tok::kComma));
   }
   expect(Tok::kRParen, what);
-  return takeExprs(mark);
+  return take(exprScratch_, mark);
 }
 
 const Token& Parser::peek(std::size_t ahead) const {
@@ -355,11 +338,10 @@ StmtPtr Parser::parseBlock() {
   block->col = open.col;
   const std::size_t mark = stmtScratch_.size();
   while (!check(Tok::kRBrace)) {
-    StmtPtr st = parseStmt();
-    stmtScratch_.push_back(st);
+    stmtScratch_.push_back(parseStmt());
   }
   expect(Tok::kRBrace, "end of block");
-  block->body = takeStmts(mark);
+  block->body = take(stmtScratch_, mark);
   return block;
 }
 
@@ -540,10 +522,9 @@ StmtPtr Parser::parseSwitch() {
     const std::size_t mark = stmtScratch_.size();
     while (!check(Tok::kKwCase) && !check(Tok::kKwDefault) &&
            !check(Tok::kRBrace)) {
-      StmtPtr st = parseStmt();
-      stmtScratch_.push_back(st);
+      stmtScratch_.push_back(parseStmt());
     }
-    sc.body = takeStmts(mark);
+    sc.body = take(stmtScratch_, mark);
     cases.push_back(sc);
   }
   stmt->cases = arena_.list(cases);
@@ -847,11 +828,10 @@ ExprPtr Parser::parsePrimary() {
             ++arr->type.arrayDims;
             continue;
           }
-          ExprPtr dim = parseExpr();
-          exprScratch_.push_back(dim);
+          exprScratch_.push_back(parseExpr());
           expect(Tok::kRBracket, "end of array dimension");
         }
-        arr->args = takeExprs(mark);
+        arr->args = take(exprScratch_, mark);
         return sealed(arr);
       }
       JEPO_REQUIRE(type.prim == Prim::kClass,

@@ -20,6 +20,7 @@
 // tree interpreter) run in bounded stack depth on untrusted source.
 #pragma once
 
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -40,16 +41,20 @@ class Parser {
 
   /// Parse one more file into `program`, copying `source` into its arena,
   /// and append the unit to program.units.
-  static const CompilationUnit& addUnit(Program& program, std::string fileName,
-                                        std::string_view source);
+  static void addUnit(Program& program, std::string fileName,
+                      std::string_view source);
 
  private:
   Parser(Program& program, std::string fileName, std::string_view source);
   CompilationUnit parseUnit();
 
-  /// Move scratch entries [mark, end) into an arena list.
-  List<StmtPtr> takeStmts(std::size_t mark);
-  List<ExprPtr> takeExprs(std::size_t mark);
+  /// Move scratch[mark, end) into an arena list.
+  template <typename T>
+  List<T> take(std::vector<T>& scratch, std::size_t mark) {
+    const List<T> out = arena_.list(std::span<const T>(scratch).subspan(mark));
+    scratch.resize(mark);
+    return out;
+  }
   /// Comma-separated expressions up to and including the closing ')'.
   List<ExprPtr> parseArgs(const char* what);
 
