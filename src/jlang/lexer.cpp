@@ -229,25 +229,23 @@ char Lexer::lexEscape(const char* what) {
 Token Lexer::lexString() {
   advance();  // opening quote
   const std::size_t start = pos_;
-  std::string value;  // the decoded text, once an escape is seen
+  // A literal without escapes stays a view of the source; from the first
+  // escape on, it is decoded into `text`.
+  std::string text;
   bool escaped = false;
   while (peek() != '"') {
     if (atEnd() || peek() == '\n') fail("unterminated string literal");
-    const std::size_t at = pos_;
-    char c = advance();
-    if (c == '\\') {
-      if (!escaped) value.assign(src_.substr(start, at - start));
+    const char c = advance();
+    if (c == '\\' && !escaped) {
+      text.assign(src_.substr(start, pos_ - 1 - start));
       escaped = true;
-      c = lexEscape("string");
-    } else if (!escaped) {
-      continue;
     }
-    value += c;
+    if (escaped) text += c == '\\' ? lexEscape("string") : c;
   }
   const std::string_view raw = src_.substr(start, pos_ - start);
   advance();  // closing quote
   Token t = makeToken(Tok::kStringLiteral);
-  t.text = escaped ? decoded_.copy(value) : raw;
+  t.text = escaped ? decoded_.copy(text) : raw;
   return t;
 }
 
