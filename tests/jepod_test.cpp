@@ -13,6 +13,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
@@ -630,6 +631,91 @@ TEST_F(JepodTest, TierRoundTripsThroughRequestRenderAndParse) {
   ASSERT_EQ(parsed.profile.records.size(), 1u);
   EXPECT_EQ(parsed.profile.records[0].tier, jvm::InstrTier::kSampled);
   EXPECT_EQ(parsed.profile.records[0].samplingRate, 0.25);
+}
+
+// The profile response's wire bytes, pinned literally: the daemon and every
+// in-process comparison render through the same writer, so only a fixed
+// expectation catches a byte change in it.
+TEST(ProfileResponseWire, RecordsRenderToPinnedBytes) {
+  JobRequest req = makeRequest("pin-1", kQuickSource);
+  const auto record = [](std::string method, double seconds, double pkg,
+                         double core, double dram) {
+    jvm::MethodRecord r;
+    r.method = std::move(method);
+    r.seconds = seconds;
+    r.packageJoules = pkg;
+    r.coreJoules = core;
+    r.dramJoules = dram;
+    return r;
+  };
+  std::vector<jvm::MethodRecord> rs;
+  rs.push_back(record("Main.work", 0.25, 1.5, 0.75, 0.125));
+  rs.push_back(record("Main.main", 1e-06, 3.0517578125e-05, 0.0, 0.0));
+  rs.back().truncated = true;
+  rs.push_back(record("Io.read", 0.5, 2.0, 1.0, 0.5));
+  rs.back().quality = rapl::MeasurementQuality::kRetried;
+  rs.back().readRetries = 2;
+  rs.push_back(record("Io.read", 0.5, 2.0, 1.0, 0.0));
+  rs.back().quality = rapl::MeasurementQuality::kDegraded;
+  rs.back().readRetries = 1;
+  rs.push_back(record("Io.read", 0.5, 0.0, 0.0, 0.0));
+  rs.back().quality = rapl::MeasurementQuality::kInvalid;
+  rs.back().readRetries = 4;
+  rs.push_back(record("Hot.step", 0.1, 1.0 / 3.0, 0.2, 1e-300));
+  rs.back().tier = jvm::InstrTier::kSampled;
+  rs.back().samplingRate = 0.125;
+  rs.push_back(record("Bad.nan", std::nan(""), INFINITY, -INFINITY, 0.0));
+  rs.push_back(record("Odd\"Na\\me\x01\n", 2.0, 123456789.0, 1e21, 0.0));
+  for (const char* name : {"A.s", "A.s", "B.t", "A.s", "B.t"}) {
+    rs.push_back(record(name, 0.0, 0.0, 0.0, 0.0));
+  }
+
+  EXPECT_EQ(
+      jepod::renderProfileResponse(req, /*cached=*/true,
+                                   {"hi \"q\" \\ \t\x1f\n", rs}),
+      R"({"v":1,"id":"pin-1","ok":true,"cached":true,"result":{)"
+      R"("stdout":"hi \"q\" \\ \t\u001f\n","records":[)"
+      R"({"method":"Main.work","seconds":0.25,"packageJoules":1.5,)"
+      R"("coreJoules":0.75,"dramJoules":0.125,"truncated":false,)"
+      R"("quality":"ok","readRetries":0},)"
+      R"({"method":"Main.main","seconds":1e-06,)"
+      R"("packageJoules":3.0517578125e-05,"coreJoules":0,"dramJoules":0,)"
+      R"("truncated":true,"quality":"ok","readRetries":0},)"
+      R"({"method":"Io.read","seconds":0.5,"packageJoules":2,)"
+      R"("coreJoules":1,"dramJoules":0.5,"truncated":false,)"
+      R"("quality":"retried","readRetries":2},)"
+      R"({"method":"Io.read","seconds":0.5,"packageJoules":2,)"
+      R"("coreJoules":1,"dramJoules":0,"truncated":false,)"
+      R"("quality":"degraded","readRetries":1},)"
+      R"({"method":"Io.read","seconds":0.5,"packageJoules":0,)"
+      R"("coreJoules":0,"dramJoules":0,"truncated":false,)"
+      R"("quality":"invalid","readRetries":4},)"
+      R"({"method":"Hot.step","seconds":0.1,)"
+      R"("packageJoules":0.3333333333333333,"coreJoules":0.2,)"
+      R"("dramJoules":1e-300,"truncated":false,"quality":"ok",)"
+      R"("readRetries":0,"tier":"sampled","samplingRate":0.125},)"
+      R"({"method":"Bad.nan","seconds":null,"packageJoules":null,)"
+      R"("coreJoules":null,"dramJoules":0,"truncated":false,)"
+      R"("quality":"ok","readRetries":0},)"
+      R"({"method":"Odd\"Na\\me\u0001\n","seconds":2,)"
+      R"("packageJoules":123456789,"coreJoules":1e+21,"dramJoules":0,)"
+      R"("truncated":false,"quality":"ok","readRetries":0},)"
+      R"({"method":"A.s","seconds":0,"packageJoules":0,"coreJoules":0,)"
+      R"("dramJoules":0,"truncated":false,"quality":"ok","readRetries":0},)"
+      R"({"method":"A.s","seconds":0,"packageJoules":0,"coreJoules":0,)"
+      R"("dramJoules":0,"truncated":false,"quality":"ok","readRetries":0},)"
+      R"({"method":"B.t","seconds":0,"packageJoules":0,"coreJoules":0,)"
+      R"("dramJoules":0,"truncated":false,"quality":"ok","readRetries":0},)"
+      R"({"method":"A.s","seconds":0,"packageJoules":0,"coreJoules":0,)"
+      R"("dramJoules":0,"truncated":false,"quality":"ok","readRetries":0},)"
+      R"({"method":"B.t","seconds":0,"packageJoules":0,"coreJoules":0,)"
+      R"("dramJoules":0,"truncated":false,"quality":"ok","readRetries":0})"
+      R"(]}})");
+
+  // Zero records: an empty array, and the ok/cached prefix unchanged.
+  EXPECT_EQ(jepod::renderProfileResponse(req, /*cached=*/false, {"", {}}),
+            R"({"v":1,"id":"pin-1","ok":true,"cached":false,"result":{)"
+            R"("stdout":"","records":[]}})");
 }
 
 TEST_F(JepodTest, U64FieldsAtAndAbove2To63RoundTripThroughTheWire) {
