@@ -294,6 +294,53 @@ void BM_MeterChargeOverhead(benchmark::State& state) {
 }
 BENCHMARK(BM_MeterChargeOverhead);
 
+// perfbench's call-kernel program: 2000 calls of a one-line static method,
+// so a profiled run is 2001 records (the calls and main) over little work.
+const char* const kCallKernelSource = R"(
+    class CallKernel {
+      static int step(int x) {
+        return (x * 31 + 7) % 1009;
+      }
+      static void main(String[] args) {
+        int v = 1;
+        for (int i = 0; i < 2000; i++) {
+          v = step(v);
+        }
+        System.out.println("calls=" + v);
+      }
+    }
+  )";
+constexpr std::size_t kCallKernelRecords = 2001;
+
+// The probe on its own: the call-kernel program run bare on the bytecode
+// VM, and profiled by core::Profiler at full tier. main() turns the two
+// rows into the probe's cost per record.
+void BM_InstrumentedCall(benchmark::State& state, bool profiled) {
+  const jlang::Program prog =
+      jlang::Parser::parseProgram("kernel.mjava", kCallKernelSource);
+  const jbc::CompiledProgram code = jbc::compile(prog);
+  for (auto _ : state) {
+    if (profiled) {
+      core::Profiler profiler;
+      profiler.profile(code);
+      if (profiler.records().size() != kCallKernelRecords) {
+        state.SkipWithError("unexpected record count");
+        break;
+      }
+      benchmark::DoNotOptimize(profiler.records().data());
+    } else {
+      energy::SimMachine machine;
+      jbc::BytecodeVm vm(code, machine);
+      vm.runMain();
+      benchmark::DoNotOptimize(vm.output().data());
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kCallKernelRecords));
+}
+BENCHMARK_CAPTURE(BM_InstrumentedCall, bare, false);
+BENCHMARK_CAPTURE(BM_InstrumentedCall, profiled, true);
+
 // The jepod render layer on its own: one profile response of 2000 records
 // (the method-calls kernel's add() executions, as the profiler measures
 // them), rendered to its wire line.
@@ -355,5 +402,33 @@ int main(int argc, char** argv) {
       }
     }
   };
-  return jepo::bench::microMain("bench_vm_micro", argc, argv, enginePairs);
+  // The probe's row: what profiling adds to a bare run, per record.
+  const auto probeCost = [](jepo::bench::BenchReport& report,
+                            const std::vector<jepo::bench::CapturedRun>&
+                                runs) {
+    double bare = 0.0;
+    double profiled = 0.0;
+    for (const auto& run : runs) {
+      if (run.name == "BM_InstrumentedCall/bare") bare = run.realSecondsPerIter;
+      if (run.name == "BM_InstrumentedCall/profiled") {
+        profiled = run.realSecondsPerIter;
+      }
+    }
+    if (bare <= 0.0 || profiled <= 0.0) return;
+    const double ns = (profiled - bare) * 1e9 / kCallKernelRecords;
+    report.addRow({{"name", "InstrumentedCall/probe"},
+                   {"bareSecondsPerIter", bare},
+                   {"profiledSecondsPerIter", profiled},
+                   {"probeNsPerRecord", ns}});
+    std::printf("\n-- probe cost (call-kernel, full tier) --\n"
+                "%.1f ns per record above the bare run\n",
+                ns);
+  };
+  return jepo::bench::microMain(
+      "bench_vm_micro", argc, argv,
+      [&](jepo::bench::BenchReport& report,
+          const std::vector<jepo::bench::CapturedRun>& runs) {
+        enginePairs(report, runs);
+        probeCost(report, runs);
+      });
 }

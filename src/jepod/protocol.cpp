@@ -1,5 +1,9 @@
 #include "jepod/protocol.hpp"
 
+#include <algorithm>
+#include <charconv>
+#include <cstring>
+
 #include "rapl/quality.hpp"
 #include "support/json_reader.hpp"
 #include "support/json_writer.hpp"
@@ -115,27 +119,59 @@ void beginResponse(JsonWriter& w, const std::string& id, bool ok) {
   w.kv("ok", ok);
 }
 
+/// Copy a string literal (without its terminator) to `p`; returns the end.
+template <std::size_t N>
+char* put(char* p, const char (&literal)[N]) {
+  std::memcpy(p, literal, N - 1);
+  return p + N - 1;
+}
+
+/// One record in one pass. Its keys never change, so it is literal
+/// fragments around one escaped name and five numbers: everything after
+/// the name is formatted into a stack buffer and appended at once. A
+/// sampled record appends its tier keys, which full-tier records omit
+/// (keeping their pre-tier bytes).
+void appendRecord(std::string& out, const jvm::MethodRecord& r) {
+  out += R"({"method":")";
+  appendJsonEscaped(out, r.method);
+  // Room for the literals (131 bytes), five numbers, an int (11 bytes)
+  // and the two short names.
+  char buf[160 + 5 * kMaxJsonNumberChars];
+  char* p = put(buf, R"(","seconds":)");
+  p = writeJsonNumber(p, r.seconds);
+  p = put(p, R"(,"packageJoules":)");
+  p = writeJsonNumber(p, r.packageJoules);
+  p = put(p, R"(,"coreJoules":)");
+  p = writeJsonNumber(p, r.coreJoules);
+  p = put(p, R"(,"dramJoules":)");
+  p = writeJsonNumber(p, r.dramJoules);
+  p = r.truncated ? put(p, R"(,"truncated":true,"quality":")")
+                  : put(p, R"(,"truncated":false,"quality":")");
+  const std::string_view quality = rapl::qualityName(r.quality);
+  p = std::copy(quality.begin(), quality.end(), p);
+  p = put(p, R"(","readRetries":)");
+  p = std::to_chars(p, p + 16, r.readRetries).ptr;
+  if (r.tier != jvm::InstrTier::kFull) {
+    p = put(p, R"(,"tier":")");
+    const std::string_view tier = jvm::tierName(r.tier);
+    p = std::copy(tier.begin(), tier.end(), p);
+    p = put(p, R"(","samplingRate":)");
+    p = writeJsonNumber(p, r.samplingRate);
+  }
+  *p++ = '}';
+  out.append(buf, p);
+}
+
 void writeRecords(JsonWriter& w, const std::vector<jvm::MethodRecord>& rs) {
   w.key("records");
-  w.beginArray();
-  for (const auto& r : rs) {
-    w.beginObject();
-    w.kv("method", r.method);
-    w.kv("seconds", r.seconds);
-    w.kv("packageJoules", r.packageJoules);
-    w.kv("coreJoules", r.coreJoules);
-    w.kv("dramJoules", r.dramJoules);
-    w.kv("truncated", r.truncated);
-    w.kv("quality", rapl::qualityName(r.quality));
-    w.kv("readRetries", r.readRetries);
-    // Omitted-when-default: full-tier responses keep their pre-tier bytes.
-    if (r.tier != jvm::InstrTier::kFull) {
-      w.kv("tier", jvm::tierName(r.tier));
-      w.kv("samplingRate", r.samplingRate);
+  w.rawValue([&rs](std::string& out) {
+    out += '[';
+    for (std::size_t i = 0; i < rs.size(); ++i) {
+      if (i != 0) out += ',';
+      appendRecord(out, rs[i]);
     }
-    w.endObject();
-  }
-  w.endArray();
+    out += ']';
+  });
 }
 
 }  // namespace

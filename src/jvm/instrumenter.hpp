@@ -8,13 +8,15 @@
 // execution — nested and recursive calls measure inclusively, exactly like
 // JEPO's injected reads.
 //
-// Robustness: every register read goes through the reader's bounded retry,
-// and each MethodRecord carries a MeasurementQuality — a domain that is
-// permanently absent degrades that record's column to 0 J (kDegraded), a
-// read whose retry budget is exhausted marks the record kInvalid, and
-// absorbed transient errors mark it kRetried. The device-override
-// constructor lets chaos tests interpose a fault::FaultyMsrDevice between
-// the machine and the instrumenter.
+// Each probe is one RaplReader::readProbe: on the machine's own register
+// file that is a single call for all three registers; on any other device
+// (a fault decorator, a package without DRAM) the reader falls back to
+// per-register reads with its bounded retry, and each MethodRecord carries a
+// MeasurementQuality — a domain that is permanently absent degrades that
+// record's column to 0 J (kDegraded), a read whose retry budget is
+// exhausted marks the record kInvalid, and absorbed transient errors mark
+// it kRetried. The device-override constructor lets chaos tests interpose a
+// fault::FaultyMsrDevice between the machine and the instrumenter.
 #pragma once
 
 #include <memory>
@@ -63,6 +65,14 @@ class Instrumenter final : public MethodHooks {
   /// file — the seam chaos tests use to inject faults into the profiling
   /// path. `device` must outlive the instrumenter.
   Instrumenter(energy::SimMachine& machine, const rapl::MsrDevice& device);
+
+  /// Publishes the record counts of everything this instrumenter measured
+  /// (obs counters instrumenter.records, .truncated and .impaired). They
+  /// are tallied locally and published here, once, whichever way the run
+  /// ended — the Profiler builds one instrumenter per run.
+  ~Instrumenter() override;
+  Instrumenter(const Instrumenter&) = delete;
+  Instrumenter& operator=(const Instrumenter&) = delete;
 
   void onEnter(const MethodRef& method) override;
   /// Balance check compares the interned method id (two integer/pointer
@@ -124,31 +134,23 @@ class Instrumenter final : public MethodHooks {
   void unwindAbortedFrames();
 
  private:
-  /// Snapshot of one domain's counter at method entry. A failed arm read
-  /// is remembered (rather than thrown) so the frame can still complete
-  /// with a degraded/invalid record.
-  struct ArmSample {
-    std::uint32_t raw = 0;
-    bool ok = false;
-    rapl::MeasurementQuality failQuality = rapl::MeasurementQuality::kOk;
-  };
-
-  ArmSample armDomain(rapl::Domain d, int* retries) const;
-  MethodRecord closeFrame(bool truncated);
+  /// Close the innermost open frame into a record appended to records_.
+  void closeFrame(bool truncated);
 
   struct OpenFrame {
     // Interned id + stable name pointer: opening a frame copies no string;
     // the record's name is materialized once, when the frame closes.
     MethodRef method;
     double startSeconds = 0.0;
-    ArmSample pkg;
-    ArmSample core;
-    ArmSample dram;
-    int retries = 0;
+    // The entry snapshot. A failed arm read is remembered (rather than
+    // thrown) so the frame can still complete with a degraded/invalid
+    // record.
+    rapl::ProbeSample arm;
   };
 
   energy::SimMachine* machine_;
   rapl::RaplReader reader_;
+  double quantum_;  // joules per raw count
   std::vector<OpenFrame> stack_;
   std::vector<MethodRecord> records_;
   // Interned method id of each record, parallel to records_ — the key
@@ -156,6 +158,10 @@ class Instrumenter final : public MethodHooks {
   std::vector<std::uint32_t> recordIds_;
   TierSpec tierSpec_;
   std::unique_ptr<TierGate> gate_;
+  // Not yet published to the obs counters (see the destructor).
+  std::uint64_t recordCount_ = 0;
+  std::uint64_t truncatedCount_ = 0;
+  std::uint64_t impairedCount_ = 0;
 };
 
 }  // namespace jepo::jvm

@@ -15,9 +15,9 @@
 // (fault::FaultyMsrDevice) produces both kinds on demand.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 
 #include "support/error.hpp"
 
@@ -64,24 +64,58 @@ class MsrDevice {
   virtual std::uint64_t read(std::uint32_t msr) const = 0;
 };
 
-/// In-memory register file; the machine model writes, readers read.
+/// In-memory register file; the machine model writes, readers read. It
+/// holds exactly the five architectural RAPL registers, each with a
+/// presence bit: writing any other address is a programming error, and
+/// reading an absent or unknown register throws the permanent MsrError.
 class SimulatedMsrDevice final : public MsrDevice {
  public:
   std::uint64_t read(std::uint32_t msr) const override {
-    const auto it = regs_.find(msr);
-    if (it == regs_.end()) {
+    const int i = slot(msr);
+    if (i < 0 || (present_ & (1u << i)) == 0) {
       throw MsrError(msr, MsrError::Kind::kPermanent,
                      "msr read: unimplemented register " + msrName(msr));
     }
-    return it->second;
+    return regs_[static_cast<std::size_t>(i)];
   }
 
-  void write(std::uint32_t msr, std::uint64_t value) { regs_[msr] = value; }
+  void write(std::uint32_t msr, std::uint64_t value) {
+    const int i = slot(msr);
+    JEPO_REQUIRE(i >= 0, "msr write: not a RAPL register " + msrName(msr));
+    regs_[static_cast<std::size_t>(i)] = value;
+    present_ |= 1u << i;
+  }
 
-  bool has(std::uint32_t msr) const { return regs_.count(msr) != 0; }
+  bool has(std::uint32_t msr) const {
+    const int i = slot(msr);
+    return i >= 0 && (present_ & (1u << i)) != 0;
+  }
+
+  /// The low 32 bits of PKG, PP0 and DRAM, in that order, in one call:
+  /// exactly what three read()s would return. Requires all three to be
+  /// present (registers are never removed once written).
+  std::array<std::uint32_t, 3> energyStatus() const noexcept {
+    return {static_cast<std::uint32_t>(regs_[kPkg]),
+            static_cast<std::uint32_t>(regs_[kPp0]),
+            static_cast<std::uint32_t>(regs_[kDram])};
+  }
 
  private:
-  std::unordered_map<std::uint32_t, std::uint64_t> regs_;
+  enum Slot : std::size_t { kPowerUnit, kPkg, kPp0, kPp1, kDram, kSlots };
+
+  static int slot(std::uint32_t msr) noexcept {
+    switch (msr) {
+      case kMsrRaplPowerUnit: return kPowerUnit;
+      case kMsrPkgEnergyStatus: return kPkg;
+      case kMsrPp0EnergyStatus: return kPp0;
+      case kMsrPp1EnergyStatus: return kPp1;
+      case kMsrDramEnergyStatus: return kDram;
+    }
+    return -1;
+  }
+
+  std::array<std::uint64_t, kSlots> regs_{};
+  unsigned present_ = 0;
 };
 
 }  // namespace jepo::rapl

@@ -1,5 +1,6 @@
 #include "rapl/rapl.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "obs/registry.hpp"
@@ -55,7 +56,10 @@ std::uint32_t domainMsr(Domain d) noexcept {
   return 0;
 }
 
-SimulatedRaplPackage::SimulatedRaplPackage(PowerUnit unit) : unit_(unit) {
+SimulatedRaplPackage::SimulatedRaplPackage(PowerUnit unit)
+    : unit_(unit),
+      quantum_(unit.jouleQuantum()),
+      countsPerJoule_(static_cast<double>(1ULL << unit.energyUnitBits)) {
   dev_.write(kMsrRaplPowerUnit, unit_.encode());
   for (Domain d : kAllDomains) publish(d);
 }
@@ -67,11 +71,10 @@ void SimulatedRaplPackage::deposit(Domain d, double joules) {
   // Quantize into raw counts, carrying the sub-quantum remainder so no
   // energy is ever lost to rounding across many small deposits.
   residual_[i] += joules;
-  const double quantum = unit_.jouleQuantum();
-  const double counts = std::floor(residual_[i] / quantum);
+  const double counts = std::floor(residual_[i] * countsPerJoule_);
   if (counts > 0.0) {
     rawCount_[i] += static_cast<std::uint64_t>(counts);
-    residual_[i] -= counts * quantum;
+    residual_[i] -= counts * quantum_;
     publish(d);
   }
 }
@@ -93,6 +96,16 @@ RaplReader::RaplReader(const MsrDevice& dev, RetryPolicy retry)
   // measurement. A permanent fault (no RAPL at all) still propagates —
   // there is nothing to degrade to.
   unit_ = PowerUnit::decode(readMsrRetrying(kMsrRaplPowerUnit, &unitRetries_));
+  // Only a register file holding all three probe registers takes the
+  // one-call read. A fault decorator, or a package without DRAM, keeps the
+  // per-register sequence: its faults are per read attempt, and the
+  // degrade/invalid/retried outcome of each domain depends on it.
+  const auto* file = dynamic_cast<const SimulatedMsrDevice*>(dev_);
+  if (file != nullptr &&
+      std::all_of(kProbeDomains.begin(), kProbeDomains.end(),
+                  [file](Domain d) { return file->has(domainMsr(d)); })) {
+    registerFile_ = file;
+  }
 }
 
 std::uint64_t RaplReader::readMsrRetrying(std::uint32_t msr,
@@ -142,6 +155,29 @@ bool RaplReader::domainAvailable(Domain d) const {
 
 double RaplReader::readJoules(Domain d) const {
   return static_cast<double>(readRaw(d)) * unit_.jouleQuantum();
+}
+
+ProbeSample RaplReader::readProbe(const ProbeSample* arm) const {
+  ProbeSample s;
+  if (registerFile_ != nullptr) {
+    s.raw = registerFile_->energyStatus();
+    return s;
+  }
+  for (std::size_t i = 0; i < kProbeDomains.size(); ++i) {
+    if (arm != nullptr && arm->fail[i] != MeasurementQuality::kOk) {
+      s.fail[i] = arm->fail[i];
+      continue;
+    }
+    try {
+      const RawSample r = readRawRetrying(kProbeDomains[i]);
+      s.raw[i] = r.value;
+      s.retries += r.retries;
+    } catch (const MsrError& e) {
+      s.fail[i] = e.transient() ? MeasurementQuality::kInvalid
+                                : MeasurementQuality::kDegraded;
+    }
+  }
+  return s;
 }
 
 EnergyCounter::EnergyCounter(const RaplReader& reader, Domain domain)

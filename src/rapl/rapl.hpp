@@ -58,6 +58,10 @@ class SimulatedRaplPackage {
   void publish(Domain d);
 
   PowerUnit unit_;
+  // The quantum is a power of two, so multiplying by its exact reciprocal
+  // quantizes bit-identically to dividing by it.
+  double quantum_;
+  double countsPerJoule_;
   SimulatedMsrDevice dev_;
   std::array<double, kDomainCount> joules_{};     // ground truth
   std::array<double, kDomainCount> residual_{};   // sub-quantum remainder
@@ -79,6 +83,19 @@ struct RetryPolicy {
 struct RawSample {
   std::uint32_t value = 0;
   int retries = 0;
+};
+
+/// The domains a method probe measures, in the order it reads them.
+inline constexpr std::array<Domain, 3> kProbeDomains = {
+    Domain::kPackage, Domain::kCore, Domain::kDram};
+
+/// One method probe's read of the kProbeDomains counters. A domain whose
+/// read failed has no value; its `fail` says why: kDegraded (the register
+/// is absent) or kInvalid (the retry budget ran out). kOk means it was read.
+struct ProbeSample {
+  std::array<std::uint32_t, kProbeDomains.size()> raw{};
+  std::array<MeasurementQuality, kProbeDomains.size()> fail{};
+  int retries = 0;  // transient faults absorbed by this probe's reads
 };
 
 /// Reads energy-status registers and converts to joules.
@@ -113,10 +130,20 @@ class RaplReader {
   /// 65536 J at ESU=16; use EnergyCounter for intervals).
   double readJoules(Domain d) const;
 
+  /// Read the kProbeDomains counters. A device that serves all three
+  /// infallibly (a register file holding them) answers in one call; any
+  /// other is read by readRawRetrying, domain by domain, so every
+  /// register's read ordinals and outcomes are those of that sequence.
+  /// With `arm`, the entry probe of the same interval, a domain whose arm
+  /// read failed is not read again and keeps the arm's `fail`.
+  ProbeSample readProbe(const ProbeSample* arm = nullptr) const;
+
  private:
   std::uint64_t readMsrRetrying(std::uint32_t msr, int* retries) const;
 
   const MsrDevice* dev_;
+  // Set when dev_ can serve readProbe in one call.
+  const SimulatedMsrDevice* registerFile_ = nullptr;
   RetryPolicy retry_;
   int unitRetries_ = 0;
   PowerUnit unit_;

@@ -95,16 +95,24 @@ inline void appendJsonString(std::string& out, std::string_view s) {
   out += '"';
 }
 
-/// Append the shortest round-trip decimal for a finite double; null
-/// otherwise.
-inline void appendJsonNumber(std::string& out, double v) {
+/// Longest text writeJsonNumber produces ("-2.2250738585072014e-308").
+inline constexpr std::size_t kMaxJsonNumberChars = 24;
+
+/// Write the shortest round-trip decimal for a finite double, null
+/// otherwise, at `p`, which has room for kMaxJsonNumberChars; returns the
+/// end.
+inline char* writeJsonNumber(char* p, double v) {
   if (!std::isfinite(v)) {
-    out += "null";
-    return;
+    std::memcpy(p, "null", 4);
+    return p + 4;
   }
-  char buf[32];
-  const auto res = std::to_chars(buf, buf + sizeof buf, v);
-  out.append(buf, res.ptr);
+  return std::to_chars(p, p + kMaxJsonNumberChars, v).ptr;
+}
+
+/// Append writeJsonNumber's text.
+inline void appendJsonNumber(std::string& out, double v) {
+  char buf[kMaxJsonNumberChars];
+  out.append(buf, writeJsonNumber(buf, v));
 }
 
 /// Append an integer's decimal digits (signed or unsigned, never wrapped).
@@ -259,6 +267,16 @@ class JsonWriter {
   void null() {
     separator(false);
     out_ += "null";
+  }
+
+  /// The next value, appended unchecked by `append(out)`: the caller
+  /// vouches that it appends exactly one valid JSON value. For hot output
+  /// whose layout never changes (a profile response's records), written
+  /// from literal fragments without per-key bookkeeping.
+  template <class Append>
+  void rawValue(Append&& append) {
+    separator(false);
+    append(out_);
   }
 
   /// key + value in one call, for flat objects.

@@ -20,7 +20,9 @@
 #include "energy/op.hpp"
 #include "experiments/weka_experiment.hpp"
 #include "fault/fault.hpp"
+#include "jlang/parser.hpp"
 #include "jvm/instrumenter.hpp"
+#include "jvm/interpreter.hpp"
 #include "perf/perf.hpp"
 #include "rapl/rapl.hpp"
 
@@ -357,6 +359,64 @@ TEST(InstrumenterChaos, MissingDramDegradesRecordInsteadOfThrowing) {
   EXPECT_EQ(r.quality, MeasurementQuality::kDegraded);
   EXPECT_DOUBLE_EQ(r.dramJoules, 0.0);
   EXPECT_GT(r.packageJoules, 0.0);
+}
+
+TEST(InstrumenterChaos, FaultDeviceSeesTheFullPerRegisterReadSequence) {
+  // A profiled program through a fault decorator: the reader must never
+  // take its one-call read past the decorator, so the device sees the
+  // power-unit read, then PKG/PP0/DRAM at every entry and exit, plus one
+  // attempt per absorbed transient fault.
+  const jlang::Program prog = jlang::Parser::parseProgram("t.mjava", R"(
+    class Main {
+      static int fib(int n) { return n < 2 ? n : fib(n - 1) + fib(n - 2); }
+      static int work(int n) {
+        int acc = 0;
+        for (int i = 0; i < n; i++) acc += fib(i % 6);
+        return acc;
+      }
+      static void main(String[] args) {
+        System.out.println(work(40));
+      }
+    }
+  )");
+  const auto profile = [&prog](const rapl::MsrDevice* dev,
+                               energy::SimMachine& machine) {
+    jvm::Interpreter vm(prog, machine);
+    jvm::Instrumenter inst(machine,
+                           dev != nullptr ? *dev : machine.msrDevice());
+    vm.setHooks(&inst);
+    vm.runMain();
+    return inst.takeRecords();
+  };
+  energy::SimMachine cleanMachine;
+  const std::vector<jvm::MethodRecord> clean = profile(nullptr, cleanMachine);
+
+  const FaultSpec spec = fault::parseFaultPlan(
+      "transient:seed=21,transient-prob=0.05,transient-burst=1");
+  energy::SimMachine machine;
+  const FaultyMsrDevice dev(machine.msrDevice(), FaultPlan(spec));
+  const std::vector<jvm::MethodRecord> faulty = profile(&dev, machine);
+  // The power-unit read's retries, from a twin device on the same plan.
+  const FaultyMsrDevice twin(machine.msrDevice(), FaultPlan(spec));
+  const int unitRetries = rapl::RaplReader(twin).unitReadRetries();
+
+  ASSERT_EQ(faulty.size(), clean.size());
+  std::uint64_t retries = 0;
+  for (std::size_t i = 0; i < faulty.size(); ++i) {
+    // Transient faults within the retry budget re-read an unchanged
+    // register: the values are the clean run's, bit for bit.
+    EXPECT_EQ(faulty[i].method, clean[i].method);
+    EXPECT_EQ(faulty[i].packageJoules, clean[i].packageJoules);
+    EXPECT_EQ(faulty[i].coreJoules, clean[i].coreJoules);
+    EXPECT_EQ(faulty[i].dramJoules, clean[i].dramJoules);
+    EXPECT_EQ(faulty[i].quality, faulty[i].readRetries > 0
+                                     ? MeasurementQuality::kRetried
+                                     : MeasurementQuality::kOk);
+    retries += static_cast<std::uint64_t>(faulty[i].readRetries);
+  }
+  EXPECT_GT(retries, 0u) << "the plan injected nothing";
+  EXPECT_EQ(dev.reads(), 1 + static_cast<std::uint64_t>(unitRetries) +
+                             6 * faulty.size() + retries);
 }
 
 // -------------------------------------------------- experiment pipeline

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 
+#include "fault/fault.hpp"
 #include "jepo/engine.hpp"
 #include "jepo/profiler.hpp"
 #include "jepo/views.hpp"
 #include "jlang/parser.hpp"
+#include "obs/registry.hpp"
 #include "jvm/interpreter.hpp"
 
 namespace jepo::core {
@@ -388,6 +390,95 @@ TEST(Profiler, MaxStepsAbortReplaysBitIdentically) {
   Profiler larger;
   EXPECT_THROW(larger.profile(prog, {}, /*maxSteps=*/50'000), VmError);
   EXPECT_GT(larger.records().back().seconds, first.records().back().seconds);
+}
+
+/// The instrumenter's record counters, or the same three counts tallied
+/// from a run's records.
+struct RecordCounts {
+  std::uint64_t records = 0;
+  std::uint64_t truncated = 0;
+  std::uint64_t impaired = 0;
+
+  static RecordCounts now() {
+    obs::Registry& reg = obs::Registry::global();
+    return {reg.counter("instrumenter.records").value(),
+            reg.counter("instrumenter.truncated").value(),
+            reg.counter("instrumenter.impaired").value()};
+  }
+  static RecordCounts of(const std::vector<jvm::MethodRecord>& rs) {
+    RecordCounts c;
+    for (const auto& r : rs) {
+      ++c.records;
+      if (r.truncated) ++c.truncated;
+      if (r.quality >= rapl::MeasurementQuality::kDegraded) ++c.impaired;
+    }
+    return c;
+  }
+  RecordCounts since(const RecordCounts& before) const {
+    return {records - before.records, truncated - before.truncated,
+            impaired - before.impaired};
+  }
+  bool operator==(const RecordCounts&) const = default;
+};
+
+TEST(Profiler, RecordCountersMatchTheRecordsOnEveryPath) {
+  // The counters are tallied per run and published once; a completed run,
+  // an uncaught exception and a step-limit abort all publish exactly what
+  // the run returned. No DRAM register makes every record impaired.
+  const auto ok = jlang::Parser::parseProgram("ok.mjava", R"(
+    class Main {
+      static int id(int v) { return v; }
+      static void main(String[] args) { id(id(1)); }
+    }
+  )");
+  const auto throws = jlang::Parser::parseProgram("t.mjava", R"(
+    class Main {
+      static int work(int n) {
+        int acc = 0;
+        for (int i = 0; i < n; i++) acc += i;
+        return acc;
+      }
+      static void main(String[] args) {
+        int x = work(20) + work(30);
+        throw new IllegalStateException("after " + x);
+      }
+    }
+  )");
+  const auto spin = jlang::Parser::parseProgram("s.mjava", R"(
+    class Main {
+      static void spin() { while (true) { int x = 1; } }
+      static void main(String[] args) { spin(); }
+    }
+  )");
+  // Runs `run` on a fresh Profiler and returns the counters' deltas,
+  // checked against the records the run returned.
+  const auto published = [](const char* faultPlan, const auto& run) {
+    Profiler prof;
+    prof.setFaultSpec(fault::parseFaultPlan(faultPlan));
+    const RecordCounts before = RecordCounts::now();
+    run(prof);
+    const RecordCounts delta = RecordCounts::now().since(before);
+    EXPECT_EQ(delta, RecordCounts::of(prof.records()));
+    return delta;
+  };
+
+  const RecordCounts done =
+      published("no-dram", [&ok](Profiler& p) { p.profile(ok); });
+  EXPECT_EQ(done.records, 3u);
+  EXPECT_EQ(done.impaired, 3u);
+
+  const RecordCounts thrown = published("none", [&throws](Profiler& p) {
+    EXPECT_THROW(p.profile(throws), VmError);
+  });
+  EXPECT_EQ(thrown.records, 3u);  // work x2 and main, all completed
+  EXPECT_EQ(thrown.truncated, 0u);
+
+  const RecordCounts cut = published("no-dram", [&spin](Profiler& p) {
+    EXPECT_THROW(p.profile(spin, {}, /*maxSteps=*/10'000), VmError);
+  });
+  EXPECT_EQ(cut.records, 2u);
+  EXPECT_EQ(cut.truncated, 2u);
+  EXPECT_EQ(cut.impaired, 2u);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
@@ -33,6 +34,7 @@
 #include "jepod/program_cache.hpp"
 #include "jlang/parser.hpp"
 #include "obs/registry.hpp"
+#include "support/rng.hpp"
 
 namespace jepo {
 namespace {
@@ -716,6 +718,56 @@ TEST(ProfileResponseWire, RecordsRenderToPinnedBytes) {
   EXPECT_EQ(jepod::renderProfileResponse(req, /*cached=*/false, {"", {}}),
             R"({"v":1,"id":"pin-1","ok":true,"cached":false,"result":{)"
             R"("stdout":"","records":[]}})");
+}
+
+TEST(ProfileResponseWire, GeneratedRecordsRoundTripThroughTheParser) {
+  // Random names (escapable bytes included), bit-pattern doubles, every
+  // quality and both tiers: the parsed response returns each field exactly.
+  Rng rng(0x9e11);
+  const JobRequest req = makeRequest("gen", kQuickSource);
+  const auto finite = [&rng] {
+    double v;
+    do {
+      v = std::bit_cast<double>(rng());
+    } while (!std::isfinite(v));
+    return v;
+  };
+  for (int round = 0; round < 50; ++round) {
+    std::vector<jvm::MethodRecord> rs(rng.nextBelow(40));
+    for (auto& r : rs) {
+      for (std::uint64_t i = rng.nextBelow(24); i > 0; --i) {
+        r.method += static_cast<char>(1 + rng.nextBelow(0x7f));
+      }
+      r.seconds = finite();
+      r.packageJoules = finite();
+      r.coreJoules = rng.nextDouble();
+      r.dramJoules = static_cast<double>(rng.nextBelow(1000)) / 64.0;
+      r.truncated = rng.nextBelow(2) == 0;
+      r.quality = rapl::qualityFromIndex(static_cast<int>(rng.nextBelow(4)));
+      r.readRetries = static_cast<int>(rng.nextBelow(9));
+      if (rng.nextBelow(2) == 0) {
+        r.tier = jvm::InstrTier::kSampled;
+        r.samplingRate = rng.nextDouble();
+      }
+    }
+    const Response back = jepod::parseResponse(
+        jepod::renderProfileResponse(req, false, {"out", rs}));
+    ASSERT_EQ(back.profile.records.size(), rs.size());
+    for (std::size_t i = 0; i < rs.size(); ++i) {
+      const jvm::MethodRecord& a = rs[i];
+      const jvm::MethodRecord& b = back.profile.records[i];
+      ASSERT_EQ(b.method, a.method) << "round " << round;
+      EXPECT_EQ(b.seconds, a.seconds);
+      EXPECT_EQ(b.packageJoules, a.packageJoules);
+      EXPECT_EQ(b.coreJoules, a.coreJoules);
+      EXPECT_EQ(b.dramJoules, a.dramJoules);
+      EXPECT_EQ(b.truncated, a.truncated);
+      EXPECT_EQ(b.quality, a.quality);
+      EXPECT_EQ(b.readRetries, a.readRetries);
+      EXPECT_EQ(b.tier, a.tier);
+      EXPECT_EQ(b.samplingRate, a.samplingRate);
+    }
+  }
 }
 
 TEST_F(JepodTest, U64FieldsAtAndAbove2To63RoundTripThroughTheWire) {

@@ -99,6 +99,27 @@ TEST(JsonWriterTest, TopLevelArrayAndNull) {
   EXPECT_EQ(w.str(), "[null,true]");
 }
 
+TEST(JsonWriterTest, RawValueTakesItsSeparatorsLikeAnyValue) {
+  const auto raw = [](std::string& out) { out += R"({"x":[1,2]})"; };
+  JsonWriter w;
+  w.beginObject();
+  w.kv("a", 1);
+  w.key("b");
+  w.rawValue(raw);
+  w.key("c");
+  w.beginArray();
+  w.rawValue(raw);
+  w.rawValue(raw);
+  w.endArray();
+  w.endObject();
+  EXPECT_EQ(w.str(),
+            R"({"a":1,"b":{"x":[1,2]},"c":[{"x":[1,2]},{"x":[1,2]}]})");
+
+  JsonWriter keyless;
+  keyless.beginObject();
+  EXPECT_THROW(keyless.rawValue(raw), PreconditionError);
+}
+
 TEST(JsonWriterTest, EscapesKeys) {
   JsonWriter w;
   w.beginObject();

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <unordered_map>
+
 #include "rapl/rapl.hpp"
 
 namespace jepo::rapl {
@@ -29,6 +32,31 @@ TEST(Msr, UnimplementedRegisterThrows) {
   EXPECT_EQ(dev.read(0x611), 5u);
   EXPECT_TRUE(dev.has(0x611));
   EXPECT_FALSE(dev.has(0x639));
+}
+
+TEST(Msr, RegisterFileHoldsOnlyTheRaplRegisters) {
+  SimulatedMsrDevice dev;
+  // An unknown address reads as the permanent fault it is on hardware...
+  try {
+    dev.read(0x10);  // IA32_TIME_STAMP_COUNTER: an MSR, just not RAPL's
+    FAIL() << "expected MsrError";
+  } catch (const MsrError& e) {
+    EXPECT_EQ(e.msr(), 0x10u);
+    EXPECT_EQ(e.kind(), MsrError::Kind::kPermanent);
+  }
+  EXPECT_FALSE(dev.has(0x10));
+  // ...and writing one is a bug in the machine model, not a device state.
+  EXPECT_THROW(dev.write(0x10, 1), PreconditionError);
+  for (const std::uint32_t msr :
+       {kMsrRaplPowerUnit, kMsrPkgEnergyStatus, kMsrPp0EnergyStatus,
+        kMsrPp1EnergyStatus, kMsrDramEnergyStatus}) {
+    dev.write(msr, msr + 1);
+  }
+  for (const std::uint32_t msr :
+       {kMsrRaplPowerUnit, kMsrPkgEnergyStatus, kMsrPp0EnergyStatus,
+        kMsrPp1EnergyStatus, kMsrDramEnergyStatus}) {
+    EXPECT_EQ(dev.read(msr), msr + 1u) << msrName(msr);
+  }
 }
 
 TEST(Rapl, PackageImplementsAllDomains) {
@@ -194,6 +222,101 @@ TEST(RaplReader, DomainAvailabilityDistinguishesPermanentFromTransient) {
   RaplReader reader(dev);
   EXPECT_TRUE(reader.domainAvailable(Domain::kPackage));
   EXPECT_FALSE(reader.domainAvailable(Domain::kDram));
+}
+
+TEST(RaplReader, OneCallProbeEqualsThreeReadsAcrossAWrap) {
+  SimulatedRaplPackage pkg;
+  const RaplReader reader(pkg.device());
+  const auto expectThreeReads = [&](const ProbeSample& s) {
+    for (std::size_t i = 0; i < kProbeDomains.size(); ++i) {
+      EXPECT_EQ(s.raw[i], static_cast<std::uint32_t>(pkg.device().read(
+                              domainMsr(kProbeDomains[i]))))
+          << domainName(kProbeDomains[i]);
+      EXPECT_EQ(s.fail[i], MeasurementQuality::kOk);
+    }
+    EXPECT_EQ(s.retries, 0);
+  };
+  // Park every probed counter a few joules below the 32-bit wrap.
+  pkg.deposit(Domain::kPackage, 65536.0 - 2.0);
+  pkg.deposit(Domain::kCore, 65536.0 - 1.0);
+  pkg.deposit(Domain::kDram, 65536.0 - 0.5);
+  const ProbeSample arm = reader.readProbe();
+  expectThreeReads(arm);
+  for (Domain d : kProbeDomains) pkg.deposit(d, 3.0);  // all three wrap
+  const ProbeSample end = reader.readProbe(&arm);
+  expectThreeReads(end);
+  for (std::size_t i = 0; i < kProbeDomains.size(); ++i) {
+    EXPECT_LT(end.raw[i], arm.raw[i]) << "counter did not wrap";
+    EXPECT_NEAR(static_cast<double>(end.raw[i] - arm.raw[i]) *
+                    reader.unit().jouleQuantum(),
+                3.0, 1e-4);
+  }
+}
+
+TEST(RaplReader, ProbeWithoutDramDegradesOnlyThatColumn) {
+  SimulatedMsrDevice dev;
+  dev.write(kMsrRaplPowerUnit, PowerUnit{}.encode());
+  dev.write(kMsrPkgEnergyStatus, 100);
+  dev.write(kMsrPp0EnergyStatus, 40);  // no DRAM register on this "SKU"
+  const RaplReader reader(dev);
+  const ProbeSample arm = reader.readProbe();
+  EXPECT_EQ(arm.raw[0], 100u);
+  EXPECT_EQ(arm.raw[1], 40u);
+  EXPECT_EQ(arm.fail[0], MeasurementQuality::kOk);
+  EXPECT_EQ(arm.fail[1], MeasurementQuality::kOk);
+  EXPECT_EQ(arm.fail[2], MeasurementQuality::kDegraded);
+
+  dev.write(kMsrPkgEnergyStatus, 160);
+  dev.write(kMsrPp0EnergyStatus, 70);
+  const ProbeSample end = reader.readProbe(&arm);
+  EXPECT_EQ(end.raw[0] - arm.raw[0], 60u);
+  EXPECT_EQ(end.raw[1] - arm.raw[1], 30u);
+  EXPECT_EQ(end.fail[0], MeasurementQuality::kOk);
+  EXPECT_EQ(end.fail[1], MeasurementQuality::kOk);
+  EXPECT_EQ(end.fail[2], MeasurementQuality::kDegraded);
+}
+
+TEST(RaplReader, ProbeThroughAFlakyDeviceRetriesEachRegister) {
+  SimulatedRaplPackage pkg;
+  pkg.deposit(Domain::kPackage, 3.0);
+  pkg.deposit(Domain::kCore, 2.0);
+  pkg.deposit(Domain::kDram, 1.0);
+  const FlakyDevice flaky(pkg.device(), 2);  // 2 failures < 4 attempts
+  const RaplReader reader(flaky);
+  const ProbeSample s = reader.readProbe();
+  EXPECT_EQ(s.retries, 6);
+  for (std::size_t i = 0; i < kProbeDomains.size(); ++i) {
+    EXPECT_EQ(s.raw[i], RaplReader(pkg.device()).readRaw(kProbeDomains[i]));
+    EXPECT_EQ(s.fail[i], MeasurementQuality::kOk);
+  }
+}
+
+TEST(Rapl, DepositQuantizesExactlyLikeDividingByTheQuantum) {
+  // deposit() multiplies by 2^ESU; the quantum is a power of two, so that
+  // is bit-identical to dividing by it. Replay the division on the side.
+  for (const unsigned esu : {14u, 16u}) {
+    PowerUnit u;
+    u.energyUnitBits = esu;
+    SimulatedRaplPackage pkg(u);
+    const RaplReader reader(pkg.device());
+    const double quantum = u.jouleQuantum();
+    double residual = 0.0;
+    std::uint64_t raw = 0;
+    double joules = 1e-9;
+    for (int i = 0; i < 5000; ++i) {
+      joules = joules * 1.37 > 5e-3 ? 1e-9 * (i % 7 + 1) : joules * 1.37;
+      pkg.deposit(Domain::kCore, joules);
+      residual += joules;
+      const double counts = std::floor(residual / quantum);
+      if (counts > 0.0) {
+        raw += static_cast<std::uint64_t>(counts);
+        residual -= counts * quantum;
+      }
+      ASSERT_EQ(reader.readRaw(Domain::kCore),
+                static_cast<std::uint32_t>(raw))
+          << "esu " << esu << " deposit " << i;
+    }
+  }
 }
 
 TEST(EnergyCounter, CleanIntervalIsOkQuality) {
