@@ -6,6 +6,7 @@
 #include "ml/evaluation.hpp"
 #include "ml/classifier.hpp"
 #include "ml/encoding.hpp"
+#include "ml/tree.hpp"
 
 namespace jepo::ml {
 namespace {
@@ -376,6 +377,217 @@ INSTANTIATE_TEST_SUITE_P(
       name.erase(std::remove(name.begin(), name.end(), ' '), name.end());
       return name;
     });
+
+// ------------------------------------------------- kernel edge cases
+//
+// Predictions and meter counts captured from the reference kernels. The
+// counts are taken in both styles; the optimized one runs at a fractional
+// exposure, whose shared carry chain makes the order of charges observable.
+
+/// Nonzero meter counts as "op=count" pairs.
+std::string chargedOps(energy::SimMachine& machine) {
+  std::string out;
+  const auto& counts = machine.meter().counts();
+  for (std::size_t op = 0; op < counts.size(); ++op) {
+    if (counts[op] == 0) continue;
+    if (!out.empty()) out += ' ';
+    out += std::string(energy::opName(static_cast<energy::Op>(op))) + '=' +
+           std::to_string(counts[op]);
+  }
+  return out;
+}
+
+struct KernelRun {
+  std::string predictions;  // one digit per query row
+  std::string baselineOps;
+  std::string optimizedOps;
+};
+
+/// `fit(rt)` returns a classifier trained against `rt`; it is fitted once
+/// per style and asked for every query row.
+template <typename Fit>
+KernelRun runBothStyles(Fit fit, const std::vector<std::vector<double>>& queries,
+                        ClassifierKind exposureOf) {
+  KernelRun run;
+  for (int style = 0; style < 2; ++style) {
+    energy::SimMachine machine;
+    MlRuntime rt(machine,
+                 style == 0 ? CodeStyle::javaBaseline()
+                            : CodeStyle::jepoOptimized(),
+                 style == 0 ? StyleExposure::full()
+                            : StyleExposure::forClassifier(
+                                  static_cast<int>(exposureOf)));
+    const std::unique_ptr<Classifier> clf = fit(rt);
+    std::string predictions;
+    for (const auto& q : queries) {
+      predictions += static_cast<char>('0' + clf->predict(q));
+    }
+    if (style == 0) {
+      run.predictions = predictions;
+      run.baselineOps = chargedOps(machine);
+    } else {
+      EXPECT_EQ(predictions, run.predictions) << "style changed predictions";
+      run.optimizedOps = chargedOps(machine);
+    }
+  }
+  return run;
+}
+
+std::vector<std::vector<double>> rowsOf(const Instances& data) {
+  std::vector<std::vector<double>> rows;
+  for (std::size_t i = 0; i < data.numInstances(); ++i) {
+    rows.push_back(data.row(i));
+  }
+  return rows;
+}
+
+/// A bootstrap bag over `n` rows: n draws with replacement.
+std::vector<std::size_t> bootstrapBag(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::size_t> bag(n);
+  for (auto& i : bag) i = rng.nextBelow(n);
+  return bag;
+}
+
+/// The forest's per-tree options (RandomTree over a random feature subset).
+TreeOptions forestTreeOptions() {
+  TreeOptions opts;
+  opts.gainRatio = false;
+  opts.randomFeatures = 2;
+  opts.minLeaf = 1;
+  return opts;
+}
+
+const KernelRun kBagTree{
+    "011111011111111111111111111101111100111111101111110111111111",
+    "int_mod=128 long_alu=134 double_alu=3040 double_math=525 "
+    "static_access=14 array_access=1260 array_row_load=18 branch=308 "
+    "ternary=351 loop_iter=326 call=14 string_compare_to_char=768",
+    "int_alu=74 int_mod=94 long_alu=94 float_alu=904 double_alu=2136 "
+    "float_math=144 double_math=381 local_access=5 static_access=9 "
+    "array_access=1080 array_row_load=15 branch=325 ternary=244 "
+    "loop_iter=236 call=14 string_equals_char=230 "
+    "string_compare_to_char=538 arraycopy_per_elem=90"};
+
+TEST(KernelEdges, ForestTreeOnMaterializedBagWithDuplicates) {
+  const Instances data = makeToyData(60, 81);
+  const std::vector<std::size_t> bag = bootstrapBag(data.numInstances(), 5);
+  ASSERT_LT(std::set<std::size_t>(bag.begin(), bag.end()).size(), bag.size())
+      << "the bag must repeat rows";
+  const KernelRun run = runBothStyles(
+      [&](MlRuntime& rt) {
+        auto tree = std::make_unique<DecisionTree<double>>(
+            rt, forestTreeOptions(), Rng(13), "RandomTree");
+        tree->train(data.select(bag));
+        return tree;
+      },
+      rowsOf(data), ClassifierKind::kRandomForest);
+  EXPECT_EQ(run.predictions, kBagTree.predictions);
+  EXPECT_EQ(run.baselineOps, kBagTree.baselineOps);
+  EXPECT_EQ(run.optimizedOps, kBagTree.optimizedOps);
+}
+
+/// Class b iff x >= 5, over x = 0..9, beside a numeric column fixed at 3.
+Instances constantColumnData() {
+  std::vector<Attribute> attrs{Attribute::numeric("c"),
+                               Attribute::numeric("x"),
+                               Attribute::nominal("label", {"a", "b"})};
+  Instances data("const", std::move(attrs), 2);
+  for (int x = 0; x < 10; ++x) {
+    data.addRow({3.0, static_cast<double>(x), x >= 5 ? 1.0 : 0.0});
+  }
+  return data;
+}
+
+TEST(KernelEdges, IbkIgnoresAConstantNumericColumn) {
+  const Instances data = constantColumnData();
+  // A zero-span column normalises to 0 on both sides, whatever the query
+  // holds there; the nearest neighbour is decided by x alone.
+  const KernelRun run = runBothStyles(
+      [&](MlRuntime& rt) {
+        auto clf = makeClassifier(ClassifierKind::kIbk, Precision::kDouble,
+                                  rt, 1);
+        clf->train(data);
+        return clf;
+      },
+      {{3.0, 2.2, 0.0}, {3.0, 7.6, 0.0}, {99.0, 3.9, 0.0}, {-5.0, 5.2, 0.0}},
+      ClassifierKind::kIbk);
+  EXPECT_EQ(run.predictions, "0101");
+  EXPECT_EQ(run.baselineOps, "int_alu=80 long_alu=4 double_alu=480 array_access=220 "
+            "branch=30 loop_iter=110");
+  EXPECT_EQ(run.optimizedOps, "int_alu=81 long_alu=3 float_alu=136 double_alu=344 "
+            "array_access=204 branch=22 loop_iter=102 "
+            "arraycopy_per_elem=8");
+}
+
+TEST(KernelEdges, KStarOnATwoLabelNominal) {
+  // flag agrees with the class on 8 of 10 rows; x carries no signal. With
+  // two labels the change probability is (1 - pStay) / (m - 1) at m - 1 = 1.
+  std::vector<Attribute> attrs{Attribute::nominal("flag", {"no", "yes"}),
+                               Attribute::numeric("x"),
+                               Attribute::nominal("label", {"neg", "pos"})};
+  Instances data("flag", std::move(attrs), 2);
+  const double flags[10] = {0, 0, 0, 0, 1, 1, 1, 1, 1, 0};
+  const double labels[10] = {0, 0, 0, 1, 1, 1, 1, 1, 0, 0};
+  for (int i = 0; i < 10; ++i) {
+    data.addRow({flags[i], static_cast<double>(i % 3), labels[i]});
+  }
+  const KernelRun run = runBothStyles(
+      [&](MlRuntime& rt) {
+        auto clf = makeClassifier(ClassifierKind::kKStar, Precision::kDouble,
+                                  rt, 1);
+        clf->train(data);
+        return clf;
+      },
+      {{0.0, 1.0, 0.0}, {1.0, 1.0, 0.0}, {1.0, 0.0, 0.0}, {0.0, 2.0, 0.0}},
+      ClassifierKind::kKStar);
+  EXPECT_EQ(run.predictions, "0110");
+  EXPECT_EQ(run.baselineOps, "double_alu=160 double_math=80 array_access=220 branch=30 "
+            "loop_iter=130 string_compare_to_char=240");
+  EXPECT_EQ(run.optimizedOps, "float_alu=33 double_alu=127 float_math=21 double_math=59 "
+            "array_access=206 branch=23 loop_iter=123 "
+            "string_equals_char=52 string_compare_to_char=188 "
+            "arraycopy_per_elem=7");
+}
+
+TEST(KernelEdges, LazyLearnersOnQueriesOutsideTheTrainingRange) {
+  const Instances data = constantColumnData();
+  // x far below and far above every training value: normalised IBk
+  // distances leave [0, 1], KStar's exponential kernels grow large.
+  const std::vector<std::vector<double>> queries{
+      {3.0, -40.0, 0.0}, {3.0, 1e3, 0.0}, {3.0, -1e-9, 0.0}, {3.0, 9.5, 0.0}};
+  for (const ClassifierKind kind :
+       {ClassifierKind::kIbk, ClassifierKind::kKStar}) {
+    const KernelRun run = runBothStyles(
+        [&](MlRuntime& rt) {
+          auto clf = makeClassifier(kind, Precision::kDouble, rt, 1);
+          clf->train(data);
+          return clf;
+        },
+        queries, kind);
+    if (kind == ClassifierKind::kIbk) {
+      EXPECT_EQ(run.predictions, "0101");
+      EXPECT_EQ(run.baselineOps,
+                "int_alu=80 long_alu=4 double_alu=480 array_access=220 "
+                "branch=30 loop_iter=110");
+      EXPECT_EQ(run.optimizedOps,
+                "int_alu=81 long_alu=3 float_alu=136 double_alu=344 "
+                "array_access=204 branch=22 loop_iter=102 "
+                "arraycopy_per_elem=8");
+    } else {
+      // At x = 1000 every similarity underflows to 0, and the all-zero
+      // class scores fall back to the first class.
+      EXPECT_EQ(run.predictions, "0001");
+      EXPECT_EQ(run.baselineOps,
+                "double_alu=320 double_math=40 array_access=220 branch=30 "
+                "loop_iter=130");
+      EXPECT_EQ(run.optimizedOps,
+                "float_alu=71 double_alu=249 float_math=9 double_math=31 "
+                "array_access=206 branch=23 loop_iter=123 "
+                "arraycopy_per_elem=7");
+    }
+  }
+}
 
 // ------------------------------------------------------------ evaluation
 
