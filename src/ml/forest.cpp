@@ -36,7 +36,8 @@ void RandomForest<Real>::train(const Instances& data) {
     treeOpts.minLeaf = 1;
     auto tree = std::make_unique<DecisionTree<Real>>(
         *rt_, treeOpts, rng_.split(), "RandomTree");
-    tree->train(data.select(sample));
+    // WEKA copies the bag (charged above); the tree reads it by index.
+    tree->trainOn(data, std::move(sample));
     trees_.push_back(std::move(tree));
   }
 }

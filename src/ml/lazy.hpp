@@ -29,13 +29,17 @@ class Ibk final : public Classifier {
   std::string name() const override { return "IBk"; }
 
  private:
+  /// A feature's value as the distance reads it: a nominal label index as
+  /// stored, a numeric value normalised by its training range.
+  double normalised(std::size_t feature, double v) const;
+
   MlRuntime* rt_;
   IbkOptions options_;
-  std::vector<std::vector<double>> train_;
-  std::vector<int> labels_;
   std::vector<std::size_t> featureIdx_;
-  std::vector<bool> isNominal_;
-  std::vector<Instances::NumericRange> ranges_;
+  std::vector<bool> isNominal_;                // per feature
+  std::vector<Instances::NumericRange> ranges_;  // per feature
+  std::vector<double> features_;  // row-major, featureIdx_.size() per row
+  std::vector<int> labels_;
   std::size_t numClasses_ = 0;
 };
 
@@ -56,13 +60,14 @@ class KStar final : public Classifier {
  private:
   MlRuntime* rt_;
   KStarOptions options_;
-  std::vector<std::vector<double>> train_;
-  std::vector<int> labels_;
   std::vector<std::size_t> featureIdx_;
+  // Per feature:
   std::vector<bool> isNominal_;
-  std::vector<Real> scale_;        // numeric: exponential kernel scale
-  std::vector<Real> stayProb_;     // nominal: probability of no transform
-  std::vector<std::size_t> numLabels_;
+  std::vector<Real> scale_;      // numeric: exponential kernel scale
+  std::vector<Real> logStay_;    // nominal: log P(no transform)
+  std::vector<Real> logChange_;  // nominal: log P(to one other label)
+  std::vector<double> features_;  // row-major, featureIdx_.size() per row
+  std::vector<int> labels_;
   std::size_t numClasses_ = 0;
 };
 

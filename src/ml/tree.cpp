@@ -125,11 +125,21 @@ typename DecisionTree<Real>::SplitChoice DecisionTree<Real>::findBestSplit(
       candidates.push_back(Candidate{static_cast<int>(attr), Real(0), false,
                                      gain, splitInfo});
     } else {
-      // Numeric: sort by value, scan boundary thresholds.
-      std::vector<std::size_t> sorted = indices;
+      // Numeric: gather (value, class) once, sort by value, scan boundary
+      // thresholds. Class counts are read only where the value changes,
+      // so the order among equal values does not affect the split.
+      struct Keyed {
+        double value;
+        int cls;
+      };
+      std::vector<Keyed> sorted;
+      sorted.reserve(n);
+      for (std::size_t i : indices) {
+        sorted.push_back(Keyed{data.value(i, attr), data.classValue(i)});
+      }
       std::sort(sorted.begin(), sorted.end(),
-                [&](std::size_t x, std::size_t y) {
-                  return data.value(x, attr) < data.value(y, attr);
+                [](const Keyed& x, const Keyed& y) {
+                  return x.value < y.value;
                 });
       rt_->flops(static_cast<std::uint64_t>(
           static_cast<double>(n) *
@@ -143,14 +153,13 @@ typename DecisionTree<Real>::SplitChoice DecisionTree<Real>::findBestSplit(
       Real bestThr = Real(0);
       Real bestSplitInfo = Real(1);
       for (std::size_t k = 0; k + 1 < n; ++k) {
-        const std::size_t i = sorted[k];
-        const auto cls = static_cast<std::size_t>(data.classValue(i));
+        const auto cls = static_cast<std::size_t>(sorted[k].cls);
         left[cls] += Real(1);
         right[cls] -= Real(1);
         rt_->arrayOps(2);
         rt_->selections(1);  // boundary check
-        const double v = data.value(i, attr);
-        const double vNext = data.value(sorted[k + 1], attr);
+        const double v = sorted[k].value;
+        const double vNext = sorted[k + 1].value;
         if (v >= vNext) continue;  // not a class boundary candidate
         const Real nl = Real(k + 1);
         const Real nr = Real(n - k - 1);
@@ -300,29 +309,34 @@ int DecisionTree<Real>::buildNode(const Instances& data,
 
 template <typename Real>
 void DecisionTree<Real>::train(const Instances& data) {
-  JEPO_REQUIRE(data.numInstances() > 0, "empty training set");
+  std::vector<std::size_t> all(data.numInstances());
+  std::iota(all.begin(), all.end(), 0);
+  trainOn(data, std::move(all));
+}
+
+template <typename Real>
+void DecisionTree<Real>::trainOn(const Instances& data,
+                                 std::vector<std::size_t> rows) {
+  JEPO_REQUIRE(!rows.empty(), "empty training set");
   nodes_.clear();
   numClasses_ = data.numClasses();
 
-  std::vector<std::size_t> all(data.numInstances());
-  std::iota(all.begin(), all.end(), 0);
-
-  if (options_.reducedErrorPrune && data.numInstances() >= 10) {
+  if (options_.reducedErrorPrune && rows.size() >= 10) {
     // Grow on 2/3, prune on 1/3 (WEKA REPTree numFolds=3).
-    for (std::size_t i = all.size(); i > 1; --i) {
-      std::swap(all[i - 1], all[rng_.nextBelow(i)]);
+    for (std::size_t i = rows.size(); i > 1; --i) {
+      std::swap(rows[i - 1], rows[rng_.nextBelow(i)]);
     }
-    const std::size_t growN = all.size() * 2 / 3;
-    std::vector<std::size_t> grow(all.begin(),
-                                  all.begin() + static_cast<std::ptrdiff_t>(
-                                                    growN));
-    std::vector<std::size_t> prune(all.begin() + static_cast<std::ptrdiff_t>(
-                                                     growN),
-                                   all.end());
+    const std::size_t growN = rows.size() * 2 / 3;
+    std::vector<std::size_t> grow(rows.begin(),
+                                  rows.begin() + static_cast<std::ptrdiff_t>(
+                                                     growN));
+    std::vector<std::size_t> prune(rows.begin() + static_cast<std::ptrdiff_t>(
+                                                      growN),
+                                   rows.end());
     root_ = buildNode(data, grow, 0);
     pruneReducedError(data.select(prune));
   } else {
-    root_ = buildNode(data, all, 0);
+    root_ = buildNode(data, rows, 0);
     if (options_.pessimisticPrune) prunePessimistic();
   }
 }

@@ -31,6 +31,9 @@ class DecisionTree final : public Classifier {
                std::string displayName);
 
   void train(const Instances& data) override;
+  /// Trains on the rows of `data` that `rows` lists, repeats included: the
+  /// tree train(data.select(rows)) grows, without copying the rows.
+  void trainOn(const Instances& data, std::vector<std::size_t> rows);
   int predict(const std::vector<double>& row) const override;
   std::string name() const override { return displayName_; }
 

@@ -487,6 +487,51 @@ TEST(KernelEdges, ForestTreeOnMaterializedBagWithDuplicates) {
   EXPECT_EQ(run.optimizedOps, kBagTree.optimizedOps);
 }
 
+TEST(KernelEdges, ForestTreeOnIndexBagEqualsMaterializedBag) {
+  const Instances data = makeToyData(60, 81);
+  const std::vector<std::size_t> bag = bootstrapBag(data.numInstances(), 5);
+  const KernelRun run = runBothStyles(
+      [&](MlRuntime& rt) {
+        auto tree = std::make_unique<DecisionTree<double>>(
+            rt, forestTreeOptions(), Rng(13), "RandomTree");
+        tree->trainOn(data, bag);
+        return tree;
+      },
+      rowsOf(data), ClassifierKind::kRandomForest);
+  EXPECT_EQ(run.predictions, kBagTree.predictions);
+  EXPECT_EQ(run.baselineOps, kBagTree.baselineOps);
+  EXPECT_EQ(run.optimizedOps, kBagTree.optimizedOps);
+}
+
+TEST(KernelEdges, PrunedTreeOnIndexBagEqualsMaterializedBag) {
+  // Reduced-error pruning shuffles the rows it is given and prunes on a
+  // materialised third: both must see the same rows in the same order.
+  const Instances data = makeToyData(90, 83);
+  const std::vector<std::size_t> bag = bootstrapBag(data.numInstances(), 7);
+  TreeOptions opts;
+  opts.gainRatio = false;
+  opts.reducedErrorPrune = true;
+  const auto fit = [&](bool byIndex) {
+    return [&, byIndex](MlRuntime& rt) {
+      auto tree = std::make_unique<DecisionTree<float>>(rt, opts, Rng(21),
+                                                        "REPTree");
+      if (byIndex) {
+        tree->trainOn(data, bag);
+      } else {
+        tree->train(data.select(bag));
+      }
+      return tree;
+    };
+  };
+  const KernelRun materialized =
+      runBothStyles(fit(false), rowsOf(data), ClassifierKind::kRepTree);
+  const KernelRun indexed =
+      runBothStyles(fit(true), rowsOf(data), ClassifierKind::kRepTree);
+  EXPECT_EQ(indexed.predictions, materialized.predictions);
+  EXPECT_EQ(indexed.baselineOps, materialized.baselineOps);
+  EXPECT_EQ(indexed.optimizedOps, materialized.optimizedOps);
+}
+
 /// Class b iff x >= 5, over x = 0..9, beside a numeric column fixed at 3.
 Instances constantColumnData() {
   std::vector<Attribute> attrs{Attribute::numeric("c"),
