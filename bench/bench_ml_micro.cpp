@@ -44,18 +44,30 @@ void BM_Train(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_Train<ml::ClassifierKind::kJ48>)->Arg(500);
+BENCHMARK(BM_Train<ml::ClassifierKind::kRandomTree>)->Arg(500);
+BENCHMARK(BM_Train<ml::ClassifierKind::kRandomForest>)->Arg(500);
 BENCHMARK(BM_Train<ml::ClassifierKind::kRepTree>)->Arg(500);
 BENCHMARK(BM_Train<ml::ClassifierKind::kNaiveBayes>)->Arg(500);
 BENCHMARK(BM_Train<ml::ClassifierKind::kLogistic>)->Arg(500);
 BENCHMARK(BM_Train<ml::ClassifierKind::kSgd>)->Arg(500);
 BENCHMARK(BM_Train<ml::ClassifierKind::kSmo>)->Arg(500);
 
-void BM_PredictIbk(benchmark::State& state) {
+/// One prediction per iteration, cycling through the training rows. The
+/// optimized twin is Table IV's optimized stream: the JEPO style at the
+/// classifier's calibrated exposure, in float.
+void predictRows(benchmark::State& state, ml::ClassifierKind kind,
+                 bool optimized) {
   const ml::Instances data = sampleData(500);
   energy::SimMachine machine;
-  ml::MlRuntime rt(machine, ml::CodeStyle::javaBaseline());
-  auto clf = ml::makeClassifier(ml::ClassifierKind::kIbk,
-                                ml::Precision::kDouble, rt, 7);
+  ml::MlRuntime rt(machine,
+                   optimized ? ml::CodeStyle::jepoOptimized()
+                             : ml::CodeStyle::javaBaseline(),
+                   optimized ? ml::StyleExposure::forClassifier(
+                                   static_cast<int>(kind))
+                             : ml::StyleExposure::full());
+  auto clf = ml::makeClassifier(
+      kind, optimized ? ml::Precision::kFloat : ml::Precision::kDouble, rt,
+      7);
   clf->train(data);
   std::size_t i = 0;
   for (auto _ : state) {
@@ -64,7 +76,26 @@ void BM_PredictIbk(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
+
+void BM_PredictIbk(benchmark::State& state) {
+  predictRows(state, ml::ClassifierKind::kIbk, false);
+}
 BENCHMARK(BM_PredictIbk);
+
+void BM_PredictIbkOptimized(benchmark::State& state) {
+  predictRows(state, ml::ClassifierKind::kIbk, true);
+}
+BENCHMARK(BM_PredictIbkOptimized);
+
+void BM_PredictKStar(benchmark::State& state) {
+  predictRows(state, ml::ClassifierKind::kKStar, false);
+}
+BENCHMARK(BM_PredictKStar);
+
+void BM_PredictKStarOptimized(benchmark::State& state) {
+  predictRows(state, ml::ClassifierKind::kKStar, true);
+}
+BENCHMARK(BM_PredictKStarOptimized);
 
 void BM_CrossValidateNaiveBayes(benchmark::State& state) {
   const ml::Instances data = sampleData(400);
