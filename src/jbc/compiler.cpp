@@ -290,22 +290,21 @@ void MethodCompiler::compileStmt(const Stmt& s) {
 }
 
 void MethodCompiler::compileJumpOut(const Stmt& s) {
-  // break: the nearest loop or switch; continue: the nearest *loop*.
-  LoopContext* target = nullptr;
-  for (auto it = loops_.rbegin(); it != loops_.rend(); ++it) {
-    if (s.kind == StmtKind::kBreak || it->isLoop) {
-      target = &*it;
-      break;
-    }
+  // break: the nearest loop or switch; continue: the nearest *loop*. Held
+  // by index: a loop inside an inlined finally copy grows loops_.
+  std::size_t target = loops_.size();
+  while (target-- > 0) {
+    if (s.kind == StmtKind::kBreak || loops_[target].isLoop) break;
   }
-  if (target == nullptr) {
+  if (target >= loops_.size()) {
     emitError("break/continue escaped method " + chunk_.qualifiedName,
               s.line);
     return;
   }
-  emitFinallyCopies(target->tryDepth);
+  emitFinallyCopies(loops_[target].tryDepth);
   const int jump = emit(Op::kJump, 0, 0, 0, s.line);
-  (s.kind == StmtKind::kBreak ? target->breakJumps : target->continueJumps)
+  LoopContext& ctx = loops_[target];
+  (s.kind == StmtKind::kBreak ? ctx.breakJumps : ctx.continueJumps)
       .push_back(jump);
 }
 

@@ -10,7 +10,10 @@
 //
 // Each program then reruns per engine under a tiny heap limit that forces
 // multiple mark-compact collections; the observables must stay bit-identical
-// to the unlimited run — GC is host-time only.
+// to the unlimited run — GC is host-time only. A last pair of runs repeats
+// the engine comparison under the sampled:4 tier, whose gate declines most
+// entries: a declined call to a trivial callee is the one the bytecode VM
+// runs without a frame, so that path is compared against the tree as well.
 //
 // Environment knobs:
 //   JEPO_FUZZ_RUNS=N   number of generated programs (default 200)
@@ -35,6 +38,7 @@
 #include "jlang/parser.hpp"
 #include "jvm/instrumenter.hpp"
 #include "jvm/interpreter.hpp"
+#include "jvm/tier.hpp"
 #include "obs/registry.hpp"
 #include "support/rng.hpp"
 #include "tests/support/progen.hpp"
@@ -47,6 +51,7 @@ constexpr std::uint64_t kDefaultBaseSeed = 0x6a65706f2d667aULL;  // "jepo-fz"
 constexpr int kDefaultRuns = 200;
 constexpr std::size_t kFuzzHeapLimit = 48;
 constexpr std::uint64_t kMaxSteps = 20'000'000;
+constexpr std::uint64_t kTierSeed = 2020;
 
 /// Strict u64 parse for seed knobs: decimal or 0x-prefixed hex, the exact
 /// inverse of replayBanner's `JEPO_FUZZ_ONLY=0x%llx`. Rejects what
@@ -114,7 +119,8 @@ std::uint64_t doubleBits(double d) {
 }
 
 void finish(RunResult& r, energy::SimMachine& machine, const std::string& out,
-            const jvm::Instrumenter& inst, std::uint64_t steps0) {
+            jvm::Instrumenter& inst, std::uint64_t steps0) {
+  inst.finalizeSampling();
   const energy::MachineSample s = machine.sample();
   r.out = out;
   r.pkgBits = doubleBits(s.packageJoules);
@@ -123,17 +129,20 @@ void finish(RunResult& r, energy::SimMachine& machine, const std::string& out,
   r.secondsBits = doubleBits(s.seconds);
   for (const auto& rec : inst.records()) {
     char bits[80];
-    std::snprintf(bits, sizeof bits, " %016llx/%016llx",
+    std::snprintf(bits, sizeof bits, " %016llx/%016llx/%016llx",
                   static_cast<unsigned long long>(doubleBits(rec.seconds)),
                   static_cast<unsigned long long>(
-                      doubleBits(rec.packageJoules)));
+                      doubleBits(rec.packageJoules)),
+                  static_cast<unsigned long long>(
+                      doubleBits(rec.samplingRate)));
     r.records.push_back(rec.method + bits);
   }
   r.counts = machine.meter().counts();
   r.steps = stepCounter() - steps0;
 }
 
-RunResult runTree(const testgen::GeneratedProgram& p, std::size_t heapLimit) {
+RunResult runTree(const testgen::GeneratedProgram& p, std::size_t heapLimit,
+                  const jvm::TierSpec* tier = nullptr) {
   RunResult r;
   try {
     const jlang::Program prog = jlang::Parser::parseProgram(p.name, p.source);
@@ -141,6 +150,7 @@ RunResult runTree(const testgen::GeneratedProgram& p, std::size_t heapLimit) {
     jvm::Interpreter interp(prog, machine);
     interp.setHeapLimit(heapLimit);
     jvm::Instrumenter inst(machine);
+    if (tier != nullptr) inst.setTier(*tier, kTierSeed);
     interp.setHooks(&inst);
     interp.setMaxSteps(kMaxSteps);
     const std::uint64_t steps0 = stepCounter();
@@ -153,7 +163,8 @@ RunResult runTree(const testgen::GeneratedProgram& p, std::size_t heapLimit) {
   return r;
 }
 
-RunResult runBcvm(const testgen::GeneratedProgram& p, std::size_t heapLimit) {
+RunResult runBcvm(const testgen::GeneratedProgram& p, std::size_t heapLimit,
+                  const jvm::TierSpec* tier = nullptr) {
   RunResult r;
   try {
     const jlang::Program prog = jlang::Parser::parseProgram(p.name, p.source);
@@ -162,6 +173,7 @@ RunResult runBcvm(const testgen::GeneratedProgram& p, std::size_t heapLimit) {
     jbc::BytecodeVm vm(compiled, machine);
     vm.setHeapLimit(heapLimit);
     jvm::Instrumenter inst(machine);
+    if (tier != nullptr) inst.setTier(*tier, kTierSeed);
     vm.setHooks(&inst);
     vm.setMaxSteps(kMaxSteps);
     const std::uint64_t steps0 = stepCounter();
@@ -201,13 +213,12 @@ std::string replayBanner(std::uint64_t seed,
          " ----\n" + p.source + "----\n";
 }
 
-// Checks one derived seed; returns false on any divergence so the caller
-// can cap the failure spam.
-bool checkSeed(std::uint64_t seed) {
-  const testgen::GeneratedProgram p = testgen::generateProgram(seed);
-  const RunResult tree = runTree(p, 0);
-  const RunResult bcvm = runBcvm(p, 0);
-
+// Compares one tree run with one bytecode run of the same program under the
+// same hooks (`mode` names them in failures); false on any divergence.
+bool enginesAgree(const RunResult& tree, const RunResult& bcvm,
+                  const char* mode, std::uint64_t seed,
+                  const testgen::GeneratedProgram& p) {
+  SCOPED_TRACE(mode);
   // A generator-produced program must execute cleanly on both engines.
   if (!tree.error.empty() || !bcvm.error.empty()) {
     ADD_FAILURE() << "generated program failed to run\n"
@@ -260,7 +271,19 @@ bool checkSeed(std::uint64_t seed) {
                   << "\n" << replayBanner(seed, p);
     ok = false;
   }
-  if (!ok) return false;
+  return ok;
+}
+
+// Checks one derived seed; returns false on any divergence so the caller
+// can cap the failure spam.
+bool checkSeed(std::uint64_t seed) {
+  const testgen::GeneratedProgram p = testgen::generateProgram(seed);
+  const RunResult tree = runTree(p, 0);
+  const RunResult bcvm = runBcvm(p, 0);
+  if (!enginesAgree(tree, bcvm, "full instrumentation", seed, p)) {
+    return false;
+  }
+  bool ok = true;
 
   // GC must be invisible: rerun each engine under a heap limit small enough
   // to force collections and require bit-identical observables.
@@ -284,7 +307,11 @@ bool checkSeed(std::uint64_t seed) {
   // collector, or the bit-identity check above proves nothing.
   EXPECT_GT(treeGc.collections, 0u) << replayBanner(seed, p);
   EXPECT_GT(bcvmGc.collections, 0u) << replayBanner(seed, p);
-  return ok;
+
+  const jvm::TierSpec sampled = jvm::parseTierSpec("sampled:4");
+  return enginesAgree(runTree(p, 0, &sampled), runBcvm(p, 0, &sampled),
+                      "sampled:4", seed, p) &&
+         ok;
 }
 
 TEST(FuzzDiff, ReplaySeedEnvRoundTrips) {
@@ -346,6 +373,36 @@ TEST(FuzzDiff, GeneratorIsDeterministic) {
   EXPECT_EQ(a.source, b.source);
   EXPECT_EQ(a.name, b.name);
   EXPECT_NE(a.source, c.source);
+}
+
+// The agreement check above proves a fused handler right only if some
+// program compiles to it: every superinstruction must appear in a method,
+// <clinit> or <initfields> chunk of the default seeds.
+TEST(FuzzDiff, GeneratedProgramsEmitEverySuperinstruction) {
+  constexpr auto kFirst = static_cast<std::size_t>(jbc::Op::kLoadLoad);
+  constexpr auto kLast = static_cast<std::size_t>(jbc::Op::kCountedAccumLoop);
+  std::vector<int> programsWith(kLast + 1, 0);
+  for (int i = 0; i < kDefaultRuns; ++i) {
+    const testgen::GeneratedProgram p = testgen::generateProgram(
+        deriveSeed(kDefaultBaseSeed, static_cast<std::uint64_t>(i)));
+    const jlang::Program prog = jlang::Parser::parseProgram(p.name, p.source);
+    const jbc::CompiledProgram compiled = jbc::compile(prog);
+    std::vector<char> seen(kLast + 1, 0);
+    const auto scan = [&](const jbc::Chunk& chunk) {
+      for (const jbc::Instr& in : chunk.code) {
+        seen[static_cast<std::size_t>(in.op)] = 1;
+      }
+    };
+    for (const auto& [className, cls] : compiled.classes) {
+      scan(cls.clinit);
+      scan(cls.initFields);
+      for (const auto& [methodName, chunk] : cls.methods) scan(chunk);
+    }
+    for (std::size_t op = kFirst; op <= kLast; ++op) programsWith[op] += seen[op];
+  }
+  for (std::size_t op = kFirst; op <= kLast; ++op) {
+    EXPECT_GT(programsWith[op], 0) << "no generated program emits op " << op;
+  }
 }
 
 TEST(FuzzDiff, EnginesAgreeOnGeneratedPrograms) {

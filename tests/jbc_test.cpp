@@ -348,6 +348,35 @@ TEST(Bytecode, PendingReturnSurvivesCallsInFinally) {
   EXPECT_EQ(runBytecode(prog).output, "5\n");
 }
 
+TEST(Bytecode, BreakThroughFinallyThatHoldsALoop) {
+  // The break inlines the finally, whose own loops compile while the break
+  // still has to record its jump on the enclosing loop.
+  const Program prog = Parser::parseProgram("p.mjava", R"(
+    class Main {
+      static int f(int x) {
+        int i = 0;
+        while (i < 3) {
+          try {
+            if (x > 2) { break; }
+          } finally {
+            for (int j = 0; j < 4; j++) x = x + 1;
+            int k = 0;
+            while (k < 2) { k++; }
+          }
+          i++;
+        }
+        return x * 10 + i;
+      }
+      static void main(String[] args) {
+        System.out.println(f(5));
+        System.out.println(f(1));
+      }
+    }
+  )");
+  EXPECT_EQ(runTree(prog).output, "90\n91\n");
+  EXPECT_EQ(runBytecode(prog).output, "90\n91\n");
+}
+
 TEST(Bytecode, UncaughtExceptionEscapesRunMain) {
   const Program prog = Parser::parseProgram(
       "p.mjava", wrapMain("throw new IllegalStateException(\"loose\");"));

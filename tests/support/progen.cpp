@@ -18,6 +18,7 @@ struct ClassSpec {
   int statics = 0;
   int methods = 0;        // int m<k>(int x)      (rich mode only)
   int staticMethods = 0;  // static int t<k>(int x)
+  int pairMethods = 0;    // static int u<k>(int x, int y): `return x op y;`
 };
 
 // One lexical scope's visible locals. Names are globally unique (a single
@@ -50,6 +51,7 @@ class Emitter {
         c.statics = static_cast<int>(rng_.nextInt(1, 2));
         c.staticMethods = static_cast<int>(rng_.nextInt(1, 2));
       }
+      c.pairMethods = static_cast<int>(rng_.nextInt(0, 1));
     }
     std::string out;
     for (int i = 0; i < helpers; ++i) emitClass(out, i);
@@ -116,6 +118,27 @@ class Emitter {
   }
 
   std::string literal() { return std::to_string(rng_.nextInt(0, 20)); }
+
+  // A binary operator that cannot throw (no / or %).
+  const char* safeOp() {
+    static const char* const kOps[] = {"+", "-", "*", "&", "|", "^"};
+    return kOps[rng_.nextBelow(6)];
+  }
+
+  // Assignable int locals: everything visible except loop counters and
+  // loop bounds (both named i<n>), which only their loop may write.
+  std::vector<std::string> assignableInts() const {
+    std::vector<std::string> ints;
+    for (const std::string& n : visibleInts())
+      if (n[0] != 'i') ints.push_back(n);
+    return ints;
+  }
+
+  // `acc = acc <op> (v <op> K);` — the accumulate-statement shape.
+  std::string accumulate(const std::string& acc, const std::string& v) {
+    return acc + " = " + acc + " " + safeOp() + " (" + v + " " + safeOp() +
+           " " + std::to_string(rng_.nextInt(1, 15)) + ");\n";
+  }
 
   // An int-valued expression. `depth` bounds recursion; `calls` allows
   // method-call atoms (disabled inside constructors to keep the call graph
@@ -271,7 +294,7 @@ class Emitter {
 
   void genStmt(std::string& out, int stmtDepth) {
     for (int attempt = 0; attempt < 8; ++attempt) {
-      switch (rng_.nextBelow(16)) {
+      switch (rng_.nextBelow(20)) {
         case 0: {  // new int local
           const std::string n = freshInt();
           indent(out);
@@ -280,9 +303,7 @@ class Emitter {
           return;
         }
         case 1: {  // assign an existing int local — never a loop counter
-          std::vector<std::string> ints;
-          for (const std::string& n : visibleInts())
-            if (n[0] != 'i') ints.push_back(n);
+          const std::vector<std::string> ints = assignableInts();
           if (ints.empty()) break;
           indent(out);
           out += ints[rng_.nextBelow(ints.size())] + " = " + genExpr(2) +
@@ -399,9 +420,7 @@ class Emitter {
           return;
         }
         case 10: {  // compound assignment or ++/-- on a non-counter local
-          std::vector<std::string> ints;
-          for (const std::string& n : visibleInts())
-            if (n[0] != 'i') ints.push_back(n);
+          const std::vector<std::string> ints = assignableInts();
           if (ints.empty()) break;
           const std::string& n = ints[rng_.nextBelow(ints.size())];
           indent(out);
@@ -505,6 +524,96 @@ class Emitter {
           out += "\n";
           return;
         }
+        case 16: {  // accumulate statement on a non-counter local
+          const std::vector<std::string> ints = assignableInts();
+          if (ints.empty()) break;
+          const std::vector<std::string> vs = visibleInts();
+          indent(out);
+          out += accumulate(ints[rng_.nextBelow(ints.size())],
+                            vs[rng_.nextBelow(vs.size())]);
+          return;
+        }
+        case 17: {  // counted accumulate loop: one dispatch per iteration
+          if (loopDepth_ >= 2) break;
+          const std::string acc = freshInt();
+          const std::string i = freshLoop();
+          indent(out);
+          out += "int " + acc + " = " + genExpr(1) + ";\n";
+          indent(out);
+          out += "for (int " + i + " = 0; " + i + " < " +
+                 std::to_string(rng_.nextInt(2, 12)) + "; " + i + "++) " +
+                 accumulate(acc, i);
+          scopes_.back().ints.push_back(acc);
+          return;
+        }
+        case 18: {  // while loop against a local bound, ++ latch
+          if (loopDepth_ >= 2 || stmtDepth >= 2) break;
+          const std::string bound = freshLoop();  // i<n>: never assigned
+          const std::string i = freshLoop();
+          const std::vector<std::string> accs = assignableInts();
+          indent(out);
+          out += "int " + bound + " = " + std::to_string(rng_.nextInt(2, 8)) +
+                 ";\n";
+          indent(out);
+          out += "int " + i + " = 0;\n";
+          indent(out);
+          out += "while (" + i + " < " + bound + ") {\n";
+          ++loopDepth_;
+          const bool outerFor = innermostFor_;
+          innermostFor_ = false;  // `continue` would skip the increment
+          scopes_.push_back(Scope{});
+          scopes_.back().ints.push_back(i);
+          ++indent_;
+          genStmt(out, stmtDepth + 1);
+          if (!accs.empty()) {  // an accumulate tail fuses with the latch
+            indent(out);
+            out += accumulate(accs[rng_.nextBelow(accs.size())], i);
+          }
+          indent(out);
+          out += i + "++;\n";
+          --indent_;
+          scopes_.pop_back();
+          --loopDepth_;
+          innermostFor_ = outerFor;
+          indent(out);
+          out += "}\n";
+          scopes_.back().ints.push_back(bound);
+          return;
+        }
+        case 19: {  // a call whose arguments are two locals
+          const std::vector<std::string> ints = visibleInts();
+          if (ints.empty()) break;
+          const std::string& a = ints[rng_.nextBelow(ints.size())];
+          const std::string& b = ints[rng_.nextBelow(ints.size())];
+          std::string call;
+          const auto objs = visibleObjs();
+          if (!objs.empty() && callAllowed(true) && rng_.nextBelow(2) == 0) {
+            // Virtual: the receiver and one argument.
+            const auto& [name, cls] = objs[rng_.nextBelow(objs.size())];
+            const ClassSpec& spec = classes_[static_cast<std::size_t>(cls)];
+            --callBudget_;
+            call = name + ".m" +
+                   std::to_string(rng_.nextBelow(
+                       static_cast<std::uint64_t>(spec.methods))) +
+                   "(" + a + ")";
+          } else {
+            // Unqualified static leaf of the running class (Main has u0).
+            const int pairs =
+                inClass_ >= 0
+                    ? classes_[static_cast<std::size_t>(inClass_)].pairMethods
+                    : 1;
+            if (pairs <= 0) break;
+            call = "u" +
+                   std::to_string(rng_.nextBelow(
+                       static_cast<std::uint64_t>(pairs))) +
+                   "(" + a + ", " + b + ")";
+          }
+          const std::string n = freshInt();
+          indent(out);
+          out += "int " + n + " = " + call + ";\n";
+          scopes_.back().ints.push_back(n);
+          return;
+        }
         default: {  // print — makes divergence visible in stdout too
           indent(out);
           out += "System.out.println(" + genExpr(2) + ");\n";
@@ -575,7 +684,19 @@ class Emitter {
       inStatic_ = false;
       inMethod_ = m;
       out += "  int m" + std::to_string(m) + "(int x) {\n";
-      emitMethodBody(out);
+      if (rng_.nextBelow(3) == 0) {
+        // The field-accumulate body `f1 = f1 op f2; return f1;`.
+        const std::string f1 =
+            "f" + std::to_string(rng_.nextBelow(
+                      static_cast<std::uint64_t>(spec.fields)));
+        const std::string f2 =
+            "f" + std::to_string(rng_.nextBelow(
+                      static_cast<std::uint64_t>(spec.fields)));
+        out += "    " + f1 + " = " + f1 + " " + safeOp() + " " + f2 +
+               ";\n    return " + f1 + ";\n";
+      } else {
+        emitMethodBody(out);
+      }
       out += "  }\n";
     }
     for (int t = 0; t < spec.staticMethods; ++t) {
@@ -585,9 +706,16 @@ class Emitter {
       emitMethodBody(out);
       out += "  }\n";
     }
+    for (int u = 0; u < spec.pairMethods; ++u) emitPairMethod(out, u);
     out += "}\n";
     inClass_ = -1;
     inStatic_ = true;
+  }
+
+  // A leaf `static int u<k>(int x, int y) { return x op y; }`.
+  void emitPairMethod(std::string& out, int idx) {
+    out += "  static int u" + std::to_string(idx) +
+           "(int x, int y) {\n    return x " + safeOp() + " y;\n  }\n";
   }
 
   void emitMethodBody(std::string& out) {
@@ -609,6 +737,7 @@ class Emitter {
     callBudget_ = 4;
     out += "class Main {\n";
     out += "  static int g0;\n";
+    emitPairMethod(out, 0);
     out += "  static void main(String[] args) {\n";
     scopes_.push_back(Scope{});
     indent_ = 2;
