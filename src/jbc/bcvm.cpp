@@ -206,7 +206,7 @@ BytecodeVm::BytecodeVm(const CompiledProgram& program,
   methodChunks_.resize(res.classes.size());
   staticDefaults_.resize(res.classes.size());
   objectTemplates_.resize(res.classes.size());
-  // Classify trivial callees once: a single fused accessor instruction, no
+  // Classify trivial callees once: a single fused body instruction, no
   // exception table, and every slot it reads is a parameter slot (so the
   // body never touches a default-initialized local).
   trivialKind_.assign(program.chunkCount, kNotTrivial);
@@ -223,12 +223,6 @@ BytecodeVm::BytecodeVm(const CompiledProgram& program,
         if (in0.a < nParams && (in0.b & 0xFFFFF) < nParams) {
           kind = kTrivLoadLoadBinaryReturn;
         }
-        break;
-      case Op::kLoadReturn:
-        if (in0.a < nParams) kind = kTrivLoadReturn;
-        break;
-      case Op::kThisFieldReturn:
-        if (nParams >= 1) kind = kTrivThisFieldReturn;
         break;
       case Op::kThisFieldAccumReturn:
         if (nParams >= 1) kind = kTrivThisFieldAccumReturn;
@@ -586,17 +580,8 @@ bool BytecodeVm::inlineRecvCall(const Chunk& chunk, const Value& recv,
         }
         break;
       }
-      case kTrivLoadReturn:
-        charge(energy::Op::kLocalAccess);
-        result = slotVal(static_cast<std::size_t>(in0.a));
-        break;
-      case kTrivThisFieldAccumReturn:
+      default:  // kTrivThisFieldAccumReturn
         result = fieldAccumReturnImpl(in0, recv, heap_, builtins_, *machine_);
-        break;
-      default:  // kTrivThisFieldReturn
-        charge(energy::Op::kFieldAccess);
-        result = heap_.get(recv.asRef())
-                     .fields[static_cast<std::size_t>(in0.a)];
         break;
     }
     charge(energy::Op::kReturn);
@@ -830,12 +815,10 @@ jvm::Value BytecodeVm::run(const CompiledClass& cls, const Chunk& chunk,
       &&L_kGetStaticSlot, &&L_kPutStaticSlot, &&L_kGetThisFieldSlot,
       &&L_kPutThisFieldSlot, &&L_kGetFieldCached, &&L_kPutFieldCached,
       &&L_kCallStaticResolved, &&L_kCallSelfResolved, &&L_kCallVirtualCached,
-      &&L_kLoadLoad, &&L_kLoadReturn, &&L_kThisFieldReturn, &&L_kStorePop,
-      &&L_kPutThisFieldSlotPop, &&L_kConstBinary, &&L_kLoadConstBinary,
-      &&L_kLoadLoadBinary, &&L_kThisFieldConstBinary, &&L_kThisFieldBinary,
-      &&L_kBinaryCast, &&L_kBinCastStorePop, &&L_kLoadLoadBinaryReturn,
-      &&L_kLoadConstCmpJump, &&L_kLoadLoadCmpJump, &&L_kLoadConstBinStore,
-      &&L_kIncDecLocalStmt, &&L_kLoadLoadConstBinary, &&L_kIncDecJump,
+      &&L_kLoadLoad, &&L_kStorePop, &&L_kPutThisFieldSlotPop,
+      &&L_kConstBinary, &&L_kLoadConstBinary, &&L_kThisFieldConstBinary,
+      &&L_kThisFieldBinary, &&L_kBinCastStorePop, &&L_kLoadLoadBinaryReturn,
+      &&L_kLoadConstCmpJump, &&L_kLoadLoadConstBinary, &&L_kIncDecJump,
       &&L_kAccumConstStmt, &&L_kThisFieldAccumReturn, &&L_kLoadLoadCallSelf,
       &&L_kLoadLoadCallVirt, &&L_kAccumConstJump, &&L_kStorePopIncDecJump,
       &&L_kBinCastStoreIncDecJump, &&L_kCountedAccumLoop,
@@ -1362,15 +1345,6 @@ jvm::Value BytecodeVm::run(const CompiledClass& cls, const Chunk& chunk,
         sp += 2;
         VM_NEXT();
       }
-      VM_CASE(kLoadReturn) {
-        charge(energy::Op::kLocalAccess);
-        return slots[static_cast<std::size_t>(ip->a)];
-      }
-      VM_CASE(kThisFieldReturn) {
-        charge(energy::Op::kFieldAccess);
-        return heap_.get(slots[0].asRef())
-            .fields[static_cast<std::size_t>(ip->a)];
-      }
       VM_CASE(kStorePop) {
         storeToSlot(ip->a, ip->b, pop(), ip->line);
         VM_NEXT();
@@ -1405,15 +1379,6 @@ jvm::Value BytecodeVm::run(const CompiledClass& cls, const Chunk& chunk,
                        ip->line);
         VM_NEXT();
       }
-      VM_CASE(kLoadLoadBinary) {
-        const std::int32_t bb = ip->b;
-        charge(energy::Op::kLocalAccess, 2);
-        const Value a = slots[static_cast<std::size_t>(ip->a)];
-        const Value b = slots[static_cast<std::size_t>(bb & 0xFFFFF)];
-        *sp++ = binary(static_cast<jlang::BinOp>((bb >> 20) & 0x1F), a, b,
-                       ip->line);
-        VM_NEXT();
-      }
       VM_CASE(kThisFieldConstBinary) {
         const std::int32_t bb = ip->b;
         charge(energy::Op::kFieldAccess);
@@ -1432,15 +1397,6 @@ jvm::Value BytecodeVm::run(const CompiledClass& cls, const Chunk& chunk,
                             .fields[static_cast<std::size_t>(ip->a)];
         const Value a = sp[-1];
         sp[-1] = binary(static_cast<jlang::BinOp>(ip->b), a, b, ip->line);
-        VM_NEXT();
-      }
-      VM_CASE(kBinaryCast) {
-        const Value b = pop();
-        const Value a = sp[-1];
-        // The fused kCast is the implicit (b=1) form: coerce, no charge.
-        sp[-1] = coerceInline(
-            binary(static_cast<jlang::BinOp>(ip->a), a, b, ip->line),
-            static_cast<ValKind>(ip->b), builtins_, ip->line);
         VM_NEXT();
       }
       VM_CASE(kBinCastStorePop) {
@@ -1487,52 +1443,6 @@ jvm::Value BytecodeVm::run(const CompiledClass& cls, const Chunk& chunk,
         // taken branch exits the run (its target is a barrier), exactly as
         // the unfused sequence behaves.
         if (((bb >> 26) & 1) != 0) charge(energy::Op::kLoopIter);
-        VM_NEXT();
-      }
-      VM_CASE(kLoadLoadCmpJump) {
-        const std::int32_t bb = ip->b;
-        charge(energy::Op::kBranch);
-        charge(energy::Op::kLocalAccess, 2);
-        const Value a = slots[static_cast<std::size_t>(bb & 0x3FF)];
-        const Value b = slots[static_cast<std::size_t>((bb >> 10) & 0x3FF)];
-        bool cond;
-        if (a.kind == ValKind::kInt && b.kind == ValKind::kInt) {
-          Value r;
-          fastIntBinary(static_cast<jlang::BinOp>((bb >> 20) & 0x1F), a, b,
-                        builtins_, *machine_, &r);
-          cond = r.asBool();
-        } else {
-          cond = jvm::applyBinary(static_cast<jlang::BinOp>((bb >> 20) & 0x1F),
-                                  a, b, heap_, builtins_, *machine_, ip->line)
-                     .asBool();
-        }
-        if (!cond) VM_JUMP(ip->a);
-        // Fall-through-only tick; see kLoadConstCmpJump.
-        if (((bb >> 26) & 1) != 0) charge(energy::Op::kLoopIter);
-        VM_NEXT();
-      }
-      VM_CASE(kLoadConstBinStore) {
-        const std::int32_t bb = ip->b;
-        charge(energy::Op::kLocalAccess);
-        const Value a = slots[static_cast<std::size_t>(bb & 0x3FF)];
-        charge(energy::Op::kConstLoad);
-        const Value b = Value::ofInt(
-            program_->intPool[static_cast<std::size_t>(ip->a)]);
-        Value r = binary(static_cast<jlang::BinOp>((bb >> 20) & 0x1F), a, b,
-                         ip->line);
-        if (ip->c >= 0) {
-          r = coerceInline(r, static_cast<ValKind>(ip->c), builtins_,
-                                ip->line);
-        }
-        storeToSlot((bb >> 10) & 0x3FF, (bb >> 25) & 0xF, r, ip->line);
-        VM_NEXT();
-      }
-      VM_CASE(kIncDecLocalStmt) {
-        const std::int32_t bb = ip->b;
-        charge(energy::Op::kLocalAccess);
-        const Value r =
-            incDec(bb & 0xFF, slots[static_cast<std::size_t>(ip->a)], ip->line);
-        storeToSlot(ip->a, (bb >> 8) & 0xF, r, ip->line);
         VM_NEXT();
       }
       VM_CASE(kLoadLoadConstBinary) {

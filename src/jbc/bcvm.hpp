@@ -116,8 +116,8 @@ class BytecodeVm {
   jvm::Value run(const CompiledClass& cls, const Chunk& chunk, Frame& frame);
 
   /// Trivial-callee inlining: a resolved call whose target body is a single
-  /// fused accessor instruction ([kLoadLoadBinaryReturn], [kLoadReturn] or
-  /// [kThisFieldReturn], no exception table) executes without frame setup.
+  /// fused instruction ([kLoadLoadBinaryReturn] or [kThisFieldAccumReturn],
+  /// no exception table) executes without frame setup.
   /// Used only when hooks are off and every argument kind already matches
   /// the parameter kind, so charges, step accounting, safepoint placement
   /// and throw behaviour replicate the framed call exactly. Returns false
@@ -176,12 +176,10 @@ class BytecodeVm {
   std::vector<FieldCacheEntry> fieldCaches_; // by Instr::b cache slot
 
   /// By chunkId: which trivial-callee shape the chunk is (kNotTrivial when
-  /// the body is anything more than a single fused accessor instruction).
+  /// the body is anything more than a single fused body instruction).
   enum : std::uint8_t {
     kNotTrivial = 0,
     kTrivLoadLoadBinaryReturn,
-    kTrivLoadReturn,
-    kTrivThisFieldReturn,
     kTrivThisFieldAccumReturn,
   };
   std::vector<std::uint8_t> trivialKind_;

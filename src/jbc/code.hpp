@@ -113,23 +113,20 @@ enum class Op : std::uint8_t {
   // sequence of the original instruction run it replaces and carries the
   // sum of that run's step counts in Instr::n. The pass never fuses across
   // a jump target or an exception-table boundary, and jump/handler pcs are
-  // remapped after deletion. Operand packing below uses SuperPack
-  // (compiler.cpp / bcvm.cpp); a site that does not fit the packing is
-  // simply left unfused.
+  // remapped after deletion. Operands are packed into a, b and c as listed
+  // below (the matchers in compiler.cpp pack, the bcvm.cpp handlers
+  // unpack); a site that does not fit the packing is simply left unfused.
+  // A superinstruction is kept only while a benchmark workload or a gated
+  // bench row dispatches it (DESIGN §6.3).
   kLoadLoad,             // [kLoad kLoad]  a = slot1, b = slot2
-  kLoadReturn,           // [kLoad kReturnValue]  a = slot
-  kThisFieldReturn,      // [kGetThisFieldSlot kReturnValue]  a = offset
   kStorePop,             // [kDup kStore kPop]  a = slot, b = store-kind enc
   kPutThisFieldSlotPop,  // [kDup kPutThisFieldSlot kPop]  a = offset
   kConstBinary,          // [kConstInt kBinary]  a = intPool, b = BinOp
   kLoadConstBinary,      // [kLoad kConstInt kBinary]  a = intPool,
                          //   b = slot | BinOp<<20
-  kLoadLoadBinary,       // [kLoad kLoad kBinary]  a = slot1,
-                         //   b = slot2 | BinOp<<20
   kThisFieldConstBinary, // [kGetThisFieldSlot kConstInt kBinary]
                          //   a = intPool, b = offset | BinOp<<20
   kThisFieldBinary,      // [kGetThisFieldSlot kBinary]  a = offset, b = BinOp
-  kBinaryCast,           // [kBinary kCast(implicit)]  a = BinOp, b = ValKind
   kBinCastStorePop,      // [kBinary kCast(implicit) kDup kStore kPop]
                          //   a = slot, b = BinOp | castK<<8 | storeK<<16
   kLoadLoadBinaryReturn, // [kLoad kLoad kBinary kReturnValue]  a = slot1,
@@ -137,21 +134,13 @@ enum class Op : std::uint8_t {
   kLoadConstCmpJump,     // [kCharge(kBranch) kLoad kConstInt kBinary(cmp)
                          //   kJumpIfFalse (kCharge(kLoopIter))]  a = target,
                          //   c = intPool, b = slot | cmp<<20 | tick<<26
-  kLoadLoadCmpJump,      // [kCharge(kBranch) kLoad kLoad kBinary(cmp)
-                         //   kJumpIfFalse (kCharge(kLoopIter))]  a = target,
-                         //   b = slot1 | slot2<<10 | cmp<<20 | tick<<26
-  kLoadConstBinStore,    // [kLoad kConstInt kBinary (kCast impl) kDup kStore
-                         //   kPop]  a = intPool, c = castK enc (-1: none),
-                         //   b = slot1 | slot2<<10 | BinOp<<20 | storeK<<25
-  kIncDecLocalStmt,      // [kLoad kDup kIncDec kStore kPop]  (post-inc/dec
-                         //   statement, same slot)  a = slot,
-                         //   b = BinOp | storeK<<8
   kLoadLoadConstBinary,  // [kLoad kLoad kConstInt kBinary]  a = intPool,
                          //   b = slot1 | slot2<<10 | BinOp<<20; pushes
                          //   slots[slot1] then (slots[slot2] <op> const)
-  kIncDecJump,           // kIncDecLocalStmt run + trailing kJump — the
-                         //   counted-loop latch.  a = slot,
-                         //   b = BinOp | storeK<<8, c = target
+  kIncDecJump,           // [kLoad kDup kIncDec kStore kPop kJump], one slot
+                         //   — the counted-loop latch `i++;` and its
+                         //   backedge.  a = slot, b = BinOp | storeK<<8,
+                         //   c = target
   kAccumConstStmt,       // [kLoad kLoad kConstInt kBinary kBinary (kCast
                          //   impl) kDup kStore kPop] — the accumulate
                          //   statement `s1 = s1 <op2> (s2 <op1> const)`.

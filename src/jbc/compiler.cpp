@@ -981,45 +981,13 @@ std::size_t matchSuper(const std::vector<Instr>& c, std::size_t pc,
   switch (op(0)) {
     case Op::kLoad: {
       const std::int32_t s1 = in(0).a;
-      // [kLoad kDup kIncDec kStore kPop (kJump)] — post-inc/dec statement
-      // on one local; with the trailing kJump it is the canonical
-      // counted-loop latch (kIncDecJump).
-      if (runOk(5) && op(1) == Op::kDup && op(2) == Op::kIncDec &&
-          op(3) == Op::kStore && in(3).a == s1 && op(4) == Op::kPop) {
-        const std::int32_t operands = in(2).a | storeEnc(in(3)) << 8;
-        if (runOk(6) && op(5) == Op::kJump) {
-          return make(Op::kIncDecJump, s1, operands, in(5).a, 6);
-        }
-        return make(Op::kIncDecLocalStmt, s1, operands, 0, 5);
-      }
-      // [kLoad kConstInt kBinary (kCast) kDup kStore kPop] — local
-      // assignment statement `s2 = s1 <op> const`.
-      for (std::size_t len : {std::size_t{7}, std::size_t{6}}) {
-        const bool cast = len == 7;
-        if (!runOk(len)) continue;
-        std::size_t i = 1;
-        if (op(i) != Op::kConstInt) break;
-        const std::int32_t pool = in(i).a;
-        ++i;
-        if (op(i) != Op::kBinary) break;
-        const std::int32_t bop = in(i).a;
-        ++i;
-        std::int32_t castEnc = -1;
-        if (cast) {
-          if (!implicitCast(i)) continue;
-          castEnc = in(i).a;
-          ++i;
-        }
-        if (op(i) != Op::kDup) break;
-        ++i;
-        if (op(i) != Op::kStore) break;
-        const std::int32_t s2 = in(i).a;
-        const std::int32_t se = storeEnc(in(i));
-        ++i;
-        if (op(i) != Op::kPop) break;
-        if (s1 >= (1 << 10) || s2 >= (1 << 10) || bop >= 32 || se >= 16) break;
-        return make(Op::kLoadConstBinStore, pool,
-                    s1 | s2 << 10 | bop << 20 | se << 25, castEnc, len);
+      // [kLoad kDup kIncDec kStore kPop kJump] — a post-inc/dec statement
+      // on one local followed by the backedge: the counted-loop latch.
+      if (runOk(6) && op(1) == Op::kDup && op(2) == Op::kIncDec &&
+          op(3) == Op::kStore && in(3).a == s1 && op(4) == Op::kPop &&
+          op(5) == Op::kJump) {
+        return make(Op::kIncDecJump, s1, in(2).a | storeEnc(in(3)) << 8,
+                    in(5).a, 6);
       }
       // [kLoad kLoad kBinary kReturnValue] — e.g. `return a + b;`.
       if (runOk(4) && op(1) == Op::kLoad && op(2) == Op::kBinary &&
@@ -1068,7 +1036,7 @@ std::size_t matchSuper(const std::vector<Instr>& c, std::size_t pc,
                     se | castE << 4, len);
       }
       // [kLoad kLoad kConstInt kBinary] — e.g. `a <op1> (b <op2> const)`
-      // operand shapes; the compare-and-branch variants above match first.
+      // operand shapes; the accumulate statement above matches first.
       if (runOk(4) && op(1) == Op::kLoad && op(2) == Op::kConstInt &&
           op(3) == Op::kBinary && s1 < (1 << 10) && in(1).a < (1 << 10)) {
         return make(Op::kLoadLoadConstBinary, in(2).a,
@@ -1089,24 +1057,18 @@ std::size_t matchSuper(const std::vector<Instr>& c, std::size_t pc,
           s1 < (1 << 20)) {
         return make(Op::kLoadConstBinary, in(1).a, s1 | in(2).a << 20, 0, 3);
       }
-      if (runOk(3) && op(1) == Op::kLoad && op(2) == Op::kBinary &&
-          in(1).a < (1 << 20)) {
-        return make(Op::kLoadLoadBinary, s1, in(1).a | in(2).a << 20, 0, 3);
-      }
-      if (runOk(2) && op(1) == Op::kReturnValue) {
-        return make(Op::kLoadReturn, s1, 0, 0, 2);
-      }
       if (runOk(2) && op(1) == Op::kLoad) {
         return make(Op::kLoadLoad, s1, in(1).a, 0, 2);
       }
       break;
     }
     case Op::kCharge: {
-      // [kCharge(kBranch) kLoad kConstInt|kLoad kBinary(cmp) kJumpIfFalse
+      // [kCharge(kBranch) kLoad kConstInt kBinary(cmp) kJumpIfFalse
       // (kCharge(kLoopIter))] — the canonical loop header: the branch
       // charge, the compare, and the iteration charge on fall-through.
       if (in(0).a != static_cast<std::int32_t>(energy::Op::kBranch) ||
-          !runOk(5) || op(1) != Op::kLoad || op(3) != Op::kBinary ||
+          !runOk(5) || op(1) != Op::kLoad || in(1).a >= (1 << 20) ||
+          op(2) != Op::kConstInt || op(3) != Op::kBinary ||
           !isCmp(static_cast<BinOp>(in(3).a)) ||
           op(4) != Op::kJumpIfFalse || in(4).b != 0) {
         break;
@@ -1116,18 +1078,9 @@ std::size_t matchSuper(const std::vector<Instr>& c, std::size_t pc,
           in(5).a == static_cast<std::int32_t>(energy::Op::kLoopIter) &&
           in(5).n == 0;  // charged on fall-through only, so it carries no
                          // step the taken exit would skip
-      const std::int32_t s1 = in(1).a;
-      const std::size_t len = tick ? 6 : 5;
-      if (op(2) == Op::kConstInt && s1 < (1 << 20)) {
-        return make(Op::kLoadConstCmpJump, in(4).a,
-                    s1 | in(3).a << 20 | (tick ? 1 : 0) << 26, in(2).a, len);
-      }
-      if (op(2) == Op::kLoad && s1 < (1 << 10) && in(2).a < (1 << 10)) {
-        return make(Op::kLoadLoadCmpJump, in(4).a,
-                    s1 | in(2).a << 10 | in(3).a << 20 | (tick ? 1 : 0) << 26,
-                    0, len);
-      }
-      break;
+      return make(Op::kLoadConstCmpJump, in(4).a,
+                  in(1).a | in(3).a << 20 | (tick ? 1 : 0) << 26, in(2).a,
+                  tick ? 6 : 5);
     }
     case Op::kGetThisFieldSlot: {
       const std::int32_t off = in(0).a;
@@ -1178,9 +1131,6 @@ std::size_t matchSuper(const std::vector<Instr>& c, std::size_t pc,
       if (runOk(2) && op(1) == Op::kBinary) {
         return make(Op::kThisFieldBinary, off, in(1).a, 0, 2);
       }
-      if (runOk(2) && op(1) == Op::kReturnValue) {
-        return make(Op::kThisFieldReturn, off, 0, 0, 2);
-      }
       break;
     }
     case Op::kConstInt:
@@ -1205,9 +1155,6 @@ std::size_t matchSuper(const std::vector<Instr>& c, std::size_t pc,
           return make(Op::kBinCastStorePop, in(3).a,
                       bop | in(1).a << 8 | se << 16, 0, 5);
         }
-      }
-      if (runOk(2) && implicitCast(1)) {
-        return make(Op::kBinaryCast, bop, in(1).a, 0, 2);
       }
       break;
     }
@@ -1335,7 +1282,6 @@ void visitJumpOperands(Instr& in, Fn&& fn) {
     case Op::kJumpIfTrue:
     case Op::kCaseJump:
     case Op::kLoadConstCmpJump:
-    case Op::kLoadLoadCmpJump:
     case Op::kStorePopIncDecJump:
     case Op::kBinCastStoreIncDecJump:
       in.a = fn(in.a);
