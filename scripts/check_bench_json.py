@@ -47,13 +47,11 @@ the build on:
     the daemon's cancellation counters (jepod.cancel.deadline and
     jepod.cancel.disconnect — registered at daemon construction, so their
     absence means the obs snapshot is stale or foreign). A "Chaos/<n>"
-    row must carry non-negative integer "retries" and "reconnects" and a
-    "failedJobs" of exactly 0 (under a transport-fault plan every job
-    must still succeed via retry — lost jobs mean the resilience layer
-    dropped work). When the config names an active transportPlan, the
-    counters must include at least one "fault.transport."-prefixed
-    counter (the FaultyStream publishes fault.transport.streams on
-    construction, so a silent plan is a bug);
+    row must carry non-negative integer "retries" and "reconnects". When
+    the config names an active transportPlan, the counters must include
+    at least one "fault.transport."-prefixed counter (the FaultyStream
+    publishes fault.transport.streams on construction, so a silent plan
+    is a bug);
   - malformed bootstrap intervals: a row carrying any interval field
     (bench_table4_weka --intervals) must carry the whole set, each
     Lo/Hi pair must bracket its reported point estimate
@@ -62,13 +60,13 @@ the build on:
     published widen factor must equal 1 + 0.35*retried + 1.0*degraded
     — the formula that makes interval width monotone in the degraded
     fraction, so a drift here silently breaks the quality-widening
-    contract;
-  - a broken predictor ablation (bench_predictor): the report must
-    carry both the "with-dynamic" and "static-only" rows with sane
-    train/test counts and non-negative errors, and the with-dynamic
-    held-out relative error must be strictly below the static-only
-    one — the reproduced ordering; an inversion means the dynamic
-    execution-time feature stopped carrying signal.
+    contract.
+
+Two gates live in the benches' exit codes instead, which CI also checks:
+bench_jepod exits 1 when any job fails (a lost job under a transport-fault
+plan means the resilience layer dropped work), and bench_predictor exits 1
+when the with-dynamic held-out error is not strictly below the static-only
+one.
 
 Usage: check_bench_json.py report.json [report2.json ...]
 
@@ -189,11 +187,6 @@ def check_jepod_row(path, row, where):
                     or value < 0:
                 errors += fail(path, f"{where} ({name}): '{key}' must be a "
                                f"non-negative integer, got {value!r}")
-        failed = row.get("failedJobs")
-        if failed != 0:
-            errors += fail(path, f"{where} ({name}): 'failedJobs' must be 0 "
-                           f"(retries absorb transport faults), got "
-                           f"{failed!r}")
     return errors
 
 
@@ -363,52 +356,6 @@ def check_interval_fields(path, row, where):
     return errors
 
 
-def check_predictor_report(path, doc):
-    """bench_predictor only: both ablation variants present and the
-    with-dynamic held-out error strictly below static-only."""
-    errors = 0
-    variants = {}
-    for i, row in enumerate(doc.get("rows", [])):
-        if not isinstance(row, dict):
-            continue
-        name = row.get("name")
-        if name not in ("with-dynamic", "static-only"):
-            continue
-        where = f"rows[{i}] ({name})"
-        if name in variants:
-            errors += fail(path, f"{where}: duplicate ablation row")
-            continue
-        ok = True
-        for key in ("meanAbsErrorJoules", "relativeError"):
-            value = row.get(key)
-            if not finite_number(value) or value < 0:
-                errors += fail(path, f"{where}: '{key}' must be a "
-                               f"non-negative number, got {value!r}")
-                ok = False
-        for key in ("trainMethods", "testMethods"):
-            value = row.get(key)
-            if isinstance(value, bool) or not isinstance(value, int) \
-                    or value <= 0:
-                errors += fail(path, f"{where}: '{key}' must be a positive "
-                               f"integer, got {value!r}")
-                ok = False
-        if ok:
-            variants[name] = (row["relativeError"], where)
-    for name in ("with-dynamic", "static-only"):
-        if name not in variants:
-            errors += fail(path, f"bench_predictor report is missing a "
-                           f"well-formed '{name}' row")
-    if len(variants) == 2:
-        dyn, dyn_where = variants["with-dynamic"]
-        static, static_where = variants["static-only"]
-        if dyn >= static:
-            errors += fail(path, f"{dyn_where}: with-dynamic relativeError "
-                           f"{dyn:.6g} must be strictly below static-only "
-                           f"{static:.6g} ({static_where}) — the dynamic "
-                           f"feature no longer beats the static-only fit")
-    return errors
-
-
 def check_row_robustness(path, row, where):
     """Validate per-row measurement-quality bookkeeping where present."""
     errors = 0
@@ -507,9 +454,6 @@ def check_report(path, doc):
 
     if doc.get("bench") == "bench_tier_frontier":
         errors += check_tier_frontier(path, doc)
-
-    if doc.get("bench") == "bench_predictor":
-        errors += check_predictor_report(path, doc)
 
     if doc.get("bench") == "bench_jepod" and isinstance(doc["counters"], dict):
         for name in ("jepod.cancel.deadline", "jepod.cancel.disconnect"):
