@@ -117,11 +117,12 @@ class BytecodeVm {
 
   /// Trivial-callee inlining: a resolved call whose target body is a single
   /// fused instruction ([kLoadLoadBinaryReturn] or [kThisFieldAccumReturn],
-  /// no exception table) executes without frame setup.
-  /// Used only when hooks are off and every argument kind already matches
-  /// the parameter kind, so charges, step accounting, safepoint placement
-  /// and throw behaviour replicate the framed call exactly. Returns false
-  /// (doing nothing) when the call must take the framed path.
+  /// no exception table) executes without frame setup. Used only when hooks
+  /// are off or a sampling gate declines the entry, and every argument kind
+  /// already matches the parameter kind, so charges, step accounting,
+  /// safepoint placement and throw behaviour replicate the framed call
+  /// exactly. Returns false (doing nothing) when the call must take the
+  /// framed path.
   bool inlineSpanCall(const Chunk& chunk, const jvm::Value* args,
                       std::size_t argc, jvm::Value* out);
   bool inlineRecvCall(const Chunk& chunk, const jvm::Value& recv,
@@ -176,7 +177,7 @@ class BytecodeVm {
   std::vector<FieldCacheEntry> fieldCaches_; // by Instr::b cache slot
 
   /// By chunkId: which trivial-callee shape the chunk is (kNotTrivial when
-  /// the body is anything more than a single fused body instruction).
+  /// the body is anything more than one fused instruction).
   enum : std::uint8_t {
     kNotTrivial = 0,
     kTrivLoadLoadBinaryReturn,

@@ -294,7 +294,7 @@ class Emitter {
 
   void genStmt(std::string& out, int stmtDepth) {
     for (int attempt = 0; attempt < 8; ++attempt) {
-      switch (rng_.nextBelow(20)) {
+      switch (rng_.nextBelow(19)) {
         case 0: {  // new int local
           const std::string n = freshInt();
           indent(out);
@@ -324,10 +324,18 @@ class Emitter {
           out += "}\n";
           return;
         }
-        case 3: {  // bounded counter loop
+        case 3: {  // bounded counter loop against a literal or local bound
           if (loopDepth_ >= 2 || stmtDepth >= 2) break;
+          std::string bound = std::to_string(rng_.nextInt(2, 8));
+          if (rng_.nextBelow(2) == 0) {
+            const std::string local = freshLoop();  // i<n>: never assigned
+            indent(out);
+            out += "int " + local + " = " + bound + ";\n";
+            scopes_.back().ints.push_back(local);
+            bound = local;
+          }
           const std::string i = freshLoop();
-          const std::string bound = std::to_string(rng_.nextInt(2, 8));
+          const std::vector<std::string> accs = assignableInts();
           indent(out);
           out += "int " + i + " = 0;\n";
           indent(out);
@@ -340,8 +348,13 @@ class Emitter {
           ++indent_;
           const int body = static_cast<int>(rng_.nextInt(1, 2));
           for (int s = 0; s < body; ++s) genStmt(out, stmtDepth + 1);
+          if (!accs.empty() && rng_.nextBelow(2) == 0) {
+            indent(out);  // an accumulate tail fuses with a `++` latch
+            out += accumulate(accs[rng_.nextBelow(accs.size())], i);
+          }
           indent(out);
-          out += i + " = " + i + " + 1;\n";
+          out += rng_.nextBelow(2) == 0 ? i + " = " + i + " + 1;\n"
+                                        : i + "++;\n";
           --indent_;
           scopes_.pop_back();
           --loopDepth_;
@@ -546,41 +559,7 @@ class Emitter {
           scopes_.back().ints.push_back(acc);
           return;
         }
-        case 18: {  // while loop against a local bound, ++ latch
-          if (loopDepth_ >= 2 || stmtDepth >= 2) break;
-          const std::string bound = freshLoop();  // i<n>: never assigned
-          const std::string i = freshLoop();
-          const std::vector<std::string> accs = assignableInts();
-          indent(out);
-          out += "int " + bound + " = " + std::to_string(rng_.nextInt(2, 8)) +
-                 ";\n";
-          indent(out);
-          out += "int " + i + " = 0;\n";
-          indent(out);
-          out += "while (" + i + " < " + bound + ") {\n";
-          ++loopDepth_;
-          const bool outerFor = innermostFor_;
-          innermostFor_ = false;  // `continue` would skip the increment
-          scopes_.push_back(Scope{});
-          scopes_.back().ints.push_back(i);
-          ++indent_;
-          genStmt(out, stmtDepth + 1);
-          if (!accs.empty()) {  // an accumulate tail fuses with the latch
-            indent(out);
-            out += accumulate(accs[rng_.nextBelow(accs.size())], i);
-          }
-          indent(out);
-          out += i + "++;\n";
-          --indent_;
-          scopes_.pop_back();
-          --loopDepth_;
-          innermostFor_ = outerFor;
-          indent(out);
-          out += "}\n";
-          scopes_.back().ints.push_back(bound);
-          return;
-        }
-        case 19: {  // a call whose arguments are two locals
+        case 18: {  // a call whose arguments are two locals
           const std::vector<std::string> ints = visibleInts();
           if (ints.empty()) break;
           const std::string& a = ints[rng_.nextBelow(ints.size())];
