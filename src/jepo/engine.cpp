@@ -210,8 +210,7 @@ class ClassAnalyzer {
                concat(s.declType.className, " local '", s.declName, "'"));
         }
         if (s.declType.isClass("String")) stringLocals_.insert(s.declName);
-        if (s.init) analyzeExpr(*s.init);
-        return;
+        break;
       }
       case StmtKind::kFor: {
         CanonicalFor outer;
@@ -259,22 +258,9 @@ class ClassAnalyzer {
         break;
     }
 
-    // Generic traversal of children + expressions.
-    auto expr = [&](const jlang::Expr* e) {
-      if (e) analyzeExpr(*e);
-    };
-    expr(s.expr);
-    expr(s.cond);
-    for (const auto& u : s.update) expr(u);
-    for (const auto& st : s.body) analyzeStmt(*st);
-    if (s.thenStmt) analyzeStmt(*s.thenStmt);
-    if (s.elseStmt) analyzeStmt(*s.elseStmt);
-    if (s.tryBlock) analyzeStmt(*s.tryBlock);
-    for (const auto& c : s.catches) analyzeStmt(*c.body);
-    if (s.finallyBlock) analyzeStmt(*s.finallyBlock);
-    for (const auto& c : s.cases) {
-      for (const auto& st : c.body) analyzeStmt(*st);
-    }
+    jlang::forEachChild(
+        s, [&](const Stmt& child) { analyzeStmt(child); },
+        [&](const Expr& e) { analyzeExpr(e); });
   }
 
   void analyzeExpr(const Expr& e) {
@@ -325,10 +311,7 @@ class ClassAnalyzer {
       default:
         break;
     }
-    if (e.a) analyzeExpr(*e.a);
-    if (e.b) analyzeExpr(*e.b);
-    if (e.c) analyzeExpr(*e.c);
-    for (const auto& arg : e.args) analyzeExpr(*arg);
+    jlang::forEachChild(e, [&](const Expr& child) { analyzeExpr(child); });
   }
 
   const SuggestionEngine& engine_;

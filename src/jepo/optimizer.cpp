@@ -41,45 +41,31 @@ bool isIntLit(const Expr& e, std::int64_t v) {
 }
 
 
-/// Is `++v` / `v += k` / `v *= k` ever applied to this variable anywhere in
-/// the statement tree? (Gate for byte/short→int: overflow points differ.)
-bool varHasArithmeticUpdates(const Stmt& root, std::string_view name) {
-  bool found = false;
-  walkStmt(
-      root, [](const Stmt&) {},
-      [&](const Expr& e) {
-        if (e.kind == ExprKind::kAssign && e.assignOp != AssignOp::kSet &&
-            e.a->kind == ExprKind::kVarRef && e.a->strValue == name) {
-          found = true;
-        }
-        if (e.kind == ExprKind::kUnary &&
-            (e.unOp == UnOp::kPreInc || e.unOp == UnOp::kPreDec ||
-             e.unOp == UnOp::kPostInc || e.unOp == UnOp::kPostDec) &&
-            e.a->kind == ExprKind::kVarRef && e.a->strValue == name) {
-          found = true;
-        }
-      });
-  return found;
+/// What an expression writes: the lvalue of an assignment or ++/--, and
+/// whether the write is arithmetic (a compound assignment or ++/--) rather
+/// than a plain `=`. `target` is null for any other expression.
+struct Write {
+  const Expr* target = nullptr;
+  bool arithmetic = false;
+};
+
+Write writeOf(const Expr& e) {
+  if (e.kind == ExprKind::kAssign) return {e.a, e.assignOp != AssignOp::kSet};
+  const bool incDec =
+      e.kind == ExprKind::kUnary &&
+      (e.unOp == UnOp::kPreInc || e.unOp == UnOp::kPreDec ||
+       e.unOp == UnOp::kPostInc || e.unOp == UnOp::kPostDec);
+  return incDec ? Write{e.a, true} : Write{};
 }
 
-/// Is the variable reassigned at all (beyond its declaration)?
-bool varIsReassigned(const Stmt& root, std::string_view name) {
-  bool found = false;
-  walkStmt(
-      root, [](const Stmt&) {},
-      [&](const Expr& e) {
-        if (e.kind == ExprKind::kAssign && e.a->kind == ExprKind::kVarRef &&
-            e.a->strValue == name) {
-          found = true;
-        }
-        if (e.kind == ExprKind::kUnary &&
-            (e.unOp == UnOp::kPreInc || e.unOp == UnOp::kPreDec ||
-             e.unOp == UnOp::kPostInc || e.unOp == UnOp::kPostDec) &&
-            e.a->kind == ExprKind::kVarRef && e.a->strValue == name) {
-          found = true;
-        }
-      });
-  return found;
+/// The expression slots of `st` whose value is discarded: an expression
+/// statement's expression and a for loop's updates.
+template <class S, class Fn>
+void forEachDiscardedSlot(S& st, Fn&& fn) {
+  if (st.kind == StmtKind::kExprStmt) fn(st.expr);
+  if (st.kind == StmtKind::kFor) {
+    for (auto& u : st.update) fn(u);
+  }
 }
 
 }  // namespace
@@ -148,16 +134,11 @@ StaticInfo collectStaticInfo(const Program& program) {
     for (const auto& cls : unit.classes) {
       for (const auto& m : cls.methods) {
         if (!m.body) continue;
-        walkStmt(
-            *m.body, [](const Stmt&) {},
-            [&](const Expr& e) {
-              if (e.kind == ExprKind::kAssign) noteAssignTarget(*e.a, cls);
-              if (e.kind == ExprKind::kUnary &&
-                  (e.unOp == UnOp::kPreInc || e.unOp == UnOp::kPreDec ||
-                   e.unOp == UnOp::kPostInc || e.unOp == UnOp::kPostDec)) {
-                noteAssignTarget(*e.a, cls);
-              }
-            });
+        walkStmt(*m.body, [](const Stmt&) {}, [&](const Expr& e) {
+          if (const Expr* target = writeOf(e).target) {
+            noteAssignTarget(*target, cls);
+          }
+        });
       }
     }
   }
@@ -272,7 +253,7 @@ class UnitRewriter {
   // ------------------------------------------------------------ literals
 
   void respellLiterals(Expr& e) {
-    walkExprMut(e, [&](Expr& node) {
+    walkExpr(e, [&](Expr& node) {
       if ((node.kind == ExprKind::kDoubleLit ||
            node.kind == ExprKind::kFloatLit) &&
           !node.scientific && on(RuleId::kScientificNotation)) {
@@ -293,18 +274,10 @@ class UnitRewriter {
 
   // --------------------------------------------------------- expr rewrites
 
-  static void walkExprMut(Expr& e, const std::function<void(Expr&)>& fn) {
-    fn(e);
-    if (e.a) walkExprMut(*e.a, fn);
-    if (e.b) walkExprMut(*e.b, fn);
-    if (e.c) walkExprMut(*e.c, fn);
-    for (auto& arg : e.args) walkExprMut(*arg, fn);
-  }
-
   /// x % P  ->  x & (P-1) for canonical non-negative loop counters.
   void rewriteModulus(Expr& e) {
     if (!on(RuleId::kModulusOperator)) return;
-    walkExprMut(e, [&](Expr& node) {
+    walkExpr(e, [&](Expr& node) {
       if (node.kind != ExprKind::kBinary || node.binOp != BinOp::kMod) return;
       if (node.a->kind != ExprKind::kVarRef) return;
       if (nonNegativeVars_.count(node.a->strValue) == 0) return;
@@ -322,7 +295,7 @@ class UnitRewriter {
   /// Swap pure &&/|| operands when the right side is strictly simpler.
   void reorderShortCircuit(Expr& e) {
     if (!on(RuleId::kShortCircuitOrder)) return;
-    walkExprMut(e, [&](Expr& node) {
+    walkExpr(e, [&](Expr& node) {
       if (node.kind != ExprKind::kBinary) return;
       if (node.binOp != BinOp::kAndAnd && node.binOp != BinOp::kOrOr) return;
       if (!isPureExpr(*node.a) || !isPureExpr(*node.b)) return;
@@ -335,7 +308,6 @@ class UnitRewriter {
 
   /// a.compareTo(b) == 0  ->  a.equals(b);   != 0  ->  !a.equals(b)
   void rewriteCompareTo(ExprPtr& e) {
-    if (!e) return;
     if (e->kind == ExprKind::kBinary &&
         (e->binOp == BinOp::kEq || e->binOp == BinOp::kNe) &&
         e->a->kind == ExprKind::kCall && e->a->strValue == "compareTo" &&
@@ -354,11 +326,7 @@ class UnitRewriter {
         e = notExpr;
       }
     }
-    if (!e) return;
-    if (e->a) rewriteCompareTo(e->a);
-    if (e->b) rewriteCompareTo(e->b);
-    if (e->c) rewriteCompareTo(e->c);
-    for (auto& arg : e->args) rewriteCompareTo(arg);
+    jlang::forEachChild(*e, [&](ExprPtr& child) { rewriteCompareTo(child); });
   }
 
   void rewriteAllExprsIn(ExprPtr& e) {
@@ -395,8 +363,8 @@ class UnitRewriter {
       case StmtKind::kVarDecl: {
         if (s.init) rewriteAllExprsIn(s.init);
         narrowType(&s.declType, s.declName, s.line,
-                   varsWithArithmeticUpdates_.count(s.declName) != 0,
-                   reassignedVars_.count(s.declName) != 0);
+                   facts_->arithmetic.count(s.declName) != 0,
+                   facts_->reassigned.count(s.declName) != 0);
         improveWrapper(&s.declType, s.declName, s.line);
         // int x = c ? a : b;  ->  int x; if (c) x = a; else x = b;
         if (s.init && s.init->kind == ExprKind::kTernary &&
@@ -536,6 +504,19 @@ class UnitRewriter {
     }
   }
 
+  /// name = value;
+  StmtPtr makeAssignStmt(std::string_view name, ExprPtr value, int line) {
+    Expr* assign = arena_.make<Expr>(ExprKind::kAssign);
+    assign->line = line;
+    assign->assignOp = AssignOp::kSet;
+    assign->a = makeVarRef(name, line);
+    assign->b = value;
+    Stmt* stmt = arena_.make<Stmt>(StmtKind::kExprStmt);
+    stmt->line = line;
+    stmt->expr = assign;
+    return stmt;
+  }
+
   /// if (cond) name = then; else name = otherwise;
   StmtPtr makeIfAssign(const Expr* ternary, std::string_view name,
                        int line) {
@@ -543,19 +524,8 @@ class UnitRewriter {
     Stmt* ifStmt = arena_.make<Stmt>(StmtKind::kIf);
     ifStmt->line = line;
     ifStmt->cond = ternary->a;
-    auto mkAssign = [&](ExprPtr value) {
-      Expr* assign = arena_.make<Expr>(ExprKind::kAssign);
-      assign->line = line;
-      assign->assignOp = AssignOp::kSet;
-      assign->a = makeVarRef(name, line);
-      assign->b = value;
-      Stmt* stmt = arena_.make<Stmt>(StmtKind::kExprStmt);
-      stmt->line = line;
-      stmt->expr = assign;
-      return stmt;
-    };
-    ifStmt->thenStmt = mkAssign(ternary->b);
-    ifStmt->elseStmt = mkAssign(ternary->c);
+    ifStmt->thenStmt = makeAssignStmt(name, ternary->b, line);
+    ifStmt->elseStmt = makeAssignStmt(name, ternary->c, line);
     return ifStmt;
   }
 
@@ -673,157 +643,127 @@ class UnitRewriter {
 
   // --------------------------------------------------- builder extraction
 
-  /// s = s + X inside a loop -> StringBuilder __sbN before the loop,
-  /// append(X) inside, s = __sbN.toString() after.
-  bool tryBuilderExtraction(StmtPtr loopStmt, std::vector<StmtPtr>* out) {
-    // Find candidate target: collect assignments `v = v + X` / `v += X`
-    // where v is a known String variable.
-    std::unordered_map<std::string, int> concatCounts;
-    std::unordered_map<std::string, int> otherUses;
-    walkStmt(
-        *loopStmt, [](const Stmt&) {},
-        [&](const Expr& e) {
-          if (e.kind == ExprKind::kAssign && e.a->kind == ExprKind::kVarRef &&
-              stringVars_.count(e.a->strValue) != 0) {
-            const std::string_view v = e.a->strValue;
-            const bool selfConcat =
-                (e.assignOp == AssignOp::kAdd &&
-                 !mentionsVar(*e.b, v)) ||
-                (e.assignOp == AssignOp::kSet &&
-                 e.b->kind == ExprKind::kBinary &&
-                 e.b->binOp == BinOp::kAdd &&
-                 e.b->a->kind == ExprKind::kVarRef && e.b->a->strValue == v &&
-                 !mentionsVar(*e.b->b, v));
-            if (selfConcat) {
-              ++concatCounts[std::string(v)];
-              return;
-            }
-          }
-        });
-    // Count *all* VarRef uses; the rewrite needs every use to be part of a
-    // self-concat assignment (2 refs per kSet form, 1 per += form).
-    std::string_view target;
-    for (const auto& [v, n] : concatCounts) {
-      int refs = 0;
-      walkStmt(
-          *loopStmt, [](const Stmt&) {},
-          [&](const Expr& e) {
-            if (e.kind == ExprKind::kVarRef && e.strValue == v) ++refs;
-          });
-      int expected = 0;
-      walkStmt(
-          *loopStmt, [](const Stmt&) {},
-          [&](const Expr& e) {
-            if (e.kind == ExprKind::kAssign &&
-                e.a->kind == ExprKind::kVarRef && e.a->strValue == v) {
-              expected += e.assignOp == AssignOp::kAdd ? 1 : 2;
-            }
-          });
-      // The variable must be declared before the loop — a declaration
-      // inside would leave the inserted StringBuilder(target) dangling.
-      bool declaredInside = false;
-      walkStmt(
-          *loopStmt,
-          [&](const Stmt& st) {
-            if (st.kind == StmtKind::kVarDecl && st.declName == v) {
-              declaredInside = true;
-            }
-          },
-          [](const Expr&) {});
-      if (refs == expected && n > 0 && !declaredInside) {
-        target = arena_.copy(v);
-        break;
-      }
+  /// `v += X` or `v = v + X`, v a String variable that X does not mention:
+  /// returns v, else an empty view.
+  std::string_view selfConcatTarget(const Expr& e) const {
+    if (e.kind != ExprKind::kAssign || e.a->kind != ExprKind::kVarRef ||
+        facts_->strings.count(e.a->strValue) == 0) {
+      return {};
     }
-    (void)otherUses;
-    if (target.empty()) return false;
+    const std::string_view v = e.a->strValue;
+    const bool selfConcat =
+        (e.assignOp == AssignOp::kAdd && !mentionsVar(*e.b, v)) ||
+        (e.assignOp == AssignOp::kSet && e.b->kind == ExprKind::kBinary &&
+         e.b->binOp == BinOp::kAdd && e.b->a->kind == ExprKind::kVarRef &&
+         e.b->a->strValue == v && !mentionsVar(*e.b->b, v));
+    return selfConcat ? v : std::string_view{};
+  }
+
+  /// s = s + X inside a loop -> StringBuilder __sbN before the loop,
+  /// append(X) inside, s = __sbN.toString() after; for every qualifying s
+  /// of the loop, in source order. The rewrite replaces only self-concats
+  /// whose value is discarded (see forEachDiscardedSlot), so s qualifies
+  /// when every reference to it in the loop sits in one of those (`s += X`
+  /// holds one reference, `s = s + X` two) and it is declared before the
+  /// loop — a declaration inside would leave `new StringBuilder(s)`
+  /// dangling.
+  bool tryBuilderExtraction(StmtPtr loopStmt, std::vector<StmtPtr>* out) {
+    std::vector<std::string_view> candidates;  // source order
+    std::unordered_map<std::string_view, int> covered;
+    std::unordered_map<std::string_view, int> refs;
+    std::unordered_set<std::string_view> declaredInside;
+    walkStmt(
+        std::as_const(*loopStmt),
+        [&](const Stmt& st) {
+          if (st.kind == StmtKind::kVarDecl) declaredInside.insert(st.declName);
+          forEachDiscardedSlot(st, [&](const Expr* e) {
+            const std::string_view v = selfConcatTarget(*e);
+            if (v.empty()) return;
+            int& n = covered[v];
+            if (n == 0) candidates.push_back(v);
+            n += e->assignOp == AssignOp::kAdd ? 1 : 2;
+          });
+        },
+        [&](const Expr& e) {
+          if (e.kind == ExprKind::kVarRef) ++refs[e.strValue];
+        });
 
     const int line = loopStmt->line;
-    const std::string_view sbName =
-        arena_.copy("__sb" + std::to_string(builderCounter_++));
-    record(RuleId::kStringConcat, line,
-           concat("hoisted '", target, "' concat loop into StringBuilder ",
-                  sbName));
+    std::unordered_map<std::string_view, std::string_view> builders;
+    std::vector<StmtPtr> finals;
+    for (const std::string_view target : candidates) {
+      if (refs[target] != covered[target] ||
+          declaredInside.count(target) != 0) {
+        continue;
+      }
+      const std::string_view sbName = freshBuilderName();
+      builders.emplace(target, sbName);
+      record(RuleId::kStringConcat, line,
+             concat("hoisted '", target, "' concat loop into StringBuilder ",
+                    sbName));
 
-    // StringBuilder __sbN = new StringBuilder(target);
-    Stmt* decl = arena_.make<Stmt>(StmtKind::kVarDecl);
-    decl->line = line;
-    decl->declType = TypeRef::ofClass("StringBuilder");
-    decl->declName = sbName;
-    Expr* ctor = arena_.make<Expr>(ExprKind::kNew);
-    ctor->line = line;
-    ctor->strValue = "StringBuilder";
-    ctor->args = arena_.list({makeVarRef(target, line)});
-    decl->init = ctor;
+      // StringBuilder __sbN = new StringBuilder(target);
+      Stmt* decl = arena_.make<Stmt>(StmtKind::kVarDecl);
+      decl->line = line;
+      decl->declType = TypeRef::ofClass("StringBuilder");
+      decl->declName = sbName;
+      Expr* ctor = arena_.make<Expr>(ExprKind::kNew);
+      ctor->line = line;
+      ctor->strValue = "StringBuilder";
+      ctor->args = arena_.list({makeVarRef(target, line)});
+      decl->init = ctor;
+      out->push_back(decl);
+
+      // target = __sbN.toString();
+      Expr* toStr = arena_.make<Expr>(ExprKind::kCall);
+      toStr->line = line;
+      toStr->strValue = "toString";
+      toStr->a = makeVarRef(sbName, line);
+      finals.push_back(makeAssignStmt(target, toStr, line));
+    }
+    if (builders.empty()) return false;
 
     // Replace each self-concat with __sbN.append(X).
-    replaceConcatWithAppend(*loopStmt, target, sbName);
+    walkStmt(
+        *loopStmt,
+        [&](Stmt& st) {
+          forEachDiscardedSlot(st, [&](ExprPtr& slot) {
+            const auto it = builders.find(selfConcatTarget(*slot));
+            if (it == builders.end()) return;
+            Expr* call = arena_.make<Expr>(ExprKind::kCall);
+            call->line = slot->line;
+            call->strValue = "append";
+            call->a = makeVarRef(it->second, slot->line);
+            call->args = arena_.list(
+                {slot->assignOp == AssignOp::kAdd ? slot->b : slot->b->b});
+            slot = call;
+          });
+        },
+        [](const Expr&) {});
 
-    // target = __sbN.toString();
-    Stmt* final = arena_.make<Stmt>(StmtKind::kExprStmt);
-    final->line = line;
-    Expr* assign = arena_.make<Expr>(ExprKind::kAssign);
-    assign->line = line;
-    assign->assignOp = AssignOp::kSet;
-    assign->a = makeVarRef(target, line);
-    Expr* toStr = arena_.make<Expr>(ExprKind::kCall);
-    toStr->line = line;
-    toStr->strValue = "toString";
-    toStr->a = makeVarRef(sbName, line);
-    assign->b = toStr;
-    final->expr = assign;
-
-    out->push_back(decl);
     out->push_back(loopStmt);
-    out->push_back(final);
+    out->insert(out->end(), finals.begin(), finals.end());
     return true;
   }
 
-  void replaceConcatWithAppend(Stmt& s, std::string_view target,
-                               std::string_view sbName) {
-    auto rewriteExprSlot = [&](ExprPtr& slot) {
-      if (!slot) return;
-      Expr& e = *slot;
-      if (e.kind == ExprKind::kAssign && e.a->kind == ExprKind::kVarRef &&
-          e.a->strValue == target) {
-        ExprPtr appended = nullptr;
-        if (e.assignOp == AssignOp::kAdd) {
-          appended = e.b;
-        } else if (e.assignOp == AssignOp::kSet &&
-                   e.b->kind == ExprKind::kBinary &&
-                   e.b->binOp == BinOp::kAdd &&
-                   e.b->a->kind == ExprKind::kVarRef &&
-                   e.b->a->strValue == target) {
-          appended = e.b->b;
-        }
-        if (appended) {
-          Expr* call = arena_.make<Expr>(ExprKind::kCall);
-          call->line = e.line;
-          call->strValue = "append";
-          call->a = makeVarRef(sbName, e.line);
-          call->args = arena_.list({appended});
-          slot = call;
-          return;
-        }
-      }
-    };
-    // Walk all statement expression slots.
-    std::function<void(Stmt&)> walk = [&](Stmt& st) {
-      rewriteExprSlot(st.expr);
-      rewriteExprSlot(st.init);
-      rewriteExprSlot(st.cond);
-      for (auto& u : st.update) rewriteExprSlot(u);
-      for (auto& child : st.body) walk(*child);
-      if (st.thenStmt) walk(*st.thenStmt);
-      if (st.elseStmt) walk(*st.elseStmt);
-      if (st.tryBlock) walk(*st.tryBlock);
-      for (auto& c : st.catches) walk(*c.body);
-      if (st.finallyBlock) walk(*st.finallyBlock);
-      for (auto& c : st.cases) {
-        for (auto& child : c.body) walk(*child);
-      }
-    };
-    walk(s);
+  /// True when the current method declares `name` (see MethodFacts) or the
+  /// class has a field of that name: a fresh local must shadow neither.
+  bool nameTaken(std::string_view name) const {
+    if (facts_->declared.count(name) != 0) return true;
+    for (const auto& f : currentClass_->fields) {
+      if (f.name == name) return true;
+    }
+    return false;
+  }
+
+  std::string_view freshBuilderName() {
+    std::string name;
+    do {
+      name = "__sb" + std::to_string(builderCounter_++);
+    } while (nameTaken(name));
+    const std::string_view fresh = arena_.copy(name);
+    facts_->declared.insert(fresh);
+    return fresh;
   }
 
   // ---------------------------------------------------- static caching
@@ -835,7 +775,7 @@ class UnitRewriter {
     // Count unqualified reads of each read-only static of this class.
     std::unordered_map<std::string, int> reads;  // field -> count
     walkStmt(
-        *m.body, [](const Stmt&) {},
+        std::as_const(*m.body), [](const Stmt&) {},
         [&](const Expr& e) {
           if (e.kind == ExprKind::kVarRef) {
             const std::string key =
@@ -848,22 +788,12 @@ class UnitRewriter {
     std::vector<StmtPtr> prologue;
     for (auto& [field, count] : reads) {
       if (count < 2) continue;
-      // Skip if a local/param of the same name exists (shadowing).
-      bool shadowed = false;
-      for (const auto& p : m.params) {
-        if (p.name == field) shadowed = true;
-      }
-      walkStmt(
-          *m.body,
-          [&](const Stmt& st) {
-            if (st.kind == StmtKind::kVarDecl && st.declName == field) {
-              shadowed = true;
-            }
-          },
-          [](const Expr&) {});
-      if (shadowed) continue;
+      // A parameter, local or catch variable of the same name shadows the
+      // static somewhere in the method.
+      const std::string cached = "__cached_" + field;
+      if (facts_->declared.count(field) != 0 || nameTaken(cached)) continue;
 
-      const std::string_view localName = arena_.copy("__cached_" + field);
+      const std::string_view localName = arena_.copy(cached);
       const TypeRef type =
           statics_.readOnlyStatics.at(concat(currentClass_->name, ".", field));
       record(RuleId::kStaticKeyword, m.line,
@@ -878,30 +808,11 @@ class UnitRewriter {
       prologue.push_back(decl);
 
       // Replace reads.
-      std::function<void(Stmt&)> walk = [&](Stmt& st) {
-        auto fix = [&](ExprPtr& slot) {
-          if (!slot) return;
-          UnitRewriter::walkExprMut(*slot, [&](Expr& e) {
-            if (e.kind == ExprKind::kVarRef && e.strValue == field) {
-              e.strValue = localName;
-            }
-          });
-        };
-        fix(st.expr);
-        fix(st.init);
-        fix(st.cond);
-        for (auto& u : st.update) fix(u);
-        for (auto& child : st.body) walk(*child);
-        if (st.thenStmt) walk(*st.thenStmt);
-        if (st.elseStmt) walk(*st.elseStmt);
-        if (st.tryBlock) walk(*st.tryBlock);
-        for (auto& c : st.catches) walk(*c.body);
-        if (st.finallyBlock) walk(*st.finallyBlock);
-        for (auto& c : st.cases) {
-          for (auto& child : c.body) walk(*child);
+      walkStmt(*m.body, [](const Stmt&) {}, [&](Expr& e) {
+        if (e.kind == ExprKind::kVarRef && e.strValue == field) {
+          e.strValue = localName;
         }
-      };
-      walk(*m.body);
+      });
     }
     if (!prologue.empty()) {
       prologue.insert(prologue.end(), m.body->body.begin(),
@@ -912,84 +823,83 @@ class UnitRewriter {
 
   // ------------------------------------------------------------- drivers
 
-  void collectStringVars(const MethodDecl& m) {
-    stringVars_.clear();
+  /// What a method does with its names, gathered before any rewrite: the
+  /// rewriter moves statements out of the body while it runs.
+  struct MethodFacts {
+    std::unordered_set<std::string_view> reassigned;  // written at all
+    std::unordered_set<std::string_view> arithmetic;  // +=, ++ and the like
+    /// Parameters, locals and catch variables (and the builders the
+    /// rewrite adds): the names a fresh local must avoid and a static
+    /// must not share to be cached.
+    std::unordered_set<std::string_view> declared;
+    /// String parameters and locals, and the class's String fields.
+    std::unordered_set<std::string_view> strings;
+  };
+
+  static MethodFacts methodFacts(const ClassDecl& cls, const MethodDecl& m) {
+    MethodFacts facts;
     for (const auto& p : m.params) {
-      if (p.type.isClass("String")) stringVars_.insert(p.name);
+      facts.declared.insert(p.name);
+      if (p.type.isClass("String")) facts.strings.insert(p.name);
     }
-    if (m.body) {
-      walkStmt(
-          *m.body,
-          [&](const Stmt& st) {
-            if (st.kind == StmtKind::kVarDecl &&
-                st.declType.isClass("String")) {
-              stringVars_.insert(st.declName);
+    for (const auto& f : cls.fields) {
+      if (f.type.isClass("String")) facts.strings.insert(f.name);
+    }
+    if (!m.body) return facts;
+    walkStmt(
+        std::as_const(*m.body),
+        [&](const Stmt& st) {
+          if (st.kind == StmtKind::kVarDecl) {
+            facts.declared.insert(st.declName);
+            if (st.declType.isClass("String")) {
+              facts.strings.insert(st.declName);
             }
-          },
-          [](const Expr&) {});
-    }
-    for (const auto& f : currentClass_->fields) {
-      if (f.type.isClass("String")) stringVars_.insert(f.name);
-    }
+          }
+          for (const auto& c : st.catches) facts.declared.insert(c.varName);
+        },
+        [&](const Expr& e) {
+          const Write w = writeOf(e);
+          if (w.target == nullptr || w.target->kind != ExprKind::kVarRef) {
+            return;
+          }
+          facts.reassigned.insert(w.target->strValue);
+          if (w.arithmetic) facts.arithmetic.insert(w.target->strValue);
+        });
+    return facts;
   }
 
   void rewriteClass(ClassDecl& cls) {
     currentClass_ = &cls;
+    std::vector<MethodFacts> facts;
+    facts.reserve(cls.methods.size());
+    // Field narrowing is gated on the writes anywhere in the class (fields
+    // escape method scope): the union of the methods' facts.
+    MethodFacts classWrites;
+    for (const auto& m : cls.methods) {
+      const MethodFacts& f = facts.emplace_back(methodFacts(cls, m));
+      classWrites.reassigned.insert(f.reassigned.begin(), f.reassigned.end());
+      classWrites.arithmetic.insert(f.arithmetic.begin(), f.arithmetic.end());
+    }
     for (auto& f : cls.fields) {
-      // Field narrowing is gated on no arithmetic updates anywhere in the
-      // class (fields escape method scope).
-      bool hasUpdates = false;
-      bool reassigned = false;
-      for (const auto& m : cls.methods) {
-        if (!m.body) continue;
-        hasUpdates = hasUpdates || varHasArithmeticUpdates(*m.body, f.name);
-        reassigned = reassigned || varIsReassigned(*m.body, f.name);
-      }
-      narrowType(&f.type, f.name, f.line, hasUpdates, reassigned);
+      narrowType(&f.type, f.name, f.line,
+                 classWrites.arithmetic.count(f.name) != 0,
+                 classWrites.reassigned.count(f.name) != 0);
       improveWrapper(&f.type, f.name, f.line);
       if (f.init) rewriteAllExprsIn(f.init);
     }
-    for (auto& m : cls.methods) {
-      // Per-variable facts must be computed BEFORE rewriting: the rewriter
-      // moves statements out of the body while it runs.
-      varsWithArithmeticUpdates_.clear();
-      reassignedVars_.clear();
-      if (m.body) {
-        walkStmt(
-            *m.body, [](const Stmt&) {},
-            [&](const Expr& e) {
-              const Expr* target = nullptr;
-              bool arithmetic = false;
-              if (e.kind == ExprKind::kAssign &&
-                  e.a->kind == ExprKind::kVarRef) {
-                target = e.a;
-                arithmetic = e.assignOp != AssignOp::kSet;
-              } else if (e.kind == ExprKind::kUnary &&
-                         (e.unOp == UnOp::kPreInc || e.unOp == UnOp::kPreDec ||
-                          e.unOp == UnOp::kPostInc ||
-                          e.unOp == UnOp::kPostDec) &&
-                         e.a->kind == ExprKind::kVarRef) {
-                target = e.a;
-                arithmetic = true;
-              }
-              if (target != nullptr) {
-                reassignedVars_.insert(target->strValue);
-                if (arithmetic) {
-                  varsWithArithmeticUpdates_.insert(target->strValue);
-                }
-              }
-            });
-      }
+    for (std::size_t i = 0; i < cls.methods.size(); ++i) {
+      MethodDecl& m = cls.methods[i];
+      facts_ = &facts[i];
       for (auto& p : m.params) {
         narrowType(&p.type, p.name, m.line,
-                   varsWithArithmeticUpdates_.count(p.name) != 0,
-                   reassignedVars_.count(p.name) != 0);
+                   facts_->arithmetic.count(p.name) != 0,
+                   facts_->reassigned.count(p.name) != 0);
       }
       if (!m.body) continue;
-      collectStringVars(m);
       rewriteStmtList(m.body->body);
       cacheStatics(m);
     }
+    facts_ = nullptr;
   }
 
   const OptimizerOptions& options_;
@@ -999,11 +909,9 @@ class UnitRewriter {
   CompilationUnit& unit_;
   std::vector<ChangeRecord>* changes_;
   const ClassDecl* currentClass_ = nullptr;
+  MethodFacts* facts_ = nullptr;  // the method being rewritten
   // Names viewing the rewritten unit's arena.
-  std::unordered_set<std::string_view> varsWithArithmeticUpdates_;
-  std::unordered_set<std::string_view> reassignedVars_;
   std::unordered_set<std::string_view> nonNegativeVars_;
-  std::unordered_set<std::string_view> stringVars_;
   int builderCounter_ = 0;
 };
 

@@ -4,36 +4,6 @@ namespace jepo::core {
 
 using jlang::Expr;
 using jlang::ExprKind;
-using jlang::Stmt;
-
-void walkExpr(const Expr& e, const std::function<void(const Expr&)>& fn) {
-  fn(e);
-  if (e.a) walkExpr(*e.a, fn);
-  if (e.b) walkExpr(*e.b, fn);
-  if (e.c) walkExpr(*e.c, fn);
-  for (const auto& arg : e.args) walkExpr(*arg, fn);
-}
-
-void walkStmt(const Stmt& s, const std::function<void(const Stmt&)>& onStmt,
-              const std::function<void(const Expr&)>& onExpr) {
-  onStmt(s);
-  auto expr = [&](const jlang::Expr* e) {
-    if (e) walkExpr(*e, onExpr);
-  };
-  expr(s.init);
-  expr(s.expr);
-  expr(s.cond);
-  for (const auto& u : s.update) expr(u);
-  for (const auto& st : s.body) walkStmt(*st, onStmt, onExpr);
-  if (s.thenStmt) walkStmt(*s.thenStmt, onStmt, onExpr);
-  if (s.elseStmt) walkStmt(*s.elseStmt, onStmt, onExpr);
-  if (s.tryBlock) walkStmt(*s.tryBlock, onStmt, onExpr);
-  for (const auto& c : s.catches) walkStmt(*c.body, onStmt, onExpr);
-  if (s.finallyBlock) walkStmt(*s.finallyBlock, onStmt, onExpr);
-  for (const auto& c : s.cases) {
-    for (const auto& st : c.body) walkStmt(*st, onStmt, onExpr);
-  }
-}
 
 bool isPureExpr(const Expr& e) {
   switch (e.kind) {

@@ -259,6 +259,70 @@ static_assert(std::is_trivially_destructible_v<Stmt>,
 StmtPtr cloneStmt(const Stmt& s, Program& into);
 
 // ---------------------------------------------------------------------------
+// Child enumeration
+//
+// The one generic list of a node's child slots, in source order: an
+// Expr's a, b, c, args; a Stmt's init, expr, cond, update, then its
+// statements (body, then, else, try, catch bodies, finally, case bodies).
+// Walkers that treat every child alike build on forEachChild; walkers to
+// which each kind means something different (clone, printer, resolver,
+// compiler, interpreter) switch on the kind themselves. The const forms
+// pass `const Expr&` / `const Stmt&`; the mutable forms pass each
+// expression slot as an `ExprPtr&`, so a rewrite can replace it, and each
+// child statement as a `Stmt&`.
+
+namespace detail {
+
+template <class E, class OnExprSlot>
+void forEachExprSlot(E& e, OnExprSlot&& onExpr) {
+  if (e.a) onExpr(e.a);
+  if (e.b) onExpr(e.b);
+  if (e.c) onExpr(e.c);
+  for (auto& arg : e.args) onExpr(arg);
+}
+
+template <class S, class OnStmtSlot, class OnExprSlot>
+void forEachStmtSlot(S& s, OnStmtSlot&& onStmt, OnExprSlot&& onExpr) {
+  if (s.init) onExpr(s.init);
+  if (s.expr) onExpr(s.expr);
+  if (s.cond) onExpr(s.cond);
+  for (auto& u : s.update) onExpr(u);
+  for (auto& st : s.body) onStmt(st);
+  if (s.thenStmt) onStmt(s.thenStmt);
+  if (s.elseStmt) onStmt(s.elseStmt);
+  if (s.tryBlock) onStmt(s.tryBlock);
+  for (auto& c : s.catches) onStmt(c.body);
+  if (s.finallyBlock) onStmt(s.finallyBlock);
+  for (auto& c : s.cases) {
+    for (auto& st : c.body) onStmt(st);
+  }
+}
+
+}  // namespace detail
+
+template <class OnExpr>
+void forEachChild(const Expr& e, OnExpr&& onExpr) {
+  detail::forEachExprSlot(e, [&](const Expr* c) { onExpr(*c); });
+}
+
+template <class OnExpr>
+void forEachChild(Expr& e, OnExpr&& onExpr) {
+  detail::forEachExprSlot(e, onExpr);
+}
+
+template <class OnStmt, class OnExpr>
+void forEachChild(const Stmt& s, OnStmt&& onStmt, OnExpr&& onExpr) {
+  detail::forEachStmtSlot(
+      s, [&](const Stmt* c) { onStmt(*c); },
+      [&](const Expr* c) { onExpr(*c); });
+}
+
+template <class OnStmt, class OnExpr>
+void forEachChild(Stmt& s, OnStmt&& onStmt, OnExpr&& onExpr) {
+  detail::forEachStmtSlot(s, [&](Stmt* c) { onStmt(*c); }, onExpr);
+}
+
+// ---------------------------------------------------------------------------
 // Declarations
 
 struct Param {

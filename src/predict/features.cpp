@@ -19,38 +19,18 @@ struct ShapeWalk {
   double calls = 0.0;
   int maxLoopDepth = 0;
 
-  void expr(const Expr* e, int depth) {
-    if (!e) return;
-    if (e->kind == ExprKind::kCall || e->kind == ExprKind::kNew) {
-      calls += 1.0;
-    }
-    expr(e->a, depth);
-    expr(e->b, depth);
-    expr(e->c, depth);
-    for (const auto& arg : e->args) expr(arg, depth);
+  void expr(const Expr& e) {
+    if (e.kind == ExprKind::kCall || e.kind == ExprKind::kNew) calls += 1.0;
+    jlang::forEachChild(e, [&](const Expr& child) { expr(child); });
   }
 
-  void stmt(const Stmt* s, int depth) {
-    if (!s) return;
-    const bool loop =
-        s->kind == StmtKind::kWhile || s->kind == StmtKind::kFor;
-    if (loop) {
-      ++depth;
-      maxLoopDepth = std::max(maxLoopDepth, depth);
+  void stmt(const Stmt& s, int depth) {
+    if (s.kind == StmtKind::kWhile || s.kind == StmtKind::kFor) {
+      maxLoopDepth = std::max(maxLoopDepth, ++depth);
     }
-    expr(s->init, depth);
-    expr(s->expr, depth);
-    expr(s->cond, depth);
-    for (const auto& u : s->update) expr(u, depth);
-    for (const auto& child : s->body) stmt(child, depth);
-    stmt(s->thenStmt, depth);
-    stmt(s->elseStmt, depth);
-    stmt(s->tryBlock, depth);
-    for (const auto& c : s->catches) stmt(c.body, depth);
-    stmt(s->finallyBlock, depth);
-    for (const auto& sc : s->cases) {
-      for (const auto& child : sc.body) stmt(child, depth);
-    }
+    jlang::forEachChild(
+        s, [&](const Stmt& child) { stmt(child, depth); },
+        [&](const Expr& e) { expr(e); });
   }
 };
 
@@ -67,7 +47,7 @@ std::vector<MethodFeatures> extractFeatures(const jlang::Program& program) {
         f.method = concat(cls.name, ".", method.name);
 
         ShapeWalk walk;
-        walk.stmt(method.body, 0);
+        if (method.body) walk.stmt(*method.body, 0);
         f.callCount = walk.calls;
         f.loopDepth = static_cast<double>(walk.maxLoopDepth);
 

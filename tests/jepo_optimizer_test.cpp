@@ -470,7 +470,8 @@ TEST(Optimizer, OptimizedOutputReparses) {
 
 /// The core invariant (DESIGN.md §4): for every program, optimizing with
 /// exact-only rewrites preserves the printed output, and the optimized
-/// version consumes no more energy.
+/// version consumes no more energy. Optimizing the printed result a second
+/// time must preserve the output too.
 class PreservationTest : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(PreservationTest, OutputIdenticalAndEnergyNonIncreasing) {
@@ -485,6 +486,11 @@ TEST_P(PreservationTest, OutputIdenticalAndEnergyNonIncreasing) {
       << "optimized program:\n" << printed(opt);
   EXPECT_LE(after.sample.packageJoules, before.sample.packageJoules * 1.0001)
       << "optimization increased energy";
+
+  const OptimizeResult again =
+      Optimizer(opts).optimize(Parser::parseProgram("p.mjava", printed(opt)));
+  EXPECT_EQ(before.output, runProgram(again.program).output)
+      << "re-optimized program:\n" << printed(again);
 }
 
 const char* kPreservationPrograms[] = {
@@ -629,10 +635,117 @@ const char* kPreservationPrograms[] = {
       }
     }
     )",
+    // A self-concat nested in a call argument is not a slot the hoist
+    // rewrites, so the loop keeps its String concat.
+    R"(
+    class Main {
+      static void show(String x) { System.out.println(x); }
+      static void main(String[] args) {
+        String s = "";
+        for (int i = 0; i < 3; i++) { show(s += "a"); }
+        System.out.println("after: " + s);
+      }
+    }
+    )",
+    // A catch variable shadows the read-only static of the same name.
+    R"(
+    class Main {
+      static int e = 5;
+      static void main(String[] args) {
+        int acc = e + e;
+        try {
+          throw new RuntimeException("boom");
+        } catch (RuntimeException e) {
+          System.out.println(e.getMessage());
+        }
+        System.out.println(acc);
+      }
+    }
+    )",
+    // Two concat variables in one loop: both hoisted, each to its own
+    // builder.
+    R"(
+    class Main {
+      static void main(String[] args) {
+        String a = "";
+        String b = "";
+        for (int i = 0; i < 3; i++) { a += "x"; b += "y"; }
+        System.out.println(a + b);
+      }
+    }
+    )",
+    // A write to the variable that is no self-concat keeps the loop as it
+    // is.
+    R"(
+    class Main {
+      static void main(String[] args) {
+        String s = "";
+        for (int i = 0; i < 3; i++) { s += "a"; s = "b" + s; }
+        System.out.println(s);
+      }
+    }
+    )",
 };
 
 INSTANTIATE_TEST_SUITE_P(Programs, PreservationTest,
                          ::testing::ValuesIn(kPreservationPrograms));
+
+TEST(Optimizer, HoistsEveryConcatVariableOfALoopInSourceOrder) {
+  const auto r = optimizeSource(R"(
+    class C { String m(int n) {
+      String b = "";
+      String a = "";
+      for (int i = 0; i < n; i++) { a += "x"; b = b + "y"; }
+      return a + b;
+    } }
+  )");
+  ASSERT_EQ(countRule(r.changes, RuleId::kStringConcat), 2);
+  EXPECT_EQ(r.changes[0].description,
+            "hoisted 'a' concat loop into StringBuilder __sb0");
+  EXPECT_EQ(r.changes[1].description,
+            "hoisted 'b' concat loop into StringBuilder __sb1");
+}
+
+TEST(Optimizer, ReoptimizingThePrintedResultChangesNothing) {
+  const char* src = R"(
+    class Main {
+      static void main(String[] args) {
+        String a = "";
+        String b = "";
+        for (int i = 0; i < 3; i++) { a += "x"; b += "y"; }
+        System.out.println(a + b);
+      }
+    }
+  )";
+  OptimizerOptions opts;
+  opts.allowLossyNarrowing = false;
+  const OptimizeResult first =
+      Optimizer(opts).optimize(Parser::parseProgram("p.mjava", src));
+  const Program reparsed = Parser::parseProgram("p.mjava", printed(first));
+  const OptimizeResult second = Optimizer(opts).optimize(reparsed);
+  EXPECT_TRUE(second.changes.empty()) << printed(second);
+  EXPECT_EQ(runProgram(second.program).output, "xxxyyy\n");
+}
+
+TEST(Optimizer, FreshBuilderNameSkipsDeclaredNames) {
+  const char* src = R"(
+    class Main {
+      static void main(String[] args) {
+        String __sb0 = "q";
+        String s = "";
+        for (int i = 0; i < 3; i++) s += "x";
+        System.out.println(s + __sb0);
+      }
+    }
+  )";
+  const Program original = Parser::parseProgram("p.mjava", src);
+  OptimizerOptions opts;
+  opts.allowLossyNarrowing = false;
+  const OptimizeResult opt = Optimizer(opts).optimize(original);
+  EXPECT_EQ(countRule(opt.changes, RuleId::kStringConcat), 1);
+  EXPECT_NE(printed(opt).find("StringBuilder __sb1"), std::string::npos);
+  EXPECT_EQ(runProgram(original).output, runProgram(opt.program).output);
+}
 
 /// Lossy mode keeps outputs *numerically close* (the paper's accuracy-drop
 /// argument): integer-printing programs must still match exactly when no
