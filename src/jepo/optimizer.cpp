@@ -643,7 +643,7 @@ class UnitRewriter {
 
   // --------------------------------------------------- builder extraction
 
-  /// `v += X` or `v = v + X`, v a String variable that X does not mention:
+  /// `v += X` or `v = v + X`, v a String local that X does not mention:
   /// returns v, else an empty view.
   std::string_view selfConcatTarget(const Expr& e) const {
     if (e.kind != ExprKind::kAssign || e.a->kind != ExprKind::kVarRef ||
@@ -832,18 +832,16 @@ class UnitRewriter {
     /// rewrite adds): the names a fresh local must avoid and a static
     /// must not share to be cached.
     std::unordered_set<std::string_view> declared;
-    /// String parameters and locals, and the class's String fields.
+    /// String parameters and locals: the builder hoist's candidates. A
+    /// String field is none, since a call in the loop may read it.
     std::unordered_set<std::string_view> strings;
   };
 
-  static MethodFacts methodFacts(const ClassDecl& cls, const MethodDecl& m) {
+  static MethodFacts methodFacts(const MethodDecl& m) {
     MethodFacts facts;
     for (const auto& p : m.params) {
       facts.declared.insert(p.name);
       if (p.type.isClass("String")) facts.strings.insert(p.name);
-    }
-    for (const auto& f : cls.fields) {
-      if (f.type.isClass("String")) facts.strings.insert(f.name);
     }
     if (!m.body) return facts;
     walkStmt(
@@ -876,7 +874,7 @@ class UnitRewriter {
     // escape method scope): the union of the methods' facts.
     MethodFacts classWrites;
     for (const auto& m : cls.methods) {
-      const MethodFacts& f = facts.emplace_back(methodFacts(cls, m));
+      const MethodFacts& f = facts.emplace_back(methodFacts(m));
       classWrites.reassigned.insert(f.reassigned.begin(), f.reassigned.end());
       classWrites.arithmetic.insert(f.arithmetic.begin(), f.arithmetic.end());
     }

@@ -685,6 +685,18 @@ const char* kPreservationPrograms[] = {
       }
     }
     )",
+    // A String field's concat loop stays: the call in the loop reads the
+    // field.
+    R"(
+    class Main {
+      static String log = "";
+      static void peek() { System.out.println(log.length()); }
+      static void main(String[] args) {
+        for (int i = 0; i < 3; i++) { log += "x"; peek(); }
+        System.out.println(log);
+      }
+    }
+    )",
 };
 
 INSTANTIATE_TEST_SUITE_P(Programs, PreservationTest,
