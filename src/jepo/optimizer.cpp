@@ -673,7 +673,7 @@ class UnitRewriter {
     std::unordered_map<std::string_view, int> refs;
     std::unordered_set<std::string_view> declaredInside;
     walkStmt(
-        std::as_const(*loopStmt),
+        *loopStmt,
         [&](const Stmt& st) {
           if (st.kind == StmtKind::kVarDecl) declaredInside.insert(st.declName);
           forEachDiscardedSlot(st, [&](const Expr* e) {
@@ -775,7 +775,7 @@ class UnitRewriter {
     // Count unqualified reads of each read-only static of this class.
     std::unordered_map<std::string, int> reads;  // field -> count
     walkStmt(
-        std::as_const(*m.body), [](const Stmt&) {},
+        *m.body, [](const Stmt&) {},
         [&](const Expr& e) {
           if (e.kind == ExprKind::kVarRef) {
             const std::string key =
@@ -845,7 +845,7 @@ class UnitRewriter {
     }
     if (!m.body) return facts;
     walkStmt(
-        std::as_const(*m.body),
+        *m.body,
         [&](const Stmt& st) {
           if (st.kind == StmtKind::kVarDecl) {
             facts.declared.insert(st.declName);

@@ -261,7 +261,7 @@ StmtPtr cloneStmt(const Stmt& s, Program& into);
 // ---------------------------------------------------------------------------
 // Child enumeration
 //
-// The one generic list of a node's child slots, in source order: an
+// The one generic list of a node's child slots, in a fixed order: an
 // Expr's a, b, c, args; a Stmt's init, expr, cond, update, then its
 // statements (body, then, else, try, catch bodies, finally, case bodies).
 // Walkers that treat every child alike build on forEachChild; walkers to
