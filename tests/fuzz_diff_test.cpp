@@ -47,8 +47,8 @@ namespace {
 
 using namespace jepo;
 
-constexpr std::uint64_t kDefaultBaseSeed = 0x6a65706f2d667aULL;  // "jepo-fz"
-constexpr int kDefaultRuns = 200;
+using testgen::kDefaultBaseSeed;
+using testgen::kDefaultRuns;
 constexpr std::size_t kFuzzHeapLimit = 48;
 constexpr std::uint64_t kMaxSteps = 20'000'000;
 constexpr std::uint64_t kTierSeed = 2020;

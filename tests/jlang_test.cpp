@@ -106,6 +106,52 @@ TEST(Lexer, RejectsMalformedInput) {
   EXPECT_THROW(lex("#"), ParseError);
 }
 
+/// "line:col message" of the ParseError that lexing `text` throws.
+std::string lexErrorAt(std::string_view text) {
+  try {
+    lex(text);
+  } catch (const ParseError& e) {
+    return std::to_string(e.line()) + ":" + std::to_string(e.col()) + " " +
+           e.what();
+  }
+  return "no error";
+}
+
+TEST(Lexer, ErrorPositionsArePinned) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"\"unterminated", "1:14 lex error: unterminated string literal at 1:14"},
+      {"'ab'", "1:3 lex error: unterminated char literal at 1:3"},
+      {"/* open", "1:8 lex error: unterminated block comment at 1:8"},
+      {"#", "1:2 lex error: unexpected character '#' at 1:2"},
+      // Newlines inside block comments, char literals and escapes.
+      {"/* a\n b\n*/ x #", "3:7 lex error: unexpected character '#' at 3:7"},
+      {"/* one\n two\n three",
+       "3:7 lex error: unterminated block comment at 3:7"},
+      {"int a;\n  /* x\n */ \"abc\ndef\"",
+       "3:9 lex error: unterminated string literal at 3:9"},
+      {"'\n' #", "2:4 lex error: unexpected character '#' at 2:4"},
+      {"\"a\\\nb\"", "2:1 lex error: unknown escape \\\n at 2:1"},
+      {"x\n'\\q'", "2:4 lex error: unknown escape \\q at 2:4"},
+      {"a /* *\n** / */\n\t b /**/ c\r\n  'x\n",
+       "4:5 lex error: unterminated char literal at 4:5"},
+  };
+  for (const auto& [text, want] : cases) {
+    EXPECT_EQ(lexErrorAt(text), want) << "input: " << text;
+  }
+}
+
+TEST(Lexer, PositionsAfterMultiLineTokens) {
+  const auto toks = lex("/* a\n */ b /* c */ d\n\te '\n' f \"s\\n\" g\r\n  h");
+  const std::pair<int, int> want[] = {{2, 5}, {2, 15}, {3, 2}, {3, 4},
+                                      {4, 3}, {4, 5},  {4, 11}, {5, 3},
+                                      {5, 4}};
+  ASSERT_EQ(toks.size(), std::size(want));
+  for (std::size_t i = 0; i < toks.size(); ++i) {
+    EXPECT_EQ(std::make_pair(toks[i].line, toks[i].col), want[i])
+        << "token " << i;
+  }
+}
+
 /// The message of the ParseError that lexing `text` throws, lexed from a
 /// heap buffer of exactly its length: no terminator follows the last byte,
 /// so a read past it is a heap-buffer-overflow under ASan.

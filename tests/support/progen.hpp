@@ -25,4 +25,10 @@ struct GeneratedProgram {
 /// as well as in the energy ledger.
 GeneratedProgram generateProgram(std::uint64_t seed);
 
+/// The fuzzer's default programs: program i of a default run is
+/// generateProgram(deriveSeed(kDefaultBaseSeed, i)) for i < kDefaultRuns.
+inline constexpr std::uint64_t kDefaultBaseSeed =
+    0x6a65706f2d667aULL;  // "jepo-fz"
+inline constexpr int kDefaultRuns = 200;
+
 }  // namespace jepo::testgen
