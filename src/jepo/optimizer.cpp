@@ -479,9 +479,17 @@ class UnitRewriter {
     }
     if (s.thenStmt) rewriteChild(s.thenStmt);
     if (s.elseStmt) rewriteChild(s.elseStmt);
-    if (s.tryBlock) rewriteChild(s.tryBlock);
+    if (s.tryBlock) {
+      ++guardedDepth_;
+      rewriteChild(s.tryBlock);
+      --guardedDepth_;
+    }
+    if (s.finallyBlock) ++guardedDepth_;
     for (auto& c : s.catches) rewriteChild(c.body);
-    if (s.finallyBlock) rewriteChild(s.finallyBlock);
+    if (s.finallyBlock) {
+      --guardedDepth_;
+      rewriteChild(s.finallyBlock);
+    }
     for (auto& c : s.cases) rewriteStmtList(c.body);
     if (nonNegCounter) nonNegativeVars_.erase(cf.var);
 
@@ -666,8 +674,9 @@ class UnitRewriter {
   /// when every reference to it in the loop sits in one of those (`s += X`
   /// holds one reference, `s = s + X` two) and it is declared before the
   /// loop — a declaration inside would leave `new StringBuilder(s)`
-  /// dangling.
+  /// dangling. A guarded loop (see guardedDepth_) stays as it is.
   bool tryBuilderExtraction(StmtPtr loopStmt, std::vector<StmtPtr>* out) {
+    if (guardedDepth_ > 0) return false;
     std::vector<std::string_view> candidates;  // source order
     std::unordered_map<std::string_view, int> covered;
     std::unordered_map<std::string_view, int> refs;
@@ -911,6 +920,11 @@ class UnitRewriter {
   // Names viewing the rewritten unit's arena.
   std::unordered_set<std::string_view> nonNegativeVars_;
   int builderCounter_ = 0;
+  /// Try blocks, and catch bodies of a try with a finally, around the
+  /// statement being rewritten: an exception leaving a loop there reaches
+  /// code of this method that would read s before `s = __sbN.toString()`
+  /// ran, so no concat loop inside is hoisted.
+  int guardedDepth_ = 0;
 };
 
 

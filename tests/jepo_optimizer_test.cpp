@@ -697,6 +697,39 @@ const char* kPreservationPrograms[] = {
       }
     }
     )",
+    // A concat loop inside a try keeps its String concat: an exception
+    // leaving a hoisted loop would skip `s = __sbN.toString()`, and the
+    // handler (or a finally) would read the old s.
+    R"(
+    class Main {
+      static void main(String[] args) {
+        String s = "";
+        try {
+          for (int i = 0; i < 5; i++) {
+            s += "x";
+            if (i == 2) throw new RuntimeException("stop");
+          }
+        } catch (RuntimeException e) {
+          System.out.println(s);
+        }
+        String t = "";
+        try {
+          try {
+            int i = 0;
+            while (i < 5) {
+              t = t + "y";
+              i++;
+              if (i == 3) throw new RuntimeException("stop");
+            }
+          } finally {
+            System.out.println(t);
+          }
+        } catch (RuntimeException e) {
+          System.out.println("caught " + t);
+        }
+      }
+    }
+    )",
 };
 
 INSTANTIATE_TEST_SUITE_P(Programs, PreservationTest,
