@@ -939,7 +939,7 @@ OptimizeResult Optimizer::optimize(const Program& program) const {
   OptimizeResult result;
   const StaticInfo statics = collectStaticInfo(program);
   std::size_t sourceBytes = 0;
-  for (const auto& unit : program.units) sourceBytes += unit.source.size();
+  for (const auto& unit : program.units) sourceBytes += unit.sourceBytes;
   result.program.arena().reserve(sourceBytes *
                                  jlang::kArenaBytesPerSourceByte);
   for (const auto& unit : program.units) {

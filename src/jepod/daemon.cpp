@@ -528,7 +528,7 @@ std::string Daemon::runJob(const JobRequest& req, TenantMetrics& tenant,
       }
       std::string source;
       for (const auto& unit : result.program.units) {
-        source += jlang::printUnit(unit);
+        jlang::printUnitTo(source, unit);
       }
       return renderOptimizeResponse(req, cached, changes, source);
     }

@@ -28,14 +28,15 @@ std::string_view errorCodeName(ErrorCode code) noexcept {
 
 namespace {
 
-std::string requireString(const json::Value& obj, std::string_view key) {
-  const json::Value* v = obj.find(key);
+/// Moves the string field `key` out of `obj`.
+std::string requireString(json::Value& obj, std::string_view key) {
+  json::Value* v = obj.find(key);
   if (v == nullptr || !v->isString()) {
     throw ProtocolError(ErrorCode::kBadRequest,
                         "missing or non-string field '" + std::string(key) +
                             "'");
   }
-  return v->asString();
+  return v->takeString();
 }
 
 std::uint64_t optionalU64(const json::Value& obj, std::string_view key,

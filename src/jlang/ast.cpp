@@ -3,21 +3,25 @@
 namespace jepo::jlang {
 
 std::string typeName(const TypeRef& t) {
-  std::string base;
+  std::string out;
+  appendTypeName(out, t);
+  return out;
+}
+
+void appendTypeName(std::string& out, const TypeRef& t) {
   switch (t.prim) {
-    case Prim::kByte: base = "byte"; break;
-    case Prim::kShort: base = "short"; break;
-    case Prim::kInt: base = "int"; break;
-    case Prim::kLong: base = "long"; break;
-    case Prim::kFloat: base = "float"; break;
-    case Prim::kDouble: base = "double"; break;
-    case Prim::kChar: base = "char"; break;
-    case Prim::kBoolean: base = "boolean"; break;
-    case Prim::kVoid: base = "void"; break;
-    case Prim::kClass: base = t.className; break;
+    case Prim::kByte: out += "byte"; break;
+    case Prim::kShort: out += "short"; break;
+    case Prim::kInt: out += "int"; break;
+    case Prim::kLong: out += "long"; break;
+    case Prim::kFloat: out += "float"; break;
+    case Prim::kDouble: out += "double"; break;
+    case Prim::kChar: out += "char"; break;
+    case Prim::kBoolean: out += "boolean"; break;
+    case Prim::kVoid: out += "void"; break;
+    case Prim::kClass: out += t.className; break;
   }
-  for (int i = 0; i < t.arrayDims; ++i) base += "[]";
-  return base;
+  for (int i = 0; i < t.arrayDims; ++i) out += "[]";
 }
 
 namespace {
@@ -109,6 +113,7 @@ CompilationUnit cloneUnit(const CompilationUnit& unit, Program& into) {
   Arena& arena = into.arena();
   CompilationUnit out;
   out.fileName = unit.fileName;
+  out.sourceBytes = unit.sourceBytes;
   out.packageName = unit.packageName;
   out.imports = unit.imports;
   out.classes.reserve(unit.classes.size());

@@ -102,6 +102,8 @@ struct TypeRef {
 };
 
 std::string typeName(const TypeRef& t);
+/// Append typeName's text to `out`.
+void appendTypeName(std::string& out, const TypeRef& t);
 
 // ---------------------------------------------------------------------------
 // Expressions
@@ -370,6 +372,9 @@ struct CompilationUnit {
   /// The text the unit was parsed from, in the Program's arena (empty for
   /// a unit built by cloneUnit).
   std::string_view source;
+  /// The length of that text; a clone keeps its original's. It sizes what
+  /// is built from the unit: a clone's arena, the printed text.
+  std::size_t sourceBytes = 0;
   std::string packageName;            // "" for the default package
   std::vector<std::string> imports;   // fully-qualified imported class names
   std::vector<ClassDecl> classes;

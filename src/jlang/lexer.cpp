@@ -84,15 +84,22 @@ char Lexer::peek(std::size_t ahead) const noexcept {
   return pos_ + ahead < src_.size() ? src_[pos_ + ahead] : '\0';
 }
 
-char Lexer::advance() noexcept {
+char Lexer::advanceAny() noexcept {
   const char c = src_[pos_++];
   if (c == '\n') {
     ++line_;
-    col_ = 1;
-  } else {
-    ++col_;
+    lineStart_ = pos_;
   }
   return c;
+}
+
+void Lexer::skipTo(std::size_t to) noexcept {
+  for (std::size_t nl = src_.find('\n', pos_); nl < to;
+       nl = src_.find('\n', nl + 1)) {
+    ++line_;
+    lineStart_ = nl + 1;
+  }
+  pos_ = to;
 }
 
 bool Lexer::match(char expected) noexcept {
@@ -102,7 +109,7 @@ bool Lexer::match(char expected) noexcept {
 }
 
 void Lexer::fail(const std::string& msg) const {
-  throw ParseError("lex error: " + msg, line_, col_);
+  throw ParseError("lex error: " + msg, line_, col());
 }
 
 void Lexer::skipWhitespaceAndComments() {
@@ -110,18 +117,16 @@ void Lexer::skipWhitespaceAndComments() {
     if (atEnd()) return;
     const char c = peek();
     if (isSpace(c)) {
-      advance();
+      advanceAny();
     } else if (c == '/' && peek(1) == '/') {
-      while (!atEnd() && peek() != '\n') advance();
+      pos_ = std::min(src_.find('\n', pos_), src_.size());
     } else if (c == '/' && peek(1) == '*') {
-      advance();
-      advance();
-      while (!(peek() == '*' && peek(1) == '/')) {
-        if (atEnd()) fail("unterminated block comment");
-        advance();
+      const std::size_t close = src_.find("*/", pos_ + 2);
+      if (close == std::string_view::npos) {
+        skipTo(src_.size());
+        fail("unterminated block comment");
       }
-      advance();
-      advance();
+      skipTo(close + 2);
     } else {
       return;
     }
@@ -213,7 +218,7 @@ Token Lexer::lexIdentifierOrKeyword() {
 
 char Lexer::lexEscape(const char* what) {
   if (atEnd()) fail(std::string("unterminated ") + what + " literal");
-  const char esc = advance();
+  const char esc = advanceAny();
   switch (esc) {
     case 'n': return '\n';
     case 't': return '\t';
@@ -253,7 +258,7 @@ Token Lexer::lexChar() {
   advance();  // opening quote
   const std::size_t start = pos_;
   if (atEnd()) fail("unterminated char literal");
-  char c = advance();
+  char c = advanceAny();
   if (c == '\\') c = lexEscape("char");
   if (peek() != '\'') fail("unterminated char literal");
   Token t = makeToken(Tok::kCharLiteral);
@@ -270,7 +275,7 @@ std::vector<Token> Lexer::tokenize() {
   for (;;) {
     skipWhitespaceAndComments();
     tokLine_ = line_;
-    tokCol_ = col_;
+    tokCol_ = col();
     if (atEnd()) {
       out.push_back(makeToken(Tok::kEof));
       return out;

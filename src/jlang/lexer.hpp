@@ -25,8 +25,15 @@ class Lexer {
  private:
   bool atEnd() const noexcept { return pos_ >= src_.size(); }
   char peek(std::size_t ahead = 0) const noexcept;
-  char advance() noexcept;
+  /// Consume one byte that is not a newline.
+  char advance() noexcept { return src_[pos_++]; }
+  /// Consume one byte that may be a newline.
+  char advanceAny() noexcept;
+  /// Move to `to`, counting the newlines passed over.
+  void skipTo(std::size_t to) noexcept;
   bool match(char expected) noexcept;
+  /// 1-based column of the next byte.
+  int col() const noexcept { return static_cast<int>(pos_ - lineStart_) + 1; }
 
   void skipWhitespaceAndComments();
   Token makeToken(Tok type) const;
@@ -42,8 +49,10 @@ class Lexer {
   std::string_view src_;
   Arena& decoded_;
   std::size_t pos_ = 0;
+  // Lines are counted where a newline is consumed; a column is the
+  // distance from the current line's first byte.
   int line_ = 1;
-  int col_ = 1;
+  std::size_t lineStart_ = 0;
   int tokLine_ = 1;
   int tokCol_ = 1;
 };

@@ -5,6 +5,7 @@
 #include "jlang/lexer.hpp"
 #include "obs/registry.hpp"
 #include "obs/span.hpp"
+#include "support/strings.hpp"
 
 namespace jepo::jlang {
 
@@ -114,7 +115,7 @@ Program Parser::parseProgram(std::string fileName, std::string_view source) {
   return prog;
 }
 
-List<ExprPtr> Parser::parseArgs(const char* what) {
+List<ExprPtr> Parser::parseArgs(std::string_view what) {
   const std::size_t mark = exprScratch_.size();
   if (!check(Tok::kRParen)) {
     do {
@@ -142,10 +143,10 @@ bool Parser::match(Tok t) {
   return true;
 }
 
-const Token& Parser::expect(Tok t, const std::string& what) {
+const Token& Parser::expect(Tok t, std::string_view what) {
   if (!check(t)) {
-    fail("expected " + tokName(t) + " (" + what + "), found " +
-         tokName(peek().type));
+    fail(concat("expected ", tokName(t), " (", what, "), found ",
+                tokName(peek().type)));
   }
   return advance();
 }
@@ -171,6 +172,7 @@ CompilationUnit Parser::parseUnit() {
   CompilationUnit unit;
   unit.fileName = fileName_;
   unit.source = source_;
+  unit.sourceBytes = source_.size();
   if (match(Tok::kKwPackage)) {
     unit.packageName = parseQualifiedName();
     expect(Tok::kSemicolon, "after package declaration");

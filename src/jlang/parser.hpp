@@ -56,13 +56,15 @@ class Parser {
     return out;
   }
   /// Comma-separated expressions up to and including the closing ')'.
-  List<ExprPtr> parseArgs(const char* what);
+  List<ExprPtr> parseArgs(std::string_view what);
 
   const Token& peek(std::size_t ahead = 0) const;
   const Token& advance();
   bool check(Tok t) const { return peek().type == t; }
   bool match(Tok t);
-  const Token& expect(Tok t, const std::string& what);
+  /// Consume a `t` token; `what` names the construct for the failure
+  /// message, which is built only on failure.
+  const Token& expect(Tok t, std::string_view what);
   [[noreturn]] void fail(const std::string& msg) const;
 
   std::string parseQualifiedName();

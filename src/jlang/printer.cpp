@@ -1,14 +1,11 @@
 #include "jlang/printer.hpp"
 
+#include <charconv>
 #include <cstdio>
-
-#include "support/strings.hpp"
 
 namespace jepo::jlang {
 
 namespace {
-
-std::string indentStr(int indent) { return std::string(indent * 4, ' '); }
 
 std::string_view binOpText(BinOp op) {
   switch (op) {
@@ -46,253 +43,330 @@ std::string_view assignOpText(AssignOp op) {
   return "?";
 }
 
-std::string escapeString(std::string_view s) {
-  std::string out;
-  for (char c : s) {
-    switch (c) {
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      case '\\': out += "\\\\"; break;
-      case '"': out += "\\\""; break;
-      case '\0': out += "\\0"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
-std::string escapeChar(char c) {
+/// The escape a string or char literal prints for `c`, or "" when it
+/// prints as itself. A quote needs one only in its own kind of literal.
+std::string_view escapeOf(char c, char quote) {
   switch (c) {
     case '\n': return "\\n";
     case '\t': return "\\t";
     case '\r': return "\\r";
     case '\\': return "\\\\";
-    case '\'': return "\\'";
     case '\0': return "\\0";
-    default: return std::string(1, c);
+    case '"': return quote == '"' ? "\\\"" : "";
+    case '\'': return quote == '\'' ? "\\'" : "";
+    default: return "";
   }
 }
 
-/// Double literal spelling: reuse the original spelling when available so a
-/// parse→print round trip is stable; otherwise shortest round-trip form.
-std::string floatText(const Expr& e) {
-  if (!e.strValue.empty()) return std::string(e.strValue);
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", e.floatValue);
-  std::string s = buf;
-  if (s.find('.') == std::string::npos && s.find('e') == std::string::npos &&
-      s.find('E') == std::string::npos && s.find("inf") == std::string::npos &&
-      s.find("nan") == std::string::npos) {
-    s += ".0";
-  }
-  return s;
+/// Bytes to reserve for a unit's printed text: its source length and a
+/// quarter more, for the parentheses and indentation canonical form adds.
+std::size_t printedBytesHint(const CompilationUnit& unit) {
+  return unit.sourceBytes + unit.sourceBytes / 4;
 }
+
+/// An indentation level (four spaces each).
+struct Indent {
+  int level;
+};
+
+/// Appends the canonical text of AST nodes to one caller-owned buffer.
+class Printer {
+ public:
+  explicit Printer(std::string& out) : out_(out) {}
+
+  void expr(const Expr& e) {
+    switch (e.kind) {
+      case ExprKind::kIntLit: put(e.intValue); return;
+      case ExprKind::kLongLit: put(e.intValue, 'L'); return;
+      case ExprKind::kFloatLit:
+        floatText(e);
+        put('f');
+        return;
+      case ExprKind::kDoubleLit: floatText(e); return;
+      case ExprKind::kCharLit: {
+        const char c = static_cast<char>(e.intValue);
+        put('\'');
+        escaped(std::string_view(&c, 1), '\'');
+        put('\'');
+        return;
+      }
+      case ExprKind::kStringLit:
+        put('"');
+        escaped(e.strValue, '"');
+        put('"');
+        return;
+      case ExprKind::kBoolLit: put(e.intValue != 0 ? "true" : "false"); return;
+      case ExprKind::kNullLit: put("null"); return;
+      case ExprKind::kVarRef: put(e.strValue); return;
+      case ExprKind::kFieldAccess: put(*e.a, '.', e.strValue); return;
+      case ExprKind::kArrayIndex: put(*e.a, '[', *e.b, ']'); return;
+      case ExprKind::kBinary:
+        put('(', *e.a, ' ', binOpText(e.binOp), ' ', *e.b, ')');
+        return;
+      case ExprKind::kUnary: unary(e); return;
+      case ExprKind::kAssign:
+        put(*e.a, ' ', assignOpText(e.assignOp), ' ', *e.b);
+        return;
+      case ExprKind::kTernary:
+        put('(', *e.a, " ? ", *e.b, " : ", *e.c, ')');
+        return;
+      case ExprKind::kCall:
+        if (e.a) put(*e.a, '.');
+        put(e.strValue);
+        args(e.args);
+        return;
+      case ExprKind::kNew:
+        put("new ", e.strValue);
+        args(e.args);
+        return;
+      case ExprKind::kNewArray: {
+        TypeRef elem = e.type;
+        elem.arrayDims = 0;
+        put("new ", elem);
+        for (const auto& dim : e.args) put('[', *dim, ']');
+        for (int i = 0; i < e.type.arrayDims; ++i) put("[]");
+        return;
+      }
+      case ExprKind::kCast: put("((", e.type, ") ", *e.a, ')'); return;
+    }
+    put('?');
+  }
+
+  void stmt(const Stmt& s, int indent) {
+    const Indent ind{indent};
+    switch (s.kind) {
+      case StmtKind::kBlock:
+        put(ind, "{\n");
+        for (const auto& st : s.body) stmt(*st, indent + 1);
+        put(ind, "}\n");
+        return;
+      case StmtKind::kVarDecl:
+        put(ind);
+        varDecl(s);
+        put(";\n");
+        return;
+      case StmtKind::kExprStmt: put(ind, *s.expr, ";\n"); return;
+      case StmtKind::kIf:
+        put(ind, "if (", *s.cond, ")\n");
+        child(*s.thenStmt, indent);
+        if (s.elseStmt) {
+          put(ind, "else\n");
+          child(*s.elseStmt, indent);
+        }
+        return;
+      case StmtKind::kWhile:
+        put(ind, "while (", *s.cond, ")\n");
+        child(*s.thenStmt, indent);
+        return;
+      case StmtKind::kFor:
+        put(ind, "for (");
+        if (!s.body.empty()) {
+          const Stmt& init = *s.body.front();
+          if (init.kind == StmtKind::kVarDecl) {
+            varDecl(init);
+          } else {
+            put(*init.expr);
+          }
+        }
+        put("; ");
+        if (s.cond) put(*s.cond);
+        put("; ");
+        list(s.update);
+        put(")\n");
+        child(*s.thenStmt, indent);
+        return;
+      case StmtKind::kReturn:
+        if (s.expr) {
+          put(ind, "return ", *s.expr, ";\n");
+        } else {
+          put(ind, "return;\n");
+        }
+        return;
+      case StmtKind::kThrow: put(ind, "throw ", *s.expr, ";\n"); return;
+      case StmtKind::kTry:
+        put(ind, "try\n");
+        stmt(*s.tryBlock, indent);
+        for (const auto& c : s.catches) {
+          put(ind, "catch (", c.exceptionClass, ' ', c.varName, ")\n");
+          stmt(*c.body, indent);
+        }
+        if (s.finallyBlock) {
+          put(ind, "finally\n");
+          stmt(*s.finallyBlock, indent);
+        }
+        return;
+      case StmtKind::kSwitch:
+        put(ind, "switch (", *s.cond, ") {\n");
+        for (const auto& c : s.cases) {
+          if (c.isDefault) {
+            put(Indent{indent + 1}, "default:\n");
+          } else {
+            put(Indent{indent + 1}, "case ", c.value, ":\n");
+          }
+          for (const auto& st : c.body) stmt(*st, indent + 2);
+        }
+        put(ind, "}\n");
+        return;
+      case StmtKind::kBreak: put(ind, "break;\n"); return;
+      case StmtKind::kContinue: put(ind, "continue;\n"); return;
+    }
+    put('?');
+  }
+
+  void classDecl(const ClassDecl& cls, int indent) {
+    const Indent member{indent + 1};
+    put(Indent{indent}, "class ", cls.name, " {\n");
+    for (const auto& f : cls.fields) {
+      put(member, f.isStatic ? "static " : "", f.type, ' ', f.name);
+      if (f.init) put(" = ", *f.init);
+      put(";\n");
+    }
+    if (!cls.fields.empty() && !cls.methods.empty()) put('\n');
+    for (std::size_t i = 0; i < cls.methods.size(); ++i) {
+      const MethodDecl& m = cls.methods[i];
+      if (i != 0) put('\n');
+      put(member, m.isStatic ? "static " : "");
+      // Constructors print without a return type.
+      if (m.name != cls.name) put(m.returnType, ' ');
+      put(m.name, '(');
+      for (std::size_t p = 0; p < m.params.size(); ++p) {
+        if (p != 0) put(", ");
+        put(m.params[p].type, ' ', m.params[p].name);
+      }
+      put(")\n");
+      stmt(*m.body, indent + 1);
+    }
+    put(Indent{indent}, "}\n");
+  }
+
+  void unit(const CompilationUnit& unit) {
+    if (!unit.packageName.empty()) put("package ", unit.packageName, ";\n\n");
+    for (const auto& imp : unit.imports) put("import ", imp, ";\n");
+    if (!unit.imports.empty()) put('\n');
+    for (std::size_t i = 0; i < unit.classes.size(); ++i) {
+      if (i != 0) put('\n');
+      classDecl(unit.classes[i], 0);
+    }
+  }
+
+ private:
+  template <typename... Parts>
+  void put(const Parts&... parts) {
+    (putOne(parts), ...);
+  }
+  void putOne(std::string_view text) { out_ += text; }
+  void putOne(char c) { out_ += c; }
+  void putOne(std::int64_t v) {
+    char buf[24];
+    out_.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+  }
+  void putOne(Indent ind) {
+    out_.append(static_cast<std::size_t>(ind.level) * 4, ' ');
+  }
+  void putOne(const TypeRef& t) { appendTypeName(out_, t); }
+  void putOne(const Expr& e) { expr(e); }
+
+  /// A statement under if/else/while/for: a block at the header's indent,
+  /// anything else one level in.
+  void child(const Stmt& s, int indent) {
+    stmt(s, s.kind == StmtKind::kBlock ? indent : indent + 1);
+  }
+
+  void varDecl(const Stmt& s) {
+    put(s.declType, ' ', s.declName);
+    if (s.init) put(" = ", *s.init);
+  }
+
+  /// Comma-separated expressions.
+  void list(const List<ExprPtr>& exprs) {
+    for (std::size_t i = 0; i < exprs.size(); ++i) {
+      if (i != 0) put(", ");
+      put(*exprs[i]);
+    }
+  }
+
+  void args(const List<ExprPtr>& exprs) {
+    put('(');
+    list(exprs);
+    put(')');
+  }
+
+  void unary(const Expr& e) {
+    switch (e.unOp) {
+      case UnOp::kNeg: put("(-", *e.a, ')'); return;
+      case UnOp::kNot: put("(!", *e.a, ')'); return;
+      case UnOp::kBitNot: put("(~", *e.a, ')'); return;
+      case UnOp::kPreInc: put("(++", *e.a, ')'); return;
+      case UnOp::kPreDec: put("(--", *e.a, ')'); return;
+      case UnOp::kPostInc: put('(', *e.a, "++)"); return;
+      case UnOp::kPostDec: put('(', *e.a, "--)"); return;
+    }
+    put('?');
+  }
+
+  /// Double literal spelling: reuse the original spelling when available
+  /// so a parse→print round trip is stable; otherwise shortest round-trip
+  /// form.
+  void floatText(const Expr& e) {
+    if (!e.strValue.empty()) {
+      put(e.strValue);
+      return;
+    }
+    char buf[64];
+    const int n = std::snprintf(buf, sizeof buf, "%.17g", e.floatValue);
+    const std::string_view text(buf, static_cast<std::size_t>(n));
+    put(text);
+    if (text.find_first_of(".eE") == std::string_view::npos &&
+        text.find("inf") == std::string_view::npos &&
+        text.find("nan") == std::string_view::npos) {
+      put(".0");
+    }
+  }
+
+  /// `text` inside a `quote`-delimited literal; plain runs go out in one
+  /// append each.
+  void escaped(std::string_view text, char quote) {
+    std::size_t run = 0;
+    for (std::size_t i = 0; i < text.size(); ++i) {
+      const std::string_view esc = escapeOf(text[i], quote);
+      if (esc.empty()) continue;
+      put(text.substr(run, i - run), esc);
+      run = i + 1;
+    }
+    put(text.substr(run));
+  }
+
+  std::string& out_;
+};
 
 }  // namespace
 
 std::string printExpr(const Expr& e) {
-  switch (e.kind) {
-    case ExprKind::kIntLit: return std::to_string(e.intValue);
-    case ExprKind::kLongLit: return std::to_string(e.intValue) + "L";
-    case ExprKind::kFloatLit: return floatText(e) + "f";
-    case ExprKind::kDoubleLit: return floatText(e);
-    case ExprKind::kCharLit:
-      return "'" + escapeChar(static_cast<char>(e.intValue)) + "'";
-    case ExprKind::kStringLit: return "\"" + escapeString(e.strValue) + "\"";
-    case ExprKind::kBoolLit: return e.intValue != 0 ? "true" : "false";
-    case ExprKind::kNullLit: return "null";
-    case ExprKind::kVarRef: return std::string(e.strValue);
-    case ExprKind::kFieldAccess:
-      return concat(printExpr(*e.a), ".", e.strValue);
-    case ExprKind::kArrayIndex:
-      return printExpr(*e.a) + "[" + printExpr(*e.b) + "]";
-    case ExprKind::kBinary:
-      return "(" + printExpr(*e.a) + " " + std::string(binOpText(e.binOp)) +
-             " " + printExpr(*e.b) + ")";
-    case ExprKind::kUnary:
-      switch (e.unOp) {
-        case UnOp::kNeg: return "(-" + printExpr(*e.a) + ")";
-        case UnOp::kNot: return "(!" + printExpr(*e.a) + ")";
-        case UnOp::kBitNot: return "(~" + printExpr(*e.a) + ")";
-        case UnOp::kPreInc: return "(++" + printExpr(*e.a) + ")";
-        case UnOp::kPreDec: return "(--" + printExpr(*e.a) + ")";
-        case UnOp::kPostInc: return "(" + printExpr(*e.a) + "++)";
-        case UnOp::kPostDec: return "(" + printExpr(*e.a) + "--)";
-      }
-      return "?";
-    case ExprKind::kAssign:
-      return printExpr(*e.a) + " " + std::string(assignOpText(e.assignOp)) +
-             " " + printExpr(*e.b);
-    case ExprKind::kTernary:
-      return "(" + printExpr(*e.a) + " ? " + printExpr(*e.b) + " : " +
-             printExpr(*e.c) + ")";
-    case ExprKind::kCall: {
-      std::string out;
-      if (e.a) out = printExpr(*e.a) + ".";
-      out += e.strValue;
-      out += '(';
-      for (std::size_t i = 0; i < e.args.size(); ++i) {
-        if (i != 0) out += ", ";
-        out += printExpr(*e.args[i]);
-      }
-      return out + ")";
-    }
-    case ExprKind::kNew: {
-      std::string out = concat("new ", e.strValue, "(");
-      for (std::size_t i = 0; i < e.args.size(); ++i) {
-        if (i != 0) out += ", ";
-        out += printExpr(*e.args[i]);
-      }
-      return out + ")";
-    }
-    case ExprKind::kNewArray: {
-      TypeRef elem = e.type;
-      elem.arrayDims = 0;
-      std::string out = "new " + typeName(elem);
-      for (const auto& dim : e.args) out += "[" + printExpr(*dim) + "]";
-      for (int i = 0; i < e.type.arrayDims; ++i) out += "[]";
-      return out;
-    }
-    case ExprKind::kCast:
-      return "((" + typeName(e.type) + ") " + printExpr(*e.a) + ")";
-  }
-  return "?";
+  std::string out;
+  Printer(out).expr(e);
+  return out;
 }
 
 std::string printStmt(const Stmt& s, int indent) {
-  const std::string ind = indentStr(indent);
-  switch (s.kind) {
-    case StmtKind::kBlock: {
-      std::string out = ind + "{\n";
-      for (const auto& st : s.body) out += printStmt(*st, indent + 1);
-      return out + ind + "}\n";
-    }
-    case StmtKind::kVarDecl: {
-      std::string out = concat(ind, typeName(s.declType), " ", s.declName);
-      if (s.init) out += " = " + printExpr(*s.init);
-      return out + ";\n";
-    }
-    case StmtKind::kExprStmt:
-      return ind + printExpr(*s.expr) + ";\n";
-    case StmtKind::kIf: {
-      std::string out = ind + "if (" + printExpr(*s.cond) + ")\n";
-      out += printStmt(*s.thenStmt,
-                       s.thenStmt->kind == StmtKind::kBlock ? indent
-                                                            : indent + 1);
-      if (s.elseStmt) {
-        out += ind + "else\n";
-        out += printStmt(*s.elseStmt,
-                         s.elseStmt->kind == StmtKind::kBlock ? indent
-                                                              : indent + 1);
-      }
-      return out;
-    }
-    case StmtKind::kWhile: {
-      std::string out = ind + "while (" + printExpr(*s.cond) + ")\n";
-      out += printStmt(*s.thenStmt,
-                       s.thenStmt->kind == StmtKind::kBlock ? indent
-                                                            : indent + 1);
-      return out;
-    }
-    case StmtKind::kFor: {
-      std::string init;
-      if (!s.body.empty()) {
-        const Stmt& is = *s.body.front();
-        if (is.kind == StmtKind::kVarDecl) {
-          init = concat(typeName(is.declType), " ", is.declName);
-          if (is.init) init += " = " + printExpr(*is.init);
-        } else {
-          init = printExpr(*is.expr);
-        }
-      }
-      std::string upd;
-      for (std::size_t i = 0; i < s.update.size(); ++i) {
-        if (i != 0) upd += ", ";
-        upd += printExpr(*s.update[i]);
-      }
-      std::string out = ind + "for (" + init + "; " +
-                        (s.cond ? printExpr(*s.cond) : "") + "; " + upd +
-                        ")\n";
-      out += printStmt(*s.thenStmt,
-                       s.thenStmt->kind == StmtKind::kBlock ? indent
-                                                            : indent + 1);
-      return out;
-    }
-    case StmtKind::kReturn:
-      return ind + (s.expr ? "return " + printExpr(*s.expr) : "return") +
-             ";\n";
-    case StmtKind::kThrow:
-      return ind + "throw " + printExpr(*s.expr) + ";\n";
-    case StmtKind::kTry: {
-      std::string out = ind + "try\n" + printStmt(*s.tryBlock, indent);
-      for (const auto& c : s.catches) {
-        out += concat(ind, "catch (", c.exceptionClass, " ", c.varName, ")\n");
-        out += printStmt(*c.body, indent);
-      }
-      if (s.finallyBlock) {
-        out += ind + "finally\n" + printStmt(*s.finallyBlock, indent);
-      }
-      return out;
-    }
-    case StmtKind::kSwitch: {
-      std::string out = ind + "switch (" + printExpr(*s.cond) + ") {\n";
-      for (const auto& c : s.cases) {
-        out += indentStr(indent + 1) +
-               (c.isDefault ? "default:" : "case " + std::to_string(c.value) +
-                                               ":") +
-               "\n";
-        for (const auto& st : c.body) out += printStmt(*st, indent + 2);
-      }
-      return out + ind + "}\n";
-    }
-    case StmtKind::kBreak: return ind + "break;\n";
-    case StmtKind::kContinue: return ind + "continue;\n";
-  }
-  return "?";
+  std::string out;
+  Printer(out).stmt(s, indent);
+  return out;
 }
 
 std::string printClass(const ClassDecl& cls, int indent) {
-  const std::string ind = indentStr(indent);
-  std::string out = concat(ind, "class ", cls.name, " {\n");
-  for (const auto& f : cls.fields) {
-    out += indentStr(indent + 1);
-    if (f.isStatic) out += "static ";
-    out += concat(typeName(f.type), " ", f.name);
-    if (f.init) out += " = " + printExpr(*f.init);
-    out += ";\n";
-  }
-  if (!cls.fields.empty() && !cls.methods.empty()) out += "\n";
-  for (std::size_t i = 0; i < cls.methods.size(); ++i) {
-    const MethodDecl& m = cls.methods[i];
-    if (i != 0) out += "\n";
-    out += indentStr(indent + 1);
-    if (m.isStatic) out += "static ";
-    // Constructors print without a return type.
-    if (m.name != cls.name) out += typeName(m.returnType) + " ";
-    out += m.name;
-    out += '(';
-    for (std::size_t p = 0; p < m.params.size(); ++p) {
-      if (p != 0) out += ", ";
-      out += concat(typeName(m.params[p].type), " ", m.params[p].name);
-    }
-    out += ")\n";
-    out += printStmt(*m.body, indent + 1);
-  }
-  return out + ind + "}\n";
+  std::string out;
+  Printer(out).classDecl(cls, indent);
+  return out;
+}
+
+void printUnitTo(std::string& out, const CompilationUnit& unit) {
+  out.reserve(out.size() + printedBytesHint(unit));
+  Printer(out).unit(unit);
 }
 
 std::string printUnit(const CompilationUnit& unit) {
   std::string out;
-  if (!unit.packageName.empty()) {
-    out += "package " + unit.packageName + ";\n\n";
-  }
-  for (const auto& imp : unit.imports) out += "import " + imp + ";\n";
-  if (!unit.imports.empty()) out += "\n";
-  for (std::size_t i = 0; i < unit.classes.size(); ++i) {
-    if (i != 0) out += "\n";
-    out += printClass(unit.classes[i]);
-  }
+  printUnitTo(out, unit);
   return out;
 }
 

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstdlib>
 
+#include "support/json_writer.hpp"
+
 namespace jepo::json {
 
 bool Value::asBool() const {
@@ -33,6 +35,11 @@ const std::string& Value::asString() const {
   return string_;
 }
 
+std::string Value::takeString() {
+  JEPO_REQUIRE(isString(), "JSON value is not a string");
+  return std::exchange(string_, {});
+}
+
 const std::vector<Value>& Value::asArray() const {
   JEPO_REQUIRE(isArray(), "JSON value is not an array");
   return array_;
@@ -44,6 +51,10 @@ const Value* Value::find(std::string_view key) const noexcept {
     if (k == key) return &v;
   }
   return nullptr;
+}
+
+Value* Value::find(std::string_view key) noexcept {
+  return const_cast<Value*>(std::as_const(*this).find(key));
 }
 
 std::string Value::stringOr(std::string_view key, std::string def) const {
@@ -252,15 +263,17 @@ class Parser {
     expect('"');
     std::string out;
     for (;;) {
+      // The bytes that end a plain run are exactly those a JSON string
+      // must escape: the quote, the backslash and control characters.
+      const std::size_t run =
+          detail::plainJsonPrefix(text_.substr(pos_));
+      out.append(text_, pos_, run);
+      pos_ += run;
       const char c = take();
       if (c == '"') return out;
-      if (static_cast<unsigned char>(c) < 0x20) {
+      if (c != '\\') {
         --pos_;
         fail("unescaped control character in string");
-      }
-      if (c != '\\') {
-        out += c;
-        continue;
       }
       const char esc = take();
       switch (esc) {

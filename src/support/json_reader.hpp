@@ -54,10 +54,13 @@ class Value {
   std::int64_t asInt64() const;
   std::uint64_t asUint64() const;
   const std::string& asString() const;
+  /// Move the string out, leaving this value an empty string.
+  std::string takeString();
   const std::vector<Value>& asArray() const;
 
   /// Member lookup (first match); nullptr when absent or not an object.
   const Value* find(std::string_view key) const noexcept;
+  Value* find(std::string_view key) noexcept;
 
   // --- lenient helpers for optional protocol fields -----------------------
   std::string stringOr(std::string_view key, std::string def) const;
