@@ -58,12 +58,6 @@ std::string_view escapeOf(char c, char quote) {
   }
 }
 
-/// Bytes to reserve for a unit's printed text: its source length and a
-/// quarter more, for the parentheses and indentation canonical form adds.
-std::size_t printedBytesHint(const CompilationUnit& unit) {
-  return unit.sourceBytes + unit.sourceBytes / 4;
-}
-
 /// An indentation level (four spaces each).
 struct Indent {
   int level;
@@ -360,7 +354,9 @@ std::string printClass(const ClassDecl& cls, int indent) {
 }
 
 void printUnitTo(std::string& out, const CompilationUnit& unit) {
-  out.reserve(out.size() + printedBytesHint(unit));
+  // The source length and a quarter more, for the parentheses and
+  // indentation canonical form adds.
+  out.reserve(out.size() + unit.sourceBytes + unit.sourceBytes / 4);
   Printer(out).unit(unit);
 }
 

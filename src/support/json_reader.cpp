@@ -265,8 +265,7 @@ class Parser {
     for (;;) {
       // The bytes that end a plain run are exactly those a JSON string
       // must escape: the quote, the backslash and control characters.
-      const std::size_t run =
-          detail::plainJsonPrefix(text_.substr(pos_));
+      const std::size_t run = detail::plainJsonPrefix(text_.substr(pos_));
       out.append(text_, pos_, run);
       pos_ += run;
       const char c = take();
