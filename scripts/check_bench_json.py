@@ -21,11 +21,6 @@ the build on:
     strictly positive finite number — a null means the C++ writer
     sanitised a non-finite ratio, and zero/negative means a corrupt
     timing fed the division;
-  - inconsistent EnginePair rows (the superinstruction/threaded-dispatch
-    speedup rows): each "EnginePair/<kernel>" row must carry strictly
-    positive "treeSecondsPerIter" and "bcvmSecondsPerIter" timings, and
-    its "speedupBcvmOverTree" must equal their ratio — a drift means the
-    row was hand-edited or the writer desynced from its inputs;
   - malformed tier provenance: wherever a row carries a "tier" it must be
     one of full/sampled, and a "samplingRate" must be a number in
     (0, 1] — rates outside that range mean the count-weighted
@@ -187,32 +182,6 @@ def check_jepod_row(path, row, where):
                     or value < 0:
                 errors += fail(path, f"{where} ({name}): '{key}' must be a "
                                f"non-negative integer, got {value!r}")
-    return errors
-
-
-def check_engine_pair_row(path, row, where):
-    """Validate the EnginePair/<kernel> speedup rows internally."""
-    name = row.get("name")
-    if not (isinstance(name, str) and name.startswith("EnginePair/")):
-        return 0
-    errors = 0
-    values = {}
-    for key in ("treeSecondsPerIter", "bcvmSecondsPerIter",
-                "speedupBcvmOverTree"):
-        value = row.get(key)
-        if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                or value <= 0:
-            errors += fail(path, f"{where} ({name}): '{key}' must be a "
-                           f"strictly positive number, got {value!r}")
-        else:
-            values[key] = value
-    if len(values) == 3:
-        expected = (values["treeSecondsPerIter"]
-                    / values["bcvmSecondsPerIter"])
-        got = values["speedupBcvmOverTree"]
-        if abs(got - expected) > 1e-6 * max(got, expected):
-            errors += fail(path, f"{where} ({name}): speedupBcvmOverTree "
-                           f"{got:.6g} != tree/bcvm ratio {expected:.6g}")
     return errors
 
 
@@ -424,7 +393,6 @@ def check_report(path, doc):
                 errors += check_interval_fields(path, row, f"rows[{i}]")
                 errors += check_tier_values(path, row, f"rows[{i}]")
                 errors += check_speedup_values(path, row, f"rows[{i}]")
-                errors += check_engine_pair_row(path, row, f"rows[{i}]")
                 errors += check_throughput_values(path, row, f"rows[{i}]")
                 if doc.get("bench") == "bench_jepod":
                     errors += check_jepod_row(path, row, f"rows[{i}]")

@@ -795,37 +795,11 @@ jvm::Value BytecodeVm::run(const CompiledClass& cls, const Chunk& chunk,
     VM_DISPATCH();                                                   \
   } while (0)
 
-  // Must list every Op in exact enum order (dispatch indexes by opcode).
+  // One label per Op, in ops.inc order (dispatch indexes by opcode).
   static const void* const kLabels[] = {
-      &&L_kConstInt, &&L_kConstLong, &&L_kConstFloat, &&L_kConstDouble,
-      &&L_kConstStr, &&L_kConstChar, &&L_kConstBool, &&L_kConstNull,
-      &&L_kPushDefault,
-      &&L_kLoad, &&L_kStore, &&L_kStoreDecl, &&L_kLoadThis, &&L_kLoadTemp,
-      &&L_kStoreTemp,
-      &&L_kGetStatic,
-      &&L_kArrayGet, &&L_kArraySet, &&L_kNewArray,
-      &&L_kNewObject,
-      &&L_kBinary, &&L_kIncDec, &&L_kNeg, &&L_kNot, &&L_kBitNot, &&L_kCast,
-      &&L_kBox,
-      &&L_kJump, &&L_kJumpIfFalse, &&L_kJumpIfTrue, &&L_kCaseJump,
-      &&L_kCharge, &&L_kStep,
-      &&L_kCallStatic, &&L_kInitClass, &&L_kPrint,
-      &&L_kReturnValue, &&L_kReturnVoid, &&L_kPop, &&L_kDup, &&L_kThrow,
-      &&L_kRethrow, &&L_kThrowError,
-      &&L_kGetStaticSlot, &&L_kPutStaticSlot, &&L_kGetThisFieldSlot,
-      &&L_kPutThisFieldSlot, &&L_kGetFieldCached, &&L_kPutFieldCached,
-      &&L_kCallStaticResolved, &&L_kCallSelfResolved, &&L_kCallVirtualCached,
-      &&L_kLoadLoad, &&L_kStorePop, &&L_kPutThisFieldSlotPop,
-      &&L_kConstBinary, &&L_kLoadConstBinary, &&L_kThisFieldConstBinary,
-      &&L_kThisFieldBinary, &&L_kBinCastStorePop, &&L_kLoadLoadBinaryReturn,
-      &&L_kLoadConstCmpJump, &&L_kLoadLoadConstBinary, &&L_kIncDecJump,
-      &&L_kAccumConstStmt, &&L_kThisFieldAccumReturn, &&L_kLoadLoadCallSelf,
-      &&L_kLoadLoadCallVirt, &&L_kAccumConstJump, &&L_kStorePopIncDecJump,
-      &&L_kBinCastStoreIncDecJump, &&L_kCountedAccumLoop,
+#define JBC_OP(name) &&L_##name,
+#include "jbc/ops.inc"
   };
-  static_assert(sizeof(kLabels) / sizeof(kLabels[0]) ==
-                    static_cast<std::size_t>(Op::kCountedAccumLoop) + 1,
-                "label table must cover every opcode");
 
   for (;;) {
     try {

@@ -1431,9 +1431,9 @@ std::string disassemble(const Chunk& chunk, const CompiledProgram& program) {
                     std::to_string(chunk.numSlots) + ")\n";
   for (std::size_t pc = 0; pc < chunk.code.size(); ++pc) {
     const Instr& in = chunk.code[pc];
-    out += "  " + std::to_string(pc) + ": op" +
-           std::to_string(static_cast<int>(in.op)) + " a=" +
-           std::to_string(in.a) + " b=" + std::to_string(in.b);
+    out += "  " + std::to_string(pc) + ": " + std::string(opName(in.op)) +
+           " a=" + std::to_string(in.a) + " b=" + std::to_string(in.b) +
+           " c=" + std::to_string(in.c);
     if (in.op == Op::kConstStr || in.op == Op::kGetStatic ||
         in.op == Op::kGetFieldCached || in.op == Op::kPutFieldCached ||
         in.op == Op::kCallVirtualCached || in.op == Op::kThrowError) {

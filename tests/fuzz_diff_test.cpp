@@ -379,15 +379,15 @@ TEST(FuzzDiff, GeneratorIsDeterministic) {
 // program compiles to it: every superinstruction must appear in a method,
 // <clinit> or <initfields> chunk of the default seeds.
 TEST(FuzzDiff, GeneratedProgramsEmitEverySuperinstruction) {
-  constexpr auto kFirst = static_cast<std::size_t>(jbc::Op::kLoadLoad);
-  constexpr auto kLast = static_cast<std::size_t>(jbc::Op::kCountedAccumLoop);
-  std::vector<int> programsWith(kLast + 1, 0);
+  constexpr auto kFirst =
+      static_cast<std::size_t>(jbc::kFirstSuperinstruction);
+  std::vector<int> programsWith(jbc::kOpCount, 0);
   for (int i = 0; i < kDefaultRuns; ++i) {
     const testgen::GeneratedProgram p = testgen::generateProgram(
         deriveSeed(kDefaultBaseSeed, static_cast<std::uint64_t>(i)));
     const jlang::Program prog = jlang::Parser::parseProgram(p.name, p.source);
     const jbc::CompiledProgram compiled = jbc::compile(prog);
-    std::vector<char> seen(kLast + 1, 0);
+    std::vector<char> seen(jbc::kOpCount, 0);
     const auto scan = [&](const jbc::Chunk& chunk) {
       for (const jbc::Instr& in : chunk.code) {
         seen[static_cast<std::size_t>(in.op)] = 1;
@@ -398,10 +398,13 @@ TEST(FuzzDiff, GeneratedProgramsEmitEverySuperinstruction) {
       scan(cls.initFields);
       for (const auto& [methodName, chunk] : cls.methods) scan(chunk);
     }
-    for (std::size_t op = kFirst; op <= kLast; ++op) programsWith[op] += seen[op];
+    for (std::size_t op = kFirst; op < jbc::kOpCount; ++op) {
+      programsWith[op] += seen[op];
+    }
   }
-  for (std::size_t op = kFirst; op <= kLast; ++op) {
-    EXPECT_GT(programsWith[op], 0) << "no generated program emits op " << op;
+  for (std::size_t op = kFirst; op < jbc::kOpCount; ++op) {
+    EXPECT_GT(programsWith[op], 0) << "no generated program emits "
+                                   << jbc::opName(static_cast<jbc::Op>(op));
   }
 }
 

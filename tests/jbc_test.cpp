@@ -457,20 +457,42 @@ TEST(Bytecode, InstrumenterHooksWorkOnBytecodeEngine) {
   EXPECT_EQ(inst.records()[2].method, "Main.main");
 }
 
+// Pins the whole listing by op name: a superinstruction with its packed c
+// operand, a name-pool comment and the exception table.
 TEST(Bytecode, DisassemblerShowsNamesAndHandlers) {
   const Program prog = Parser::parseProgram("p.mjava", R"(
     class Main {
       static void main(String[] args) {
-        try { System.out.println("x"); }
-        catch (RuntimeException e) { }
+        int acc = 0;
+        try {
+          for (int i = 0; i < 10; i++) acc += i & 7;
+        } catch (RuntimeException e) {
+          System.out.println("caught");
+        }
+        System.out.println(acc);
       }
     }
   )");
   const CompiledProgram compiled = compile(prog);
-  const std::string dis =
-      disassemble(compiled.findClass("Main")->methods.at("main"), compiled);
-  EXPECT_NE(dis.find("Main.main"), std::string::npos);
-  EXPECT_NE(dis.find("handler"), std::string::npos);
+  EXPECT_EQ(
+      disassemble(compiled.findClass("Main")->methods.at("main"), compiled),
+      "Main.main (slots=4)\n"
+      "  0: ConstInt a=0 b=0 c=0 n=3\n"
+      "  1: StoreDecl a=1 b=4 c=0\n"
+      "  2: Charge a=38 b=0 c=0 n=1\n"
+      "  3: ConstInt a=1 b=0 c=0 n=4\n"
+      "  4: StoreDecl a=2 b=4 c=0\n"
+      "  5: CountedAccumLoop a=196610 b=852481 c=608474120 n=3\n"
+      "  6: Jump a=11 b=0 c=0\n"
+      "  7: ConstStr a=1 b=0 c=0 (caught) n=4\n"
+      "  8: Print a=1 b=1 c=0\n"
+      "  9: Pop a=0 b=0 c=0\n"
+      "  10: Jump a=11 b=0 c=0\n"
+      "  11: Load a=1 b=0 c=0 n=3\n"
+      "  12: Print a=1 b=1 c=0\n"
+      "  13: Pop a=0 b=0 c=0\n"
+      "  14: ReturnVoid a=0 b=0 c=0\n"
+      "  handler [3,6) -> 7\n");
 }
 
 TEST(Bytecode, RowCachePenalizesColumnTraversalToo) {

@@ -356,14 +356,16 @@ TEST_F(JepodResilienceTest, QueuedJobsHonorTheirDeadlineToo) {
   startDaemon(cfg);
   const std::uint64_t admittedBefore = counterValue("jepod.jobs.admitted");
   const std::uint64_t deadlineBefore = counterValue("jepod.cancel.deadline");
+  const std::uint64_t disconnectBefore =
+      counterValue("jepod.cancel.disconnect");
 
-  JobRequest blocker = makeRequest("blocker", kSpinSource);
-  blocker.deadlineMs = 400;
-  Client blockerClient = connect();
-  std::thread blockerThread([&] {
-    const Response resp = blockerClient.submit(blocker);
-    EXPECT_EQ(resp.errorCode, "deadline-exceeded");
-  });
+  // The blocker has no deadline: it spins on the only worker until its
+  // client goes away, so no clock decides which job runs first.
+  const int blockerFd = rawConnect();
+  const std::string line =
+      jepod::renderRequest(makeRequest("blocker", kSpinSource)) + "\n";
+  ASSERT_EQ(::send(blockerFd, line.data(), line.size(), MSG_NOSIGNAL),
+            static_cast<long>(line.size()));
   ASSERT_TRUE(eventually([&] {
     return counterValue("jepod.jobs.admitted") == admittedBefore + 1;
   }));
@@ -374,12 +376,23 @@ TEST_F(JepodResilienceTest, QueuedJobsHonorTheirDeadlineToo) {
   JobRequest queued = makeRequest("queued", kQuickSource);
   queued.deadlineMs = 50;
   Client queuedClient = connect();
-  const Response resp = queuedClient.submit(queued);
-  EXPECT_FALSE(resp.ok);
-  EXPECT_EQ(resp.errorCode, "deadline-exceeded");
+  std::thread queuedThread([&] {
+    const Response resp = queuedClient.submit(queued);
+    EXPECT_FALSE(resp.ok);
+    EXPECT_EQ(resp.errorCode, "deadline-exceeded");
+    EXPECT_NE(resp.errorMessage.find("deadlineMs=50"), std::string::npos);
+  });
+  EXPECT_TRUE(eventually([&] {
+    return counterValue("jepod.cancel.deadline") == deadlineBefore + 1;
+  }));
 
-  blockerThread.join();
-  EXPECT_EQ(counterValue("jepod.cancel.deadline"), deadlineBefore + 2);
+  ::close(blockerFd);  // cancels the blocker and frees the worker
+  queuedThread.join();
+  EXPECT_EQ(counterValue("jepod.cancel.deadline"), deadlineBefore + 1);
+  // The reader counts the disconnect just after arming the token.
+  EXPECT_TRUE(eventually([&] {
+    return counterValue("jepod.cancel.disconnect") == disconnectBefore + 1;
+  }));
 }
 
 // ---------------------------------------------------------------------------
