@@ -437,7 +437,7 @@ jvm::Value BytecodeVm::finishInvoke(const CompiledClass& cls,
   // The frame becomes visible to the GC root scan only now, fully
   // initialized; no safepoint can run between acquireFrame and here.
   ++frameDepth_;
-  const jvm::MethodRef ref{chunk.methodId, &chunk.qualifiedName};
+  const jvm::MethodRef ref{chunk.methodId, chunk.qualifiedName};
   // Tier dispatch: a branch on the hoisted gate pointer (see setHooks).
   // No gate (full instrumentation) keeps the seed-exact path; an
   // unsampled entry pays the gate's counter increment and skips both
@@ -533,7 +533,7 @@ bool BytecodeVm::inlineRecvCall(const Chunk& chunk, const Value& recv,
   if (chunk.chunkId >= trivialKind_.size()) return false;
   const std::uint8_t triv = trivialKind_[chunk.chunkId];
   if (triv == kNotTrivial) return false;
-  const jvm::MethodRef ref{chunk.methodId, &chunk.qualifiedName};
+  const jvm::MethodRef ref{chunk.methodId, chunk.qualifiedName};
   // With hooks installed the call may stay fused only if a sampling gate
   // declines this entry — peek (no ordinal commit yet: a framed bailout
   // below must not double-count) and fall back to the framed path for

@@ -1,10 +1,11 @@
 #include "jepo/optimizer.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <tuple>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "jepo/engine.hpp"
@@ -111,54 +112,168 @@ namespace {
 // Per-program context: which static fields are read-only (never assigned
 // outside their initializer) — the gate for the static-caching rewrite.
 
+struct ReadOnlyStatic {
+  std::string_view className;  // views into the analysed Program
+  std::string_view field;
+  TypeRef type;
+  std::size_t order = 0;  // declaration order: the first of a name wins
+  bool assigned = false;
+};
+
+bool operator<(const ReadOnlyStatic& x, const ReadOnlyStatic& y) {
+  return std::tie(x.className, x.field, x.order) <
+         std::tie(y.className, y.field, y.order);
+}
+
+/// The entry of sorted `statics` for (cls, field), or null.
+template <typename Statics>
+auto* findStatic(Statics& statics, std::string_view cls,
+                 std::string_view field) {
+  const auto it = std::lower_bound(
+      statics.begin(), statics.end(), std::tie(cls, field),
+      [](const ReadOnlyStatic& s, const auto& key) {
+        return std::tie(s.className, s.field) < key;
+      });
+  return it != statics.end() && it->className == cls && it->field == field
+             ? &*it
+             : nullptr;
+}
+
 struct StaticInfo {
-  // "Class.field" -> declared type, for read-only static fields.
-  std::unordered_map<std::string, TypeRef> readOnlyStatics;
+  /// Read-only static fields of primitive type, sorted by (class, field),
+  /// one per name.
+  std::vector<ReadOnlyStatic> readOnly;
+
+  const ReadOnlyStatic* find(std::string_view cls,
+                             std::string_view field) const {
+    return findStatic(readOnly, cls, field);
+  }
 };
 
 StaticInfo collectStaticInfo(const Program& program) {
   StaticInfo info;
-  std::unordered_set<std::string> assigned;
-
-  auto noteAssignTarget = [&](const Expr& target, const ClassDecl& cls) {
-    if (target.kind == ExprKind::kVarRef) {
-      // Could resolve to a static of the enclosing class.
-      assigned.insert(concat(cls.name, ".", target.strValue));
-    } else if (target.kind == ExprKind::kFieldAccess &&
-               target.a->kind == ExprKind::kVarRef) {
-      assigned.insert(concat(target.a->strValue, ".", target.strValue));
+  std::vector<ReadOnlyStatic>& statics = info.readOnly;
+  for (const auto& unit : program.units) {
+    for (const auto& cls : unit.classes) {
+      for (const auto& f : cls.fields) {
+        if (f.isStatic && f.type.arrayDims == 0 &&
+            f.type.prim != Prim::kClass) {
+          statics.push_back({cls.name, f.name, f.type, statics.size()});
+        }
+      }
     }
-  };
+  }
+  if (statics.empty()) return info;
+  std::sort(statics.begin(), statics.end());
+  statics.erase(std::unique(statics.begin(), statics.end(),
+                            [](const ReadOnlyStatic& x,
+                               const ReadOnlyStatic& y) {
+                              return x.className == y.className &&
+                                     x.field == y.field;
+                            }),
+                statics.end());
 
+  auto noteAssigned = [&](std::string_view cls, std::string_view field) {
+    if (ReadOnlyStatic* s = findStatic(statics, cls, field)) s->assigned = true;
+  };
   for (const auto& unit : program.units) {
     for (const auto& cls : unit.classes) {
       for (const auto& m : cls.methods) {
         if (!m.body) continue;
         walkStmt(*m.body, [](const Stmt&) {}, [&](const Expr& e) {
-          if (const Expr* target = writeOf(e).target) {
-            noteAssignTarget(*target, cls);
+          const Expr* target = writeOf(e).target;
+          if (target == nullptr) return;
+          if (target->kind == ExprKind::kVarRef) {
+            // Could resolve to a static of the enclosing class.
+            noteAssigned(cls.name, target->strValue);
+          } else if (target->kind == ExprKind::kFieldAccess &&
+                     target->a->kind == ExprKind::kVarRef) {
+            noteAssigned(target->a->strValue, target->strValue);
           }
         });
       }
     }
   }
-  for (const auto& unit : program.units) {
-    for (const auto& cls : unit.classes) {
-      for (const auto& f : cls.fields) {
-        if (!f.isStatic) continue;
-        std::string key = concat(cls.name, ".", f.name);
-        if (assigned.count(key) == 0 && f.type.arrayDims == 0 &&
-            f.type.prim != Prim::kClass) {
-          info.readOnlyStatics.emplace(std::move(key), f.type);
-        }
-      }
-    }
-  }
+  std::erase_if(statics, [](const ReadOnlyStatic& s) { return s.assigned; });
   return info;
 }
 
 // ---------------------------------------------------------------------------
 // The per-unit rewriter.
+
+/// Names with the facts that hold for them, kept as sorted runs of
+/// (name, facts) entries in one vector: a flat stand-in for a hash set per
+/// fact and method. Names are noted in any order and a run is closed
+/// over them; has() binary-searches one run.
+class NameFacts {
+ public:
+  enum Fact : std::uint8_t {
+    kReassigned = 1,  // written at all
+    kArithmetic = 2,  // +=, ++ and the like
+    /// Parameters, locals and catch variables: the names a fresh local
+    /// must avoid and a static must not share to be cached.
+    kDeclared = 4,
+    /// String parameters and locals: the builder hoist's candidates. A
+    /// String field is none, since a call in the loop may read it.
+    kString = 8,
+  };
+
+  void clear() {
+    entries_.clear();
+    runs_.assign(1, 0);
+  }
+
+  void note(std::string_view name, int facts) {
+    entries_.push_back({name, static_cast<std::uint8_t>(facts)});
+  }
+
+  /// Turn the names noted since the last close into the next run: sorted,
+  /// one entry per name holding all of its facts.
+  void close() {
+    Entry* const first = entries_.data() + runs_.back();
+    Entry* const last = entries_.data() + entries_.size();
+    std::sort(first, last, [](const Entry& x, const Entry& y) {
+      return x.name < y.name;
+    });
+    Entry* out = first;
+    for (const Entry* e = first; e != last; ++e) {
+      if (out != first && out[-1].name == e->name) {
+        out[-1].facts |= e->facts;
+      } else {
+        *out++ = *e;
+      }
+    }
+    entries_.resize(static_cast<std::size_t>(out - entries_.data()));
+    runs_.push_back(entries_.size());
+  }
+
+  /// Close a run holding every name of the runs so far; returns its index.
+  std::size_t unionOfRuns() {
+    const std::size_t end = entries_.size();
+    entries_.reserve(2 * end);
+    for (std::size_t i = 0; i < end; ++i) entries_.push_back(entries_[i]);
+    close();
+    return runs_.size() - 2;
+  }
+
+  bool has(std::size_t run, std::string_view name, Fact fact) const {
+    const Entry* const first = entries_.data() + runs_[run];
+    const Entry* const last = entries_.data() + runs_[run + 1];
+    const Entry* const it = std::lower_bound(
+        first, last, name,
+        [](const Entry& e, std::string_view n) { return e.name < n; });
+    return it != last && it->name == name && (it->facts & fact) != 0;
+  }
+
+ private:
+  struct Entry {
+    std::string_view name;
+    std::uint8_t facts;
+  };
+  std::vector<Entry> entries_;
+  // Run r is entries_[runs_[r], runs_[r + 1]).
+  std::vector<std::size_t> runs_{0};
+};
 
 class UnitRewriter {
  public:
@@ -280,7 +395,7 @@ class UnitRewriter {
     walkExpr(e, [&](Expr& node) {
       if (node.kind != ExprKind::kBinary || node.binOp != BinOp::kMod) return;
       if (node.a->kind != ExprKind::kVarRef) return;
-      if (nonNegativeVars_.count(node.a->strValue) == 0) return;
+      if (!nonNegative(node.a->strValue)) return;
       if (node.b->kind != ExprKind::kIntLit) return;
       const std::int64_t p = node.b->intValue;
       if (p <= 0 || (p & (p - 1)) != 0) return;
@@ -290,6 +405,11 @@ class UnitRewriter {
       node.binOp = BinOp::kBitAnd;
       node.b->intValue = p - 1;
     });
+  }
+
+  bool nonNegative(std::string_view var) const {
+    return std::find(nonNegativeVars_.begin(), nonNegativeVars_.end(), var) !=
+           nonNegativeVars_.end();
   }
 
   /// Swap pure &&/|| operands when the right side is strictly simpler.
@@ -341,12 +461,19 @@ class UnitRewriter {
 
   /// Rewrites a block's statement list, rebinding it to the new list.
   void rewriteStmtList(jlang::List<StmtPtr>& stmts) {
-    std::vector<StmtPtr> out;
-    out.reserve(stmts.size());
+    const std::size_t mark = rewritten_.size();
     for (StmtPtr& sp : stmts) {
-      rewriteStmt(sp, &out);
+      rewriteStmt(sp, &rewritten_);
     }
-    stmts = arena_.list(out);
+    stmts = takeRewritten(mark);
+  }
+
+  /// The statements rewritten_ holds above `mark`, moved into the arena.
+  jlang::List<StmtPtr> takeRewritten(std::size_t mark) {
+    const jlang::List<StmtPtr> list = arena_.list(std::span<const StmtPtr>(
+        rewritten_.data() + mark, rewritten_.size() - mark));
+    rewritten_.resize(mark);
+    return list;
   }
 
   /// Rewrite one statement; appends the result (1..3 statements) to out.
@@ -363,8 +490,8 @@ class UnitRewriter {
       case StmtKind::kVarDecl: {
         if (s.init) rewriteAllExprsIn(s.init);
         narrowType(&s.declType, s.declName, s.line,
-                   facts_->arithmetic.count(s.declName) != 0,
-                   facts_->reassigned.count(s.declName) != 0);
+                   fact(s.declName, NameFacts::kArithmetic),
+                   fact(s.declName, NameFacts::kReassigned));
         improveWrapper(&s.declType, s.declName, s.line);
         // int x = c ? a : b;  ->  int x; if (c) x = a; else x = b;
         if (s.init && s.init->kind == ExprKind::kTernary &&
@@ -473,7 +600,9 @@ class UnitRewriter {
     }
 
     // Recurse into child statements.
-    if (nonNegCounter) nonNegativeVars_.insert(cf.var);
+    if (nonNegCounter && !nonNegative(cf.var)) {
+      nonNegativeVars_.push_back(cf.var);
+    }
     if (!s.body.empty() && s.kind == StmtKind::kBlock) {
       rewriteStmtList(s.body);
     }
@@ -491,7 +620,7 @@ class UnitRewriter {
       rewriteChild(s.finallyBlock);
     }
     for (auto& c : s.cases) rewriteStmtList(c.body);
-    if (nonNegCounter) nonNegativeVars_.erase(cf.var);
+    if (nonNegCounter) std::erase(nonNegativeVars_, cf.var);
 
     out->push_back(sp);
   }
@@ -499,15 +628,16 @@ class UnitRewriter {
   /// Rewrite a single child statement slot (wraps multi-statement results
   /// in a block).
   void rewriteChild(StmtPtr& slot) {
-    std::vector<StmtPtr> result;
-    rewriteStmt(slot, &result);
-    JEPO_ASSERT(!result.empty());
-    if (result.size() == 1) {
-      slot = result[0];
+    const std::size_t mark = rewritten_.size();
+    rewriteStmt(slot, &rewritten_);
+    JEPO_ASSERT(rewritten_.size() > mark);
+    if (rewritten_.size() == mark + 1) {
+      slot = rewritten_.back();
+      rewritten_.pop_back();
     } else {
       Stmt* block = arena_.make<Stmt>(StmtKind::kBlock);
-      block->line = result[0]->line;
-      block->body = arena_.list(result);
+      block->line = rewritten_[mark]->line;
+      block->body = takeRewritten(mark);
       slot = block;
     }
   }
@@ -655,7 +785,7 @@ class UnitRewriter {
   /// returns v, else an empty view.
   std::string_view selfConcatTarget(const Expr& e) const {
     if (e.kind != ExprKind::kAssign || e.a->kind != ExprKind::kVarRef ||
-        facts_->strings.count(e.a->strValue) == 0) {
+        !fact(e.a->strValue, NameFacts::kString)) {
       return {};
     }
     const std::string_view v = e.a->strValue;
@@ -677,72 +807,69 @@ class UnitRewriter {
   /// dangling. A guarded loop (see guardedDepth_) stays as it is.
   bool tryBuilderExtraction(StmtPtr loopStmt, std::vector<StmtPtr>* out) {
     if (guardedDepth_ > 0) return false;
-    std::vector<std::string_view> candidates;  // source order
-    std::unordered_map<std::string_view, int> covered;
-    std::unordered_map<std::string_view, int> refs;
-    std::unordered_set<std::string_view> declaredInside;
+    concats_.clear();
     walkStmt(
         *loopStmt,
         [&](const Stmt& st) {
-          if (st.kind == StmtKind::kVarDecl) declaredInside.insert(st.declName);
           forEachDiscardedSlot(st, [&](const Expr* e) {
             const std::string_view v = selfConcatTarget(*e);
             if (v.empty()) return;
-            int& n = covered[v];
-            if (n == 0) candidates.push_back(v);
-            n += e->assignOp == AssignOp::kAdd ? 1 : 2;
+            Concat* c = findConcat(v);
+            if (c == nullptr) {
+              c = &concats_.emplace_back();
+              c->target = v;
+            }
+            c->covered += e->assignOp == AssignOp::kAdd ? 1 : 2;
           });
         },
+        [](const Expr&) {});
+    if (concats_.empty()) return false;
+    walkStmt(
+        *loopStmt,
+        [&](const Stmt& st) {
+          if (st.kind != StmtKind::kVarDecl) return;
+          if (Concat* c = findConcat(st.declName)) c->declaredInside = true;
+        },
         [&](const Expr& e) {
-          if (e.kind == ExprKind::kVarRef) ++refs[e.strValue];
+          if (e.kind != ExprKind::kVarRef) return;
+          if (Concat* c = findConcat(e.strValue)) ++c->refs;
         });
 
     const int line = loopStmt->line;
-    std::unordered_map<std::string_view, std::string_view> builders;
-    std::vector<StmtPtr> finals;
-    for (const std::string_view target : candidates) {
-      if (refs[target] != covered[target] ||
-          declaredInside.count(target) != 0) {
-        continue;
-      }
-      const std::string_view sbName = freshBuilderName();
-      builders.emplace(target, sbName);
+    bool hoisted = false;
+    for (Concat& c : concats_) {
+      if (c.refs != c.covered || c.declaredInside) continue;
+      c.builder = freshBuilderName();
+      hoisted = true;
       record(RuleId::kStringConcat, line,
-             concat("hoisted '", target, "' concat loop into StringBuilder ",
-                    sbName));
+             concat("hoisted '", c.target,
+                    "' concat loop into StringBuilder ", c.builder));
 
       // StringBuilder __sbN = new StringBuilder(target);
       Stmt* decl = arena_.make<Stmt>(StmtKind::kVarDecl);
       decl->line = line;
       decl->declType = TypeRef::ofClass("StringBuilder");
-      decl->declName = sbName;
+      decl->declName = c.builder;
       Expr* ctor = arena_.make<Expr>(ExprKind::kNew);
       ctor->line = line;
       ctor->strValue = "StringBuilder";
-      ctor->args = arena_.list({makeVarRef(target, line)});
+      ctor->args = arena_.list({makeVarRef(c.target, line)});
       decl->init = ctor;
       out->push_back(decl);
-
-      // target = __sbN.toString();
-      Expr* toStr = arena_.make<Expr>(ExprKind::kCall);
-      toStr->line = line;
-      toStr->strValue = "toString";
-      toStr->a = makeVarRef(sbName, line);
-      finals.push_back(makeAssignStmt(target, toStr, line));
     }
-    if (builders.empty()) return false;
+    if (!hoisted) return false;
 
     // Replace each self-concat with __sbN.append(X).
     walkStmt(
         *loopStmt,
         [&](Stmt& st) {
           forEachDiscardedSlot(st, [&](ExprPtr& slot) {
-            const auto it = builders.find(selfConcatTarget(*slot));
-            if (it == builders.end()) return;
+            const Concat* c = findConcat(selfConcatTarget(*slot));
+            if (c == nullptr || c->builder.empty()) return;
             Expr* call = arena_.make<Expr>(ExprKind::kCall);
             call->line = slot->line;
             call->strValue = "append";
-            call->a = makeVarRef(it->second, slot->line);
+            call->a = makeVarRef(c->builder, slot->line);
             call->args = arena_.list(
                 {slot->assignOp == AssignOp::kAdd ? slot->b : slot->b->b});
             slot = call;
@@ -751,28 +878,52 @@ class UnitRewriter {
         [](const Expr&) {});
 
     out->push_back(loopStmt);
-    out->insert(out->end(), finals.begin(), finals.end());
+    // target = __sbN.toString();
+    for (const Concat& c : concats_) {
+      if (c.builder.empty()) continue;
+      Expr* toStr = arena_.make<Expr>(ExprKind::kCall);
+      toStr->line = line;
+      toStr->strValue = "toString";
+      toStr->a = makeVarRef(c.builder, line);
+      out->push_back(makeAssignStmt(c.target, toStr, line));
+    }
     return true;
+  }
+
+  /// A self-concat target of the loop tryBuilderExtraction looks at.
+  struct Concat {
+    std::string_view target;
+    int covered = 0;  // references inside its replaceable self-concats
+    int refs = 0;     // references anywhere in the loop
+    bool declaredInside = false;
+    std::string_view builder;  // the hoisted StringBuilder, if any
+  };
+
+  Concat* findConcat(std::string_view target) {
+    for (Concat& c : concats_) {
+      if (c.target == target) return &c;
+    }
+    return nullptr;
   }
 
   /// True when the current method declares `name` (see MethodFacts) or the
   /// class has a field of that name: a fresh local must shadow neither.
   bool nameTaken(std::string_view name) const {
-    if (facts_->declared.count(name) != 0) return true;
+    if (fact(name, NameFacts::kDeclared)) return true;
     for (const auto& f : currentClass_->fields) {
       if (f.name == name) return true;
     }
     return false;
   }
 
+  /// A builder name no later call returns again (the counter only
+  /// grows), so it needs no entry among the declared names.
   std::string_view freshBuilderName() {
     std::string name;
     do {
       name = "__sb" + std::to_string(builderCounter_++);
     } while (nameTaken(name));
-    const std::string_view fresh = arena_.copy(name);
-    facts_->declared.insert(fresh);
-    return fresh;
+    return arena_.copy(name);
   }
 
   // ---------------------------------------------------- static caching
@@ -781,30 +932,30 @@ class UnitRewriter {
   /// method reads them repeatedly (JEPO's static-keyword remedy).
   void cacheStatics(MethodDecl& m) {
     if (!on(RuleId::kStaticKeyword) || !m.body) return;
-    // Count unqualified reads of each read-only static of this class.
-    std::unordered_map<std::string, int> reads;  // field -> count
+    // Count unqualified reads of each read-only static of this class. The
+    // prologue and the change records follow this map's iteration order,
+    // which std::hash<std::string_view> keeps equal to that of the
+    // std::string keys it had before.
+    std::unordered_map<std::string_view, int> reads;  // field -> count
     walkStmt(
         *m.body, [](const Stmt&) {},
         [&](const Expr& e) {
-          if (e.kind == ExprKind::kVarRef) {
-            const std::string key =
-                concat(currentClass_->name, ".", e.strValue);
-            if (statics_.readOnlyStatics.count(key) != 0) {
-              ++reads[std::string(e.strValue)];
-            }
+          if (e.kind == ExprKind::kVarRef &&
+              statics_.find(currentClass_->name, e.strValue) != nullptr) {
+            ++reads[e.strValue];
           }
         });
     std::vector<StmtPtr> prologue;
-    for (auto& [field, count] : reads) {
+    for (const auto& [field, count] : reads) {
       if (count < 2) continue;
       // A parameter, local or catch variable of the same name shadows the
       // static somewhere in the method.
-      const std::string cached = "__cached_" + field;
-      if (facts_->declared.count(field) != 0 || nameTaken(cached)) continue;
+      if (fact(field, NameFacts::kDeclared)) continue;
+      const std::string cached = concat("__cached_", field);
+      if (nameTaken(cached)) continue;
 
       const std::string_view localName = arena_.copy(cached);
-      const TypeRef type =
-          statics_.readOnlyStatics.at(concat(currentClass_->name, ".", field));
+      const TypeRef type = statics_.find(currentClass_->name, field)->type;
       record(RuleId::kStaticKeyword, m.line,
              concat("cached static '", field, "' in local (",
                     std::to_string(count), " reads) in ", m.name));
@@ -813,7 +964,7 @@ class UnitRewriter {
       decl->line = m.line;
       decl->declType = type;
       decl->declName = localName;
-      decl->init = makeVarRef(arena_.copy(field), m.line);
+      decl->init = makeVarRef(field, m.line);  // the clone's arena
       prologue.push_back(decl);
 
       // Replace reads.
@@ -832,81 +983,74 @@ class UnitRewriter {
 
   // ------------------------------------------------------------- drivers
 
-  /// What a method does with its names, gathered before any rewrite: the
-  /// rewriter moves statements out of the body while it runs.
-  struct MethodFacts {
-    std::unordered_set<std::string_view> reassigned;  // written at all
-    std::unordered_set<std::string_view> arithmetic;  // +=, ++ and the like
-    /// Parameters, locals and catch variables (and the builders the
-    /// rewrite adds): the names a fresh local must avoid and a static
-    /// must not share to be cached.
-    std::unordered_set<std::string_view> declared;
-    /// String parameters and locals: the builder hoist's candidates. A
-    /// String field is none, since a call in the loop may read it.
-    std::unordered_set<std::string_view> strings;
-  };
-
-  static MethodFacts methodFacts(const MethodDecl& m) {
-    MethodFacts facts;
+  /// What each method of the class does with its names (see NameFacts),
+  /// gathered before any rewrite: the rewriter moves statements out of the
+  /// body while it runs.
+  void noteMethodFacts(const MethodDecl& m) {
     for (const auto& p : m.params) {
-      facts.declared.insert(p.name);
-      if (p.type.isClass("String")) facts.strings.insert(p.name);
+      facts_.note(p.name, NameFacts::kDeclared |
+                              (p.type.isClass("String") ? NameFacts::kString
+                                                        : 0));
     }
-    if (!m.body) return facts;
+    if (!m.body) return;
     walkStmt(
         *m.body,
         [&](const Stmt& st) {
           if (st.kind == StmtKind::kVarDecl) {
-            facts.declared.insert(st.declName);
-            if (st.declType.isClass("String")) {
-              facts.strings.insert(st.declName);
-            }
+            facts_.note(st.declName,
+                        NameFacts::kDeclared |
+                            (st.declType.isClass("String") ? NameFacts::kString
+                                                           : 0));
           }
-          for (const auto& c : st.catches) facts.declared.insert(c.varName);
+          for (const auto& c : st.catches) {
+            facts_.note(c.varName, NameFacts::kDeclared);
+          }
         },
         [&](const Expr& e) {
           const Write w = writeOf(e);
           if (w.target == nullptr || w.target->kind != ExprKind::kVarRef) {
             return;
           }
-          facts.reassigned.insert(w.target->strValue);
-          if (w.arithmetic) facts.arithmetic.insert(w.target->strValue);
+          facts_.note(w.target->strValue,
+                      NameFacts::kReassigned |
+                          (w.arithmetic ? NameFacts::kArithmetic : 0));
         });
-    return facts;
+  }
+
+  /// Whether `fact` holds for `name` in the method being rewritten.
+  bool fact(std::string_view name, NameFacts::Fact fact) const {
+    return facts_.has(method_, name, fact);
   }
 
   void rewriteClass(ClassDecl& cls) {
     currentClass_ = &cls;
-    std::vector<MethodFacts> facts;
-    facts.reserve(cls.methods.size());
+    // Run i holds method i's facts; the run after them, the class's.
+    facts_.clear();
+    for (const auto& m : cls.methods) {
+      noteMethodFacts(m);
+      facts_.close();
+    }
     // Field narrowing is gated on the writes anywhere in the class (fields
     // escape method scope): the union of the methods' facts.
-    MethodFacts classWrites;
-    for (const auto& m : cls.methods) {
-      const MethodFacts& f = facts.emplace_back(methodFacts(m));
-      classWrites.reassigned.insert(f.reassigned.begin(), f.reassigned.end());
-      classWrites.arithmetic.insert(f.arithmetic.begin(), f.arithmetic.end());
-    }
+    method_ = facts_.unionOfRuns();
     for (auto& f : cls.fields) {
-      narrowType(&f.type, f.name, f.line,
-                 classWrites.arithmetic.count(f.name) != 0,
-                 classWrites.reassigned.count(f.name) != 0);
+      narrowType(&f.type, f.name, f.line, fact(f.name, NameFacts::kArithmetic),
+                 fact(f.name, NameFacts::kReassigned));
       improveWrapper(&f.type, f.name, f.line);
       if (f.init) rewriteAllExprsIn(f.init);
     }
     for (std::size_t i = 0; i < cls.methods.size(); ++i) {
       MethodDecl& m = cls.methods[i];
-      facts_ = &facts[i];
+      method_ = i;
       for (auto& p : m.params) {
         narrowType(&p.type, p.name, m.line,
-                   facts_->arithmetic.count(p.name) != 0,
-                   facts_->reassigned.count(p.name) != 0);
+                   fact(p.name, NameFacts::kArithmetic),
+                   fact(p.name, NameFacts::kReassigned));
       }
       if (!m.body) continue;
       rewriteStmtList(m.body->body);
       cacheStatics(m);
     }
-    facts_ = nullptr;
   }
 
   const OptimizerOptions& options_;
@@ -916,9 +1060,15 @@ class UnitRewriter {
   CompilationUnit& unit_;
   std::vector<ChangeRecord>* changes_;
   const ClassDecl* currentClass_ = nullptr;
-  MethodFacts* facts_ = nullptr;  // the method being rewritten
-  // Names viewing the rewritten unit's arena.
-  std::unordered_set<std::string_view> nonNegativeVars_;
+  NameFacts facts_;          // the current class's, one run per method
+  std::size_t method_ = 0;   // the run fact() reads
+  // Names viewing the rewritten unit's arena: the non-negative canonical
+  // loop counters in scope, each once.
+  std::vector<std::string_view> nonNegativeVars_;
+  /// What rewriteStmt produced, as a stack: a list rewrite appends above a
+  /// mark and takes its statements back off (takeRewritten).
+  std::vector<StmtPtr> rewritten_;
+  std::vector<Concat> concats_;  // tryBuilderExtraction's, per loop
   int builderCounter_ = 0;
   /// Try blocks, and catch bodies of a try with a finally, around the
   /// statement being rewritten: an exception leaving a loop there reaches

@@ -44,7 +44,7 @@ std::string sanitizeTenant(const std::string& tenant) {
 /// Best-effort id recovery for error responses: the request failed
 /// validation, but if it was at least JSON we can still echo its id so
 /// the client can correlate the reject.
-std::string recoverId(const std::string& line) {
+std::string recoverId(std::string_view line) {
   try {
     return json::parseJson(line).stringOr("id", "");
   } catch (const Error&) {
@@ -271,30 +271,33 @@ std::size_t Daemon::openConnectionCount() const {
 void Daemon::readLoop(const std::shared_ptr<Connection>& conn) {
   std::string buffer;
   std::size_t scanned = 0;  // buffer[0, scanned) holds no newline
-  char chunk[4096];
+  // Large reads take a typical request in one call, as Client::readLine.
+  char chunk[64 * 1024];
+  // A line over the cap is refused whether or not its newline has arrived.
+  const auto rejectOversized = [&] {
+    badRequests_->add();
+    writeLine(conn, renderErrorResponse(
+                        "", ErrorCode::kBadRequest,
+                        "request line exceeds " +
+                            std::to_string(cfg_.maxLineBytes) + " bytes"));
+  };
   for (;;) {
     // Drain complete lines before reading more; only bytes that arrived
-    // since the last scan are searched.
+    // since the last scan are searched. Each line is parsed where it lies.
     std::size_t start = 0;
     for (;;) {
       const std::size_t nl = buffer.find('\n', std::max(start, scanned));
       if (nl == std::string::npos) break;
-      std::string line = buffer.substr(start, nl - start);
+      if (nl - start > cfg_.maxLineBytes) return rejectOversized();
+      std::string_view line(buffer.data() + start, nl - start);
       start = nl + 1;
-      if (!line.empty() && line.back() == '\r') line.pop_back();
+      if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
       if (!line.empty()) handleLine(line, conn);
     }
     if (start > 0) buffer.erase(0, start);
     scanned = buffer.size();
+    if (buffer.size() > cfg_.maxLineBytes) return rejectOversized();
 
-    if (buffer.size() > cfg_.maxLineBytes) {
-      badRequests_->add();
-      writeLine(conn, renderErrorResponse(
-                          "", ErrorCode::kBadRequest,
-                          "request line exceeds " +
-                              std::to_string(cfg_.maxLineBytes) + " bytes"));
-      return;
-    }
     if (cfg_.idleTimeoutMs > 0) {
       // Idle reaping: wait for readability so a half-open peer (or a
       // slow-loris trickling a partial line) can be cut loose. A client
@@ -326,7 +329,7 @@ void Daemon::readLoop(const std::shared_ptr<Connection>& conn) {
   }
 }
 
-void Daemon::handleLine(const std::string& line,
+void Daemon::handleLine(std::string_view line,
                         const std::shared_ptr<Connection>& conn) {
   JobRequest req;
   try {

@@ -152,7 +152,7 @@ class Daemon {
   /// already claimed them.
   void reapConnection(const Connection* conn);
   /// Parse, admit and dispatch one request line; writes rejects inline.
-  void handleLine(const std::string& line,
+  void handleLine(std::string_view line,
                   const std::shared_ptr<Connection>& conn);
   /// One tenant's instruments (jepod.tenant.<sanitized name>.*), resolved
   /// together the first time the tenant is seen. Registry instruments

@@ -59,7 +59,7 @@ std::uint64_t optionalU64(const json::Value& obj, std::string_view key,
 
 }  // namespace
 
-JobRequest parseRequest(const std::string& line) {
+JobRequest parseRequest(std::string_view line) {
   json::Value doc;
   try {
     doc = json::parseJson(line);

@@ -105,7 +105,7 @@ struct JobRequest {
 /// Parse one request line. Throws ProtocolError(kBadJson) on malformed
 /// JSON and ProtocolError(kBadRequest/kUnknownCommand) on schema
 /// violations — the daemon renders both as typed responses, never crashes.
-JobRequest parseRequest(const std::string& line);
+JobRequest parseRequest(std::string_view line);
 
 /// Result payload of a profile job (the Profiler's observables, verbatim).
 struct ProfileResult {

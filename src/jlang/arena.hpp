@@ -20,6 +20,8 @@
 #include <utility>
 #include <vector>
 
+#include "support/error.hpp"
+
 namespace jepo::jlang {
 
 /// A fixed-size run of T in an arena. Non-owning and trivially copyable:
@@ -98,6 +100,17 @@ class Arena {
     return list(std::span<const T>(items.begin(), items.size()));
   }
 
+  /// `n` value-initialized objects of T in the arena.
+  template <typename T>
+  std::span<T> array(std::size_t n) {
+    static_assert(std::is_trivially_destructible_v<T>,
+                  "the arena never runs destructors");
+    if (n == 0) return {};
+    T* data = static_cast<T*>(allocate(n * sizeof(T), alignof(T)));
+    std::uninitialized_value_construct_n(data, n);
+    return {data, n};
+  }
+
   /// Copy `text` into the arena.
   std::string_view copy(std::string_view text) {
     if (text.empty()) return {};
@@ -111,9 +124,9 @@ class Arena {
   static constexpr std::size_t kMaxGrowth = std::size_t{1} << 20;
 
   static std::byte* alignUp(std::byte* p, std::size_t align) noexcept {
+    JEPO_ASSERT(align != 0 && (align & (align - 1)) == 0);
     const auto addr = reinterpret_cast<std::uintptr_t>(p);
-    return p == nullptr ? nullptr
-                        : p + ((align - addr % align) % align);
+    return p == nullptr ? nullptr : p + (-addr & (align - 1));
   }
 
   void openBlock(std::size_t minBytes) {

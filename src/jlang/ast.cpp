@@ -137,9 +137,9 @@ CompilationUnit cloneUnit(const CompilationUnit& unit, Program& into) {
       nm.name = arena.copy(m.name);
       nm.isStatic = m.isStatic;
       nm.returnType = cloneType(m.returnType, arena);
-      nm.params.reserve(m.params.size());
-      for (const auto& p : m.params) {
-        nm.params.push_back({cloneType(p.type, arena), arena.copy(p.name)});
+      nm.params = arena.list(m.params);
+      for (auto& p : nm.params) {
+        p = {cloneType(p.type, arena), arena.copy(p.name)};
       }
       nm.line = m.line;
       if (m.body) nm.body = cloneStmt(*m.body, into);

@@ -30,7 +30,7 @@ struct ClassDecl;
 struct MethodDecl;
 struct Program;
 
-/// No interned symbol / unresolved annotation sentinel.
+/// Unassigned method id sentinel.
 inline constexpr std::uint32_t kNoName = 0xFFFFFFFFu;
 
 // ---------------------------------------------------------------------------
@@ -180,7 +180,6 @@ struct Expr {
   mutable std::int32_t classId = -1;    // owning class (statics, calls, new)
   mutable std::int32_t cacheSlot = -1;  // engine inline-cache index
   mutable std::int32_t strId = -1;      // string-literal pool id
-  mutable std::uint32_t nameId = kNoName;  // interned member name
   mutable const MethodDecl* targetMethod = nullptr;  // static/self call
   mutable const ClassDecl* targetClass = nullptr;    // call / new target
 
@@ -347,7 +346,7 @@ struct MethodDecl {
   std::string_view name;
   bool isStatic = false;
   TypeRef returnType = TypeRef::scalar(Prim::kVoid);
-  std::vector<Param> params;
+  List<Param> params;  // in the Program's arena
   StmtPtr body = nullptr;  // block; null only for the implicit default ctor
   int line = 0;
   /// resolve(): program-wide method id (indexes Resolution::methodNames)
@@ -390,15 +389,18 @@ inline constexpr std::size_t kArenaBytesPerSourceByte = 20;
 /// through a pointer, so moving a Program keeps every node where it is.
 struct Program {
  private:
-  std::unique_ptr<Arena> arena_;  // declared first: destroyed last
+  // Declared first: destroyed last. Mutable because ensureResolved(), a
+  // logically-const cache fill, writes the Resolution's tables here too.
+  mutable std::unique_ptr<Arena> arena_;
+  friend std::shared_ptr<const Resolution> ensureResolved(const Program&);
 
  public:
   std::vector<CompilationUnit> units;
 
-  /// Cached resolution substrate (symbol table, layouts, slot maps) filled
-  /// lazily by ensureResolved() at engine construction. A Program built
-  /// from cloneUnit() copies starts without it: a rewritten clone must
-  /// re-resolve.
+  /// Cached resolution substrate (layouts, slot maps, method names, in
+  /// this Program's arena) filled lazily by ensureResolved() at engine
+  /// construction. A Program built from cloneUnit() copies starts without
+  /// it: a rewritten clone must re-resolve.
   mutable std::shared_ptr<const Resolution> resolution;
 
   /// The arena this Program's nodes and strings come from (opened on first

@@ -23,32 +23,64 @@ bool isSpace(char c) noexcept {
   return c == ' ' || (c >= '\t' && c <= '\r');  // \t \n \v \f \r
 }
 
+/// A word of at most eight bytes as an integer, first byte highest: keys
+/// order as the words do, and words of 1-8 letters pack to distinct keys,
+/// so keywords are found without memcmp.
+constexpr std::uint64_t packWord(std::string_view word) noexcept {
+  std::uint64_t key = 0;
+  for (std::size_t i = 0; i < word.size(); ++i) {
+    key |= std::uint64_t{static_cast<unsigned char>(word[i])} << (56 - 8 * i);
+  }
+  return key;
+}
+
 struct Keyword {
-  std::string_view text;
+  std::uint64_t key;
   Tok tok;
 };
 
-/// Sorted by text, for binary search.
+/// Sorted by spelling, hence by key, for binary search.
 constexpr Keyword kKeywords[] = {
-    {"boolean", Tok::kKwBoolean},   {"break", Tok::kKwBreak},
-    {"byte", Tok::kKwByte},         {"case", Tok::kKwCase},
-    {"catch", Tok::kKwCatch},       {"char", Tok::kKwChar},
-    {"class", Tok::kKwClass},       {"continue", Tok::kKwContinue},
-    {"default", Tok::kKwDefault},   {"double", Tok::kKwDouble},
-    {"else", Tok::kKwElse},         {"false", Tok::kKwFalse},
-    {"final", Tok::kKwFinal},       {"finally", Tok::kKwFinally},
-    {"float", Tok::kKwFloat},       {"for", Tok::kKwFor},
-    {"if", Tok::kKwIf},             {"import", Tok::kKwImport},
-    {"int", Tok::kKwInt},           {"long", Tok::kKwLong},
-    {"new", Tok::kKwNew},           {"null", Tok::kKwNull},
-    {"package", Tok::kKwPackage},   {"private", Tok::kKwPrivate},
-    {"public", Tok::kKwPublic},     {"return", Tok::kKwReturn},
-    {"short", Tok::kKwShort},       {"static", Tok::kKwStatic},
-    {"switch", Tok::kKwSwitch},     {"this", Tok::kKwThis},
-    {"throw", Tok::kKwThrow},       {"true", Tok::kKwTrue},
-    {"try", Tok::kKwTry},           {"void", Tok::kKwVoid},
-    {"while", Tok::kKwWhile},
+    {packWord("boolean"), Tok::kKwBoolean},
+    {packWord("break"), Tok::kKwBreak},
+    {packWord("byte"), Tok::kKwByte},
+    {packWord("case"), Tok::kKwCase},
+    {packWord("catch"), Tok::kKwCatch},
+    {packWord("char"), Tok::kKwChar},
+    {packWord("class"), Tok::kKwClass},
+    {packWord("continue"), Tok::kKwContinue},
+    {packWord("default"), Tok::kKwDefault},
+    {packWord("double"), Tok::kKwDouble},
+    {packWord("else"), Tok::kKwElse},
+    {packWord("false"), Tok::kKwFalse},
+    {packWord("final"), Tok::kKwFinal},
+    {packWord("finally"), Tok::kKwFinally},
+    {packWord("float"), Tok::kKwFloat},
+    {packWord("for"), Tok::kKwFor},
+    {packWord("if"), Tok::kKwIf},
+    {packWord("import"), Tok::kKwImport},
+    {packWord("int"), Tok::kKwInt},
+    {packWord("long"), Tok::kKwLong},
+    {packWord("new"), Tok::kKwNew},
+    {packWord("null"), Tok::kKwNull},
+    {packWord("package"), Tok::kKwPackage},
+    {packWord("private"), Tok::kKwPrivate},
+    {packWord("public"), Tok::kKwPublic},
+    {packWord("return"), Tok::kKwReturn},
+    {packWord("short"), Tok::kKwShort},
+    {packWord("static"), Tok::kKwStatic},
+    {packWord("switch"), Tok::kKwSwitch},
+    {packWord("this"), Tok::kKwThis},
+    {packWord("throw"), Tok::kKwThrow},
+    {packWord("true"), Tok::kKwTrue},
+    {packWord("try"), Tok::kKwTry},
+    {packWord("void"), Tok::kKwVoid},
+    {packWord("while"), Tok::kKwWhile},
 };
+static_assert(std::is_sorted(std::begin(kKeywords), std::end(kKeywords),
+                             [](const Keyword& x, const Keyword& y) {
+                               return x.key < y.key;
+                             }));
 
 /// The keyword `word` spells, or kIdentifier. Every keyword is 2-8
 /// letters from 'b' to 'w', which turns most identifiers away unsearched.
@@ -56,11 +88,12 @@ Tok keywordOf(std::string_view word) noexcept {
   if (word.size() < 2 || word.size() > 8 || word[0] < 'b' || word[0] > 'w') {
     return Tok::kIdentifier;
   }
+  const std::uint64_t key = packWord(word);
   const auto* it = std::lower_bound(
-      std::begin(kKeywords), std::end(kKeywords), word,
-      [](const Keyword& k, std::string_view w) { return k.text < w; });
-  return it != std::end(kKeywords) && it->text == word ? it->tok
-                                                       : Tok::kIdentifier;
+      std::begin(kKeywords), std::end(kKeywords), key,
+      [](const Keyword& k, std::uint64_t w) { return k.key < w; });
+  return it != std::end(kKeywords) && it->key == key ? it->tok
+                                                     : Tok::kIdentifier;
 }
 
 /// strtod/strtoll over a digit run that is not NUL-terminated.
@@ -133,15 +166,15 @@ void Lexer::skipWhitespaceAndComments() {
   }
 }
 
-Token Lexer::makeToken(Tok type) const {
-  Token t;
+Token& Lexer::add(Tok type) {
+  Token& t = tokens_.emplace_back();
   t.type = type;
   t.line = tokLine_;
   t.col = tokCol_;
   return t;
 }
 
-Token Lexer::lexNumber() {
+void Lexer::lexNumber() {
   const std::size_t start = pos_;
   bool isFloat = false;
   bool scientific = false;
@@ -165,7 +198,7 @@ Token Lexer::lexNumber() {
   }
 
   const std::string_view digits = src_.substr(start, pos_ - start);
-  Token t = makeToken(Tok::kIntLiteral);
+  Token& t = add(Tok::kIntLiteral);
   t.text = digits;
   t.scientific = scientific;
   const auto toDouble = [digits] {
@@ -182,38 +215,27 @@ Token Lexer::lexNumber() {
     advance();
     t.type = Tok::kFloatLiteral;
     t.floatValue = toDouble();
-    return t;
-  }
-  if (peek() == 'd' || peek() == 'D') {
+  } else if (peek() == 'd' || peek() == 'D') {
     advance();
     t.type = Tok::kDoubleLiteral;
     t.floatValue = toDouble();
-    return t;
-  }
-  if (isFloat) {
+  } else if (isFloat) {
     t.type = Tok::kDoubleLiteral;
     t.floatValue = toDouble();
-    return t;
-  }
-  if (peek() == 'l' || peek() == 'L') {
+  } else if (peek() == 'l' || peek() == 'L') {
     advance();
     t.type = Tok::kLongLiteral;
     t.intValue = toInt();
-    return t;
+  } else {
+    t.intValue = toInt();
   }
-  t.type = Tok::kIntLiteral;
-  t.intValue = toInt();
-  return t;
 }
 
-Token Lexer::lexIdentifierOrKeyword() {
+void Lexer::lexIdentifierOrKeyword() {
   const std::size_t start = pos_;
   while (isIdentChar(peek())) advance();
   const std::string_view name = src_.substr(start, pos_ - start);
-  Token t = makeToken(keywordOf(name));
-  t.text = name;
-  if (t.type == Tok::kKwTrue) t.intValue = 1;
-  return t;
+  add(keywordOf(name)).text = name;
 }
 
 char Lexer::lexEscape(const char* what) {
@@ -231,7 +253,7 @@ char Lexer::lexEscape(const char* what) {
   }
 }
 
-Token Lexer::lexString() {
+void Lexer::lexString() {
   advance();  // opening quote
   const std::size_t start = pos_;
   // A literal without escapes stays a view of the source; from the first
@@ -249,111 +271,92 @@ Token Lexer::lexString() {
   }
   const std::string_view raw = src_.substr(start, pos_ - start);
   advance();  // closing quote
-  Token t = makeToken(Tok::kStringLiteral);
-  t.text = escaped ? decoded_.copy(text) : raw;
-  return t;
+  add(Tok::kStringLiteral).text = escaped ? decoded_.copy(text) : raw;
 }
 
-Token Lexer::lexChar() {
+void Lexer::lexChar() {
   advance();  // opening quote
   const std::size_t start = pos_;
   if (atEnd()) fail("unterminated char literal");
   char c = advanceAny();
   if (c == '\\') c = lexEscape("char");
   if (peek() != '\'') fail("unterminated char literal");
-  Token t = makeToken(Tok::kCharLiteral);
+  Token& t = add(Tok::kCharLiteral);
   t.text = src_.substr(start, pos_ - start);  // the spelling, e.g. \t
   t.intValue = static_cast<unsigned char>(c);
   advance();  // closing quote
-  return t;
 }
 
 std::vector<Token> Lexer::tokenize() {
-  std::vector<Token> out;
   // MiniJava sources average a little over four bytes per token.
-  out.reserve(src_.size() / 4 + 1);
+  tokens_.reserve(src_.size() / 4 + 1);
   for (;;) {
     skipWhitespaceAndComments();
     tokLine_ = line_;
     tokCol_ = col();
     if (atEnd()) {
-      out.push_back(makeToken(Tok::kEof));
-      return out;
+      add(Tok::kEof);
+      return std::move(tokens_);
     }
     const char c = peek();
     if (isDigit(c)) {
-      out.push_back(lexNumber());
+      lexNumber();
       continue;
     }
     if (isAlpha(c) || c == '_') {
-      out.push_back(lexIdentifierOrKeyword());
+      lexIdentifierOrKeyword();
       continue;
     }
     if (c == '"') {
-      out.push_back(lexString());
+      lexString();
       continue;
     }
     if (c == '\'') {
-      out.push_back(lexChar());
+      lexChar();
       continue;
     }
     advance();
     switch (c) {
-      case '(': out.push_back(makeToken(Tok::kLParen)); break;
-      case ')': out.push_back(makeToken(Tok::kRParen)); break;
-      case '{': out.push_back(makeToken(Tok::kLBrace)); break;
-      case '}': out.push_back(makeToken(Tok::kRBrace)); break;
-      case '[': out.push_back(makeToken(Tok::kLBracket)); break;
-      case ']': out.push_back(makeToken(Tok::kRBracket)); break;
-      case ';': out.push_back(makeToken(Tok::kSemicolon)); break;
-      case ',': out.push_back(makeToken(Tok::kComma)); break;
-      case '.': out.push_back(makeToken(Tok::kDot)); break;
-      case ':': out.push_back(makeToken(Tok::kColon)); break;
-      case '?': out.push_back(makeToken(Tok::kQuestion)); break;
-      case '~': out.push_back(makeToken(Tok::kTilde)); break;
+      case '(': add(Tok::kLParen); break;
+      case ')': add(Tok::kRParen); break;
+      case '{': add(Tok::kLBrace); break;
+      case '}': add(Tok::kRBrace); break;
+      case '[': add(Tok::kLBracket); break;
+      case ']': add(Tok::kRBracket); break;
+      case ';': add(Tok::kSemicolon); break;
+      case ',': add(Tok::kComma); break;
+      case '.': add(Tok::kDot); break;
+      case ':': add(Tok::kColon); break;
+      case '?': add(Tok::kQuestion); break;
+      case '~': add(Tok::kTilde); break;
       case '+':
-        out.push_back(makeToken(match('+') ? Tok::kPlusPlus
-                                : match('=') ? Tok::kPlusAssign
-                                             : Tok::kPlus));
+        add(match('+')   ? Tok::kPlusPlus
+            : match('=') ? Tok::kPlusAssign
+                         : Tok::kPlus);
         break;
       case '-':
-        out.push_back(makeToken(match('-') ? Tok::kMinusMinus
-                                : match('=') ? Tok::kMinusAssign
-                                             : Tok::kMinus));
+        add(match('-')   ? Tok::kMinusMinus
+            : match('=') ? Tok::kMinusAssign
+                         : Tok::kMinus);
         break;
-      case '*':
-        out.push_back(makeToken(match('=') ? Tok::kStarAssign : Tok::kStar));
-        break;
-      case '/':
-        out.push_back(makeToken(match('=') ? Tok::kSlashAssign : Tok::kSlash));
-        break;
-      case '%':
-        out.push_back(
-            makeToken(match('=') ? Tok::kPercentAssign : Tok::kPercent));
-        break;
+      case '*': add(match('=') ? Tok::kStarAssign : Tok::kStar); break;
+      case '/': add(match('=') ? Tok::kSlashAssign : Tok::kSlash); break;
+      case '%': add(match('=') ? Tok::kPercentAssign : Tok::kPercent); break;
       case '<':
-        out.push_back(makeToken(match('<')   ? Tok::kShl
-                                : match('=') ? Tok::kLe
-                                             : Tok::kLt));
+        add(match('<')   ? Tok::kShl
+            : match('=') ? Tok::kLe
+                         : Tok::kLt);
         break;
       case '>':
-        out.push_back(makeToken(match('>')   ? Tok::kShr
-                                : match('=') ? Tok::kGe
-                                             : Tok::kGt));
+        add(match('>')   ? Tok::kShr
+            : match('=') ? Tok::kGe
+                         : Tok::kGt);
         break;
-      case '=':
-        out.push_back(makeToken(match('=') ? Tok::kEqEq : Tok::kAssign));
-        break;
-      case '!':
-        out.push_back(makeToken(match('=') ? Tok::kNotEq : Tok::kBang));
-        break;
-      case '&':
-        out.push_back(makeToken(match('&') ? Tok::kAmpAmp : Tok::kAmp));
-        break;
-      case '|':
-        out.push_back(makeToken(match('|') ? Tok::kPipePipe : Tok::kPipe));
-        break;
-      case '^': out.push_back(makeToken(Tok::kCaret)); break;
+      case '=': add(match('=') ? Tok::kEqEq : Tok::kAssign); break;
+      case '!': add(match('=') ? Tok::kNotEq : Tok::kBang); break;
+      case '&': add(match('&') ? Tok::kAmpAmp : Tok::kAmp); break;
+      case '|': add(match('|') ? Tok::kPipePipe : Tok::kPipe); break;
+      case '^': add(Tok::kCaret); break;
       default:
         fail(std::string("unexpected character '") + c + "'");
     }

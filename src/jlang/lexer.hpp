@@ -36,11 +36,12 @@ class Lexer {
   int col() const noexcept { return static_cast<int>(pos_ - lineStart_) + 1; }
 
   void skipWhitespaceAndComments();
-  Token makeToken(Tok type) const;
-  Token lexNumber();
-  Token lexIdentifierOrKeyword();
-  Token lexString();
-  Token lexChar();
+  /// Append a token of `type` at the current token start, built in place.
+  Token& add(Tok type);
+  void lexNumber();
+  void lexIdentifierOrKeyword();
+  void lexString();
+  void lexChar();
   /// The character an escape sequence stands for; the backslash has been
   /// consumed. `what` names the literal kind for the unterminated error.
   char lexEscape(const char* what);
@@ -48,6 +49,7 @@ class Lexer {
 
   std::string_view src_;
   Arena& decoded_;
+  std::vector<Token> tokens_;
   std::size_t pos_ = 0;
   // Lines are counted where a newline is consumed; a column is the
   // distance from the current line's first byte.

@@ -126,6 +126,21 @@ List<ExprPtr> Parser::parseArgs(std::string_view what) {
   return take(exprScratch_, mark);
 }
 
+List<Param> Parser::parseParams(std::string_view open,
+                                std::string_view close) {
+  expect(Tok::kLParen, open);
+  if (!check(Tok::kRParen)) {
+    do {
+      Param p;
+      p.type = parseType();
+      p.name = expect(Tok::kIdentifier, "parameter name").text;
+      paramScratch_.push_back(p);
+    } while (match(Tok::kComma));
+  }
+  expect(Tok::kRParen, close);
+  return take(paramScratch_, 0);
+}
+
 const Token& Parser::peek(std::size_t ahead) const {
   const std::size_t i = pos_ + ahead;
   return i < tokens_.size() ? tokens_[i] : tokens_.back();
@@ -227,16 +242,8 @@ void Parser::parseMember(ClassDecl& cls) {
     ctor.line = line;
     ctor.returnType = TypeRef::scalar(Prim::kVoid);
     advance();  // class name
-    expect(Tok::kLParen, "constructor parameter list");
-    if (!check(Tok::kRParen)) {
-      do {
-        Param p;
-        p.type = parseType();
-        p.name = expect(Tok::kIdentifier, "parameter name").text;
-        ctor.params.push_back(p);
-      } while (match(Tok::kComma));
-    }
-    expect(Tok::kRParen, "end of constructor parameters");
+    ctor.params = parseParams("constructor parameter list",
+                              "end of constructor parameters");
     ctor.body = parseBlock();
     cls.methods.push_back(std::move(ctor));
     return;
@@ -251,16 +258,7 @@ void Parser::parseMember(ClassDecl& cls) {
     m.isStatic = isStatic;
     m.returnType = type;
     m.line = line;
-    expect(Tok::kLParen, "parameter list");
-    if (!check(Tok::kRParen)) {
-      do {
-        Param p;
-        p.type = parseType();
-        p.name = expect(Tok::kIdentifier, "parameter name").text;
-        m.params.push_back(p);
-      } while (match(Tok::kComma));
-    }
-    expect(Tok::kRParen, "end of parameter list");
+    m.params = parseParams("parameter list", "end of parameter list");
     m.body = parseBlock();
     cls.methods.push_back(std::move(m));
     return;

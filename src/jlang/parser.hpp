@@ -57,6 +57,8 @@ class Parser {
   }
   /// Comma-separated expressions up to and including the closing ')'.
   List<ExprPtr> parseArgs(std::string_view what);
+  /// A parenthesized parameter list; `open` and `close` name its parens.
+  List<Param> parseParams(std::string_view open, std::string_view close);
 
   const Token& peek(std::size_t ahead = 0) const;
   const Token& advance();
@@ -115,6 +117,7 @@ class Parser {
   // move to the arena once it is complete.
   std::vector<StmtPtr> stmtScratch_;
   std::vector<ExprPtr> exprScratch_;
+  std::vector<Param> paramScratch_;
   std::size_t pos_ = 0;
   int depth_ = 0;
 };

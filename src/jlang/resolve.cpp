@@ -6,8 +6,9 @@
 // reached at run time.
 #include "jlang/resolve.hpp"
 
+#include <algorithm>
+#include <functional>
 #include <mutex>
-#include <utility>
 
 #include "support/error.hpp"
 #include "support/strings.hpp"
@@ -37,36 +38,38 @@ bool looksLikeExceptionClass(std::string_view name) {
 
 // ---------------------------------------------------------------------------
 
-std::uint32_t SymbolTable::intern(std::string_view s) {
-  const auto it = ids_.find(s);
-  if (it != ids_.end()) return it->second;
-  const auto id = static_cast<std::uint32_t>(names_.size());
-  names_.emplace_back(s);
-  ids_.emplace(names_.back(), id);
-  return id;
-}
-
 const ClassLayout& builtinExceptionLayout() {
-  static const ClassLayout layout = [] {
-    ClassLayout l;
-    l.classId = -1;
-    l.fieldNames = {"message"};
-    l.fieldNameIds = {kNoName};
-    l.fieldTypes = {TypeRef::ofClass("String")};
-    return l;
-  }();
+  static constexpr std::string_view kNames[] = {"message"};
+  static const TypeRef kTypes[] = {TypeRef::ofClass("String")};
+  static const ClassLayout layout{-1, {}, kNames, kTypes};
   return layout;
 }
 
 namespace {
 
-/// Per-method resolution context: a scope stack mapping names to flat
-/// frame slots. Slots are assigned monotonically and never reused, so a
-/// method's frame size is simply the final counter value.
+/// Per-method resolution context: one flat stack of (name, slot) entries
+/// with a mark where each open scope begins. Slots are assigned
+/// monotonically and never reused, so a method's frame size is simply the
+/// final counter value. One MethodScope serves every method of a resolve.
 class MethodScope {
  public:
-  void push() { scopes_.emplace_back(); }
-  void pop() { scopes_.pop_back(); }
+  MethodScope() {
+    entries_.reserve(64);
+    marks_.reserve(16);
+  }
+
+  /// Start a method (or a field initializer) with one empty scope.
+  void begin() {
+    entries_.clear();
+    marks_.clear();
+    nextSlot_ = 0;
+    push();
+  }
+  void push() { marks_.push_back(entries_.size()); }
+  void pop() {
+    entries_.resize(marks_.back());
+    marks_.pop_back();
+  }
 
   /// Mirrors Interpreter::declareLocal + findLocal: within one scope the
   /// FIRST declaration of a name wins on lookup (the interpreter scans
@@ -74,17 +77,18 @@ class MethodScope {
   /// for its own initializer store but does not rebind the name.
   std::int32_t declare(std::string_view name) {
     const std::int32_t slot = nextSlot_++;
-    scopes_.back().emplace_back(name, slot);
+    entries_.push_back({name, slot});
     return slot;
   }
 
   /// Innermost scope outward, first match within a scope.
   std::int32_t find(std::string_view name) const {
-    for (auto scopeIt = scopes_.rbegin(); scopeIt != scopes_.rend();
-         ++scopeIt) {
-      for (const auto& [n, slot] : *scopeIt) {
-        if (n == name) return slot;
+    std::size_t end = entries_.size();
+    for (auto mark = marks_.rbegin(); mark != marks_.rend(); ++mark) {
+      for (std::size_t i = *mark; i < end; ++i) {
+        if (entries_[i].name == name) return entries_[i].slot;
       }
+      end = *mark;
     }
     return -1;
   }
@@ -92,64 +96,121 @@ class MethodScope {
   std::int32_t numSlots() const noexcept { return nextSlot_; }
 
  private:
-  std::vector<std::vector<std::pair<std::string_view, std::int32_t>>> scopes_;
+  struct Entry {
+    std::string_view name;
+    std::int32_t slot;
+  };
+  std::vector<Entry> entries_;
+  std::vector<std::size_t> marks_;  // entries_ index where each scope starts
   std::int32_t nextSlot_ = 0;
 };
 
 class Resolver {
  public:
-  explicit Resolver(const Program& program) : program_(program) {}
+  Resolver(const Program& program, Arena& arena)
+      : program_(program), arena_(arena) {}
 
   std::shared_ptr<const Resolution> run() {
     auto res = std::make_shared<Resolution>();
     res_ = res.get();
     declareClasses();
-    for (auto& rc : res_->classes) resolveClassBodies(rc);
+    for (auto& rc : classes_) resolveClassBodies(rc);
     return res;
   }
 
  private:
   // ------------------------------------------------------------ pass one
   void declareClasses() {
+    // Count the declarations so every table is carved from the arena once.
+    std::size_t numClasses = 0, numInstance = 0, numStatic = 0;
+    std::size_t numMethods = 0;
     for (const auto& unit : program_.units) {
       for (const auto& cls : unit.classes) {
-        const auto classId = static_cast<std::int32_t>(res_->classes.size());
-        cls.classId = classId;
-        res_->classIdByName.emplace(cls.name, classId);  // first class wins
-        res_->symbols.intern(cls.name);
-
-        ResolvedClass rc;
-        rc.decl = &cls;
-        rc.layout.classId = classId;
-        rc.layout.className = cls.name;
+        ++numClasses;
         for (const auto& f : cls.fields) {
-          const std::uint32_t nameId = res_->symbols.intern(f.name);
-          if (f.isStatic) {
-            f.slot = res_->staticCount++;
-            rc.staticNames.emplace_back(f.name);
-            rc.staticTypes.push_back(f.type);
-            rc.staticSlots.push_back(f.slot);
-          } else {
-            f.slot = static_cast<std::int32_t>(rc.layout.fieldNames.size());
-            rc.layout.fieldNames.emplace_back(f.name);
-            rc.layout.fieldNameIds.push_back(nameId);
-            rc.layout.fieldTypes.push_back(f.type);
-          }
+          ++(f.isStatic ? numStatic : numInstance);
         }
-        for (const auto& m : cls.methods) {
-          m.methodId = static_cast<std::uint32_t>(res_->methodNames.size());
-          res_->methodNames.push_back(concat(cls.name, ".", m.name));
-          rc.methods.push_back(
-              ResolvedMethod{&m, res_->symbols.intern(m.name), m.methodId});
-        }
-        rc.ctor = cls.findMethod(cls.name);
-        rc.clinitId = static_cast<std::uint32_t>(res_->methodNames.size());
-        res_->methodNames.push_back(concat(cls.name, ".<clinit>"));
-        rc.initFieldsId = static_cast<std::uint32_t>(res_->methodNames.size());
-        res_->methodNames.push_back(concat(cls.name, ".<initfields>"));
-        res_->classes.push_back(std::move(rc));
+        numMethods += cls.methods.size();
       }
     }
+    classes_ = arena_.array<ResolvedClass>(numClasses);
+    const auto classNames = arena_.array<ClassName>(numClasses);
+    const auto fieldNames = arena_.array<std::string_view>(numInstance);
+    const auto fieldTypes = arena_.array<TypeRef>(numInstance);
+    const auto staticNames = arena_.array<std::string_view>(numStatic);
+    const auto staticSlots = arena_.array<std::int32_t>(numStatic);
+    const auto methods = arena_.array<ResolvedMethod>(numMethods);
+    const auto methodNames =
+        arena_.array<std::string_view>(numMethods + 2 * numClasses);
+
+    std::size_t classId = 0, instance = 0, method = 0, methodId = 0;
+    for (const auto& unit : program_.units) {
+      for (const auto& cls : unit.classes) {
+        cls.classId = static_cast<std::int32_t>(classId);
+        classNames[classId] = {cls.name, cls.classId};
+        ResolvedClass& rc = classes_[classId++];
+        rc.decl = &cls;
+        rc.layout.classId = cls.classId;
+        rc.layout.className = cls.name;
+        const std::size_t firstInstance = instance;
+        const auto firstStatic = static_cast<std::size_t>(res_->staticCount);
+        for (const auto& f : cls.fields) {
+          if (f.isStatic) {
+            f.slot = res_->staticCount++;
+            staticNames[static_cast<std::size_t>(f.slot)] = f.name;
+            staticSlots[static_cast<std::size_t>(f.slot)] = f.slot;
+          } else {
+            f.slot = static_cast<std::int32_t>(instance - firstInstance);
+            fieldNames[instance] = f.name;
+            fieldTypes[instance++] = f.type;
+          }
+        }
+        rc.layout.fieldNames = fieldNames.subspan(firstInstance,
+                                                  instance - firstInstance);
+        rc.layout.fieldTypes = fieldTypes.subspan(firstInstance,
+                                                  instance - firstInstance);
+        rc.staticNames = staticNames.subspan(
+            firstStatic, static_cast<std::size_t>(res_->staticCount) -
+                             firstStatic);
+        rc.staticSlots = staticSlots.subspan(firstStatic,
+                                             rc.staticNames.size());
+        rc.methods = methods.subspan(method, cls.methods.size());
+        for (const auto& m : cls.methods) {
+          m.methodId = static_cast<std::uint32_t>(methodId);
+          methodNames[methodId++] = qualify(cls.name, m.name);
+          methods[method++] = ResolvedMethod{&m, m.methodId};
+        }
+        rc.ctor = cls.findMethod(cls.name);
+        rc.clinitId = static_cast<std::uint32_t>(methodId);
+        methodNames[methodId++] = qualify(cls.name, "<clinit>");
+        rc.initFieldsId = static_cast<std::uint32_t>(methodId);
+        methodNames[methodId++] = qualify(cls.name, "<initfields>");
+      }
+    }
+    // The first class declared with a name heads its run.
+    std::sort(classNames.begin(), classNames.end(),
+              [](const ClassName& x, const ClassName& y) {
+                return x.name != y.name ? x.name < y.name
+                                        : x.classId < y.classId;
+              });
+    const auto unique =
+        std::unique(classNames.begin(), classNames.end(),
+                    [](const ClassName& x, const ClassName& y) {
+                      return x.name == y.name;
+                    });
+    res_->classes = classes_;
+    res_->classIdByName = classNames.first(
+        static_cast<std::size_t>(unique - classNames.begin()));
+    res_->methodNames = methodNames;
+  }
+
+  /// "cls.member", in the arena.
+  std::string_view qualify(std::string_view cls, std::string_view member) {
+    const std::size_t size = cls.size() + 1 + member.size();
+    char* out = static_cast<char*>(arena_.allocate(size, 1));
+    *std::copy(cls.begin(), cls.end(), out) = '.';
+    std::copy(member.begin(), member.end(), out + cls.size() + 1);
+    return {out, size};
   }
 
   // ------------------------------------------------------------ pass two
@@ -157,28 +218,21 @@ class Resolver {
     cls_ = &rc;
     // Field initializers run in frames without locals: statics in a static
     // frame (ensureClassInit), instance inits in an instance frame
-    // (construct). Scope stack stays empty either way.
+    // (construct). The scope stays empty either way.
     for (const auto& f : rc.decl->fields) {
       if (!f.init) continue;
-      MethodScope scope;
-      scope.push();
-      scope_ = &scope;
+      scope_.begin();
       isStatic_ = f.isStatic;
       resolveExpr(*f.init);
-      scope.pop();
     }
     for (const auto& m : rc.decl->methods) {
       if (!m.body) continue;  // implicit default ctor
-      MethodScope scope;
-      scope.push();  // method-level scope holding the parameters
-      scope_ = &scope;
+      scope_.begin();  // the method-level scope holds the parameters
       isStatic_ = m.isStatic;
-      for (const auto& p : m.params) scope.declare(p.name);
+      for (const auto& p : m.params) scope_.declare(p.name);
       resolveBlockInPlace(*m.body);
-      scope.pop();
-      m.numSlots = scope.numSlots();
+      m.numSlots = scope_.numSlots();
     }
-    scope_ = nullptr;
   }
 
   /// True when `name` is a class name as the interpreter's isClassName
@@ -191,9 +245,9 @@ class Resolver {
 
   /// Resolve a block's statements inside a fresh scope (execBlock).
   void resolveBlock(const Stmt& s) {
-    scope_->push();
+    scope_.push();
     resolveBlockInPlace(s);
-    scope_->pop();
+    scope_.pop();
   }
 
   void resolveBlockInPlace(const Stmt& s) {
@@ -210,7 +264,7 @@ class Resolver {
         // The initializer is evaluated before the name becomes visible
         // (`int x = x + 1` reads the outer x or fails).
         if (s.init) resolveExpr(*s.init);
-        s.declSlot = scope_->declare(s.declName);
+        s.declSlot = scope_.declare(s.declName);
         return;
       case StmtKind::kExprStmt:
         resolveExpr(*s.expr);
@@ -225,12 +279,12 @@ class Resolver {
         resolveStmt(*s.thenStmt);
         return;
       case StmtKind::kFor: {
-        scope_->push();  // for-init scope
+        scope_.push();  // for-init scope
         for (const auto& init : s.body) resolveStmt(*init);
         if (s.cond) resolveExpr(*s.cond);
         resolveStmt(*s.thenStmt);
         for (const auto& u : s.update) resolveExpr(*u);
-        scope_->pop();
+        scope_.pop();
         return;
       }
       case StmtKind::kReturn:
@@ -242,10 +296,10 @@ class Resolver {
       case StmtKind::kTry: {
         resolveStmt(*s.tryBlock);
         for (const auto& clause : s.catches) {
-          scope_->push();  // catch-variable scope wrapping the body block
-          clause.slot = scope_->declare(clause.varName);
+          scope_.push();  // catch-variable scope wrapping the body block
+          clause.slot = scope_.declare(clause.varName);
           resolveStmt(*clause.body);
-          scope_->pop();
+          scope_.pop();
         }
         if (s.finallyBlock) resolveStmt(*s.finallyBlock);
         return;
@@ -276,17 +330,9 @@ class Resolver {
       case ExprKind::kBoolLit:
       case ExprKind::kNullLit:
         return;
-      case ExprKind::kStringLit: {
-        const auto it = literalIds_.find(e.strValue);
-        if (it != literalIds_.end()) {
-          e.strId = it->second;
-        } else {
-          e.strId = static_cast<std::int32_t>(res_->stringLiterals.size());
-          res_->stringLiterals.emplace_back(e.strValue);
-          literalIds_.emplace(e.strValue, e.strId);
-        }
+      case ExprKind::kStringLit:
+        e.strId = literalId(e.strValue);
         return;
-      }
       case ExprKind::kVarRef:
         resolveVarRef(e);
         return;
@@ -332,12 +378,11 @@ class Resolver {
   }
 
   void resolveVarRef(const Expr& e) {
-    e.nameId = res_->symbols.intern(e.strValue);
     if (e.strValue == "this") {
       e.nameRef = NameRef::kThis;
       return;
     }
-    const std::int32_t local = scope_ ? scope_->find(e.strValue) : -1;
+    const std::int32_t local = scope_.find(e.strValue);
     if (local >= 0) {
       e.nameRef = NameRef::kLocal;
       e.slot = local;
@@ -366,7 +411,7 @@ class Resolver {
   /// receiver naming no local but naming a class.
   bool isClassNameReceiver(const Expr& receiver) const {
     return receiver.kind == ExprKind::kVarRef &&
-           (scope_ == nullptr || scope_->find(receiver.strValue) < 0) &&
+           scope_.find(receiver.strValue) < 0 &&
            isClassName(receiver.strValue);
   }
 
@@ -388,7 +433,6 @@ class Resolver {
   }
 
   void resolveFieldAccess(const Expr& e) {
-    e.nameId = res_->symbols.intern(e.strValue);
     if (isClassNameReceiver(*e.a)) {
       annotateStatic(e, e.a->strValue);
       return;  // the receiver VarRef is never evaluated
@@ -399,7 +443,6 @@ class Resolver {
   }
 
   void resolveCall(const Expr& e) {
-    e.nameId = res_->symbols.intern(e.strValue);
     // System.out.println / print, matched on receiver shape.
     if (e.a && e.a->kind == ExprKind::kFieldAccess && e.a->strValue == "out" &&
         e.a->a && e.a->a->kind == ExprKind::kVarRef &&
@@ -472,13 +515,50 @@ class Resolver {
     e.callKind = CallKind::kUnresolved;
   }
 
+  /// The pool id of a string literal's content: ids follow first
+  /// occurrence, and equal contents share one.
+  std::int32_t literalId(std::string_view text) {
+    std::vector<std::string_view>& pool = res_->stringLiterals;
+    if (2 * (pool.size() + 1) > literalSlots_.size()) {
+      // Keep the table at most half full: double it and re-place the ids.
+      literalSlots_.assign(std::max<std::size_t>(64, 2 * literalSlots_.size()),
+                           -1);
+      for (std::size_t id = 0; id < pool.size(); ++id) {
+        *literalSlot(pool[id]) = static_cast<std::int32_t>(id);
+      }
+    }
+    std::int32_t* slot = literalSlot(text);
+    if (*slot < 0) {
+      *slot = static_cast<std::int32_t>(pool.size());
+      pool.push_back(text);
+    }
+    return *slot;
+  }
+
+  /// The slot of literalSlots_ holding `text`'s id, or the empty slot
+  /// where it belongs (linear probing).
+  std::int32_t* literalSlot(std::string_view text) {
+    const std::size_t mask = literalSlots_.size() - 1;
+    for (std::size_t i = std::hash<std::string_view>{}(text) & mask;;
+         i = (i + 1) & mask) {
+      std::int32_t& slot = literalSlots_[i];
+      if (slot < 0 ||
+          res_->stringLiterals[static_cast<std::size_t>(slot)] == text) {
+        return &slot;
+      }
+    }
+  }
+
   const Program& program_;
+  Arena& arena_;
   Resolution* res_ = nullptr;
+  std::span<ResolvedClass> classes_;  // res_->classes, writable
   ResolvedClass* cls_ = nullptr;
-  MethodScope* scope_ = nullptr;
+  MethodScope scope_;
   bool isStatic_ = true;
-  // Keys view the program's literals, which outlive the resolver.
-  std::unordered_map<std::string_view, std::int32_t> literalIds_;
+  // Open-addressing index of res_->stringLiterals: a power-of-two number
+  // of slots holding a literal id or -1.
+  std::vector<std::int32_t> literalSlots_;
 };
 
 std::mutex& resolutionMutex() {
@@ -491,7 +571,10 @@ std::mutex& resolutionMutex() {
 std::shared_ptr<const Resolution> ensureResolved(const Program& program) {
   std::lock_guard<std::mutex> lock(resolutionMutex());
   if (program.resolution) return program.resolution;
-  program.resolution = Resolver(program).run();
+  // The tables go to the Program's arena: like the annotations on its
+  // nodes, a logically-const fill of a Program that nothing else writes.
+  if (!program.arena_) program.arena_ = std::make_unique<Arena>();
+  program.resolution = Resolver(program, *program.arena_).run();
   return program.resolution;
 }
 

@@ -1,6 +1,5 @@
-// The one-time resolution pass: symbol interning, class field layouts,
-// per-method local slot maps, flat static slots and inline-cache slot
-// assignment.
+// The one-time resolution pass: class field layouts, per-method local slot
+// maps, flat static slots and inline-cache slot assignment.
 //
 // resolve() walks the AST once, right after parsing, and stamps every
 // name-bearing node with its binding (see the annotation fields in
@@ -9,7 +8,7 @@
 // frame-slot indices, object fields are offsets into a flat value vector,
 // statics are indices into one program-wide array, call sites dispatch
 // through monomorphic inline caches backed by the per-class method tables
-// built here, and MethodHooks carry interned u32 method ids with a
+// built here, and MethodHooks carry program-wide u32 method ids with a
 // pre-built id -> qualified-name table.
 //
 // The pass is purely a host-speed optimization: it never changes what a
@@ -19,15 +18,14 @@
 // if executed).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <string>
+#include <span>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "jlang/ast.hpp"
-#include "support/strings.hpp"
 
 namespace jepo::jlang {
 
@@ -41,28 +39,20 @@ bool isWrapperClassName(std::string_view name);
 bool looksLikeExceptionClass(std::string_view name);
 
 // ---------------------------------------------------------------------------
-
-/// Program-wide identifier interning: one u32 per distinct spelling.
-class SymbolTable {
- public:
-  std::uint32_t intern(std::string_view s);
-  const std::string& name(std::uint32_t id) const { return names_[id]; }
-  std::size_t size() const noexcept { return names_.size(); }
-
- private:
-  std::vector<std::string> names_;
-  StringMap<std::uint32_t> ids_;
-};
+// The tables below are views: every name and array lives in the resolved
+// Program's arena (written there by ensureResolved(), sized once from the
+// AST's declaration counts) or, for builtinExceptionLayout(), in static
+// storage. A Resolution must not outlive its Program — the rule the
+// engines' pointers into the AST already follow (CompiledProgram).
 
 /// Flat instance-field layout of a class: field i of an object lives at
 /// offset i of HeapObject::fields. classId < 0 marks a foreign layout
 /// (builtin exception objects), whose fields resolve by name only.
 struct ClassLayout {
   std::int32_t classId = -1;
-  std::string className;
-  std::vector<std::string> fieldNames;      // offset order (decl order)
-  std::vector<std::uint32_t> fieldNameIds;  // kNoName for foreign layouts
-  std::vector<TypeRef> fieldTypes;
+  std::string_view className;
+  std::span<const std::string_view> fieldNames;  // offset order (decl order)
+  std::span<const TypeRef> fieldTypes;
 
   int indexOfName(std::string_view fieldName) const {
     for (std::size_t i = 0; i < fieldNames.size(); ++i) {
@@ -76,7 +66,6 @@ struct ClassLayout {
 /// return the first match, mirroring ClassDecl::findMethod).
 struct ResolvedMethod {
   const MethodDecl* decl = nullptr;
-  std::uint32_t nameId = kNoName;
   std::uint32_t methodId = kNoName;
 };
 
@@ -86,11 +75,10 @@ struct ResolvedClass {
 
   // Static fields, parallel arrays in declaration order. slots index the
   // program-wide flat statics array (Resolution::staticCount entries).
-  std::vector<std::string> staticNames;
-  std::vector<TypeRef> staticTypes;
-  std::vector<std::int32_t> staticSlots;
+  std::span<const std::string_view> staticNames;
+  std::span<const std::int32_t> staticSlots;
 
-  std::vector<ResolvedMethod> methods;
+  std::span<const ResolvedMethod> methods;
   const MethodDecl* ctor = nullptr;  // first method named like the class
   // Synthetic method ids for the bytecode engine's <clinit>/<initfields>
   // chunks (the tree engine inlines this work, so it never reports them).
@@ -121,26 +109,34 @@ struct ResolvedClass {
   }
 };
 
+/// A class name and the id of the first class declared with it.
+struct ClassName {
+  std::string_view name;
+  std::int32_t classId = -1;
+};
+
 /// The shared resolution substrate both engines consume.
 struct Resolution {
-  SymbolTable symbols;
-  std::vector<ResolvedClass> classes;  // indexed by classId
-  // First class wins for duplicate names, mirroring Program::findClass.
-  StringMap<std::int32_t> classIdByName;
-  std::vector<std::string> methodNames;     // methodId -> "Class.method"
-  std::vector<std::string> stringLiterals;  // strId -> content (deduped)
+  std::span<const ResolvedClass> classes;  // indexed by classId
+  // Sorted by name, one entry per name: the first class declared with a
+  // name wins, mirroring Program::findClass.
+  std::span<const ClassName> classIdByName;
+  std::span<const std::string_view> methodNames;  // methodId -> "Class.method"
+  std::vector<std::string_view> stringLiterals;   // strId -> content (deduped)
   std::int32_t staticCount = 0;     // flat statics array size
   std::int32_t numCallCaches = 0;   // inline call-cache sites
   std::int32_t numFieldCaches = 0;  // inline field-cache sites
 
   std::int32_t classIdOf(std::string_view name) const {
-    const auto it = classIdByName.find(name);
-    return it == classIdByName.end() ? -1 : it->second;
+    const auto it = std::lower_bound(
+        classIdByName.begin(), classIdByName.end(), name,
+        [](const ClassName& c, std::string_view n) { return c.name < n; });
+    return it != classIdByName.end() && it->name == name ? it->classId : -1;
   }
 };
 
 /// Resolve `program` once (idempotent, thread-safe, mutex-guarded):
-/// interns identifiers, computes layouts and slot maps, annotates the AST
+/// computes layouts and slot maps in the Program's arena, annotates the AST
 /// in place and caches the result on the Program. Engines call this at
 /// construction; a Program rebuilt from cloneUnit() copies has no cache,
 /// so rewritten clones re-resolve.

@@ -12,7 +12,7 @@
 
 namespace jepo::jlang {
 
-enum class Tok : int {
+enum class Tok : std::uint8_t {
   kEof = 0,
   kIdentifier,
   // Literals. Numeric tokens keep their raw spelling so the parser can tell
@@ -45,19 +45,21 @@ enum class Tok : int {
 };
 
 struct Token {
-  Tok type = Tok::kEof;
   // Identifier name / literal spelling, quotes stripped: a view into the
   // lexed source. A string literal's escapes are decoded, into the lexer's
   // arena if it has any; a char literal's value is in intValue.
   std::string_view text;
+  // Decoded literal payload: one per literal kind.
+  union {
+    std::int64_t intValue = 0;  // int/long/char literals
+    double floatValue;          // float/double literals
+  };
   int line = 0;
   int col = 0;
-
-  // Decoded literal payloads.
-  std::int64_t intValue = 0;  // int/long/char literals
-  double floatValue = 0.0;    // float/double literals
-  bool scientific = false;    // literal was written with an exponent
+  Tok type = Tok::kEof;
+  bool scientific = false;  // literal was written with an exponent
 };
+static_assert(sizeof(Token) == 40, "the lexer makes one per ~4 source bytes");
 
 std::string tokName(Tok t);
 

@@ -1,6 +1,7 @@
 #include "jvm/instrumenter.hpp"
 
 #include "obs/registry.hpp"
+#include "support/strings.hpp"
 
 namespace jepo::jvm {
 
@@ -75,7 +76,7 @@ void Instrumenter::onExit(const MethodRef& method) {
   // Hot-path check is id equality; the name is rendered lazily, only for
   // the failure diagnostic (JEPO_REQUIRE evaluates its message lazily).
   JEPO_REQUIRE(!stack_.empty() && stack_.back().method == method,
-               "unbalanced method hooks for " + method.name());
+               concat("unbalanced method hooks for ", method.name()));
   closeFrame(/*truncated=*/false);
 }
 

@@ -138,7 +138,7 @@ class Instrumenter final : public MethodHooks {
   void closeFrame(bool truncated);
 
   struct OpenFrame {
-    // Interned id + stable name pointer: opening a frame copies no string;
+    // Method id + stable name view: opening a frame copies no string;
     // the record's name is materialized once, when the frame closes.
     MethodRef method;
     double startSeconds = 0.0;

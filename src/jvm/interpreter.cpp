@@ -220,8 +220,8 @@ Value Interpreter::invoke(const ClassDecl& cls, const MethodDecl& m,
 
   // The qualified name is pre-built by the resolution pass; the hot path
   // never concatenates strings.
-  const std::string& qualified = resolution_->methodNames[m.methodId];
-  const MethodRef ref{m.methodId, &qualified};
+  const std::string_view qualified = resolution_->methodNames[m.methodId];
+  const MethodRef ref{m.methodId, qualified};
   // Tier dispatch: a branch on the hoisted gate pointer. No gate (full
   // instrumentation) takes the seed-exact path; an unsampled entry pays
   // the gate's counter increment and skips the hook call entirely.
@@ -259,7 +259,7 @@ Value Interpreter::invoke(const ClassDecl& cls, const MethodDecl& m,
     const Flow flow = execStmt(*m.body);
     charge(Op::kReturn);
     if (flow == Flow::kBreak || flow == Flow::kContinue) {
-      throw VmError("break/continue escaped method " + qualified);
+      throw VmError(concat("break/continue escaped method ", qualified));
     }
   } catch (const Thrown&) {
     if (hookMode == HookMode::kOn) {
@@ -558,8 +558,8 @@ Value Interpreter::eval(const Expr& e) {
       JEPO_ASSERT(e.strId >= 0);
       Ref& pooled = literalPool_[static_cast<std::size_t>(e.strId)];
       if (pooled == kNullRef) {
-        pooled = heap_.allocString(
-            resolution_->stringLiterals[static_cast<std::size_t>(e.strId)]);
+        pooled = heap_.allocString(std::string(
+            resolution_->stringLiterals[static_cast<std::size_t>(e.strId)]));
       }
       return Value::ofRef(pooled);
     }

@@ -35,17 +35,18 @@ struct Thrown {
   Value exception;  // ref to a heap object whose className names the type
 };
 
-/// Identity of an executing method as the hooks see it: the interned
-/// program-wide method id plus a pointer into the resolution's stable
-/// id -> qualified-name table. Comparing two refs is two integer/pointer
-/// compares; the name is only ever *read*, never rebuilt, on the hot path.
+/// Identity of an executing method as the hooks see it: the program-wide
+/// method id plus a view of its qualified name in a stable table (the
+/// resolution's id -> name table, or the bytecode chunk's name). Comparing
+/// two refs is two integer/pointer compares; the name is only ever *read*,
+/// never rebuilt, on the hot path.
 struct MethodRef {
   std::uint32_t id = jlang::kNoName;
-  const std::string* qualifiedName = nullptr;
+  std::string_view qualifiedName;
 
-  const std::string& name() const { return *qualifiedName; }
+  std::string_view name() const { return qualifiedName; }
   bool operator==(const MethodRef& o) const noexcept {
-    return id == o.id && qualifiedName == o.qualifiedName;
+    return id == o.id && qualifiedName.data() == o.qualifiedName.data();
   }
 };
 

@@ -138,15 +138,15 @@ class TierGate {
   std::vector<MethodStat> stats() const {
     std::vector<MethodStat> out;
     for (const PerMethod& s : methods_) {
-      if (s.entered == 0 || s.name == nullptr) continue;
-      out.push_back({*s.name, s.entered, s.instrumented});
+      if (s.entered == 0 || s.name.empty()) continue;
+      out.push_back({std::string(s.name), s.entered, s.instrumented});
     }
     return out;
   }
 
  private:
   struct PerMethod {
-    const std::string* name = nullptr;
+    std::string_view name;
     std::uint64_t entered = 0;         // invocation ordinal (committed)
     std::uint64_t instrumented = 0;
     std::uint64_t unsampledExits = 0;
@@ -157,7 +157,7 @@ class TierGate {
   PerMethod& slot(const MethodRef& m) {
     if (m.id >= methods_.size()) methods_.resize(m.id + 1);
     PerMethod& s = methods_[m.id];
-    if (s.name == nullptr) s.name = m.qualifiedName;
+    if (s.name.empty()) s.name = m.qualifiedName;
     return s;
   }
 

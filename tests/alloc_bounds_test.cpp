@@ -1,11 +1,14 @@
-// Allocation bounds for the cache-miss front end. A counting global
-// operator new tallies the heap allocations made while parsing and while
-// printing one fixed corpus program. The counts depend only on the code
-// and the input, so a regression shows as a count, not a timing.
+// Allocation bounds for the cache-miss path. A counting global operator
+// new tallies the heap allocations made while parsing, resolving,
+// optimizing and printing one fixed corpus program. The counts depend
+// only on the code and the input, so a regression shows as a count, not a
+// timing.
 //
 // Printing appends to one buffer reserved from the unit's source size;
 // parsing allocates the arena block, the token vector and the declaration
-// vectors, and builds no string per token or per node.
+// vectors, and builds no string per token or per node. Resolving writes
+// its tables into the Program's arena; optimizing keeps its per-name facts
+// in flat vectors it reuses across methods.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -13,8 +16,10 @@
 #include <string>
 
 #include "corpus/corpus.hpp"
+#include "jepo/optimizer.hpp"
 #include "jlang/parser.hpp"
 #include "jlang/printer.hpp"
+#include "jlang/resolve.hpp"
 
 namespace {
 
@@ -72,9 +77,31 @@ TEST(AllocBounds, ParseStaysWithinItsCount) {
   Program program;
   const std::size_t n = allocationsOf(
       [&] { program = Parser::parseProgram("J48.mjava", source); });
-  // 50 at the time of writing, down from 157 when the parser built a
-  // std::string per expected token; none is made per token or node.
-  EXPECT_LE(n, 50u);
+  // 35 at the time of writing, down from 157 when the parser built a
+  // std::string per expected token; none is made per token, node or
+  // parameter list.
+  EXPECT_LE(n, 35u);
+}
+
+TEST(AllocBounds, ResolveStaysWithinItsCount) {
+  const Program program = Parser::parseProgram("J48.mjava", fixedSource());
+  const std::size_t n = allocationsOf([&] { ensureResolved(program); });
+  // 3 at the time of writing, down from 158 when every scope, name and
+  // layout was a vector, string or hash node of its own.
+  EXPECT_LE(n, 3u);
+  EXPECT_GT(program.resolution->classes.size(), 0u);
+}
+
+TEST(AllocBounds, OptimizeStaysWithinItsCount) {
+  const Program program = Parser::parseProgram("J48.mjava", fixedSource());
+  core::OptimizeResult result;
+  const std::size_t n =
+      allocationsOf([&] { result = core::Optimizer().optimize(program); });
+  // 37 at the time of writing, down from 282 when the optimizer kept a
+  // hash set per fact and method and built a "Class.field" string per
+  // variable read.
+  EXPECT_LE(n, 37u);
+  EXPECT_EQ(result.program.units.size(), 1u);
 }
 
 TEST(AllocBounds, PrintAllocatesOnlyItsBuffer) {

@@ -327,7 +327,7 @@ TEST(InstrumenterChaos, RecordsSurviveFaultyDeviceWithQualityTags) {
   jvm::Instrumenter inst(machine, dev);
 
   const std::string methodName = "Chaos.method";
-  const jvm::MethodRef method{0, &methodName};
+  const jvm::MethodRef method{0, methodName};
   for (int i = 0; i < 10; ++i) {
     inst.onEnter(method);
     machine.charge(energy::Op::kDoubleAlu, 10'000);
@@ -350,7 +350,7 @@ TEST(InstrumenterChaos, MissingDramDegradesRecordInsteadOfThrowing) {
   jvm::Instrumenter inst(machine, dev);
 
   const std::string methodName = "Chaos.method";
-  const jvm::MethodRef method{0, &methodName};
+  const jvm::MethodRef method{0, methodName};
   inst.onEnter(method);
   machine.charge(energy::Op::kDoubleAlu, 10'000);
   inst.onExit(method);

@@ -13,6 +13,7 @@
 #include "jlang/printer.hpp"
 #include "jlang/resolve.hpp"
 #include "jvm/interpreter.hpp"
+#include "support/strings.hpp"
 
 namespace jepo::jlang {
 namespace {
@@ -526,6 +527,92 @@ TEST(AstLifetime, MovingAProgramKeepsItsNodesInPlace) {
   from = Parser::parseProgram("again.mjava", kLifetimeSource);
   EXPECT_EQ(runTree(from), "hi\tarena 135\n");
   EXPECT_EQ(runTree(to), "hi\tarena 135\n");
+}
+
+// ------------------------------------------------------------ resolution
+
+/// A static method that exercises every scope rule of the resolver. The
+/// statics b, i and e are what those names mean once the locals of the
+/// same names have gone out of scope.
+constexpr const char* kScopesSource = R"(
+class Scopes {
+  static int b = 40;
+  static int i = 50;
+  static int e = 60;
+
+  static void main(String[] args) {
+    int a = 1;
+    int a = 2;
+    System.out.println(a);
+    {
+      int a = 3;
+      int b = 4;
+      System.out.println(a + b);
+    }
+    {
+      System.out.println(b);
+      int c = 5;
+      System.out.println(c);
+    }
+    for (int i = 0; i < 2; i++) {
+      int d = i;
+      System.out.println(d);
+    }
+    System.out.println(i);
+    try {
+      throw new RuntimeException("x");
+    } catch (RuntimeException e) {
+      System.out.println(e.getMessage());
+    }
+    System.out.println(e);
+    System.out.println(a);
+  }
+}
+)";
+
+/// The bindings the resolver gave `s`, in walk order: `+name@slot` for a
+/// declared local or catch variable, `name@slot` for a local read and
+/// `name@static` for a static read.
+void appendBindings(const Expr& e, std::string& out) {
+  if (e.kind == ExprKind::kVarRef && e.nameRef == NameRef::kLocal) {
+    out += concat(e.strValue, "@", std::to_string(e.slot), " ");
+  } else if (e.kind == ExprKind::kVarRef &&
+             e.nameRef == NameRef::kStaticSlot) {
+    out += concat(e.strValue, "@static ");
+  }
+  forEachChild(e, [&](const Expr& c) { appendBindings(c, out); });
+}
+
+void appendBindings(const Stmt& s, std::string& out) {
+  for (const auto& c : s.catches) {
+    out += concat("+", c.varName, "@", std::to_string(c.slot), " ");
+  }
+  forEachChild(
+      s, [&](const Stmt& c) { appendBindings(c, out); },
+      [&](const Expr& c) { appendBindings(c, out); });
+  if (s.kind == StmtKind::kVarDecl) {
+    out += concat("+", s.declName, "@", std::to_string(s.declSlot), " ");
+  }
+}
+
+TEST(Resolve, ScopesBindLikeTheInterpreter) {
+  const Program prog = Parser::parseProgram("scopes.mjava", kScopesSource);
+  ensureResolved(prog);
+  const MethodDecl& main = prog.units[0].classes[0].methods[0];
+  std::string bindings;
+  appendBindings(*main.body, bindings);
+  // The first `a` of a scope wins; the inner block's a shadows it; the
+  // second block sees the static b, not its sibling's local; i and e are
+  // statics again after their for and catch; args holds slot 0.
+  EXPECT_EQ(bindings,
+            "+a@1 +a@2 a@1 +a@3 +b@4 a@3 b@4 b@static +c@5 c@5 i@6 i@6 "
+            "+i@6 i@6 +d@7 d@7 i@static +e@8 e@8 e@static a@1 ");
+  // Every declaration has a slot of its own, none reused.
+  EXPECT_EQ(main.numSlots, 9);
+
+  const std::string expected = "1\n7\n40\n5\n0\n1\n50\nx\n60\n1\n";
+  EXPECT_EQ(runTree(prog), expected);
+  EXPECT_EQ(runBytecode(prog), expected);
 }
 
 }  // namespace

@@ -114,7 +114,7 @@ TEST(Properties, InstrumenterSurvivesCounterWrap) {
   energy::SimMachine machine;
   jvm::Instrumenter inst(machine);
   const std::string methodName = "Big.method";
-  const jvm::MethodRef method{0, &methodName};
+  const jvm::MethodRef method{0, methodName};
   inst.onEnter(method);
   // ~65,546 J of double math: wraps the package counter once.
   const double perOp =

@@ -137,7 +137,7 @@ TEST(TierSpec, RejectsMalformedSpecs) {
 
 TEST(TierGate, SampledCountsAndAnchorsFirstInvocation) {
   const std::string name = "X.m";
-  const jvm::MethodRef m{3, &name};
+  const jvm::MethodRef m{3, name};
   jvm::TierGate gate(jvm::parseTierSpec("sampled:4"), /*seed=*/9);
 
   // peek never commits: repeated peeks agree with the eventual enter.
@@ -169,7 +169,7 @@ TEST(TierGate, SampledCountsAndAnchorsFirstInvocation) {
 
 TEST(TierGate, ReconcileAbortedDropsOpenUnsampledEntries) {
   const std::string name = "X.m";
-  const jvm::MethodRef m{0, &name};
+  const jvm::MethodRef m{0, name};
   jvm::TierGate gate(jvm::parseTierSpec("sampled:100"), /*seed=*/1);
 
   ASSERT_TRUE(gate.enter(m));  // ordinal 0: instrumented, stays open
